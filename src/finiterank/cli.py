@@ -12,14 +12,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (ConfigError, ConvergenceError, CoverDefectError,
                      CriterionError, FiniteRankError, GeometryError,
                      QuadratureError, ResolutionError)
 from .funcmodel import sf_sub
 from .mollify import regularize
-from .pipeline import approximate, verify_ledger
+from .pipeline import approximate, ledger_float, verify_ledger
 from .scenarios import load_scenario, _region_from_cfg
 from .seminorms import weighted_seminorm
 from .tensorapprox import finite_rank_c0_approx
@@ -48,14 +46,24 @@ def _parser() -> argparse.ArgumentParser:
         c.add_argument("--grid", type=int, default=0,
                        help="override points per axis")
         c.add_argument("--out", default="out")
-        c.add_argument("--seed", type=int, default=0)
         c.add_argument("--refine", type=int, default=2)
     return p
 
 
+def _rounded(obj):
+    """obj with every float rounded through ledger_float, containers rebuilt."""
+    if isinstance(obj, float):
+        return ledger_float(obj)
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_rounded(payload), sort_keys=True, indent=2) + "\n")
 
 
 def cmd_check_weights(args) -> int:
@@ -153,7 +161,7 @@ def cmd_convergence(args) -> int:
     while n <= min(scn.n_max, 32):
         smooth = regularize(f_c, n, scn.quad, scn.max_deriv)
         err = weighted_seminorm(sf_sub(f_c, smooth), scn.family, idx, alpha)
-        rows.append(f"{n},{err.value!r}")
+        rows.append(f"{n},{ledger_float(err.value)!r}")
         n *= 2
     (out / "convergence.csv").write_text("\n".join(rows) + "\n")
 
@@ -173,7 +181,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    np.random.seed(args.seed)
     try:
         if args.command == "check-weights":
             return cmd_check_weights(args)

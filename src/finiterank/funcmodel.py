@@ -106,7 +106,6 @@ class SampledFunction:
     derivative: Optional[Callable[[MultiIndex, np.ndarray], np.ndarray]] = None
     support: Optional[Region] = None
     name: str = ""
-    _fd_step: Optional[float] = None
 
     @property
     def d(self) -> int:
@@ -121,14 +120,7 @@ class SampledFunction:
 
     def eval_extended(self, points: np.ndarray) -> np.ndarray:
         """Zero-extension outside the declared support (f_ex in the estimates)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.support is None:
-            return self.eval(pts)
-        inside = self.support.contains(pts)
-        out = np.zeros((len(pts), self.value_dim))
-        if np.any(inside):
-            out[inside] = self.eval(pts[inside])
-        return out
+        return f_multi_ext(self, [(0,) * self.d], points)[0]
 
     def deriv(self, beta: MultiIndex, points: np.ndarray) -> np.ndarray:
         beta = tuple(int(b) for b in beta)
@@ -147,19 +139,10 @@ class SampledFunction:
         return np.stack([self.deriv(b, points) for b in betas])
 
     def deriv_extended(self, beta: MultiIndex, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.support is None:
-            return self.deriv(beta, pts)
-        inside = self.support.contains(pts)
-        out = np.zeros((len(pts), self.value_dim))
-        if np.any(inside):
-            out[inside] = self.deriv(beta, pts[inside])
-        return out
+        return f_multi_ext(self, [tuple(beta)], points)[0]
 
     def _fd_deriv(self, beta: MultiIndex, points: np.ndarray) -> np.ndarray:
-        h = self._fd_step
-        if h is None:
-            h = 0.5 * float(np.min(self.domain.spacing()))
+        h = 0.5 * float(np.min(self.domain.spacing()))
         return _nested_central(self.eval, beta, np.atleast_2d(points), h)
 
     def support_region(self) -> Region:
@@ -254,24 +237,22 @@ def support_estimate(f: SampledFunction, threshold: float = 1e-12) -> Region:
 class FiniteRankFunction:
     """Sum of scalar factors times fixed value vectors.
 
-    fast_eval, when set, evaluates the whole sum in one pass (the factors of
-    a partition share their normalization, so summing them separately would
-    recompute it per term).
+    sampled, when set, is the whole sum as one order-zero function (the
+    factors of a partition share their normalization and their cut-off, so
+    the sum is evaluated in one pass and supported where the cut-off is).
     """
 
     terms: list[tuple[SampledFunction, np.ndarray]] = field(default_factory=list)
-    fast_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sampled: Optional[SampledFunction] = None
 
     @property
     def rank(self) -> int:
         return len(self.terms)
 
-    def eval(self, points: np.ndarray, value_dim: int | None = None) -> np.ndarray:
+    def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not self.terms:
-            return np.zeros((len(pts), value_dim or 1))
-        if self.fast_eval is not None:
-            return self.fast_eval(pts)
+            return np.zeros((len(pts), 1))
         m = len(self.terms[0][1])
         acc = np.zeros((len(pts), m))
         for phi, e in self.terms:
@@ -280,31 +261,6 @@ class FiniteRankFunction:
 
     def scale_values(self, lam: float) -> "FiniteRankFunction":
         return FiniteRankFunction([(phi, lam * np.asarray(e)) for phi, e in self.terms])
-
-    def as_sampled(self, domain: Region, order: int, value_dim: int) -> SampledFunction:
-        support = None
-        regions = [phi.support for phi, _ in self.terms if phi.support is not None]
-        if len(regions) == len(self.terms):
-            boxes = tuple(b for r in regions for b in r.boxes)
-            support = Region(boxes, domain.points_per_axis)
-
-        def derivative(beta, pts):
-            if mi_order(tuple(beta)) == 0:
-                return self.eval(pts, value_dim)
-            acc = np.zeros((len(pts), value_dim))
-            for phi, e in self.terms:
-                acc += phi.deriv_extended(beta, pts)[:, 0:1] * np.asarray(e)[None, :]
-            return acc
-
-        return SampledFunction(
-            domain=domain,
-            order=order,
-            value_dim=value_dim,
-            evaluator=lambda pts: self.eval(pts, value_dim),
-            derivative=derivative,
-            support=support,
-            name="finite_rank",
-        )
 
 
 def sf_zero(domain: Region, value_dim: int, order: int = 6) -> SampledFunction:
@@ -359,7 +315,7 @@ def f_multi_ext(f: SampledFunction, betas, points) -> np.ndarray:
 def sf_from_expr_function(fn, domain: Region, order: int, name: str = "",
                           support: Optional[Region] = None) -> SampledFunction:
     """Wrap an expressions.ExprFunction with analytic derivatives."""
-    sf = SampledFunction(
+    return SampledFunction(
         domain=domain,
         order=order,
         value_dim=fn.value_dim,
@@ -368,9 +324,3 @@ def sf_from_expr_function(fn, domain: Region, order: int, name: str = "",
         support=support,
         name=name,
     )
-
-    def deriv_multi(betas, pts):
-        return np.stack([fn.deriv(tuple(b), pts) for b in betas])
-
-    sf.deriv_multi = deriv_multi
-    return sf

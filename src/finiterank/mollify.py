@@ -9,7 +9,7 @@ cutoff at |x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -409,11 +409,7 @@ def regularize(f: SampledFunction, n: int, quad: QuadratureSpec,
                               support=support, name=f"({f.name})*rho_{n}")
         return out
     moll = build_mollifier(f.d, n, quad, max_deriv)
-    fc = f if f.support is not None else SampledFunction(
-        domain=f.domain, order=f.order, value_dim=f.value_dim,
-        evaluator=f.evaluator, derivative=f.derivative, support=support,
-        name=f.name)
-    fc.deriv_multi = f.deriv_multi
+    fc = f if f.support is not None else replace(f, support=support)
     return convolve(fc, moll.as_sampled(), quad, side="g")
 
 

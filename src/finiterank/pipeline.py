@@ -7,8 +7,11 @@ stage gets eps / (12 C1 C2 C3) because the localization proposition only
 certifies 4x its input tolerance, so the delivered error is eps/(3 C1 C2 C3).
 
 Certification is by measurement: a run is certified iff the directly measured
-total error is below eps. Uncertified runs return their ledger instead of
-raising; grid resolution, not the mathematics, is the usual cause.
+total error is below eps. A run whose measured total misses eps returns its
+ledger, uncertified. A run whose tail compact or cover cannot be built at
+this grid raises a tagged error (CriterionError, ResolutionError; CLI exit
+4) before any ledger exists. Grid resolution, not the mathematics, is the
+usual cause of both.
 
 Serialized ledgers and verification reports write every float rounded to
 LEDGER_SIG_DIGITS significant digits, so their bytes do not depend on the
@@ -246,7 +249,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     result = FiniteRankFunction(
         [(convolve(phi, rho, quad, side="g"), e) for phi, e in g.terms])
 
-    g_sf = g.as_sampled(f.domain, order=0, value_dim=f.value_dim)
+    g_sf = g.sampled
     stage3_fn = convolve(sf_sub(f_tilde, g_sf), rho, quad, side="g")
     stage3 = weighted_seminorm(stage3_fn, fam, idx, alpha, grid=scn.domain)
     ledger.stage3_measured = stage3.value

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CoverDefectError, GeometryError, ResolutionError
 from .funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
-                        sf_sub)
+                        sf_sub, sf_zero)
 from .geometry import Box, Region
 from .mollify import QuadratureSpec
 from .cutoff import build_cutoff
@@ -230,19 +230,19 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     idx = WeightIndex(j, 0)
     step = float(np.min(f.domain.spacing()))
     K = find_tail_compact(f, fam, idx, alpha, eps, delta=step, search=search)
+    zero = FiniteRankFunction([], sampled=sf_zero(f.domain, f.value_dim, order=0))
 
     if K.is_empty:
         # tail below eps outside nothing: the whole seminorm is below eps
-        g = FiniteRankFunction([])
         measured = weighted_seminorm(f, fam, idx, alpha)
         report = LocalizationReport(0, 0, 1.0, eps, measured,
                                     measured.value < 4 * eps, K, eps)
-        return g, report
+        return zero, report
     if K.volume() == 0.0:
         full = weighted_seminorm(f, fam, idx, alpha)
         if full.value == 0.0:
             report = LocalizationReport(0, 0, 1.0, eps, full, True, K, eps)
-            return FiniteRankFunction([]), report
+            return zero, report
         # a single high point survived the tail search; widen to one grid cell
         K = K.inflate(0.5 * np.asarray(f.domain.spacing())).intersect(f.domain)
 
@@ -266,14 +266,18 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
                               cover_margin=margin, extra_points=dom_pts[near])
     phis, basis = build_partition(cover, K, max_deriv, quad)
     values = np.asarray(cover.values)
-
-    def fast_eval(pts):
-        return basis.eval_all(np.atleast_2d(np.asarray(pts, dtype=float))).T @ values
-
+    # every phi_i carries the cut-off factor, so the sum vanishes outside
+    # theta's support: one support for any rank
+    g_sf = SampledFunction(
+        domain=f.domain,
+        order=0,
+        value_dim=f.value_dim,
+        evaluator=lambda pts: basis.eval_all(pts).T @ values,
+        support=basis.theta.support,
+        name="finite_rank",
+    )
     g = FiniteRankFunction([(phi, cover.values[i]) for i, phi in enumerate(phis)],
-                           fast_eval=fast_eval)
-
-    g_sf = g.as_sampled(f.domain, order=0, value_dim=f.value_dim)
+                           sampled=g_sf)
     measured = weighted_seminorm(sf_sub(f, g_sf), fam, idx, alpha)
     report = LocalizationReport(
         n_centers=cover.n_centers,

@@ -13,7 +13,7 @@ from finiterank.mollify import (QuadratureSpec, build_mollifier,
                                 find_regularization_order, regularize)
 from finiterank.seminorms import weighted_seminorm
 from finiterank.weights import WeightIndex
-from finiterank.cutoff import apply_cutoff
+from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from oracles import adaptive_simpson
 import expected
 
@@ -192,6 +192,15 @@ def test_regularize_support_inflation(quad, domain_1d, gauss_1d, schwartz_fam, s
     want_hi = ft.support.boxes[0].hi[0] + 0.25
     assert sm.support.boxes[0].hi[0] == pytest.approx(want_hi)
     assert est.boxes[0].hi[0] <= want_hi + domain_1d.spacing()[0] + 1e-12
+
+
+def test_regularize_leaves_argument_unchanged(quad, gauss_1d):
+    cut = build_cutoff(Region.box([-1.0], [1.0], 201), 1.0, 4, quad,
+                       measure_table=False)
+    ft = multiply_cutoff(cut, gauss_1d)
+    before = set(vars(ft))
+    regularize(ft, 4, quad, 4)
+    assert set(vars(ft)) == before
 
 
 def test_find_regularization_order_zero(quad, domain_1d, schwartz_fam, sup_alpha):

@@ -144,6 +144,21 @@ def test_rank_monotone_in_eps(plane_waves_1d, schwartz_fam, sup_alpha, quad, dom
     assert ranks[0] <= ranks[1] <= ranks[2]
 
 
+def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_alpha,
+                                             quad, domain_1d):
+    # the sum carries the cut-off factor, so it takes the cut-off's support
+    # instead of one box per term
+    ranks, box_counts = [], []
+    for eps in (0.4, 0.1):
+        g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1,
+                                          sup_alpha, eps, domain_1d, quad, 4)
+        ranks.append(g.rank)
+        box_counts.append(len(g.sampled.support.boxes))
+        assert box_counts[-1] == len(report.K.boxes)
+    assert ranks[0] < ranks[1]
+    assert box_counts[0] == box_counts[1] < ranks[0]
+
+
 def test_support_constraint_honored(gauss_1d, schwartz_fam, sup_alpha, quad, domain_1d):
     V = Region.box([-3.5], [3.5], 701)
     g, report = finite_rank_c0_approx(gauss_1d, schwartz_fam, 1, sup_alpha, 0.1,
@@ -153,8 +168,7 @@ def test_support_constraint_honored(gauss_1d, schwartz_fam, sup_alpha, quad, dom
     outside = ~V.contains(pts)
     for phi, _ in g.terms:
         assert np.all(phi.eval_extended(pts)[outside] == 0.0)
-    g_sf = g.as_sampled(domain_1d, 0, gauss_1d.value_dim)
-    assert np.all(g_sf.eval_extended(pts)[outside] == 0.0)
+    assert np.all(g.sampled.eval_extended(pts)[outside] == 0.0)
 
 
 def test_interpolation_property_at_centers(plane_waves_1d, schwartz_fam, sup_alpha):
