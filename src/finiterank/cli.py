@@ -134,9 +134,9 @@ def _dump_factors(path: Path, result, scn) -> None:
     pts = scn.domain.grid_points()
     stride = max(1, len(pts) // 512)
     sample = pts[::stride]
-    for i, (phi, _) in enumerate(result.terms):
-        vals = phi.eval_extended(sample)[:, 0]
-        for p, v in zip(sample, vals):
+    factors = result.factors.eval_extended(sample)
+    for i in range(result.rank):
+        for p, v in zip(sample, factors[:, i]):
             coords = ";".join(repr(float(c)) for c in p)
             lines.append(f"{i},{coords},{float(v)!r}")
     path.write_text("\n".join(lines) + "\n")

@@ -8,7 +8,7 @@ nested second-order central differences are generated automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -235,32 +235,20 @@ def support_estimate(f: SampledFunction, threshold: float = 1e-12) -> Region:
 
 @dataclass
 class FiniteRankFunction:
-    """Sum of scalar factors times fixed value vectors.
+    """g = sum_i phi_i (x) e_i, an element of CV(Omega) (x) R^m.
 
-    sampled, when set, is the whole sum as one order-zero function (the
-    factors of a partition share their normalization and their cut-off, so
-    the sum is evaluated in one pass and supported where the cut-off is).
+    factors is one R^rank-valued function whose coordinate i is phi_i;
+    values is the (rank, m) matrix whose row i is e_i; sampled is the sum
+    itself, factors @ values, as one R^m-valued function.
     """
 
-    terms: list[tuple[SampledFunction, np.ndarray]] = field(default_factory=list)
-    sampled: Optional[SampledFunction] = None
+    factors: SampledFunction
+    values: np.ndarray
+    sampled: SampledFunction
 
     @property
     def rank(self) -> int:
-        return len(self.terms)
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if not self.terms:
-            return np.zeros((len(pts), 1))
-        m = len(self.terms[0][1])
-        acc = np.zeros((len(pts), m))
-        for phi, e in self.terms:
-            acc += phi.eval_extended(pts)[:, 0:1] * np.asarray(e)[None, :]
-        return acc
-
-    def scale_values(self, lam: float) -> "FiniteRankFunction":
-        return FiniteRankFunction([(phi, lam * np.asarray(e)) for phi, e in self.terms])
+        return len(self.values)
 
 
 def sf_zero(domain: Region, value_dim: int, order: int = 6) -> SampledFunction:

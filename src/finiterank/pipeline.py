@@ -213,15 +213,22 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     K1 = f_tilde.support_region()
     V = K1.inflate(scn.domain.spacing())
     N1 = _domain_fit_scale(V, scn.omega_region(), scn.n_max)
+    # |f_tilde - f_tilde * rho_n| is already measured for every n the search
+    # tried; scan only the scales it did not reach
+    measured = dict(history)
+
+    def stage2_error(n: int) -> float:
+        if n not in measured:
+            smoothed = regularize(f_tilde, n, quad, scn.max_deriv)
+            measured[n] = weighted_seminorm(
+                sf_sub(f_tilde, smoothed), fam, idx, alpha).value
+        return measured[n]
+
     N2 = max(N0, N1)
-    smoothed = regularize(f_tilde, N2, quad, scn.max_deriv)
-    stage2 = weighted_seminorm(sf_sub(f_tilde, smoothed), fam, idx, alpha)
-    while stage2.value >= eps / 3.0 and N2 * 2 <= scn.n_max:
+    while stage2_error(N2) >= eps / 3.0 and N2 * 2 <= scn.n_max:
         N2 *= 2
-        smoothed = regularize(f_tilde, N2, quad, scn.max_deriv)
-        stage2 = weighted_seminorm(sf_sub(f_tilde, smoothed), fam, idx, alpha)
     ledger.N0, ledger.N1, ledger.N2 = N0, N1, N2
-    ledger.stage2_measured = stage2.value
+    ledger.stage2_measured = stage2_error(N2)
     K2 = V.inflate(1.0 / N2)
 
     # stage 3 constants
@@ -246,25 +253,18 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     ledger.rank = g.rank
 
     rho = moll.as_sampled()
-    result = FiniteRankFunction(
-        [(convolve(phi, rho, quad, side="g"), e) for phi, e in g.terms])
-
-    g_sf = g.sampled
-    stage3_fn = convolve(sf_sub(f_tilde, g_sf), rho, quad, side="g")
+    stage3_fn = convolve(sf_sub(f_tilde, g.sampled), rho, quad, side="g")
     stage3 = weighted_seminorm(stage3_fn, fam, idx, alpha, grid=scn.domain)
     ledger.stage3_measured = stage3.value
 
-    result_sf = convolve(g_sf, rho, quad, side="g")
-    total = weighted_seminorm(sf_sub(f, result_sf), fam, idx, alpha, grid=scn.domain)
+    result = FiniteRankFunction(convolve(g.factors, rho, quad, side="g"), g.values,
+                                convolve(g.sampled, rho, quad, side="g"))
+    total = weighted_seminorm(sf_sub(f, result.sampled), fam, idx, alpha,
+                              grid=scn.domain)
     ledger.total_measured = total.value
     ledger.total_bound = ledger.stage_sum()
     ledger.certified = bool(total.value < eps)
-    ledger.artifacts = {
-        "f": f, "f_tilde": f_tilde, "g": g, "g_sampled": g_sf,
-        "smoothed": smoothed, "result_sampled": result_sf,
-        "mollifier": moll, "cut_report": cut_report, "loc_report": loc_report,
-        "V": V, "K2": K2,
-    }
+    ledger.artifacts = {"f_tilde": f_tilde, "g": g, "K2": K2}
     return result, ledger
 
 
@@ -296,14 +296,13 @@ def verify_ledger(result: FiniteRankFunction, ledger: ErrorLedger,
     """Independent re-measurement on a refined grid plus the stage-3 chain."""
     alpha = scn.seminorm(alpha_name)
     fam = scn.family
-    art = ledger.artifacts
-    result_sf = art["result_sampled"]
     fine = scn.domain.refine(refine)
-    refined_total = weighted_seminorm(sf_sub(f, result_sf), fam, idx, alpha, grid=fine)
+    refined_total = weighted_seminorm(sf_sub(f, result.sampled), fam, idx, alpha,
+                                      grid=fine)
 
-    f_tilde, g_sf = art["f_tilde"], art["g_sampled"]
-    tensor_err = weighted_seminorm(
-        sf_sub(f_tilde, g_sf), fam, WeightIndex(ledger.aux_index, 0), alpha)
+    art = ledger.artifacts
+    tensor_err = weighted_seminorm(sf_sub(art["f_tilde"], art["g"].sampled), fam,
+                                   WeightIndex(ledger.aux_index, 0), alpha)
     cap = ledger.C1 * ledger.C2 * ledger.C3 * tensor_err.value \
         + 10.0 * scn.quad.tol
     domination_ok = ledger.stage3_measured <= cap

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CoverDefectError, GeometryError, ResolutionError
 from .funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
                         sf_sub, sf_zero)
-from .geometry import Box, Region
+from .geometry import Region
 from .mollify import QuadratureSpec
 from .cutoff import build_cutoff
 from .seminorms import SeminormValue, find_tail_compact, weighted_seminorm
@@ -159,8 +159,12 @@ class PartitionBasis:
 
 
 def build_partition(cover: Cover, K: Region, max_deriv: int,
-                    quad: QuadratureSpec) -> tuple[list[SampledFunction], PartitionBasis]:
-    """Smooth partition: phi_i = theta * b_i / sum(b), equal to 1 summed on K."""
+                    quad: QuadratureSpec) -> tuple[SampledFunction, PartitionBasis]:
+    """Smooth partition: phi_i = theta * b_i / sum(b), equal to 1 summed on K.
+
+    Returns the factor map x -> (phi_1(x), ..., phi_rank(x)) as one
+    R^rank-valued function, supported where the cut-off theta is.
+    """
     step = float(np.min(K.spacing())) if not K.is_empty else 1.0
     s = (2.0 / 3.0) * step
     theta_cut = build_cutoff(K, s, max_deriv, quad, measure_table=False)
@@ -179,24 +183,15 @@ def build_partition(cover: Cover, K: Region, max_deriv: int,
         raise CoverDefectError(
             f"bump sum vanishes inside the cut-off support at {witness}")
 
-    phis = []
-    for i in range(cover.n_centers):
-        ball = Box(tuple(cover.centers[i] - cover.radii[i]),
-                   tuple(cover.centers[i] + cover.radii[i]))
-        support = theta.support.intersect_box(ball)
-
-        def make(idx):
-            return lambda pts_: basis.eval_all(pts_)[idx][:, None]
-
-        phis.append(SampledFunction(
-            domain=theta.domain,
-            order=max_deriv,
-            value_dim=1,
-            evaluator=make(i),
-            support=support,
-            name=f"phi_{i}",
-        ))
-    return phis, basis
+    factors = SampledFunction(
+        domain=theta.domain,
+        order=max_deriv,
+        value_dim=cover.n_centers,
+        evaluator=lambda pts_: basis.eval_all(pts_).T,
+        support=theta.support,
+        name="phi",
+    )
+    return factors, basis
 
 
 @dataclass
@@ -230,7 +225,9 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     idx = WeightIndex(j, 0)
     step = float(np.min(f.domain.spacing()))
     K = find_tail_compact(f, fam, idx, alpha, eps, delta=step, search=search)
-    zero = FiniteRankFunction([], sampled=sf_zero(f.domain, f.value_dim, order=0))
+    zero = FiniteRankFunction(sf_zero(f.domain, 0, order=max_deriv),
+                              np.zeros((0, f.value_dim)),
+                              sf_zero(f.domain, f.value_dim, order=0))
 
     if K.is_empty:
         # tail below eps outside nothing: the whole seminorm is below eps
@@ -264,7 +261,7 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     near = K.inflate(0.75 * s).contains(dom_pts)
     cover = oscillation_cover(f, K, fam, j, alpha, eps,
                               cover_margin=margin, extra_points=dom_pts[near])
-    phis, basis = build_partition(cover, K, max_deriv, quad)
+    factors, basis = build_partition(cover, K, max_deriv, quad)
     values = np.asarray(cover.values)
     # every phi_i carries the cut-off factor, so the sum vanishes outside
     # theta's support: one support for any rank
@@ -273,11 +270,10 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
         order=0,
         value_dim=f.value_dim,
         evaluator=lambda pts: basis.eval_all(pts).T @ values,
-        support=basis.theta.support,
+        support=factors.support,
         name="finite_rank",
     )
-    g = FiniteRankFunction([(phi, cover.values[i]) for i, phi in enumerate(phis)],
-                           sampled=g_sf)
+    g = FiniteRankFunction(factors, values, g_sf)
     measured = weighted_seminorm(sf_sub(f, g_sf), fam, idx, alpha)
     report = LocalizationReport(
         n_centers=cover.n_centers,

@@ -145,7 +145,7 @@ def test_criterion_5_partition_identities(domain_1d, schwartz_fam, sup_alpha,
                 (plane_waves_1d, Region.box([-2.5], [2.5], 501), 0.05)]
     for f, K, eps in fixtures:
         cover = oscillation_cover(f, K, schwartz_fam, 1, sup_alpha, eps)
-        phis, basis = build_partition(cover, K, 4, quad)
+        _, basis = build_partition(cover, K, 4, quad)
         kpts = K.grid_points()
         vals = basis.eval_all(kpts)
         sum_err = np.max(np.abs(np.sum(vals, axis=0) - 1.0))
@@ -179,8 +179,8 @@ def test_criterion_6_localization_bound(plane_waves_1d, schwartz_fam, sup_alpha,
                                    0.2, domain_1d, quad, 4, support_constraint=V)
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)
-    constrained = all(bool(np.all(phi.eval_extended(pts)[outside] == 0.0))
-                      for phi, _ in g.terms)
+    # column i of the factor map is phi_i
+    constrained = bool(np.all(g.factors.eval_extended(pts)[outside] == 0.0))
     ok &= constrained and rep.measured.value < 4 * 0.2
     report(6, ok, "; ".join(details) + "; constrained factors vanish outside V")
 

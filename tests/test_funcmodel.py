@@ -179,15 +179,19 @@ def test_support_estimate_zero_and_mollifier_radius(domain_1d, quad):
     assert abs(est.boxes[0].hi[0] - 0.5) <= step + 1e-12
 
 
-def test_finite_rank_value_scaling(domain_1d, quad):
-    moll = fr.build_mollifier(1, 2, quad, max_deriv=2)
-    phi = moll.as_sampled()
-    e = np.array([1.0, -2.0, 0.5])
-    g = FiniteRankFunction([(phi, e)])
-    pts = np.linspace(-0.4, 0.4, 9)[:, None]
-    scaled = g.scale_values(3.0)
-    assert np.array_equal(scaled.eval(pts), 3.0 * g.eval(pts))
-    assert g.rank == 1
+def test_finite_rank_sum_identity(plane_waves_1d, schwartz_fam, sup_alpha, quad,
+                                  domain_1d):
+    # g = sum_i phi_i (x) e_i: the factor map times the value matrix is the sum
+    g, _ = fr.finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2,
+                                    domain_1d, quad, 4)
+    assert isinstance(g, FiniteRankFunction)
+    assert g.rank > 1
+    assert g.factors.value_dim == g.rank
+    assert g.values.shape == (g.rank, plane_waves_1d.value_dim)
+    pts = domain_1d.grid_points()
+    total = g.sampled.eval_extended(pts)
+    summed = g.factors.eval_extended(pts) @ g.values
+    assert np.max(np.abs(summed - total)) <= 1e-14 * np.max(np.abs(total))
 
 
 def test_declared_support_evaluator_consistency(quad):

@@ -1,15 +1,19 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from finiterank import pipeline
+from finiterank.cutoff import apply_cutoff
 from finiterank.errors import ResolutionError
-from finiterank.funcmodel import SampledFunction, sf_zero
+from finiterank.funcmodel import FiniteRankFunction, SampledFunction, sf_sub, sf_zero
 from finiterank.geometry import Region
-from finiterank.mollify import build_mollifier
+from finiterank.mollify import build_mollifier, convolve, regularize
 from finiterank.pipeline import (ErrorLedger, VerificationReport, approximate,
                                  verify_ledger)
 from finiterank.scenarios import load_scenario
+from finiterank.seminorms import weighted_seminorm
 from finiterank.weights import WeightIndex
 import expected
 
@@ -50,7 +54,6 @@ def test_structured_input_small_stage1(schwartz_scn, quad):
 
 
 def _with_value_dim(scn, m):
-    from dataclasses import replace
     return replace(scn, value_dim=m)
 
 
@@ -71,14 +74,98 @@ def test_schwartz_pinned_run(schwartz_scn):
     K2 = ledger.artifacts["K2"]
     pts = scn.domain.grid_points()
     outside = ~K2.contains(pts)
-    for phi, _ in result.terms:
-        assert phi.order >= scn.order
-        assert np.all(phi.eval_extended(pts)[outside] == 0.0)
+    assert result.factors.order >= scn.order
+    assert result.factors.value_dim == result.rank
+    # every column is one factor phi_i * rho
+    assert np.all(result.factors.eval_extended(pts)[outside] == 0.0)
 
     report = verify_ledger(result, ledger, f, scn, idx, "sup", refine=2)
     assert report.domination_ok
     assert report.budget_ok
     assert report.refined_total <= 1.1 * max(report.ledger_total, 1e-15)
+
+
+def _counted_run(f, scn, eps):
+    """approximate with counts of its convolve and regularize calls and the
+    stage-2 search history it was handed."""
+    calls = {"convolve": 0, "regularize": 0}
+    searches = []
+    search = pipeline.find_regularization_order
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recorded_search(*args, **kwargs):
+        searches.append(search(*args, **kwargs))
+        return searches[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "convolve", counted("convolve", convolve))
+        mp.setattr(pipeline, "regularize", counted("regularize", regularize))
+        mp.setattr(pipeline, "find_regularization_order", recorded_search)
+        result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", eps)
+    (_, history), = searches
+    return result, ledger, calls, history
+
+
+@pytest.fixture(scope="module")
+def counted_runs(schwartz_scn):
+    scn, f = schwartz_scn
+    return {eps: _counted_run(f, scn, eps) for eps in (0.2, 0.1)}
+
+
+def test_smoothing_convolutions_independent_of_rank(counted_runs):
+    # the result is one factor map and one sum, each convolved once
+    ranks = [counted_runs[eps][0].rank for eps in (0.2, 0.1)]
+    counts = [counted_runs[eps][2]["convolve"] for eps in (0.2, 0.1)]
+    assert ranks == [21, 45]
+    assert counts[0] == counts[1]
+
+
+def test_stage2_reuses_search_history(counted_runs):
+    _, ledger, calls, history = counted_runs[0.1]
+    assert ledger.N0 == ledger.N2 == history[-1][0]
+    assert calls["regularize"] == 0
+    assert ledger.stage2_measured == history[-1][1]
+
+
+def test_stage2_scans_scales_beyond_history(schwartz_scn):
+    # an omega tight around V forces N1 > N0, a scale the search never tried
+    scn, f = schwartz_scn
+    idx, eps = WeightIndex(1, 1), 0.1
+    f_tilde, _ = apply_cutoff(f, scn.family, idx, scn.seminorm("sup"), eps / 3.0,
+                              scn.delta_rule(idx), scn.domain, scn.quad,
+                              scn.max_deriv, omega=scn.omega_region())
+    V = f_tilde.support_region().inflate(scn.domain.spacing())
+    tight = replace(scn, omega=V.inflate(0.3))
+    _, ledger, calls, history = _counted_run(f, tight, eps)
+    assert ledger.N1 == 4 > ledger.N0
+    assert ledger.N2 in (max(ledger.N0, ledger.N1) * 2 ** k for k in range(6))
+    tried = dict(history)
+    fresh = [n for n in (4, 8, 16, 32, 64) if n <= ledger.N2 and n not in tried]
+    assert calls["regularize"] == len(fresh) > 0
+    f_tilde = ledger.artifacts["f_tilde"]
+    smoothed = regularize(f_tilde, ledger.N2, scn.quad, scn.max_deriv)
+    direct = weighted_seminorm(sf_sub(f_tilde, smoothed), scn.family, idx,
+                               scn.seminorm("sup"))
+    assert ledger.stage2_measured == direct.value
+
+
+def test_verify_measures_given_result(counted_runs, schwartz_scn):
+    # refined_total is |f - result|; with a zero result it is |f| itself
+    scn, f = schwartz_scn
+    idx = WeightIndex(1, 1)
+    result, ledger, _, _ = counted_runs[0.2]
+    zero = FiniteRankFunction(result.factors, result.values,
+                              sf_zero(scn.domain, f.value_dim))
+    report = verify_ledger(zero, ledger, f, scn, idx, "sup", refine=2)
+    full = weighted_seminorm(f, scn.family, idx, scn.seminorm("sup"),
+                             grid=scn.domain.refine(2))
+    assert report.refined_total == full.value
+    assert report.refined_total > 2 * ledger.total_measured
 
 
 def test_monotone_budget_stage1_compact(schwartz_scn):

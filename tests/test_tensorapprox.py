@@ -71,7 +71,8 @@ def test_cover_resolution_error(schwartz_fam, sup_alpha):
 def test_partition_identities(domain_1d, schwartz_fam, sup_alpha, gauss_1d, quad):
     K = Region.box([-1.5], [1.5], 301)
     cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
-    phis, basis = build_partition(cover, K, 4, quad)
+    factors, basis = build_partition(cover, K, 4, quad)
+    assert factors.value_dim == cover.n_centers
     pts = K.grid_points()
     all_vals = basis.eval_all(pts)
     total = np.sum(all_vals, axis=0)
@@ -81,9 +82,10 @@ def test_partition_identities(domain_1d, schwartz_fam, sup_alpha, gauss_1d, quad
     # sum bounded by one everywhere on the wider grid
     wide = Region.box([-3.0], [3.0], 601).grid_points()
     assert np.all(np.sum(basis.eval_all(wide), axis=0) <= 1.0 + 1e-12)
-    # supports inside the certified balls (grid check)
-    for i, phi in enumerate(phis):
-        vals = phi.eval_extended(wide)[:, 0]
+    # supports inside the certified balls (grid check), one factor per column
+    wide_vals = factors.eval_extended(wide)
+    for i in range(cover.n_centers):
+        vals = wide_vals[:, i]
         dist = np.linalg.norm(wide - cover.centers[i], axis=1)
         assert np.all(vals[dist >= cover.radii[i]] == 0.0)
 
@@ -94,9 +96,10 @@ def test_partition_single_center_equals_cutoff(domain_1d, schwartz_fam, sup_alph
     K = Region.box([-0.5], [0.5], 101)
     cover = oscillation_cover(c, K, schwartz_fam, 1, sup_alpha, 0.5)
     assert cover.n_centers == 1
-    phis, basis = build_partition(cover, K, 4, quad)
+    factors, _ = build_partition(cover, K, 4, quad)
     pts = K.grid_points()
-    assert np.max(np.abs(phis[0].eval(pts)[:, 0] - 1.0)) <= 1e-12
+    assert factors.value_dim == 1
+    assert np.max(np.abs(factors.eval(pts)[:, 0] - 1.0)) <= 1e-12
 
 
 def test_finite_rank_zero(domain_1d, schwartz_fam, sup_alpha, quad):
@@ -119,7 +122,8 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, quad, ga
     g, report = finite_rank_c0_approx(f, schwartz_fam, 1, sup_alpha, eps,
                                       domain_1d, quad, 4)
     assert report.four_eps_ok
-    for _, value in g.terms:
+    assert g.values.shape == (g.rank, 3)
+    for value in g.values:
         cross = np.linalg.norm(np.cross(value / np.linalg.norm(e), e / np.linalg.norm(e)))
         assert cross < 1e-12
 
@@ -166,8 +170,8 @@ def test_support_constraint_honored(gauss_1d, schwartz_fam, sup_alpha, quad, dom
     assert report.four_eps_ok
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)
-    for phi, _ in g.terms:
-        assert np.all(phi.eval_extended(pts)[outside] == 0.0)
+    # column i of the factor map is phi_i
+    assert np.all(g.factors.eval_extended(pts)[outside] == 0.0)
     assert np.all(g.sampled.eval_extended(pts)[outside] == 0.0)
 
 
