@@ -10,8 +10,8 @@ from .mollify import (Mollifier, QuadratureSpec, build_mollifier,
                       find_regularization_order, regularize)
 from .cutoff import CutoffFunction, apply_cutoff, build_cutoff, cutoff_constant
 from .pipeline import ErrorLedger, Scenario, approximate, verify_ledger
-from .seminorms import (SeminormValue, find_tail_compact, local_sup_seminorm,
-                        seminorm_record, tail_seminorm, weighted_seminorm)
+from .seminorms import (SeminormValue, find_tail_compact, tail_seminorm,
+                        weighted_seminorm)
 from .scenarios import load_scenario, scenario_from_dict
 from .tensorapprox import (Cover, build_partition, finite_rank_c0_approx,
                            oscillation_cover)

@@ -9,7 +9,7 @@ cutoff at |x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -84,11 +84,6 @@ def region_nodes(region: Region, points_per_axis: int, rule: str = "midpoint"):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def integrate_region(fn, region: Region, quad: QuadratureSpec) -> float:
-    nodes, weights = region_nodes(region, quad.finest_points, quad.rule)
-    return float(np.dot(weights, fn(nodes)))
-
-
 # ---------------------------------------------------------------------------
 # the bump profile and its symbolic derivatives
 
@@ -123,10 +118,10 @@ def bump_profile(points: np.ndarray, beta: Optional[MultiIndex] = None) -> np.nd
     return out
 
 
-_norm_cache: dict[tuple, tuple[float, list[float]]] = {}
+_norm_cache: dict[tuple, float] = {}
 
 
-def _normalization(d: int, quad: QuadratureSpec) -> tuple[float, list[float]]:
+def _normalization(d: int, quad: QuadratureSpec) -> float:
     """1 / integral of the unnormalized bump over the unit box.
 
     Refines at least `refinement_levels` times and then keeps doubling until
@@ -151,7 +146,7 @@ def _normalization(d: int, quad: QuadratureSpec) -> tuple[float, list[float]]:
                     f"normalization quadrature did not converge: ladder {masses}")
             points *= 2
             level += 1
-        _norm_cache[key] = (1.0 / masses[-1], masses)
+        _norm_cache[key] = 1.0 / masses[-1]
     return _norm_cache[key]
 
 
@@ -164,7 +159,6 @@ class Mollifier:
     normC: float
     max_deriv: int
     quad: QuadratureSpec
-    mass_ladder: list[float] = field(default_factory=list)
     mass_check: float = 0.0
 
     def rho_unit(self, points: np.ndarray) -> np.ndarray:
@@ -216,9 +210,8 @@ def build_mollifier(d: int, n: int, quad: QuadratureSpec, max_deriv: int = 4) ->
         raise ValueError("scale n must be at least 1")
     if max_deriv > 6:
         raise ValueError("symbolic derivatives are generated up to order 6")
-    normC, ladder = _normalization(d, quad)
-    moll = Mollifier(d=d, n=n, normC=normC, max_deriv=max_deriv, quad=quad,
-                     mass_ladder=ladder)
+    moll = Mollifier(d=d, n=n, normC=_normalization(d, quad), max_deriv=max_deriv,
+                     quad=quad)
     # generic-path mass check over the support of rho_n
     nodes, weights = box_nodes(Box((-moll.radius,) * d, (moll.radius,) * d),
                                quad.finest_points, quad.rule)
@@ -238,21 +231,22 @@ def build_mollifier(d: int, n: int, quad: QuadratureSpec, max_deriv: int = 4) ->
 
 
 def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
-             side: str = "auto") -> SampledFunction:
-    """f * g for scalar g, with the integral discretized over one factor's
-    compact support.
+             side: str = "g") -> SampledFunction:
+    """f * g for a scalar g with analytic derivatives (Mollifier.as_sampled),
+    the integral discretized over one factor's compact support.
 
     side 'f' integrates sum_q w_q f(y_q) g(x - y_q) over supp f; side 'g'
     substitutes z = x - y and integrates sum_q w_q g(z_q) f(x - z_q) over
     supp g. Both discretize the same integral; the commutativity check
-    exercises the two node sets against each other.
+    exercises the two node sets against each other. Either way every
+    derivative falls on g, so the result has g's order.
     """
     if g.value_dim != 1:
         raise ValueError("the second convolution factor must be scalar")
-    if side == "auto":
-        side = "g" if g.support is not None else "f"
+    if g.derivative is None:
+        raise ValueError("the second convolution factor needs analytic derivatives")
     if side not in ("f", "g"):
-        raise ValueError("side must be 'auto', 'f' or 'g'")
+        raise ValueError("side must be 'f' or 'g'")
     nodes_region = f.support if side == "f" else g.support
     if nodes_region is None:
         raise ValueError("the integration side of a convolution must have compact support")
@@ -261,7 +255,6 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
 
     nodes, weights = region_nodes(nodes_region, quad.finest_points, quad.rule)
     m = f.value_dim
-    g_analytic = g.derivative is not None
 
     if side == "g":
         base_coeff = weights * g.eval_extended(nodes)[:, 0]          # (Q,)
@@ -269,26 +262,18 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
         def deriv_multi(betas, points):
             pts = np.atleast_2d(np.asarray(points, dtype=float))
             out = np.zeros((len(betas), len(pts), m))
-            if g_analytic:
-                coeffs = np.stack([
-                    base_coeff if mi_order(tuple(b)) == 0
-                    else weights * g.deriv(tuple(b), nodes)[:, 0]
-                    for b in betas])                                  # (B, Q)
-                live = np.any(coeffs != 0.0, axis=0)
-                for q in range(len(nodes)):
-                    if not live[q]:
-                        continue
-                    shifted = f.eval_extended(pts - nodes[q])
-                    for bi in range(len(betas)):
-                        if coeffs[bi, q] != 0.0:
-                            out[bi] += coeffs[bi, q] * shifted
-            else:
-                for bi, beta in enumerate(betas):
-                    beta = tuple(beta)
-                    for q in range(len(nodes)):
-                        if base_coeff[q] == 0.0:
-                            continue
-                        out[bi] += base_coeff[q] * f.deriv_extended(beta, pts - nodes[q])
+            coeffs = np.stack([
+                base_coeff if mi_order(tuple(b)) == 0
+                else weights * g.deriv(tuple(b), nodes)[:, 0]
+                for b in betas])                                      # (B, Q)
+            live = np.any(coeffs != 0.0, axis=0)
+            for q in range(len(nodes)):
+                if not live[q]:
+                    continue
+                shifted = f.eval_extended(pts - nodes[q])
+                for bi in range(len(betas)):
+                    if coeffs[bi, q] != 0.0:
+                        out[bi] += coeffs[bi, q] * shifted
             return out
 
     else:  # side == "f"
@@ -299,15 +284,9 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
             out = np.zeros((len(betas), len(pts), m))
             for bi, beta in enumerate(betas):
                 beta = tuple(beta)
-                if g_analytic or mi_order(beta) == 0:
-                    for q in range(len(nodes)):
-                        gq = g.deriv_extended(beta, pts - nodes[q])[:, 0]
-                        out[bi] += gq[:, None] * fvals[q][None, :]
-                else:
-                    coeffs = weights[:, None] * f.deriv_extended(beta, nodes)
-                    for q in range(len(nodes)):
-                        gq = g.eval_extended(pts - nodes[q])[:, 0]
-                        out[bi] += gq[:, None] * coeffs[q][None, :]
+                for q in range(len(nodes)):
+                    gq = g.deriv_extended(beta, pts - nodes[q])[:, 0]
+                    out[bi] += gq[:, None] * fvals[q][None, :]
             return out
 
     support = None
@@ -321,10 +300,9 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
 
     bb = nodes_region.bounding_box()
     radius = np.maximum(np.abs(bb.lo), np.abs(bb.hi))
-    order = g.order if g_analytic else min(f.order, g.order)
     conv = SampledFunction(
         domain=f.domain.inflate(radius),
-        order=order,
+        order=g.order,
         value_dim=m,
         evaluator=lambda pts: deriv_multi([(0,) * f.d], np.atleast_2d(pts))[0],
         derivative=lambda beta, pts: deriv_multi([tuple(beta)], pts)[0],
@@ -415,8 +393,8 @@ def regularize(f: SampledFunction, n: int, quad: QuadratureSpec,
 
 def find_regularization_order(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                               alpha: SeminormIndex, eps: float, n_max: int,
-                              quad: QuadratureSpec, max_deriv: int = 4,
-                              grid: Optional[Region] = None) -> tuple[int, list[tuple[int, float]]]:
+                              quad: QuadratureSpec, max_deriv: int = 4
+                              ) -> tuple[int, list[tuple[int, float]]]:
     """Smallest n in {2, 4, ..., n_max} with |f - f*rho_n|_{j,l,alpha} < eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -424,7 +402,7 @@ def find_regularization_order(f: SampledFunction, fam: WeightFamily, idx: Weight
     n = 2
     while n <= n_max:
         smoothed = regularize(f, n, quad, max_deriv)
-        err = weighted_seminorm(sf_sub(f, smoothed), fam, idx, alpha, grid=grid)
+        err = weighted_seminorm(sf_sub(f, smoothed), fam, idx, alpha)
         history.append((n, err.value))
         if err.value < eps:
             return n, history

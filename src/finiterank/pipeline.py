@@ -55,16 +55,14 @@ def ledger_float(x: float) -> float:
 
 @dataclass
 class Scenario:
-    """A runnable configuration: weights, domain, value space, knobs."""
+    """A runnable configuration: weights, domain, seminorms, knobs."""
 
     name: str
     family: WeightFamily
     domain: Region
-    value_dim: int
     seminorms: dict[str, SeminormIndex]
     delta_rule: Callable[[WeightIndex], float]
     n_max: int = 64
-    order: int = 2
     max_deriv: int = 4
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     omega: Optional[Region] = None
@@ -111,7 +109,6 @@ class ErrorLedger:
     mollifier_normC: float = 0.0
     mollifier_mass: float = 0.0
     value_space: str = "R^m sample coordinates"
-    artifacts: dict = field(default_factory=dict, repr=False)
 
     def stage_sum(self) -> float:
         return self.stage1_measured + self.stage2_measured + self.stage3_measured
@@ -264,7 +261,6 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     ledger.total_measured = total.value
     ledger.total_bound = ledger.stage_sum()
     ledger.certified = bool(total.value < eps)
-    ledger.artifacts = {"f_tilde": f_tilde, "g": g, "K2": K2}
     return result, ledger
 
 
@@ -293,17 +289,18 @@ class VerificationReport:
 def verify_ledger(result: FiniteRankFunction, ledger: ErrorLedger,
                   f: SampledFunction, scn: Scenario, idx: WeightIndex,
                   alpha_name: str, refine: int = 2) -> VerificationReport:
-    """Independent re-measurement on a refined grid plus the stage-3 chain."""
+    """Independent re-measurement on a refined grid plus the stage-3 chain.
+
+    Needs only the result and the ledger's own fields: the stage-3 cap
+    C1 C2 C3 |f_tilde - g|_{aux,0} reads the tensor stage's measurement
+    from the ledger.
+    """
     alpha = scn.seminorm(alpha_name)
     fam = scn.family
     fine = scn.domain.refine(refine)
     refined_total = weighted_seminorm(sf_sub(f, result.sampled), fam, idx, alpha,
                                       grid=fine)
-
-    art = ledger.artifacts
-    tensor_err = weighted_seminorm(sf_sub(art["f_tilde"], art["g"].sampled), fam,
-                                   WeightIndex(ledger.aux_index, 0), alpha)
-    cap = ledger.C1 * ledger.C2 * ledger.C3 * tensor_err.value \
+    cap = ledger.C1 * ledger.C2 * ledger.C3 * ledger.tensor_measured \
         + 10.0 * scn.quad.tol
     domination_ok = ledger.stage3_measured <= cap
     budget_ok = ledger.total_measured <= ledger.stage_sum() + 1e-10

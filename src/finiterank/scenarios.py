@@ -122,12 +122,10 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
             name=cfg.get("name", "unnamed"),
             family=fam,
             domain=domain,
-            value_dim=int(cfg.get("value_dim", 1)),
             seminorms=seminorms,
             delta_rule=_delta_rule_from_cfg(cfg.get("delta", {"kind": "fixed", "value": 1.0}),
                                             fam, domain),
             n_max=int(cfg.get("n_max", 64)),
-            order=order,
             max_deriv=int(cfg.get("max_deriv", 4)),
             quad=quad,
             omega=omega,

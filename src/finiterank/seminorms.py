@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CriterionError, OrderError
+from .errors import CriterionError, FiniteRankError, OrderError
 from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, f_multi_ext,
                         multiindices)
 from .geometry import Region, centered_box
@@ -37,57 +37,51 @@ class SeminormValue:
         }
 
 
-def seminorm_record(sv: "SeminormValue", idx: "WeightIndex", alpha_name: str) -> dict:
-    """Ledger record for one seminorm measurement."""
-    record = {"j": idx.j, "l": idx.l, "alpha": alpha_name}
-    record.update(sv.to_json_dict())
-    return record
+def _integrand(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
+               alpha: SeminormIndex, pts: np.ndarray):
+    """The scan every seminorm reads: (kept, betas, vals).
+
+    kept masks the points inside f's declared support; points outside it
+    contribute exactly 0 to every sup and are skipped. vals is the
+    (len(betas), kept.sum()) matrix p_alpha(d^beta f(x)) nu_{j,l}(x) over
+    |beta| <= l and the kept points, in scan order.
+    """
+    if idx.l > f.order:
+        raise OrderError(f"weight order l={idx.l} exceeds function order {f.order}")
+    betas = multiindices(f.d, idx.l)
+    kept = (np.ones(len(pts), dtype=bool) if f.support is None
+            else f.support.contains(pts))
+    live = pts[kept]
+    vals = np.zeros((len(betas), len(live)))
+    if len(live):
+        w = fam.eval_batch(idx, live)
+        stacked = f_multi_ext(f, betas, live)
+        for bi in range(len(betas)):
+            vals[bi] = alpha.apply(stacked[bi]) * w
+    bad = np.argwhere(~np.isfinite(vals))
+    if len(bad):
+        bi, k = bad[0]
+        raise FiniteRankError(
+            f"non-finite integrand {vals[bi, k]} of {f.name or 'f'} at "
+            f"x={live[k].tolist()}, beta={betas[bi]}")
+    return kept, betas, vals
 
 
-def _scan(f: SampledFunction, pts: np.ndarray, betas, alpha: SeminormIndex,
-          weights: Optional[np.ndarray]) -> SeminormValue:
-    if len(pts) == 0:
+def _sup(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
+         alpha: SeminormIndex, pts: np.ndarray) -> SeminormValue:
+    """Scan maximum; the witness is the first beta, then the first point."""
+    kept, betas, vals = _integrand(f, fam, idx, alpha, pts)
+    if vals.size == 0:
         return SeminormValue(0.0, None, None, empty=True)
-    stacked = f_multi_ext(f, betas, pts)
-    best_val = -1.0
-    best = (None, None)
-    for bi, beta in enumerate(betas):
-        vals = alpha.apply(stacked[bi])
-        if weights is not None:
-            vals = vals * weights
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best = (pts[k], beta)
-    return SeminormValue(best_val, best[0], best[1])
-
-
-def _betas_for(f: SampledFunction, l: int):
-    if l > f.order:
-        raise OrderError(f"weight order l={l} exceeds function order {f.order}")
-    return multiindices(f.d, l)
-
-
-def _support_mask(f: SampledFunction, pts: np.ndarray) -> Optional[np.ndarray]:
-    # Points outside a declared support contribute exactly 0 to the sup.
-    if f.support is None:
-        return None
-    return f.support.contains(pts)
+    bi, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return SeminormValue(float(vals[bi, k]), pts[np.flatnonzero(kept)[k]], betas[bi])
 
 
 def weighted_seminorm(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                       alpha: SeminormIndex, grid: Optional[Region] = None) -> SeminormValue:
     """sup over grid points and |beta| <= l of p_alpha(d^beta f(x)) nu_{j,l}(x)."""
     region = grid if grid is not None else f.domain
-    pts = region.grid_points()
-    betas = _betas_for(f, idx.l)
-    mask = _support_mask(f, pts)
-    if mask is not None:
-        pts = pts[mask]
-        if len(pts) == 0:
-            return SeminormValue(0.0, None, None, empty=True)
-    w = fam.eval_batch(idx, pts)
-    return _scan(f, pts, betas, alpha, w)
+    return _sup(f, fam, idx, alpha, region.grid_points())
 
 
 def tail_seminorm(f: SampledFunction, K: Region, fam: WeightFamily, idx: WeightIndex,
@@ -95,26 +89,7 @@ def tail_seminorm(f: SampledFunction, K: Region, fam: WeightFamily, idx: WeightI
     """Same sup restricted to grid points outside K."""
     region = grid if grid is not None else f.domain
     pts = region.grid_points()
-    outside = ~K.contains(pts)
-    pts = pts[outside]
-    if len(pts) == 0:
-        return SeminormValue(0.0, None, None, empty=True)
-    betas = _betas_for(f, idx.l)
-    mask = _support_mask(f, pts)
-    if mask is not None:
-        pts = pts[mask]
-        if len(pts) == 0:
-            return SeminormValue(0.0, None, None, empty=True)
-    w = fam.eval_batch(idx, pts)
-    return _scan(f, pts, betas, alpha, w)
-
-
-def local_sup_seminorm(f: SampledFunction, K: Region, l: int,
-                       alpha: SeminormIndex) -> SeminormValue:
-    """Unweighted sup over K's own grid and |beta| <= l."""
-    pts = K.grid_points()
-    betas = _betas_for(f, l)
-    return _scan(f, pts, betas, alpha, None)
+    return _sup(f, fam, idx, alpha, pts[~K.contains(pts)])
 
 
 def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
@@ -137,20 +112,9 @@ def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     if omega is None:
         omega = domain
     pts = search.grid_points()
-    betas = _betas_for(f, idx.l)
-    w = fam.eval_batch(idx, pts)
-    mask = _support_mask(f, pts)
+    kept, _, vals = _integrand(f, fam, idx, alpha, pts)
     integrand = np.zeros(len(pts))
-    if mask is None:
-        stacked = f_multi_ext(f, betas, pts)
-        for bi in range(len(betas)):
-            integrand = np.maximum(integrand, alpha.apply(stacked[bi]) * w)
-    elif np.any(mask):
-        stacked = f_multi_ext(f, betas, pts[mask])
-        vals = np.zeros(int(np.sum(mask)))
-        for bi in range(len(betas)):
-            vals = np.maximum(vals, alpha.apply(stacked[bi]) * w[mask])
-        integrand[mask] = vals
+    integrand[kept] = np.max(vals, axis=0)
 
     clip = fam.structure_region(idx.j)
     base = clip if clip is not None else domain

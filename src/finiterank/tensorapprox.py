@@ -205,16 +205,6 @@ class LocalizationReport:
     K: Region = None
     target_osc: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_centers": self.n_centers,
-            "rank": self.rank,
-            "N_const": self.N_const,
-            "eps": self.eps,
-            "measured_error": self.measured.value,
-            "four_eps_bound_ok": self.four_eps_ok,
-        }
-
 
 def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
                           alpha: SeminormIndex, eps: float, search: Region,

@@ -43,7 +43,7 @@ def test_check_weights_om_finite(tmp_path):
 def test_check_weights_broken_family(tmp_path):
     cfg = {
         "name": "broken",
-        "order": 1, "value_dim": 1,
+        "order": 1,
         "family": {"kind": "custom", "k_max": 0,
                    "entries": {"1,0": "indicator(0, 1)", "2,0": "indicator(2, 3)"}},
         "domain": {"boxes": [[[-1.0], [4.0]]], "points_per_axis": 251},

@@ -64,6 +64,17 @@ def test_convolve_zero(quad, domain_1d):
     assert np.all(conv.eval(pts) == 0.0)
 
 
+def test_convolve_needs_kernel_derivatives(quad):
+    # every derivative of f * g falls on g, so g must provide them
+    moll = build_mollifier(1, 4, quad, max_deriv=2)
+    rho = moll.as_sampled()
+    bare = SampledFunction(domain=rho.domain, order=rho.order, value_dim=1,
+                           evaluator=rho.evaluator, support=rho.support)
+    for side in ("f", "g"):
+        with pytest.raises(ValueError, match="analytic derivatives"):
+            convolve(rho, bare, quad, side=side)
+
+
 def test_narrow_bump_recovers_identity(quad, domain_1d):
     # rho_n * g for g(x) = x is exactly x by symmetry; smaller 1/n tightens
     # nothing further, so check the closed form at two scales

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,8 +24,8 @@ def schwartz_scn():
 
 
 def test_zero_function_certified(schwartz_scn):
-    scn, _ = schwartz_scn
-    z = sf_zero(scn.domain, scn.value_dim)
+    scn, f = schwartz_scn
+    z = sf_zero(scn.domain, f.value_dim)
     result, ledger = approximate(z, scn, WeightIndex(1, 1), "sup", 0.1)
     assert result.rank == 0
     assert ledger.certified
@@ -47,14 +47,17 @@ def test_structured_input_small_stage1(schwartz_scn, quad):
                         derivative=lambda b, p: moll.deriv(b, p)[:, None] * e[None, :],
                         support=Region.box([-1.0], [1.0], scn.domain.points_per_axis[0]),
                         name="bump_tensor_e")
-    scn4 = _with_value_dim(scn, 4)
-    result, ledger = approximate(f, scn4, WeightIndex(1, 1), "sup", 0.1)
+    result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.1)
     assert ledger.stage1_measured <= 1e-12
     assert ledger.certified
 
 
-def _with_value_dim(scn, m):
-    return replace(scn, value_dim=m)
+def _cut_off(f, scn, idx, eps):
+    """f_tilde as stage 1 of approximate(f, scn, idx, "sup", eps) builds it."""
+    f_tilde, _ = apply_cutoff(f, scn.family, idx, scn.seminorm("sup"), eps / 3.0,
+                              scn.delta_rule(idx), scn.domain, scn.quad,
+                              scn.max_deriv, omega=scn.omega_region())
+    return f_tilde
 
 
 def test_schwartz_pinned_run(schwartz_scn):
@@ -71,10 +74,11 @@ def test_schwartz_pinned_run(schwartz_scn):
     assert ledger.stage2_measured < 0.1 / 3
     assert ledger.stage3_measured < 0.1 / 3
     # result factors: smooth, compactly supported inside K2 = V + 1/N2
-    K2 = ledger.artifacts["K2"]
+    V = _cut_off(f, scn, idx, 0.1).support_region().inflate(scn.domain.spacing())
+    K2 = V.inflate(1.0 / ledger.N2)
     pts = scn.domain.grid_points()
     outside = ~K2.contains(pts)
-    assert result.factors.order >= scn.order
+    assert result.factors.order >= f.order
     assert result.factors.value_dim == result.rank
     # every column is one factor phi_i * rho
     assert np.all(result.factors.eval_extended(pts)[outside] == 0.0)
@@ -136,10 +140,7 @@ def test_stage2_scans_scales_beyond_history(schwartz_scn):
     # an omega tight around V forces N1 > N0, a scale the search never tried
     scn, f = schwartz_scn
     idx, eps = WeightIndex(1, 1), 0.1
-    f_tilde, _ = apply_cutoff(f, scn.family, idx, scn.seminorm("sup"), eps / 3.0,
-                              scn.delta_rule(idx), scn.domain, scn.quad,
-                              scn.max_deriv, omega=scn.omega_region())
-    V = f_tilde.support_region().inflate(scn.domain.spacing())
+    V = _cut_off(f, scn, idx, eps).support_region().inflate(scn.domain.spacing())
     tight = replace(scn, omega=V.inflate(0.3))
     _, ledger, calls, history = _counted_run(f, tight, eps)
     assert ledger.N1 == 4 > ledger.N0
@@ -147,7 +148,7 @@ def test_stage2_scans_scales_beyond_history(schwartz_scn):
     tried = dict(history)
     fresh = [n for n in (4, 8, 16, 32, 64) if n <= ledger.N2 and n not in tried]
     assert calls["regularize"] == len(fresh) > 0
-    f_tilde = ledger.artifacts["f_tilde"]
+    f_tilde = _cut_off(f, tight, idx, eps)
     smoothed = regularize(f_tilde, ledger.N2, scn.quad, scn.max_deriv)
     direct = weighted_seminorm(sf_sub(f_tilde, smoothed), scn.family, idx,
                                scn.seminorm("sup"))
@@ -166,6 +167,20 @@ def test_verify_measures_given_result(counted_runs, schwartz_scn):
                              grid=scn.domain.refine(2))
     assert report.refined_total == full.value
     assert report.refined_total > 2 * ledger.total_measured
+
+
+def test_verify_needs_only_ledger_fields(counted_runs, schwartz_scn):
+    # a ledger rebuilt from the numbers alone (as if read back from disk)
+    # verifies exactly like the one approximate returned
+    scn, f = schwartz_scn
+    idx = WeightIndex(1, 1)
+    result, ledger, _, _ = counted_runs[0.2]
+    numeric = {fld.name: getattr(ledger, fld.name) for fld in fields(ErrorLedger)
+               if isinstance(getattr(ledger, fld.name), (int, float, str, tuple))}
+    rebuilt = ErrorLedger(**numeric)
+    report = verify_ledger(result, rebuilt, f, scn, idx, "sup", refine=2)
+    assert report == verify_ledger(result, ledger, f, scn, idx, "sup", refine=2)
+    assert report.domination_ok and report.budget_ok
 
 
 def test_monotone_budget_stage1_compact(schwartz_scn):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import finiterank as fr
-from finiterank.errors import CriterionError, OrderError
+from finiterank.errors import CriterionError, FiniteRankError, OrderError
 from finiterank.funcmodel import SampledFunction, sf_from_expr_function, sf_zero
 from finiterank.geometry import Region
-from finiterank.seminorms import (find_tail_compact, local_sup_seminorm,
-                                  tail_seminorm, weighted_seminorm)
+from finiterank.seminorms import (find_tail_compact, tail_seminorm,
+                                  weighted_seminorm)
 from finiterank.weights import WeightIndex, exp_strips_family
 from oracles import bisect_root, dense_rescan
 import expected
@@ -85,25 +85,6 @@ def test_tail_monotone_in_K(gauss_1d, schwartz_fam, sup_alpha):
     assert t2.value <= t1.value <= full.value
 
 
-def test_local_sup_constant_and_sine(domain_1d, sup_alpha):
-    c = SampledFunction(domain=domain_1d, order=2, value_dim=2,
-                        evaluator=lambda p: np.tile([3.0, -1.0], (len(p), 1)),
-                        derivative=lambda b, p: (np.tile([3.0, -1.0], (len(p), 1))
-                                                 if sum(b) == 0
-                                                 else np.zeros((len(p), 2))))
-    K = Region.box([-1.0], [1.0], 11)
-    assert local_sup_seminorm(c, K, 0, sup_alpha).value == pytest.approx(3.0)
-    assert local_sup_seminorm(c, K, 1, sup_alpha).value == pytest.approx(3.0)
-
-    s = SampledFunction(domain=domain_1d, order=2, value_dim=1,
-                        evaluator=lambda p: np.sin(p[:, 0:1]),
-                        derivative=lambda b, p: (np.sin(p[:, 0:1]) if sum(b) == 0
-                                                 else np.cos(p[:, 0:1]) if sum(b) == 1
-                                                 else -np.sin(p[:, 0:1])))
-    Kpi = Region.box([0.0], [np.pi], 101)
-    assert local_sup_seminorm(s, Kpi, 1, sup_alpha).value == pytest.approx(1.0)
-
-
 def test_triangle_inequality_random_pairs(domain_1d, schwartz_fam, sup_alpha, rng):
     from finiterank.expressions import expr_function_from_strings
     idx = WeightIndex(1, 1)
@@ -177,10 +158,36 @@ def test_serialized_record_fields(gauss_1d, schwartz_fam, sup_alpha):
     assert set(record) == {"value", "witness_x", "witness_beta"}
 
 
-def test_seminorm_ledger_record(gauss_1d, schwartz_fam, sup_alpha):
-    from finiterank.seminorms import seminorm_record
-    idx = WeightIndex(1, 1)
-    sv = weighted_seminorm(gauss_1d, schwartz_fam, idx, sup_alpha)
-    record = seminorm_record(sv, idx, "sup")
-    assert set(record) == {"j", "l", "alpha", "value", "witness_x", "witness_beta"}
-    assert record["j"] == 1 and record["l"] == 1 and record["alpha"] == "sup"
+@pytest.mark.parametrize("l", [0, 1])
+def test_witness_tie_break_first_beta_then_first_point(domain_1d, schwartz_fam,
+                                                       sup_alpha, l):
+    # constant values: every beta = 0 entry ties at l = 0, the two ends tie
+    # at l = 1, and the |beta| = 1 rows are 0; the scan order keeps the first
+    c = SampledFunction(domain=domain_1d, order=1, value_dim=2,
+                        evaluator=lambda p: np.tile([3.0, -1.0], (len(p), 1)),
+                        derivative=lambda b, p: np.zeros((len(p), 2)))
+    sv = weighted_seminorm(c, schwartz_fam, WeightIndex(1, l), sup_alpha)
+    assert sv.witness_beta == (0,)
+    assert sv.witness_x.tolist() == domain_1d.grid_points()[0].tolist()
+    assert sv.value == pytest.approx(3.0 * np.sqrt(1.0 + 36.0) ** l)
+
+
+def test_non_finite_integrand_is_refused(schwartz_fam, sup_alpha):
+    # one NaN value at x = -2 must not turn into a seminorm of -1 (which would
+    # certify) nor be skipped; every reader of the scan refuses it
+    domain = Region.box([-2.0], [2.0], 41)
+
+    def gauss_with_nan(p):
+        out = np.exp(-p[:, 0:1] ** 2)
+        out[p[:, 0] == -2.0] = np.nan
+        return out
+
+    f = SampledFunction(domain=domain, order=0, value_dim=1, evaluator=gauss_with_nan)
+    idx = WeightIndex(1, 0)
+    msg = r"non-finite integrand nan .* at x=\[-2\.0\], beta=\(0,\)"
+    with pytest.raises(FiniteRankError, match=msg):
+        weighted_seminorm(f, schwartz_fam, idx, sup_alpha)
+    with pytest.raises(FiniteRankError, match=msg):
+        tail_seminorm(f, Region.box([-1.0], [1.0], 21), schwartz_fam, idx, sup_alpha)
+    with pytest.raises(FiniteRankError, match=msg):
+        find_tail_compact(f, schwartz_fam, idx, sup_alpha, 1e-3, 0.0, domain)
