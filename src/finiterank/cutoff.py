@@ -4,8 +4,8 @@ psi is built per box of K as a tensor product of 1D mollified indicators
 (window inflated by delta/2, kernel radius <= delta/4) and joined across
 boxes by the smooth union 1 - prod(1 - psi_b). This gives, exactly on the
 continuum: 0 <= psi <= 1, psi = 1 on K + delta/4, supp psi inside
-K + 3 delta/4, all per axis. The discrete kernel is normalized to unit mass
-so the plateau value is exactly 1.0 in floating point.
+K + 3 delta/4, all per axis. The discrete kernel is normalized to unit mass,
+so the plateau value is exactly 1 and is set without any quadrature.
 
 The C_beta table stores delta^|beta| * sup |d^beta psi| measured on a fixed
 dense grid, so the Hoermander-style bound |d^beta psi| <= C_beta delta^-|beta|
@@ -34,9 +34,11 @@ class _AxisProfile:
 
     psi(t) = (R(t - a) - R(t - b)) / R(inf) with R the running integral of
     the kernel bump, so the derivatives have the closed forms
-    psi^(k)(t) = (rho^(k-1)(t - a) - rho^(k-1)(t - b)) / mass. The value is a
-    fixed-count midpoint quadrature over the moving overlap window, which is
-    smooth in t because the bump is flat at its support ends.
+    psi^(k)(t) = (rho^(k-1)(t - a) - rho^(k-1)(t - b)) / mass. On the ramps
+    the value is a fixed-count Gauss-Legendre quadrature over the moving
+    overlap window, which is smooth in t because the bump is flat at its
+    support ends. On the plateau, where the window is the whole kernel
+    support, the value is exactly 1 by normalization and no quadrature runs.
     """
 
     def __init__(self, lo: float, hi: float, delta: float, moll, count: int):
@@ -62,13 +64,18 @@ class _AxisProfile:
         hi = np.minimum(self.r, t - self.a)
         length = hi - lo
         live = length > 0
-        out = np.zeros(len(t))
-        if np.any(live):
-            nodes = lo[live][None, :] + self._gl_u[:, None] * length[live][None, :]
-            vals = self.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(len(self._gl_u), -1)
-            out[live] = (self._gl_w @ vals) * length[live] / self.mass
-        # plateau holds the exact value 1 by normalization; snap the last bits
         full = (t - self.b <= -self.r) & (t - self.a >= self.r)
+        ramp = live & ~full
+        out = np.zeros(len(t))
+        if np.any(ramp):
+            # the kernel runs at the ramp nodes only; the plateau columns stay
+            # zero but keep their place in the batch, because the last bits of
+            # a BLAS matrix-vector product depend on a column's position
+            nodes = lo[ramp][None, :] + self._gl_u[:, None] * length[ramp][None, :]
+            vals = np.zeros((len(self._gl_u), int(np.count_nonzero(live))))
+            vals[:, ramp[live]] = self.moll.deriv(
+                (0,), nodes.reshape(-1, 1)).reshape(len(self._gl_u), -1)
+            out[live] = (self._gl_w @ vals) * length[live] / self.mass
         out[full] = 1.0
         return out
 
@@ -166,8 +173,9 @@ def build_cutoff(K: Region, delta: float, max_deriv: int, quad: QuadratureSpec,
                         tol=quad.tol)
     scale = int(np.ceil(4.0 / delta))
     moll = build_mollifier(1, scale, kq, max(max_deriv, 1))
-    # 128 midpoint nodes on the (flat-ended) overlap window reach ~1e-9
-    # relative accuracy for the profile values; derivatives are closed-form
+    # 128 Gauss-Legendre nodes on the (flat-ended) overlap window reach ~1e-9
+    # relative accuracy for the ramp values; the plateau is exactly 1 and
+    # skips the quadrature; derivatives are closed-form
     count = 128
 
     pieces = [_TensorCutoff(box, delta, moll, count) for box in K.boxes]

@@ -123,12 +123,28 @@ def oscillation_cover(f: SampledFunction, K: Region, fam: WeightFamily, j: int,
 
 
 def _bump_matrix(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """(n_centers, N) matrix of exp(-1/(1-|u|^2)) bumps, vectorized."""
-    diffs = (points[None, :, :] - centers[:, None, :]) / radii[:, None, None]
-    t = np.einsum("rnd,rnd->rn", diffs, diffs)
-    out = np.zeros_like(t)
+    """(n_centers, N) matrix of exp(-1/(1-|u|^2)) bumps, u = (x - c) / r.
+
+    Each bump is evaluated only at the points whose first coordinate lies
+    within a hair of its radius, found by one sort and a searchsorted. Every
+    other point has |u|^2 > 1, where the flatness cutoff makes the entry
+    exactly 0, so the matrix is the one the all-pairs formula gives.
+    """
+    out = np.zeros((len(centers), len(points)))
+    order = np.argsort(points[:, 0], kind="stable")
+    first = points[order, 0]
+    reach = radii * (1.0 + 1e-6)
+    lo = np.searchsorted(first, centers[:, 0] - reach, side="left")
+    hi = np.searchsorted(first, centers[:, 0] + reach, side="right")
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(centers)), counts)
+    # pair k of row r takes sorted position lo[r] + (k - first pair of row r)
+    offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    cols = order[offsets + np.arange(len(rows))]
+    diffs = (points[cols] - centers[rows]) / radii[rows, None]
+    t = np.einsum("nd,nd->n", diffs, diffs)
     mask = t < 1.0 - 1e-8
-    out[mask] = np.exp(-1.0 / (1.0 - t[mask]))
+    out[rows[mask], cols[mask]] = np.exp(-1.0 / (1.0 - t[mask]))
     return out
 
 
@@ -149,10 +165,11 @@ class PartitionBasis:
         theta = self.theta.eval_extended(pts)[:, 0]
         bumps = _bump_matrix(pts, self.cover.centers, self.cover.radii)
         total = np.sum(bumps, axis=0)
-        live = total > 0.0
+        # a non-zero bump makes its column's total positive; every other
+        # entry of theta * b / total is 0
+        rows, cols = np.nonzero(bumps)
         phis = np.zeros_like(bumps)
-        if np.any(live):
-            phis[:, live] = theta[live] * bumps[:, live] / total[live]
+        phis[rows, cols] = theta[cols] * bumps[rows, cols] / total[cols]
         self._key = key
         self._val = phis
         return phis
@@ -183,9 +200,11 @@ def build_partition(cover: Cover, K: Region, max_deriv: int,
         raise CoverDefectError(
             f"bump sum vanishes inside the cut-off support at {witness}")
 
+    # no derivative is implemented, so the map declares order 0; its
+    # mollified copy takes the mollifier's order
     factors = SampledFunction(
         domain=theta.domain,
-        order=max_deriv,
+        order=0,
         value_dim=cover.n_centers,
         evaluator=lambda pts_: basis.eval_all(pts_).T,
         support=theta.support,

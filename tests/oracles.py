@@ -3,8 +3,11 @@
 These stay deliberately separate from the package's own numerics: adaptive
 Simpson instead of tensor midpoint, bisection on closed forms instead of box
 scans, and Richardson-checked central differences instead of the analytic
-providers.
+providers. The dense partition formulas are the all-pairs reference for
+the package's sparse bump evaluation.
 """
+
+import numpy as np
 
 from finiterank.seminorms import weighted_seminorm
 
@@ -64,3 +67,22 @@ def fd_step_sweep(f, x, steps):
         if best is None or gap < best[1]:
             best = (v2, gap)
     return best
+
+
+def dense_bump_matrix(points, centers, radii):
+    """(n_centers, N) bumps exp(-1/(1-|u|^2)), every centre at every point."""
+    diffs = (points[None, :, :] - centers[:, None, :]) / radii[:, None, None]
+    t = np.einsum("rnd,rnd->rn", diffs, diffs)
+    out = np.zeros_like(t)
+    mask = t < 1.0 - 1e-8
+    out[mask] = np.exp(-1.0 / (1.0 - t[mask]))
+    return out
+
+
+def dense_partition(theta, bumps):
+    """theta * b_i / sum(b) on every column whose bump sum is positive."""
+    total = np.sum(bumps, axis=0)
+    live = total > 0.0
+    phis = np.zeros_like(bumps)
+    phis[:, live] = theta[live] * bumps[:, live] / total[live]
+    return phis

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import finiterank as fr
-from finiterank.cutoff import (apply_cutoff, build_cutoff, cutoff_constant,
-                               multiply_cutoff)
+from finiterank.cutoff import (_AxisProfile, apply_cutoff, build_cutoff,
+                               cutoff_constant, multiply_cutoff)
 from finiterank.errors import GeometryError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import (SampledFunction, fd_derivative_oracle,
@@ -35,6 +35,49 @@ def test_construction_radii(unit_cut):
     assert vals[4] == 0.0 and vals[5] == 0.0   # support ends at K + 3 delta/4
     ramp = psi.eval(np.array([[1.4]]))[0, 0]
     assert 0.0 < ramp < 1.0
+
+
+def _full_window_profile(prof, t):
+    """The profile with the window quadrature at every live point, the plateau
+    included and then overwritten with 1."""
+    lo = np.maximum(-prof.r, t - prof.b)
+    hi = np.minimum(prof.r, t - prof.a)
+    length = hi - lo
+    live = length > 0
+    out = np.zeros(len(t))
+    nodes = lo[live][None, :] + prof._gl_u[:, None] * length[live][None, :]
+    vals = prof.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(len(prof._gl_u), -1)
+    out[live] = (prof._gl_w @ vals) * length[live] / prof.mass
+    full = (t - prof.b <= -prof.r) & (t - prof.a >= prof.r)
+    out[full] = 1.0
+    return out
+
+
+def test_profile_plateau_skips_quadrature(rng, monkeypatch):
+    moll = build_mollifier(1, 4, fr.QuadratureSpec(points_per_axis=64,
+                                                   refinement_levels=2), 4)
+    prof = _AxisProfile(-1.0, 1.0, 1.0, moll, 128)   # window [-1.5, 1.5], r = 1/4
+    assert (prof.a, prof.b, prof.r) == (-1.5, 1.5, 0.25)
+    left = rng.uniform(-1.75, -1.25, 7)
+    right = rng.uniform(1.25, 1.75, 10)
+    plateau = np.concatenate([rng.uniform(-1.25, 1.25, 5), [-1.25, 1.25]])
+    outside = np.array([-3.0, -1.75, 1.75, 3.0])    # +-1.75: zero-length window
+    t = rng.permutation(np.concatenate([left, right, plateau, outside]))
+    expected_vals = _full_window_profile(prof, t)
+
+    seen = []
+    kernel = prof.moll.deriv
+
+    def counted(beta, points):
+        seen.append(len(points))
+        return kernel(beta, points)
+
+    monkeypatch.setattr(prof.moll, "deriv", counted)
+    vals = prof.deriv(0, t)
+    assert np.array_equal(vals, expected_vals)
+    assert seen == [128 * 17]
+    assert np.all(vals[np.isin(t, plateau)] == 1.0)
+    assert np.all(vals[np.isin(t, outside)] == 0.0)
 
 
 def test_range_and_derivative_c0(unit_cut):

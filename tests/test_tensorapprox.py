@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import finiterank as fr
-from finiterank.errors import ResolutionError
+from finiterank.errors import OrderError, ResolutionError
 from finiterank.funcmodel import SampledFunction, sf_zero
 from finiterank.geometry import Region
-from finiterank.tensorapprox import (build_partition, finite_rank_c0_approx,
-                                     oscillation_cover)
+from finiterank.seminorms import weighted_seminorm
+from finiterank.tensorapprox import (_bump_matrix, build_partition,
+                                     finite_rank_c0_approx, oscillation_cover)
+from finiterank.weights import WeightIndex
 import expected
+from oracles import dense_bump_matrix, dense_partition
 
 
 @pytest.fixture(scope="session")
@@ -88,6 +91,60 @@ def test_partition_identities(domain_1d, schwartz_fam, sup_alpha, gauss_1d, quad
         vals = wide_vals[:, i]
         dist = np.linalg.norm(wide - cover.centers[i], axis=1)
         assert np.all(vals[dist >= cover.radii[i]] == 0.0)
+
+
+def _ball_points(rng, centers, radii, per_ball):
+    """Points inside each ball, on its boundary along every axis, and far out."""
+    d = centers.shape[1]
+    out = []
+    for c, r in zip(centers, radii):
+        u = rng.uniform(-1.0, 1.0, (per_ball, d))
+        out.append(c + r * u / np.sqrt(d))
+        for axis in range(d):
+            step = np.zeros(d)
+            step[axis] = r
+            out.extend([c + step, c - step])
+    out.append(np.full((3, d), 50.0))
+    return np.concatenate([np.atleast_2d(p) for p in out])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bump_matrix_matches_dense_formula(d, rng):
+    centers = rng.uniform(-2.0, 2.0, (9, d))
+    centers[1] = centers[0]                       # two bumps, one centre
+    radii = rng.uniform(0.1, 0.8, 9)
+    pts = _ball_points(rng, centers, radii, 40)
+    bumps = _bump_matrix(pts, centers, radii)
+    assert np.array_equal(bumps, dense_bump_matrix(pts, centers, radii))
+    assert np.count_nonzero(bumps) > 0
+    # boundary points (|u| = 1 along an axis) and far points get exact zeros
+    dist = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2)
+    assert np.all(bumps[dist >= radii[:, None]] == 0.0)
+    empty = _bump_matrix(np.empty((0, d)), centers, radii)
+    assert empty.shape == (9, 0)
+
+
+def test_eval_all_matches_dense_partition(gauss_1d, schwartz_fam, sup_alpha, quad):
+    K = Region.box([-1.5], [1.5], 301)
+    cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
+    _, basis = build_partition(cover, K, 4, quad)
+    pts = Region.box([-3.0], [3.0], 1201).grid_points()
+    theta = basis.theta.eval_extended(pts)[:, 0]
+    dense = dense_partition(theta, dense_bump_matrix(pts, cover.centers, cover.radii))
+    phis = basis.eval_all(pts)
+    assert np.array_equal(phis, dense)
+    assert np.any(np.sum(phis, axis=0) == 0.0)     # points off every ball
+
+
+def test_unsmoothed_factors_declare_order_zero(plane_waves_1d, schwartz_fam,
+                                               sup_alpha, quad, domain_1d):
+    # the factor map has no derivative; a derivative seminorm must refuse it
+    # instead of reading finite differences
+    g, _ = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
+                                 0.2, domain_1d, quad, 4)
+    assert g.factors.order == 0
+    with pytest.raises(OrderError):
+        weighted_seminorm(g.factors, schwartz_fam, WeightIndex(1, 1), sup_alpha)
 
 
 def test_partition_single_center_equals_cutoff(domain_1d, schwartz_fam, sup_alpha, quad):
