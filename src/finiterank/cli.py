@@ -155,11 +155,11 @@ def cmd_convergence(args) -> int:
     from .cutoff import apply_cutoff
     delta = scn.delta_rule(idx)
     f_c, _ = apply_cutoff(f, scn.family, idx, alpha, 1e-3, delta,
-                          scn.domain, scn.quad, scn.max_deriv)
+                          scn.domain, scn.quad)
     rows = ["n,seminorm_error"]
     n = 2
     while n <= min(scn.n_max, 32):
-        smooth = regularize(f_c, n, scn.quad, scn.max_deriv)
+        smooth = regularize(f_c, n, scn.quad)
         err = weighted_seminorm(sf_sub(f_c, smooth), scn.family, idx, alpha)
         rows.append(f"{n},{ledger_float(err.value)!r}")
         n *= 2
@@ -169,7 +169,7 @@ def cmd_convergence(args) -> int:
     rank_rows = ["eps,rank"]
     for eps in sorted(eps_list, reverse=True):
         _, report = finite_rank_c0_approx(
-            f, scn.family, args.j, alpha, eps, scn.domain, scn.quad, scn.max_deriv)
+            f, scn.family, args.j, alpha, eps, scn.domain, scn.quad)
         rank_rows.append(f"{eps!r},{report.rank}")
     (out / "rank_vs_eps.csv").write_text("\n".join(rank_rows) + "\n")
     print("convergence data written")

@@ -24,7 +24,7 @@ from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, mi_order,
                         mi_sub, multiindex_binom, multiindices, product_rule_apply,
                         sf_sub, submultiindices)
 from .geometry import Box, Region
-from .mollify import QuadratureSpec, build_mollifier
+from .mollify import SMOOTH_ORDER, QuadratureSpec, build_mollifier
 from .seminorms import SeminormValue, find_tail_compact, tail_seminorm, weighted_seminorm
 from .weights import WeightFamily, WeightIndex
 
@@ -68,14 +68,11 @@ class _AxisProfile:
         ramp = live & ~full
         out = np.zeros(len(t))
         if np.any(ramp):
-            # the kernel runs at the ramp nodes only; the plateau columns stay
-            # zero but keep their place in the batch, because the last bits of
-            # a BLAS matrix-vector product depend on a column's position
-            nodes = lo[ramp][None, :] + self._gl_u[:, None] * length[ramp][None, :]
-            vals = np.zeros((len(self._gl_u), int(np.count_nonzero(live))))
-            vals[:, ramp[live]] = self.moll.deriv(
-                (0,), nodes.reshape(-1, 1)).reshape(len(self._gl_u), -1)
-            out[live] = (self._gl_w @ vals) * length[live] / self.mass
+            # one row of window nodes per ramp point, summed along its row, so
+            # a value depends on its own point and not on the rest of the batch
+            nodes = lo[ramp][:, None] + self._gl_u[None, :] * length[ramp][:, None]
+            vals = self.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(nodes.shape)
+            out[ramp] = np.sum(vals * self._gl_w, axis=1) * length[ramp] / self.mass
         out[full] = 1.0
         return out
 
@@ -152,12 +149,13 @@ class CutoffFunction:
         return out
 
 
-def build_cutoff(K: Region, delta: float, max_deriv: int, quad: QuadratureSpec,
+def build_cutoff(K: Region, delta: float, l: int, quad: QuadratureSpec,
                  omega: Optional[Region] = None,
                  measure_points_per_axis: Optional[int] = None,
-                 extra_measure_points: Optional[np.ndarray] = None,
-                 measure_table: bool = True) -> CutoffFunction:
-    """Mollified-indicator cut-off: psi = 1 on K, supp psi in K + 3 delta/4."""
+                 extra_measure_points: Optional[np.ndarray] = None) -> CutoffFunction:
+    """Mollified-indicator cut-off: psi = 1 on K, supp psi in K + 3 delta/4.
+
+    C_beta is measured for |beta| <= l, all that cutoff_constant(cut, l) reads."""
     if delta <= 0:
         raise GeometryError("delta must be positive")
     if K.is_empty:
@@ -172,7 +170,7 @@ def build_cutoff(K: Region, delta: float, max_deriv: int, quad: QuadratureSpec,
                         refinement_levels=max(1, quad.refinement_levels),
                         tol=quad.tol)
     scale = int(np.ceil(4.0 / delta))
-    moll = build_mollifier(1, scale, kq, max(max_deriv, 1))
+    moll = build_mollifier(1, scale, kq)
     # 128 Gauss-Legendre nodes on the (flat-ended) overlap window reach ~1e-9
     # relative accuracy for the ramp values; the plateau is exactly 1 and
     # skips the quadrature; derivatives are closed-form
@@ -185,7 +183,7 @@ def build_cutoff(K: Region, delta: float, max_deriv: int, quad: QuadratureSpec,
 
     psi = SampledFunction(
         domain=omega if omega is not None else support,
-        order=max_deriv,
+        order=SMOOTH_ORDER,
         value_dim=1,
         evaluator=lambda pts: union.deriv((0,) * K.d, np.atleast_2d(pts))[:, None],
         derivative=lambda beta, pts: union.deriv(tuple(beta), np.atleast_2d(pts))[:, None],
@@ -196,12 +194,11 @@ def build_cutoff(K: Region, delta: float, max_deriv: int, quad: QuadratureSpec,
     if measure_points_per_axis is None:
         measure_points_per_axis = 801 if K.d == 1 else 101
     measure_region = support.with_resolution(measure_points_per_axis)
-    cut = CutoffFunction(K=K, delta=delta, psi=psi, Cbeta_table={},
+    cut = CutoffFunction(K=K, delta=delta, psi=psi,
+                         Cbeta_table=dict.fromkeys(multiindices(K.d, l), 0.0),
                          measure_region=measure_region,
                          extra_measure_points=extra_measure_points, _union=union)
-    if measure_table:
-        cut.Cbeta_table = {tuple(b): 0.0 for b in multiindices(K.d, max_deriv)}
-        cut.Cbeta_table = cut.measure_cbeta()
+    cut.Cbeta_table = cut.measure_cbeta()
     return cut
 
 
@@ -268,7 +265,7 @@ def multiply_cutoff(cut: CutoffFunction, f: SampledFunction) -> SampledFunction:
 
 def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                  alpha: SeminormIndex, eps: float, delta: float, search: Region,
-                 quad: QuadratureSpec, max_deriv: int = 4,
+                 quad: QuadratureSpec,
                  omega: Optional[Region] = None) -> tuple[SampledFunction, CutoffReport]:
     """Cut f off outside a tail compact with budget eps.
 
@@ -290,7 +287,7 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
         center = 0.5 * (np.asarray(b0.lo) + np.asarray(b0.hi))
         K0 = Region((Box(tuple(center - 0.5 * step), tuple(center + 0.5 * step)),),
                     domain.points_per_axis)
-    provisional = build_cutoff(K0, delta, max_deriv, quad, omega=omega)
+    provisional = build_cutoff(K0, delta, idx.l, quad, omega=omega)
     C = cutoff_constant(provisional, idx.l)
     target = eps / (1.0 + C)
 
@@ -301,7 +298,7 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     # at every point the seminorms will visit
     dom_pts = domain.grid_points()
     near = K.inflate(delta).contains(dom_pts)
-    cut = build_cutoff(K, delta, max_deriv, quad, omega=omega,
+    cut = build_cutoff(K, delta, idx.l, quad, omega=omega,
                        extra_measure_points=dom_pts[near])
     C_final = cutoff_constant(cut, idx.l)
 

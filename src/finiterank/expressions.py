@@ -88,21 +88,23 @@ class ExprFunction:
         for e in self.exprs:
             if e.atoms(indicator):
                 raise ConfigError("indicator() is not differentiable; not allowed in functions")
-        self._compiled: dict[tuple[int, tuple[int, ...]], object] = {}
+        self._compiled: dict[tuple[int, ...], object] = {}
 
     @property
     def value_dim(self) -> int:
         return len(self.exprs)
 
-    def _fn(self, coord: int, beta: tuple[int, ...]):
-        key = (coord, beta)
-        if key not in self._compiled:
-            expr = self.exprs[coord]
-            for x, b in zip(self.xs, beta):
-                if b:
-                    expr = sp.diff(expr, x, b)
-            self._compiled[key] = sp.lambdify(self.xs, expr, modules=["numpy"])
-        return self._compiled[key]
+    def _fn(self, beta: tuple[int, ...]):
+        """One callable returning d^beta of every coordinate, compiled once."""
+        if beta not in self._compiled:
+            derivs = []
+            for expr in self.exprs:
+                for x, b in zip(self.xs, beta):
+                    if b:
+                        expr = sp.diff(expr, x, b)
+                derivs.append(expr)
+            self._compiled[beta] = sp.lambdify(self.xs, derivs, modules=["numpy"])
+        return self._compiled[beta]
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.deriv((0,) * self.d, points)
@@ -111,11 +113,9 @@ class ExprFunction:
         if len(beta) != self.d:
             raise OrderError(f"multi-index {beta} has wrong dimension for d={self.d}")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = []
-        for q in range(self.value_dim):
-            vals = self._fn(q, tuple(beta))(*(pts[:, i] for i in range(self.d)))
-            cols.append(np.broadcast_to(np.asarray(vals, dtype=float), (len(pts),)))
-        return np.stack(cols, axis=1)
+        vals = self._fn(tuple(beta))(*(pts[:, i] for i in range(self.d)))
+        return np.stack([np.broadcast_to(np.asarray(v, dtype=float), (len(pts),))
+                         for v in vals], axis=1)
 
 
 def builtin_function(cfg: dict, d: int) -> ExprFunction:

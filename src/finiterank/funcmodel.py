@@ -2,7 +2,8 @@
 
 Values live in R^m (m sample coordinates). Functions carry a batch evaluator
 (N, d) -> (N, m) plus an optional analytic derivative provider; without one,
-nested second-order central differences are generated automatically.
+a derivative request raises OrderError. Nested central differences serve only
+as the explicit test oracle (fd_derivative_oracle).
 """
 
 from __future__ import annotations
@@ -126,13 +127,14 @@ class SampledFunction:
         beta = tuple(int(b) for b in beta)
         if mi_order(beta) == 0:
             return self.eval(points)
-        if self.derivative is not None:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            out = np.asarray(self.derivative(beta, pts), dtype=float)
-            if out.ndim == 1:
-                out = out[:, None]
-            return out
-        return self._fd_deriv(beta, points)
+        if self.derivative is None:
+            raise OrderError(f"{self.name or 'function'} has no derivative provider "
+                             f"for beta={beta}")
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.asarray(self.derivative(beta, pts), dtype=float)
+        if out.ndim == 1:
+            out = out[:, None]
+        return out
 
     def deriv_multi(self, betas: Sequence[MultiIndex], points: np.ndarray) -> np.ndarray:
         """(len(betas), N, m) stack; convolution-backed functions override this."""
@@ -140,10 +142,6 @@ class SampledFunction:
 
     def deriv_extended(self, beta: MultiIndex, points: np.ndarray) -> np.ndarray:
         return f_multi_ext(self, [tuple(beta)], points)[0]
-
-    def _fd_deriv(self, beta: MultiIndex, points: np.ndarray) -> np.ndarray:
-        h = 0.5 * float(np.min(self.domain.spacing()))
-        return _nested_central(self.eval, beta, np.atleast_2d(points), h)
 
     def support_region(self) -> Region:
         if self.support is not None:

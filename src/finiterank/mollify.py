@@ -24,6 +24,10 @@ from .weights import WeightFamily, WeightIndex
 
 _FLAT_CUTOFF = 1e-8
 
+# The order every smooth object (the mollifier, every convolution, the
+# cut-off) declares: the symbolic bump derivatives are generated to it.
+SMOOTH_ORDER = 6
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -157,7 +161,6 @@ class Mollifier:
     d: int
     n: int
     normC: float
-    max_deriv: int
     quad: QuadratureSpec
     mass_check: float = 0.0
 
@@ -189,7 +192,7 @@ class Mollifier:
 
         return SampledFunction(
             domain=support,
-            order=self.max_deriv,
+            order=SMOOTH_ORDER,
             value_dim=1,
             evaluator=lambda pts: self.value(pts)[:, None],
             derivative=derivative,
@@ -205,21 +208,18 @@ class Mollifier:
         return float(np.dot(weights, np.abs(self.deriv(beta, nodes))))
 
 
-def build_mollifier(d: int, n: int, quad: QuadratureSpec, max_deriv: int = 4) -> Mollifier:
+def build_mollifier(d: int, n: int, quad: QuadratureSpec) -> Mollifier:
     if n < 1:
         raise ValueError("scale n must be at least 1")
-    if max_deriv > 6:
-        raise ValueError("symbolic derivatives are generated up to order 6")
-    moll = Mollifier(d=d, n=n, normC=_normalization(d, quad), max_deriv=max_deriv,
-                     quad=quad)
+    moll = Mollifier(d=d, n=n, normC=_normalization(d, quad), quad=quad)
     # generic-path mass check over the support of rho_n
     nodes, weights = box_nodes(Box((-moll.radius,) * d, (moll.radius,) * d),
                                quad.finest_points, quad.rule)
     moll.mass_check = float(np.dot(weights, moll.value(nodes)))
     if abs(moll.mass_check - 1.0) >= quad.tol:
         raise QuadratureError(f"mollifier mass check failed: {moll.mass_check}")
-    # make sure the flatness cutoff leaves the requested derivatives finite
-    for beta in multiindices(d, min(max_deriv, 2)):
+    # make sure the flatness cutoff leaves the low derivatives finite
+    for beta in multiindices(d, 2):
         probe = moll.deriv(beta, nodes[: min(len(nodes), 128)])
         if not np.all(np.isfinite(probe)):
             raise QuadratureError("mollifier derivative evaluation overflowed")
@@ -351,7 +351,7 @@ def derivative_transfer_check(f: SampledFunction, moll: Mollifier, beta: MultiIn
     """Compare (a) finite differences of f*rho_n, (b) f*(d^beta rho_n),
     (c) (d^beta f)*rho_n at the sample points."""
     beta = tuple(int(b) for b in beta)
-    if mi_order(beta) > min(f.order, moll.max_deriv):
+    if mi_order(beta) > min(f.order, SMOOTH_ORDER):
         raise ValueError("transfer check order exceeds the proven range")
     rho = moll.as_sampled()
     conv = convolve(f, rho, quad, side="g")
@@ -377,31 +377,26 @@ def derivative_transfer_check(f: SampledFunction, moll: Mollifier, beta: MultiIn
     )
 
 
-def regularize(f: SampledFunction, n: int, quad: QuadratureSpec,
-               max_deriv: int = 4) -> SampledFunction:
+def regularize(f: SampledFunction, n: int, quad: QuadratureSpec) -> SampledFunction:
     """f * rho_n for compactly supported f; support inflates by 1/n."""
     support = f.support_region()
     if support.is_empty:
-        out = SampledFunction(domain=f.domain, order=max_deriv, value_dim=f.value_dim,
-                              evaluator=f.evaluator, derivative=f.derivative,
-                              support=support, name=f"({f.name})*rho_{n}")
-        return out
-    moll = build_mollifier(f.d, n, quad, max_deriv)
+        return sf_zero(f.domain, f.value_dim, order=SMOOTH_ORDER)
+    moll = build_mollifier(f.d, n, quad)
     fc = f if f.support is not None else replace(f, support=support)
     return convolve(fc, moll.as_sampled(), quad, side="g")
 
 
 def find_regularization_order(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                               alpha: SeminormIndex, eps: float, n_max: int,
-                              quad: QuadratureSpec, max_deriv: int = 4
-                              ) -> tuple[int, list[tuple[int, float]]]:
+                              quad: QuadratureSpec) -> tuple[int, list[tuple[int, float]]]:
     """Smallest n in {2, 4, ..., n_max} with |f - f*rho_n|_{j,l,alpha} < eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     history = []
     n = 2
     while n <= n_max:
-        smoothed = regularize(f, n, quad, max_deriv)
+        smoothed = regularize(f, n, quad)
         err = weighted_seminorm(sf_sub(f, smoothed), fam, idx, alpha)
         history.append((n, err.value))
         if err.value < eps:

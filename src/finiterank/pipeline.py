@@ -63,7 +63,6 @@ class Scenario:
     seminorms: dict[str, SeminormIndex]
     delta_rule: Callable[[WeightIndex], float]
     n_max: int = 64
-    max_deriv: int = 4
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     omega: Optional[Region] = None
     config: dict = field(default_factory=dict)
@@ -196,7 +195,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     # stage 1: cut off outside a tail compact with budget eps/3
     delta = scn.delta_rule(idx)
     f_tilde, cut_report = apply_cutoff(
-        f, fam, idx, alpha, eps / 3.0, delta, scn.domain, quad, scn.max_deriv,
+        f, fam, idx, alpha, eps / 3.0, delta, scn.domain, quad,
         omega=scn.omega_region())
     ledger.stage1_K = cut_report.K
     ledger.stage1_delta = delta
@@ -206,7 +205,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
 
     # stage 2: regularization scale with budget eps/3
     N0, history = find_regularization_order(
-        f_tilde, fam, idx, alpha, eps / 3.0, scn.n_max, quad, scn.max_deriv)
+        f_tilde, fam, idx, alpha, eps / 3.0, scn.n_max, quad)
     K1 = f_tilde.support_region()
     V = K1.inflate(scn.domain.spacing())
     N1 = _domain_fit_scale(V, scn.omega_region(), scn.n_max)
@@ -216,7 +215,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
 
     def stage2_error(n: int) -> float:
         if n not in measured:
-            smoothed = regularize(f_tilde, n, quad, scn.max_deriv)
+            smoothed = regularize(f_tilde, n, quad)
             measured[n] = weighted_seminorm(
                 sf_sub(f_tilde, smoothed), fam, idx, alpha).value
         return measured[n]
@@ -233,7 +232,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     i_aux, inf_val = away.chosen(0)
     C1 = 1.0 / inf_val
     C2 = float(np.max(fam.eval_batch(idx, K2.grid_points())))
-    moll = build_mollifier(f.d, N2, quad, scn.max_deriv)
+    moll = build_mollifier(f.d, N2, quad)
     C3 = max(moll.abs_deriv_integral(tuple(b)) for b in multiindices(f.d, idx.l))
     ledger.C1, ledger.C2, ledger.C3 = C1, C2, C3
     ledger.aux_index = i_aux
@@ -245,7 +244,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     ledger.tensor_eps = eps / (3.0 * C1 * C2 * C3)
     g, loc_report = finite_rank_c0_approx(
         f_tilde, fam, i_aux, alpha, tensor_eps, scn.domain, quad,
-        scn.max_deriv, support_constraint=V)
+        support_constraint=V)
     ledger.tensor_measured = loc_report.measured.value
     ledger.rank = g.rank
 

@@ -126,7 +126,6 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
             delta_rule=_delta_rule_from_cfg(cfg.get("delta", {"kind": "fixed", "value": 1.0}),
                                             fam, domain),
             n_max=int(cfg.get("n_max", 64)),
-            max_deriv=int(cfg.get("max_deriv", 4)),
             quad=quad,
             omega=omega,
             config=cfg,

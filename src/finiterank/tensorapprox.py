@@ -30,10 +30,7 @@ class Cover:
     radii: np.ndarray            # (n,) certified oscillation radii
     values: np.ndarray           # (n, m) f at the centers
     N_const: float
-    W: Region
-    K: Region
     target_osc: float
-    cover_margin: float
 
     @property
     def n_centers(self) -> int:
@@ -115,10 +112,7 @@ def oscillation_cover(f: SampledFunction, K: Region, fam: WeightFamily, j: int,
         radii=np.asarray(radii),
         values=vals[center_idx],
         N_const=n_const,
-        W=W,
-        K=K,
         target_osc=target,
-        cover_margin=cover_margin,
     )
 
 
@@ -175,7 +169,7 @@ class PartitionBasis:
         return phis
 
 
-def build_partition(cover: Cover, K: Region, max_deriv: int,
+def build_partition(cover: Cover, K: Region,
                     quad: QuadratureSpec) -> tuple[SampledFunction, PartitionBasis]:
     """Smooth partition: phi_i = theta * b_i / sum(b), equal to 1 summed on K.
 
@@ -184,7 +178,7 @@ def build_partition(cover: Cover, K: Region, max_deriv: int,
     """
     step = float(np.min(K.spacing())) if not K.is_empty else 1.0
     s = (2.0 / 3.0) * step
-    theta_cut = build_cutoff(K, s, max_deriv, quad, measure_table=False)
+    theta_cut = build_cutoff(K, s, 0, quad)
     theta = theta_cut.psi
     basis = PartitionBasis(cover, theta)
 
@@ -227,14 +221,14 @@ class LocalizationReport:
 
 def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
                           alpha: SeminormIndex, eps: float, search: Region,
-                          quad: QuadratureSpec, max_deriv: int = 4,
+                          quad: QuadratureSpec,
                           support_constraint: Optional[Region] = None,
                           ) -> tuple[FiniteRankFunction, LocalizationReport]:
     """Order-zero finite-rank approximation with the 4 eps proof-chain bound."""
     idx = WeightIndex(j, 0)
     step = float(np.min(f.domain.spacing()))
     K = find_tail_compact(f, fam, idx, alpha, eps, delta=step, search=search)
-    zero = FiniteRankFunction(sf_zero(f.domain, 0, order=max_deriv),
+    zero = FiniteRankFunction(sf_zero(f.domain, 0, order=0),
                               np.zeros((0, f.value_dim)),
                               sf_zero(f.domain, f.value_dim, order=0))
 
@@ -270,7 +264,7 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     near = K.inflate(0.75 * s).contains(dom_pts)
     cover = oscillation_cover(f, K, fam, j, alpha, eps,
                               cover_margin=margin, extra_points=dom_pts[near])
-    factors, basis = build_partition(cover, K, max_deriv, quad)
+    factors, basis = build_partition(cover, K, quad)
     values = np.asarray(cover.values)
     # every phi_i carries the cut-off factor, so the sum vanishes outside
     # theta's support: one support for any rank

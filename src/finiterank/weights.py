@@ -8,7 +8,7 @@ points count as inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,7 +41,6 @@ class WeightFamily:
     js: list[int]
     entries: dict[tuple[int, int], WeightEvaluator]
     structure: Optional[FamilyStructure] = None
-    meta: dict = field(default_factory=dict)
 
     def indices(self) -> list[WeightIndex]:
         return [WeightIndex(j, l) for j in self.js for l in range(self.k_max + 1)]
@@ -84,8 +83,7 @@ def schwartz_family(k_max: int, j_max: int, d: int) -> WeightFamily:
         return ev
 
     entries = {(j, l): make(l) for j in range(1, j_max + 1) for l in range(k_max + 1)}
-    return WeightFamily("schwartz", k_max, list(range(1, j_max + 1)), entries,
-                        meta={"d": d})
+    return WeightFamily("schwartz", k_max, list(range(1, j_max + 1)), entries)
 
 
 def exhaustion_family(k_max: int, omega_regions: dict[int, Region]) -> WeightFamily:
@@ -160,7 +158,7 @@ def om_finite_family(k_max: int, gauge_sets: list[list[str]], d: int) -> WeightF
 
         for l in range(k_max + 1):
             entries[(j, l)] = make(fns)
-    return WeightFamily("om_finite", k_max, js, entries, meta={"gauge_sets": gauge_sets})
+    return WeightFamily("om_finite", k_max, js, entries)
 
 
 def custom_family(k_max: int, exprs: dict[tuple[int, int], str], d: int) -> WeightFamily:

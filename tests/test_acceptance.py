@@ -42,7 +42,7 @@ def test_criterion_1_mollifier_mass():
         quad = QuadratureSpec(points_per_axis=64 if d == 1 else 32,
                               refinement_levels=2, tol=1e-6)
         for n in (2, 4, 8):
-            moll = build_mollifier(d, n, quad, max_deriv=2)
+            moll = build_mollifier(d, n, quad)
             worst = max(worst, abs(moll.mass_check - 1.0))
     elapsed = time.monotonic() - start
     report(1, worst < 1e-6 and elapsed < 10.0,
@@ -53,8 +53,8 @@ def test_criterion_2_convolution_suite():
     quad = QuadratureSpec(points_per_axis=512, refinement_levels=2, tol=1e-6)
     dom = Region.box([-8.0], [8.0], 1601)
     step = dom.spacing()[0]
-    moll4 = build_mollifier(1, 4, quad, max_deriv=4)
-    moll1 = build_mollifier(1, 1, quad, max_deriv=4)
+    moll4 = build_mollifier(1, 4, quad)
+    moll1 = build_mollifier(1, 1, quad)
 
     gauss = sf_from_expr_function(
         builtin_function({"builtin": "gaussian", "amplitude": 1.0, "sigma": 1.0,
@@ -93,14 +93,14 @@ def test_criterion_3_regularization_convergence(domain_1d, schwartz_fam, sup_alp
                                                 gauss_1d, quad):
     start = time.monotonic()
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 1), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad, 4)
+                         1e-3, 1.0, domain_1d, quad)
     ok = True
     final = {}
     for l in (0, 1):
         idx = WeightIndex(1, l)
         errors = []
         for n in (2, 4, 8, 16, 32):
-            smoothed = regularize(ft, n, quad, 4)
+            smoothed = regularize(ft, n, quad)
             errors.append(weighted_seminorm(sf_sub(ft, smoothed), schwartz_fam,
                                             idx, sup_alpha).value)
         ok &= all(a > b for a, b in zip(errors, errors[1:]))
@@ -127,7 +127,7 @@ def test_criterion_4_cutoff_bound(domain_1d, schwartz_fam, sup_alpha, quad):
         l = trial % 3
         idx = WeightIndex(1, l)
         ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
-                               domain_1d, quad, 4)
+                               domain_1d, quad)
         measured = weighted_seminorm(sf_sub(f, ft), schwartz_fam, idx, sup_alpha)
         slack = (1 + rep.C_l_delta) * rep.tail.value + 1e-10 - measured.value
         worst_slack = max(worst_slack, -slack)
@@ -145,7 +145,7 @@ def test_criterion_5_partition_identities(domain_1d, schwartz_fam, sup_alpha,
                 (plane_waves_1d, Region.box([-2.5], [2.5], 501), 0.05)]
     for f, K, eps in fixtures:
         cover = oscillation_cover(f, K, schwartz_fam, 1, sup_alpha, eps)
-        _, basis = build_partition(cover, K, 4, quad)
+        _, basis = build_partition(cover, K, quad)
         kpts = K.grid_points()
         vals = basis.eval_all(kpts)
         sum_err = np.max(np.abs(np.sum(vals, axis=0) - 1.0))
@@ -171,12 +171,12 @@ def test_criterion_6_localization_bound(plane_waves_1d, schwartz_fam, sup_alpha,
     details = []
     for eps in (0.2, 0.05):
         g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                       eps, domain_1d, quad, 4)
+                                       eps, domain_1d, quad)
         ok &= rep.measured.value < 4 * eps
         details.append(f"eps={eps}: |f-g| = {rep.measured.value:.3f} < {4*eps}")
     V = Region.box([-3.5], [3.5], 701)
     g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                   0.2, domain_1d, quad, 4, support_constraint=V)
+                                   0.2, domain_1d, quad, support_constraint=V)
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)
     # column i of the factor map is phi_i

@@ -7,7 +7,8 @@ from finiterank.cutoff import (_AxisProfile, apply_cutoff, build_cutoff,
 from finiterank.errors import GeometryError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import (SampledFunction, fd_derivative_oracle,
-                                  sf_from_expr_function, sf_sub, sf_zero)
+                                  multiindices, sf_from_expr_function, sf_sub,
+                                  sf_zero)
 from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier
 from finiterank.seminorms import weighted_seminorm
@@ -45,9 +46,9 @@ def _full_window_profile(prof, t):
     length = hi - lo
     live = length > 0
     out = np.zeros(len(t))
-    nodes = lo[live][None, :] + prof._gl_u[:, None] * length[live][None, :]
-    vals = prof.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(len(prof._gl_u), -1)
-    out[live] = (prof._gl_w @ vals) * length[live] / prof.mass
+    nodes = lo[live][:, None] + prof._gl_u[None, :] * length[live][:, None]
+    vals = prof.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(nodes.shape)
+    out[live] = np.sum(vals * prof._gl_w, axis=1) * length[live] / prof.mass
     full = (t - prof.b <= -prof.r) & (t - prof.a >= prof.r)
     out[full] = 1.0
     return out
@@ -55,7 +56,7 @@ def _full_window_profile(prof, t):
 
 def test_profile_plateau_skips_quadrature(rng, monkeypatch):
     moll = build_mollifier(1, 4, fr.QuadratureSpec(points_per_axis=64,
-                                                   refinement_levels=2), 4)
+                                                   refinement_levels=2))
     prof = _AxisProfile(-1.0, 1.0, 1.0, moll, 128)   # window [-1.5, 1.5], r = 1/4
     assert (prof.a, prof.b, prof.r) == (-1.5, 1.5, 0.25)
     left = rng.uniform(-1.75, -1.25, 7)
@@ -78,6 +79,19 @@ def test_profile_plateau_skips_quadrature(rng, monkeypatch):
     assert seen == [128 * 17]
     assert np.all(vals[np.isin(t, plateau)] == 1.0)
     assert np.all(vals[np.isin(t, outside)] == 0.0)
+
+
+def test_profile_value_depends_on_the_point_only(rng):
+    moll = build_mollifier(1, 4, fr.QuadratureSpec(points_per_axis=64,
+                                                   refinement_levels=2))
+    prof = _AxisProfile(-1.0, 1.0, 1.0, moll, 128)
+    t = rng.uniform(-1.8, 1.8, 2000)
+    whole = prof.deriv(0, t)
+    for idx in (rng.choice(len(t), 333, replace=False), np.arange(1, len(t), 7),
+                np.arange(0, len(t), 2)):
+        assert np.array_equal(prof.deriv(0, t[idx]), whole[idx])
+    for i in rng.choice(len(t), 40, replace=False):
+        assert prof.deriv(0, t[i:i + 1])[0] == whole[i]
 
 
 def test_range_and_derivative_c0(unit_cut):
@@ -149,7 +163,7 @@ def test_apply_cutoff_bound_randomized(domain_1d, schwartz_fam, sup_alpha, quad,
         l = int(rng.integers(0, 3))
         idx = WeightIndex(1, l)
         ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
-                               domain_1d, quad, 4)
+                               domain_1d, quad)
         measured = weighted_seminorm(sf_sub(f, ft), schwartz_fam, idx, sup_alpha)
         bound = (1 + cutoff_constant_from_report(rep)) * rep.tail.value
         assert measured.value <= bound + 1e-10
@@ -162,14 +176,14 @@ def cutoff_constant_from_report(rep):
 
 def test_apply_cutoff_identity_on_compact(domain_1d, schwartz_fam, sup_alpha, quad):
     # bump fixture: once K + delta/4 swallows the support, psi f == f
-    moll = build_mollifier(1, 1, quad, max_deriv=4)
+    moll = build_mollifier(1, 1, quad)
     f = moll.as_sampled()
     f.domain = domain_1d
     f = SampledFunction(domain=domain_1d, order=4, value_dim=1,
                         evaluator=f.evaluator, derivative=f.derivative,
                         support=Region.box([-1.0], [1.0], 1201), name="bump")
     ft, rep = apply_cutoff(f, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                           1e-3, 1.0, domain_1d, quad, 4)
+                           1e-3, 1.0, domain_1d, quad)
     pts = domain_1d.grid_points()
     diff = np.max(np.abs(f.eval_extended(pts) - ft.eval_extended(pts)))
     assert diff <= 1e-12
@@ -179,7 +193,7 @@ def test_apply_cutoff_identity_on_compact(domain_1d, schwartz_fam, sup_alpha, qu
 def test_apply_cutoff_zero(domain_1d, schwartz_fam, sup_alpha, quad):
     z = sf_zero(domain_1d, 2)
     ft, rep = apply_cutoff(z, schwartz_fam, WeightIndex(1, 1), sup_alpha,
-                           1e-2, 1.0, domain_1d, quad, 4)
+                           1e-2, 1.0, domain_1d, quad)
     pts = domain_1d.grid_points()
     assert np.all(ft.eval_extended(pts) == 0.0)
     assert rep.measured.value == 0.0
@@ -187,8 +201,23 @@ def test_apply_cutoff_zero(domain_1d, schwartz_fam, sup_alpha, quad):
 
 def test_report_serializes(domain_1d, schwartz_fam, sup_alpha, quad, gauss_1d):
     _, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 1), sup_alpha,
-                          0.05, 1.0, domain_1d, quad, 4)
+                          0.05, 1.0, domain_1d, quad)
     record = rep.to_json_dict()
     for key in ("delta", "K_boxes", "C_beta", "C_l_delta", "tail",
                 "measured_error", "bound"):
         assert key in record
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha, quad,
+                                          gauss_1d):
+    _, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, l), sup_alpha,
+                          0.05, 1.0, domain_1d, quad)
+    assert list(rep.Cbeta_table) == multiindices(1, l)
+    # the same cut-off measured to order 4 gives the same constant, bit for bit
+    dom_pts = domain_1d.grid_points()
+    near = rep.K.inflate(rep.delta).contains(dom_pts)
+    deep = build_cutoff(rep.K, rep.delta, 4, quad, omega=domain_1d,
+                        extra_measure_points=dom_pts[near])
+    assert list(deep.Cbeta_table) == multiindices(1, 4)
+    assert cutoff_constant(deep, l) == rep.C_l_delta

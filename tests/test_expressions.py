@@ -72,3 +72,27 @@ def test_builtin_strip_waves_flat_in_x2():
     a = fn.eval(np.array([[0.5, 1.0]]))[0, 0]
     b = fn.eval(np.array([[0.5, -2.0]]))[0, 0]
     assert a == b == pytest.approx(np.cos(0.2))
+
+
+def test_one_compile_per_beta(monkeypatch):
+    import sympy
+
+    fn = builtin_function({"builtin": "plane_waves", "amplitude": 1.0, "sigma": 1.0,
+                           "nodes": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]}, 1)
+    assert fn.value_dim == 8
+    calls = []
+    lambdify = sympy.lambdify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "lambdify", counted)
+    x = np.array([[0.3], [1.1]])
+    for beta in [(0,), (1,), (2,)]:
+        before = len(calls)
+        first = fn.deriv(beta, x)
+        assert len(calls) - before == 1
+        assert first.shape == (2, 8)
+        assert np.array_equal(fn.deriv(beta, x), first)
+        assert len(calls) - before == 1

@@ -34,9 +34,11 @@ def test_submultiindices():
 
 
 def test_evaluate_constant_derivative_zero(domain_1d):
+    # no derivative provider: no finite-difference stand-in either
     c = SampledFunction(domain=domain_1d, order=3, value_dim=2,
                         evaluator=lambda p: np.tile([2.0, -1.0], (len(p), 1)))
-    assert np.allclose(evaluate(c, (1,), [0.5]), 0.0, atol=1e-8)
+    with pytest.raises(OrderError):
+        evaluate(c, (1,), [0.5])
 
 
 def test_evaluate_analytic_gaussian(gauss_1d):
@@ -48,8 +50,16 @@ def test_evaluate_analytic_gaussian(gauss_1d):
 def test_evaluate_fd_provider(domain_1d):
     f = SampledFunction(domain=domain_1d, order=3, value_dim=1,
                         evaluator=lambda p: p[:, 0:1] ** 2)
-    val = evaluate(f, (2,), [0.3])[0]
-    assert val == pytest.approx(2.0, abs=1e-6)
+    with pytest.raises(OrderError):
+        evaluate(f, (2,), [0.3])
+    assert evaluate(f, (0,), [0.3])[0] == pytest.approx(0.09)
+
+
+def test_deriv_without_provider_names_the_function(domain_1d):
+    f = SampledFunction(domain=domain_1d, order=2, value_dim=1,
+                        evaluator=lambda p: p[:, 0:1] ** 2, name="square")
+    with pytest.raises(OrderError, match="square"):
+        f.deriv((1,), np.array([[0.3]]))
 
 
 def test_evaluate_errors(gauss_1d):
@@ -156,7 +166,7 @@ def test_seminorm_axioms_randomized(rng):
 
 
 def test_support_estimate_bump(quad):
-    moll = fr.build_mollifier(1, 1, quad, max_deriv=2)
+    moll = fr.build_mollifier(1, 1, quad)
     dom = Region.box([-2.0], [2.0], 401)
     f = SampledFunction(domain=dom, order=2, value_dim=1,
                         evaluator=lambda p: moll.value(p)[:, None])
@@ -171,7 +181,7 @@ def test_support_estimate_zero_and_mollifier_radius(domain_1d, quad):
                            evaluator=lambda p: np.zeros((len(p), 1)))
     assert support_estimate(zero).is_empty
 
-    moll = fr.build_mollifier(1, 2, quad, max_deriv=2)
+    moll = fr.build_mollifier(1, 2, quad)
     f = SampledFunction(domain=domain_1d, order=2, value_dim=1,
                         evaluator=lambda p: moll.value(p)[:, None])
     est = support_estimate(f)
@@ -183,7 +193,7 @@ def test_finite_rank_sum_identity(plane_waves_1d, schwartz_fam, sup_alpha, quad,
                                   domain_1d):
     # g = sum_i phi_i (x) e_i: the factor map times the value matrix is the sum
     g, _ = fr.finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2,
-                                    domain_1d, quad, 4)
+                                    domain_1d, quad)
     assert isinstance(g, FiniteRankFunction)
     assert g.rank > 1
     assert g.factors.value_dim == g.rank
@@ -196,7 +206,7 @@ def test_finite_rank_sum_identity(plane_waves_1d, schwartz_fam, sup_alpha, quad,
 
 def test_declared_support_evaluator_consistency(quad):
     # evaluator vanishes at grid points outside a declared support
-    moll = fr.build_mollifier(1, 2, quad, max_deriv=2)
+    moll = fr.build_mollifier(1, 2, quad)
     f = moll.as_sampled()
     f.domain = Region.box([-2.0], [2.0], 401)
     pts = f.domain.grid_points()

@@ -25,7 +25,7 @@ def bump_1d(x):
 def test_normalization_matches_adaptive_simpson(quad):
     oracle = adaptive_simpson(bump_1d, -1.0, 1.0, tol=1e-9)
     assert oracle == pytest.approx(expected.BUMP_MASS_1D, abs=expected.BUMP_MASS_1D_TOL)
-    moll = build_mollifier(1, 1, quad, max_deriv=2)
+    moll = build_mollifier(1, 1, quad)
     assert 1.0 / moll.normC == pytest.approx(oracle, abs=1e-8)
 
 
@@ -34,12 +34,12 @@ def test_normalization_matches_adaptive_simpson(quad):
 def test_mass_unit(d, n, quad):
     q = quad if d == 1 else QuadratureSpec(points_per_axis=16, refinement_levels=1,
                                            tol=1e-5)
-    moll = build_mollifier(d, n, q, max_deriv=2)
+    moll = build_mollifier(d, n, q)
     assert abs(moll.mass_check - 1.0) < q.tol
 
 
 def test_support_exact_and_positive(quad):
-    moll = build_mollifier(1, 4, quad, max_deriv=4)
+    moll = build_mollifier(1, 4, quad)
     xs = np.array([[0.25], [0.2500001], [0.3], [1.0]])
     vals = moll.value(xs)
     assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] == 0.0 and vals[3] == 0.0
@@ -49,7 +49,7 @@ def test_support_exact_and_positive(quad):
 
 
 def test_scaling_law_bitexact(quad):
-    moll = build_mollifier(1, 4, quad, max_deriv=2)
+    moll = build_mollifier(1, 4, quad)
     xs = np.linspace(-0.24, 0.24, 33)[:, None]
     direct = moll.value(xs)
     rescaled = (4 ** 1) * moll.rho_unit(4 * xs)
@@ -57,7 +57,7 @@ def test_scaling_law_bitexact(quad):
 
 
 def test_convolve_zero(quad, domain_1d):
-    moll = build_mollifier(1, 4, quad, max_deriv=2)
+    moll = build_mollifier(1, 4, quad)
     z = sf_zero(domain_1d, 1)
     conv = convolve(z, moll.as_sampled(), quad, side="g")
     pts = np.linspace(-1, 1, 11)[:, None]
@@ -66,7 +66,7 @@ def test_convolve_zero(quad, domain_1d):
 
 def test_convolve_needs_kernel_derivatives(quad):
     # every derivative of f * g falls on g, so g must provide them
-    moll = build_mollifier(1, 4, quad, max_deriv=2)
+    moll = build_mollifier(1, 4, quad)
     rho = moll.as_sampled()
     bare = SampledFunction(domain=rho.domain, order=rho.order, value_dim=1,
                            evaluator=rho.evaluator, support=rho.support)
@@ -81,7 +81,7 @@ def test_narrow_bump_recovers_identity(quad, domain_1d):
     g = SampledFunction(domain=domain_1d, order=2, value_dim=1,
                         evaluator=lambda p: p[:, 0:1])
     for n in (4, 16):
-        moll = build_mollifier(1, n, quad, max_deriv=2)
+        moll = build_mollifier(1, n, quad)
         conv = convolve(g, moll.as_sampled(), quad, side="g")
         pts = np.linspace(-2, 2, 9)[:, None]
         assert np.max(np.abs(conv.eval(pts) - pts)) < 1e-12
@@ -91,7 +91,7 @@ def test_support_containment(quad, domain_1d, gauss_1d):
     f = SampledFunction(domain=domain_1d, order=6, value_dim=1,
                         evaluator=gauss_1d.evaluator, derivative=gauss_1d.derivative)
     f.support = support_estimate(f)
-    moll = build_mollifier(1, 4, quad, max_deriv=2)
+    moll = build_mollifier(1, 4, quad)
     conv = convolve(f, moll.as_sampled(), quad, side="g")
     est = support_estimate(conv)
     step = domain_1d.spacing()[0]
@@ -106,7 +106,7 @@ def test_support_containment(quad, domain_1d, gauss_1d):
 @pytest.mark.parametrize("pair", ["gauss_rho4", "zero", "even_bumps"])
 def test_commutativity(pair, domain_1d):
     quad = QuadratureSpec(points_per_axis=512, refinement_levels=2, tol=1e-6)
-    moll = build_mollifier(1, 4, quad, max_deriv=2)
+    moll = build_mollifier(1, 4, quad)
     rho = moll.as_sampled()
     sample = np.linspace(-3, 3, 41)[:, None]
     if pair == "gauss_rho4":
@@ -120,7 +120,7 @@ def test_commutativity(pair, domain_1d):
         z = sf_zero(domain_1d, 1)
         assert commutativity_check(z, rho, quad, sample) == 0.0
     else:
-        m2 = build_mollifier(1, 2, quad, max_deriv=2)
+        m2 = build_mollifier(1, 2, quad)
         f = m2.as_sampled()
         f.domain = domain_1d
         disc_at_zero = commutativity_check(f, rho, quad, np.array([[0.0]]))
@@ -131,7 +131,7 @@ def test_transfer_beta_zero_identical(quad, domain_1d, gauss_1d):
     f = SampledFunction(domain=domain_1d, order=6, value_dim=1,
                         evaluator=gauss_1d.evaluator, derivative=gauss_1d.derivative,
                         support=Region.box([-5.3], [5.3], 1201))
-    moll = build_mollifier(1, 4, quad, max_deriv=2)
+    moll = build_mollifier(1, 4, quad)
     rep = derivative_transfer_check(f, moll, (0,), np.linspace(-2, 2, 9)[:, None], quad)
     assert rep.max_discrepancy < 1e-12
 
@@ -141,7 +141,7 @@ def test_transfer_three_way(beta, floor, quad, domain_1d, gauss_1d):
     f = SampledFunction(domain=domain_1d, order=6, value_dim=1,
                         evaluator=gauss_1d.evaluator, derivative=gauss_1d.derivative,
                         support=Region.box([-5.3], [5.3], 1201))
-    moll = build_mollifier(1, 4, quad, max_deriv=4)
+    moll = build_mollifier(1, 4, quad)
     rep = derivative_transfer_check(f, moll, beta, np.linspace(-2, 2, 21)[:, None],
                                     quad, fd_step=1e-3)
     tol = max(10 * quad.tol, floor)
@@ -154,7 +154,7 @@ def test_transfer_linear_derivative_constant(quad, domain_1d):
     fn = expr_function_from_strings(["2*x - 1"], 1)
     f = sf_from_expr_function(fn, domain_1d, order=6)
     f.support = Region.box([-6.0], [6.0], 1201)
-    moll = build_mollifier(1, 4, quad, max_deriv=2)
+    moll = build_mollifier(1, 4, quad)
     rho = moll.as_sampled()
     conv = convolve(f, rho, quad, side="g")
     pts = np.linspace(-2, 2, 9)[:, None]
@@ -164,7 +164,7 @@ def test_transfer_linear_derivative_constant(quad, domain_1d):
 
 
 def test_convolution_linearity(quad, domain_1d, gauss_1d):
-    moll = build_mollifier(1, 4, quad, max_deriv=2)
+    moll = build_mollifier(1, 4, quad)
     rho = moll.as_sampled()
     sup = Region.box([-5.3], [5.3], 1201)
     f = SampledFunction(domain=domain_1d, order=6, value_dim=1,
@@ -185,10 +185,10 @@ def test_convolution_linearity(quad, domain_1d, gauss_1d):
 
 def test_regularize_sup_error_monotone(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad, 4)
+                         1e-3, 1.0, domain_1d, quad)
     errors = []
     for n in (2, 4, 8, 16):
-        sm = regularize(ft, n, quad, 4)
+        sm = regularize(ft, n, quad)
         errors.append(weighted_seminorm(sf_sub(ft, sm), schwartz_fam,
                                         WeightIndex(1, 0), sup_alpha).value)
     assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -196,8 +196,8 @@ def test_regularize_sup_error_monotone(quad, domain_1d, schwartz_fam, sup_alpha,
 
 def test_regularize_support_inflation(quad, domain_1d, gauss_1d, schwartz_fam, sup_alpha):
     ft, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                           1e-3, 1.0, domain_1d, quad, 4)
-    sm = regularize(ft, 4, quad, 4)
+                           1e-3, 1.0, domain_1d, quad)
+    sm = regularize(ft, 4, quad)
     assert sm.support is not None
     est = support_estimate(sm)
     want_hi = ft.support.boxes[0].hi[0] + 0.25
@@ -206,43 +206,42 @@ def test_regularize_support_inflation(quad, domain_1d, gauss_1d, schwartz_fam, s
 
 
 def test_regularize_leaves_argument_unchanged(quad, gauss_1d):
-    cut = build_cutoff(Region.box([-1.0], [1.0], 201), 1.0, 4, quad,
-                       measure_table=False)
+    cut = build_cutoff(Region.box([-1.0], [1.0], 201), 1.0, 0, quad)
     ft = multiply_cutoff(cut, gauss_1d)
     before = set(vars(ft))
-    regularize(ft, 4, quad, 4)
+    regularize(ft, 4, quad)
     assert set(vars(ft)) == before
 
 
 def test_find_regularization_order_zero(quad, domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 1)
     n, _ = find_regularization_order(z, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                                     1e-3, 64, quad, 4)
+                                     1e-3, 64, quad)
     assert n == 2
 
 
 def test_find_regularization_order_pinned(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad, 4)
+                         1e-3, 1.0, domain_1d, quad)
     n, history = find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0),
-                                           sup_alpha, 1e-2, 64, quad, 4)
+                                           sup_alpha, 1e-2, 64, quad)
     assert n == expected.REG_ORDER_GAUSS_L0
     assert n <= 64
 
 
 def test_find_regularization_order_loose_eps(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad, 4)
+                         1e-3, 1.0, domain_1d, quad)
     big = weighted_seminorm(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha).value
     n, _ = find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                                     10.0 * big, 64, quad, 4)
+                                     10.0 * big, 64, quad)
     assert n == 2
 
 
 def test_find_regularization_order_exhausted(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad, 4)
+                         1e-3, 1.0, domain_1d, quad)
     with pytest.raises(ConvergenceError) as err:
         find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                                  1e-12, 4, quad, 4)
+                                  1e-12, 4, quad)
     assert err.value.best is not None and err.value.best > 1e-12

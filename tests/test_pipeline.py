@@ -39,7 +39,7 @@ def test_structured_input_small_stage1(schwartz_scn, quad):
     # f = phi (x) e with compactly supported smooth phi: once the tail compact
     # swallows supp phi, the cut-off stage is lossless
     scn, _ = schwartz_scn
-    moll = build_mollifier(1, 1, scn.quad, max_deriv=4)
+    moll = build_mollifier(1, 1, scn.quad)
     phi = moll.as_sampled()
     e = np.array([0.02, -0.01, 0.005, 0.0025])
     f = SampledFunction(domain=scn.domain, order=4, value_dim=4,
@@ -56,7 +56,7 @@ def _cut_off(f, scn, idx, eps):
     """f_tilde as stage 1 of approximate(f, scn, idx, "sup", eps) builds it."""
     f_tilde, _ = apply_cutoff(f, scn.family, idx, scn.seminorm("sup"), eps / 3.0,
                               scn.delta_rule(idx), scn.domain, scn.quad,
-                              scn.max_deriv, omega=scn.omega_region())
+                              omega=scn.omega_region())
     return f_tilde
 
 
@@ -149,7 +149,7 @@ def test_stage2_scans_scales_beyond_history(schwartz_scn):
     fresh = [n for n in (4, 8, 16, 32, 64) if n <= ledger.N2 and n not in tried]
     assert calls["regularize"] == len(fresh) > 0
     f_tilde = _cut_off(f, tight, idx, eps)
-    smoothed = regularize(f_tilde, ledger.N2, scn.quad, scn.max_deriv)
+    smoothed = regularize(f_tilde, ledger.N2, scn.quad)
     direct = weighted_seminorm(sf_sub(f_tilde, smoothed), scn.family, idx,
                                scn.seminorm("sup"))
     assert ledger.stage2_measured == direct.value

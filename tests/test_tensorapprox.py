@@ -74,7 +74,7 @@ def test_cover_resolution_error(schwartz_fam, sup_alpha):
 def test_partition_identities(domain_1d, schwartz_fam, sup_alpha, gauss_1d, quad):
     K = Region.box([-1.5], [1.5], 301)
     cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
-    factors, basis = build_partition(cover, K, 4, quad)
+    factors, basis = build_partition(cover, K, quad)
     assert factors.value_dim == cover.n_centers
     pts = K.grid_points()
     all_vals = basis.eval_all(pts)
@@ -127,7 +127,7 @@ def test_bump_matrix_matches_dense_formula(d, rng):
 def test_eval_all_matches_dense_partition(gauss_1d, schwartz_fam, sup_alpha, quad):
     K = Region.box([-1.5], [1.5], 301)
     cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
-    _, basis = build_partition(cover, K, 4, quad)
+    _, basis = build_partition(cover, K, quad)
     pts = Region.box([-3.0], [3.0], 1201).grid_points()
     theta = basis.theta.eval_extended(pts)[:, 0]
     dense = dense_partition(theta, dense_bump_matrix(pts, cover.centers, cover.radii))
@@ -141,7 +141,7 @@ def test_unsmoothed_factors_declare_order_zero(plane_waves_1d, schwartz_fam,
     # the factor map has no derivative; a derivative seminorm must refuse it
     # instead of reading finite differences
     g, _ = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                 0.2, domain_1d, quad, 4)
+                                 0.2, domain_1d, quad)
     assert g.factors.order == 0
     with pytest.raises(OrderError):
         weighted_seminorm(g.factors, schwartz_fam, WeightIndex(1, 1), sup_alpha)
@@ -153,7 +153,7 @@ def test_partition_single_center_equals_cutoff(domain_1d, schwartz_fam, sup_alph
     K = Region.box([-0.5], [0.5], 101)
     cover = oscillation_cover(c, K, schwartz_fam, 1, sup_alpha, 0.5)
     assert cover.n_centers == 1
-    factors, _ = build_partition(cover, K, 4, quad)
+    factors, _ = build_partition(cover, K, quad)
     pts = K.grid_points()
     assert factors.value_dim == 1
     assert np.max(np.abs(factors.eval(pts)[:, 0] - 1.0)) <= 1e-12
@@ -162,7 +162,7 @@ def test_partition_single_center_equals_cutoff(domain_1d, schwartz_fam, sup_alph
 def test_finite_rank_zero(domain_1d, schwartz_fam, sup_alpha, quad):
     z = sf_zero(domain_1d, 2)
     g, report = finite_rank_c0_approx(z, schwartz_fam, 1, sup_alpha, 0.1,
-                                      domain_1d, quad, 4)
+                                      domain_1d, quad)
     assert g.rank == 0
     assert report.measured.value == 0.0
     assert report.four_eps_ok
@@ -177,7 +177,7 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, quad, ga
                         derivative=lambda b, p: gauss_1d.deriv(b, p) * e[None, :])
     eps = 0.05
     g, report = finite_rank_c0_approx(f, schwartz_fam, 1, sup_alpha, eps,
-                                      domain_1d, quad, 4)
+                                      domain_1d, quad)
     assert report.four_eps_ok
     assert g.values.shape == (g.rank, 3)
     for value in g.values:
@@ -190,7 +190,7 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, quad, ga
 def test_finite_rank_plane_waves(eps, rank_key, plane_waves_1d, schwartz_fam,
                                  sup_alpha, quad, domain_1d):
     g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                      eps, domain_1d, quad, 4)
+                                      eps, domain_1d, quad)
     assert report.measured.value < 4 * eps
     assert report.rank == getattr(expected, rank_key)
     assert report.rank == report.n_centers
@@ -200,7 +200,7 @@ def test_rank_monotone_in_eps(plane_waves_1d, schwartz_fam, sup_alpha, quad, dom
     ranks = []
     for eps in (0.4, 0.2, 0.1):
         _, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1,
-                                          sup_alpha, eps, domain_1d, quad, 4)
+                                          sup_alpha, eps, domain_1d, quad)
         ranks.append(report.rank)
     assert ranks[0] <= ranks[1] <= ranks[2]
 
@@ -212,7 +212,7 @@ def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_a
     ranks, box_counts = [], []
     for eps in (0.4, 0.1):
         g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1,
-                                          sup_alpha, eps, domain_1d, quad, 4)
+                                          sup_alpha, eps, domain_1d, quad)
         ranks.append(g.rank)
         box_counts.append(len(g.sampled.support.boxes))
         assert box_counts[-1] == len(report.K.boxes)
@@ -223,7 +223,7 @@ def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_a
 def test_support_constraint_honored(gauss_1d, schwartz_fam, sup_alpha, quad, domain_1d):
     V = Region.box([-3.5], [3.5], 701)
     g, report = finite_rank_c0_approx(gauss_1d, schwartz_fam, 1, sup_alpha, 0.1,
-                                      domain_1d, quad, 4, support_constraint=V)
+                                      domain_1d, quad, support_constraint=V)
     assert report.four_eps_ok
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)
