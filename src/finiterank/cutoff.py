@@ -29,6 +29,10 @@ from .seminorms import SeminormValue, find_tail_compact, tail_seminorm, weighted
 from .weights import WeightFamily, WeightIndex
 
 
+# ramp points per block of the window quadrature
+_RAMP_ROWS = 128
+
+
 class _AxisProfile:
     """1D mollified indicator of [lo - delta/2, hi + delta/2].
 
@@ -67,12 +71,15 @@ class _AxisProfile:
         full = (t - self.b <= -self.r) & (t - self.a >= self.r)
         ramp = live & ~full
         out = np.zeros(len(t))
-        if np.any(ramp):
-            # one row of window nodes per ramp point, summed along its row, so
-            # a value depends on its own point and not on the rest of the batch
-            nodes = lo[ramp][:, None] + self._gl_u[None, :] * length[ramp][:, None]
+        # one row of window nodes per ramp point, summed along its row, so a
+        # value depends on its own point and not on the rest of the batch;
+        # rows go in fixed blocks to bound the temporaries
+        idx = np.flatnonzero(ramp)
+        for start in range(0, len(idx), _RAMP_ROWS):
+            rows = idx[start:start + _RAMP_ROWS]
+            nodes = lo[rows][:, None] + self._gl_u[None, :] * length[rows][:, None]
             vals = self.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(nodes.shape)
-            out[ramp] = np.sum(vals * self._gl_w, axis=1) * length[ramp] / self.mass
+            out[rows] = np.sum(vals * self._gl_w, axis=1) * length[rows] / self.mass
         out[full] = 1.0
         return out
 

@@ -28,6 +28,10 @@ _FLAT_CUTOFF = 1e-8
 # cut-off) declares: the symbolic bump derivatives are generated to it.
 SMOOTH_ORDER = 6
 
+# The most shifted points one convolution hands f at once: larger chunks
+# save little call overhead and grow the peak memory.
+CHUNK_POINTS = 2048
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -117,7 +121,7 @@ def bump_profile(points: np.ndarray, beta: Optional[MultiIndex] = None) -> np.nd
     out = np.zeros(len(pts))
     if np.any(mask):
         fn = _profile_fn(d, tuple(beta))
-        vals = fn(*(pts[mask, i] for i in range(d)))
+        vals = fn(*(pts[:, i][mask] for i in range(d)))
         out[mask] = np.broadcast_to(np.asarray(vals, dtype=float), (int(np.sum(mask)),))
     return out
 
@@ -266,14 +270,19 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
                 base_coeff if mi_order(tuple(b)) == 0
                 else weights * g.deriv(tuple(b), nodes)[:, 0]
                 for b in betas])                                      # (B, Q)
-            live = np.any(coeffs != 0.0, axis=0)
-            for q in range(len(nodes)):
-                if not live[q]:
-                    continue
-                shifted = f.eval_extended(pts - nodes[q])
-                for bi in range(len(betas)):
-                    if coeffs[bi, q] != 0.0:
-                        out[bi] += coeffs[bi, q] * shifted
+            live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
+            # f sees the points shifted by a chunk of nodes in one call; the
+            # sum still adds one node at a time, in node order
+            per_chunk = max(1, CHUNK_POINTS // max(len(pts), 1))
+            for start in range(0, len(live), per_chunk):
+                qs = live[start:start + per_chunk]
+                shifted = f.eval_extended(
+                    (pts[None] - nodes[qs][:, None]).reshape(-1, pts.shape[1]))
+                shifted = shifted.reshape(len(qs), len(pts), m)
+                for k, q in enumerate(qs):
+                    for bi in range(len(betas)):
+                        if coeffs[bi, q] != 0.0:
+                            out[bi] += coeffs[bi, q] * shifted[k]
             return out
 
     else:  # side == "f"

@@ -116,15 +116,16 @@ def oscillation_cover(f: SampledFunction, K: Region, fam: WeightFamily, j: int,
     )
 
 
-def _bump_matrix(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """(n_centers, N) matrix of exp(-1/(1-|u|^2)) bumps, u = (x - c) / r.
+def _bump_matrix(points: np.ndarray, centers: np.ndarray,
+                 radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Non-zero exp(-1/(1-|u|^2)) bumps, u = (x - c) / r, as (rows, cols, vals).
 
-    Each bump is evaluated only at the points whose first coordinate lies
-    within a hair of its radius, found by one sort and a searchsorted. Every
-    other point has |u|^2 > 1, where the flatness cutoff makes the entry
-    exactly 0, so the matrix is the one the all-pairs formula gives.
+    Pair k is bump rows[k] at point cols[k]; rows ascend. Each bump is
+    evaluated only at the points whose first coordinate lies within a hair
+    of its radius, found by one sort and a searchsorted. Every other point
+    has |u|^2 > 1, where the flatness cutoff makes the bump exactly 0, so
+    the pairs are the non-zero entries of the all-pairs formula.
     """
-    out = np.zeros((len(centers), len(points)))
     order = np.argsort(points[:, 0], kind="stable")
     first = points[order, 0]
     reach = radii * (1.0 + 1e-6)
@@ -138,35 +139,51 @@ def _bump_matrix(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> 
     diffs = (points[cols] - centers[rows]) / radii[rows, None]
     t = np.einsum("nd,nd->n", diffs, diffs)
     mask = t < 1.0 - 1e-8
-    out[rows[mask], cols[mask]] = np.exp(-1.0 / (1.0 - t[mask]))
-    return out
+    vals = np.exp(-1.0 / (1.0 - t[mask]))
+    live = vals != 0.0                     # exp underflows next to the rim
+    return rows[mask][live], cols[mask][live], vals[live]
+
+
+def _point_sums(cols: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """(n,) sums of the pair weights at each point, added in pair order."""
+    # bincount returns integers when there are no pairs
+    return np.bincount(cols, weights=weights, minlength=n).astype(float, copy=False)
 
 
 class PartitionBasis:
-    """All partition functions evaluated together, with a one-batch cache."""
+    """All partition functions evaluated together as sparse triples."""
 
     def __init__(self, cover: Cover, theta: SampledFunction):
         self.cover = cover
         self.theta = theta
+        # nothing is cached; perfbench/trace_layers.py reads this attribute
+        # to count cache hits
         self._key = None
-        self._val = None
 
-    def eval_all(self, points: np.ndarray) -> np.ndarray:
+    def eval_all(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, phis): phi_rows(x_cols) at every non-zero bump.
+
+        A point's bump sum adds its bumps in row order, whatever else is in
+        the batch, so every value depends on its own point alone.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        key = (pts.shape, pts.tobytes())
-        if key == self._key:
-            return self._val
         theta = self.theta.eval_extended(pts)[:, 0]
-        bumps = _bump_matrix(pts, self.cover.centers, self.cover.radii)
-        total = np.sum(bumps, axis=0)
-        # a non-zero bump makes its column's total positive; every other
-        # entry of theta * b / total is 0
-        rows, cols = np.nonzero(bumps)
-        phis = np.zeros_like(bumps)
-        phis[rows, cols] = theta[cols] * bumps[rows, cols] / total[cols]
-        self._key = key
-        self._val = phis
-        return phis
+        rows, cols, bumps = _bump_matrix(pts, self.cover.centers, self.cover.radii)
+        total = _point_sums(cols, bumps, len(pts))
+        return rows, cols, theta[cols] * bumps / total[cols]
+
+    def factor_values(self, points: np.ndarray) -> np.ndarray:
+        """(N, rank) matrix of phi_i at the points."""
+        rows, cols, phis = self.eval_all(points)
+        out = np.zeros((len(points), self.cover.n_centers))
+        out[cols, rows] = phis
+        return out
+
+    def combine(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """(N, m) sums sum_i phi_i(x) values[i], each added in row order."""
+        rows, cols, phis = self.eval_all(points)
+        return np.stack([_point_sums(cols, phis * values[rows, k], len(points))
+                         for k in range(values.shape[1])], axis=1)
 
 
 def build_partition(cover: Cover, K: Region,
@@ -187,7 +204,8 @@ def build_partition(cover: Cover, K: Region,
         tuple(3 * (n - 1) + 1 for n in K.points_per_axis))
     pts = check.grid_points()
     theta_vals = theta.eval_extended(pts)[:, 0]
-    total = np.sum(_bump_matrix(pts, cover.centers, cover.radii), axis=0)
+    _, cols, bumps = _bump_matrix(pts, cover.centers, cover.radii)
+    total = _point_sums(cols, bumps, len(pts))
     bad = (theta_vals > 1e-300) & (total <= 0.0)
     if np.any(bad):
         witness = pts[int(np.argmax(bad))]
@@ -200,11 +218,29 @@ def build_partition(cover: Cover, K: Region,
         domain=theta.domain,
         order=0,
         value_dim=cover.n_centers,
-        evaluator=lambda pts_: basis.eval_all(pts_).T,
+        evaluator=basis.factor_values,
         support=theta.support,
         name="phi",
     )
     return factors, basis
+
+
+def partition_sum(cover: Cover, K: Region, quad: QuadratureSpec,
+                  domain: Region) -> FiniteRankFunction:
+    """g = sum_i phi_i (x) f(c_i) over the partition of the cover."""
+    factors, basis = build_partition(cover, K, quad)
+    values = np.asarray(cover.values)
+    # every phi_i carries the cut-off factor, so the sum vanishes outside
+    # theta's support: one support for any rank
+    sampled = SampledFunction(
+        domain=domain,
+        order=0,
+        value_dim=values.shape[1],
+        evaluator=lambda pts: basis.combine(pts, values),
+        support=factors.support,
+        name="finite_rank",
+    )
+    return FiniteRankFunction(factors, values, sampled)
 
 
 @dataclass
@@ -264,20 +300,8 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     near = K.inflate(0.75 * s).contains(dom_pts)
     cover = oscillation_cover(f, K, fam, j, alpha, eps,
                               cover_margin=margin, extra_points=dom_pts[near])
-    factors, basis = build_partition(cover, K, quad)
-    values = np.asarray(cover.values)
-    # every phi_i carries the cut-off factor, so the sum vanishes outside
-    # theta's support: one support for any rank
-    g_sf = SampledFunction(
-        domain=f.domain,
-        order=0,
-        value_dim=f.value_dim,
-        evaluator=lambda pts: basis.eval_all(pts).T @ values,
-        support=factors.support,
-        name="finite_rank",
-    )
-    g = FiniteRankFunction(factors, values, g_sf)
-    measured = weighted_seminorm(sf_sub(f, g_sf), fam, idx, alpha)
+    g = partition_sum(cover, K, quad, f.domain)
+    measured = weighted_seminorm(sf_sub(f, g.sampled), fam, idx, alpha)
     report = LocalizationReport(
         n_centers=cover.n_centers,
         rank=g.rank,

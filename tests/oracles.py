@@ -4,11 +4,13 @@ These stay deliberately separate from the package's own numerics: adaptive
 Simpson instead of tensor midpoint, bisection on closed forms instead of box
 scans, and Richardson-checked central differences instead of the analytic
 providers. The dense partition formulas are the all-pairs reference for
-the package's sparse bump evaluation.
+the package's sparse bump evaluation, and the per-node convolution loop is
+the reference for the node-batched one.
 """
 
 import numpy as np
 
+from finiterank.mollify import region_nodes
 from finiterank.seminorms import weighted_seminorm
 
 
@@ -86,3 +88,26 @@ def dense_partition(theta, bumps):
     phis = np.zeros_like(bumps)
     phis[:, live] = theta[live] * bumps[:, live] / total[live]
     return phis
+
+
+def convolve_per_node(f, g, quad, betas, points):
+    """(len(betas), N, m) stack of d^beta (f * g) integrated over supp g.
+
+    One call of f per live quadrature node at the points shifted by it, each
+    node's term added in node order.
+    """
+    nodes, weights = region_nodes(g.support, quad.finest_points, quad.rule)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    coeffs = np.stack([
+        weights * (g.eval_extended(nodes) if sum(b) == 0
+                   else g.deriv(tuple(b), nodes))[:, 0]
+        for b in betas])
+    out = np.zeros((len(betas), len(pts), f.value_dim))
+    for q in range(len(nodes)):
+        if not np.any(coeffs[:, q] != 0.0):
+            continue
+        shifted = f.eval_extended(pts - nodes[q])
+        for bi in range(len(betas)):
+            if coeffs[bi, q] != 0.0:
+                out[bi] += coeffs[bi, q] * shifted
+    return out

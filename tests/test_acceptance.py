@@ -145,13 +145,13 @@ def test_criterion_5_partition_identities(domain_1d, schwartz_fam, sup_alpha,
                 (plane_waves_1d, Region.box([-2.5], [2.5], 501), 0.05)]
     for f, K, eps in fixtures:
         cover = oscillation_cover(f, K, schwartz_fam, 1, sup_alpha, eps)
-        _, basis = build_partition(cover, K, quad)
+        factors, _ = build_partition(cover, K, quad)
         kpts = K.grid_points()
-        vals = basis.eval_all(kpts)
+        vals = factors.eval(kpts).T
         sum_err = np.max(np.abs(np.sum(vals, axis=0) - 1.0))
         ok &= sum_err <= 1e-12
         wide = domain_1d.grid_points()
-        wvals = basis.eval_all(wide)
+        wvals = factors.eval(wide).T
         ok &= np.all(wvals >= -1e-14)
         ok &= np.all(wvals <= 1.0 + 1e-12)
         ok &= np.all(np.sum(wvals, axis=0) <= 1.0 + 1e-12)

@@ -82,7 +82,11 @@ def test_approximate_certified_and_deterministic(tmp_path):
     assert ledger["certified"] is True
     assert (out1 / "ledger_0p2.csv").exists()
     assert (out1 / "factors_0p2.csv").exists()
-    verify = json.loads((out1 / "verify_0p2.json").read_text())
+    verify_bytes = (out1 / "verify_0p2.json").read_bytes()
+    assert verify_bytes == (out2 / "verify_0p2.json").read_bytes()
+    assert verify_bytes == (Path(__file__).parent / "fixtures"
+                            / "verify_schwartz_j1_l1_eps0p2.json").read_bytes()
+    verify = json.loads(verify_bytes)
     assert verify["domination_ok"] and verify["budget_ok"]
 
 

@@ -14,7 +14,8 @@ from finiterank.mollify import (QuadratureSpec, build_mollifier,
 from finiterank.seminorms import weighted_seminorm
 from finiterank.weights import WeightIndex
 from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
-from oracles import adaptive_simpson
+from finiterank import mollify
+from oracles import adaptive_simpson, convolve_per_node
 import expected
 
 
@@ -125,6 +126,57 @@ def test_commutativity(pair, domain_1d):
         f.domain = domain_1d
         disc_at_zero = commutativity_check(f, rho, quad, np.array([[0.0]]))
         assert disc_at_zero < quad.tol
+
+
+def _piecewise_kernel():
+    """x^3 for x > 0, (x + 1/2)^2 for x < -1/2, 0 between, on [-1, 1].
+
+    Every derivative vanishes on [-1/2, 0] and the third also for x < -1/2,
+    so some nodes are dead and some carry a zero coefficient for one beta.
+    """
+    def deriv(beta, pts):
+        x = pts[:, 0]
+        right = [x**3, 3 * x**2, 6 * x, np.ones_like(x)][beta[0]]
+        left = [(x + 0.5)**2, 2 * (x + 0.5), 2 * np.ones_like(x),
+                np.zeros_like(x)][beta[0]]
+        return np.where(x > 0, right, np.where(x < -0.5, left, 0.0))[:, None]
+
+    box = Region.box([-1.0], [1.0], 41)
+    return SampledFunction(domain=box, order=3, value_dim=1,
+                           evaluator=lambda p: deriv((0,), p),
+                           derivative=deriv, support=box, name="piecewise")
+
+
+@pytest.mark.parametrize("case", ["piecewise_1d", "rho_1d", "rho_2d"])
+@pytest.mark.parametrize("n_points", [7, 250, 2100])
+def test_batched_convolve_matches_per_node_loop(case, n_points, rng):
+    d = 2 if case == "rho_2d" else 1
+    if case == "piecewise_1d":
+        q = QuadratureSpec(points_per_axis=40, refinement_levels=0)
+        g = _piecewise_kernel()
+        betas = [(0,), (1,), (2,), (3,)]
+    else:
+        q = QuadratureSpec(points_per_axis=16, refinement_levels=1, tol=1e-5)
+        g = build_mollifier(d, 4, q).as_sampled()
+        betas = [(0,) * d] + [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    # two coordinates, zero-extended outside [-2, 2]^d
+    f = SampledFunction(
+        domain=Region.box([-3.0] * d, [3.0] * d, 61), order=0, value_dim=2,
+        evaluator=lambda p: np.stack([np.sin(3 * p[:, 0]), np.exp(-np.sum(p * p, axis=1))],
+                                     axis=1),
+        support=Region.box([-2.0] * d, [2.0] * d, 41), name="f")
+    pts = rng.uniform(-3.0, 3.0, (n_points, d))
+    expected_stack = convolve_per_node(f, g, q, betas, pts)
+    conv = convolve(f, g, q, side="g")
+    assert np.array_equal(conv.deriv_multi(betas, pts), expected_stack)
+    if case == "piecewise_1d":
+        nodes, _ = mollify.region_nodes(g.support, q.finest_points)
+        coeffs = np.stack([g.deriv(b, nodes)[:, 0] for b in betas])
+        live = np.count_nonzero(np.any(coeffs != 0.0, axis=0))
+        assert live < len(nodes)                            # dead nodes
+        assert np.any((coeffs == 0.0) & np.any(coeffs != 0.0, axis=0))
+        per_chunk = max(1, mollify.CHUNK_POINTS // n_points)
+        assert live % per_chunk != 0 or per_chunk == 1
 
 
 def test_transfer_beta_zero_identical(quad, domain_1d, gauss_1d):

@@ -6,8 +6,9 @@ from finiterank.errors import OrderError, ResolutionError
 from finiterank.funcmodel import SampledFunction, sf_zero
 from finiterank.geometry import Region
 from finiterank.seminorms import weighted_seminorm
-from finiterank.tensorapprox import (_bump_matrix, build_partition,
-                                     finite_rank_c0_approx, oscillation_cover)
+from finiterank.tensorapprox import (Cover, _bump_matrix, build_partition,
+                                     finite_rank_c0_approx, oscillation_cover,
+                                     partition_sum)
 from finiterank.weights import WeightIndex
 import expected
 from oracles import dense_bump_matrix, dense_partition
@@ -77,14 +78,14 @@ def test_partition_identities(domain_1d, schwartz_fam, sup_alpha, gauss_1d, quad
     factors, basis = build_partition(cover, K, quad)
     assert factors.value_dim == cover.n_centers
     pts = K.grid_points()
-    all_vals = basis.eval_all(pts)
+    all_vals = factors.eval(pts).T
     total = np.sum(all_vals, axis=0)
     assert np.max(np.abs(total - 1.0)) <= 1e-12
     assert np.all(all_vals >= -1e-14)
     assert np.all(all_vals <= 1.0 + 1e-12)
     # sum bounded by one everywhere on the wider grid
     wide = Region.box([-3.0], [3.0], 601).grid_points()
-    assert np.all(np.sum(basis.eval_all(wide), axis=0) <= 1.0 + 1e-12)
+    assert np.all(np.sum(factors.eval(wide).T, axis=0) <= 1.0 + 1e-12)
     # supports inside the certified balls (grid check), one factor per column
     wide_vals = factors.eval_extended(wide)
     for i in range(cover.n_centers):
@@ -108,32 +109,58 @@ def _ball_points(rng, centers, radii, per_ball):
     return np.concatenate([np.atleast_2d(p) for p in out])
 
 
+def _scatter(triples, shape):
+    rows, cols, vals = triples
+    out = np.zeros(shape)
+    out[rows, cols] = vals
+    return out
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_bump_matrix_matches_dense_formula(d, rng):
     centers = rng.uniform(-2.0, 2.0, (9, d))
     centers[1] = centers[0]                       # two bumps, one centre
     radii = rng.uniform(0.1, 0.8, 9)
     pts = _ball_points(rng, centers, radii, 40)
-    bumps = _bump_matrix(pts, centers, radii)
+    bumps = _scatter(_bump_matrix(pts, centers, radii), (len(centers), len(pts)))
     assert np.array_equal(bumps, dense_bump_matrix(pts, centers, radii))
+    rows = _bump_matrix(pts, centers, radii)[0]
+    assert np.all(np.diff(rows) >= 0)
     assert np.count_nonzero(bumps) > 0
     # boundary points (|u| = 1 along an axis) and far points get exact zeros
     dist = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2)
     assert np.all(bumps[dist >= radii[:, None]] == 0.0)
-    empty = _bump_matrix(np.empty((0, d)), centers, radii)
+    empty = _scatter(_bump_matrix(np.empty((0, d)), centers, radii), (len(centers), 0))
     assert empty.shape == (9, 0)
 
 
 def test_eval_all_matches_dense_partition(gauss_1d, schwartz_fam, sup_alpha, quad):
     K = Region.box([-1.5], [1.5], 301)
     cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
-    _, basis = build_partition(cover, K, quad)
+    factors, basis = build_partition(cover, K, quad)
     pts = Region.box([-3.0], [3.0], 1201).grid_points()
     theta = basis.theta.eval_extended(pts)[:, 0]
     dense = dense_partition(theta, dense_bump_matrix(pts, cover.centers, cover.radii))
-    phis = basis.eval_all(pts)
+    phis = factors.eval(pts).T
     assert np.array_equal(phis, dense)
     assert np.any(np.sum(phis, axis=0) == 0.0)     # points off every ball
+
+
+def test_partition_values_depend_on_the_point_only(quad, rng):
+    # 21 bumps that all overlap: every point sums many of them
+    K = Region.box([-1.0], [1.0], 201)
+    cover = Cover(centers=np.linspace(-0.2, 0.2, 21)[:, None],
+                  radii=np.full(21, 1.5), values=rng.normal(size=(21, 3)),
+                  N_const=1.0, target_osc=0.1)
+    g = partition_sum(cover, K, quad, Region.box([-2.0], [2.0], 401))
+    pts = Region.box([-1.5], [1.5], 301).grid_points()
+    for fn in (g.factors, g.sampled):
+        whole = fn.eval(pts)
+        alone = np.concatenate([fn.eval(pts[i:i + 1]) for i in range(len(pts))])
+        assert np.array_equal(alone, whole)
+    # the per-point sums reorder the matrix product's additions only
+    np.testing.assert_allclose(g.sampled.eval(pts), g.factors.eval(pts) @ cover.values,
+                               rtol=0.0, atol=1e-13)
 
 
 def test_unsmoothed_factors_declare_order_zero(plane_waves_1d, schwartz_fam,
