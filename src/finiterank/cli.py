@@ -1,8 +1,9 @@
 """Batch front-end: weight audits, certified runs, convergence curves.
 
 Exit codes: 0 pass/certified, 1 uncertified, 2 usage or config error,
-3 numeric failure (quadrature/finite differences), 4 criterion failure
-(tail compact or cover unreachable at this resolution).
+3 numeric failure (a quadrature that did not converge, a non-finite
+integrand, or another FiniteRankError such as a missing derivative order),
+4 criterion failure (tail compact or cover unreachable at this resolution).
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ EXIT_NUMERIC = 3
 EXIT_CRITERION = 4
 
 
+def _refine_factor(text: str) -> int:
+    factor = int(text)
+    if factor < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {factor}")
+    return factor
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="finiterank")
     sub = p.add_subparsers(dest="command", required=True)
@@ -46,7 +54,8 @@ def _parser() -> argparse.ArgumentParser:
         c.add_argument("--grid", type=int, default=0,
                        help="override points per axis")
         c.add_argument("--out", default="out")
-        c.add_argument("--refine", type=int, default=2)
+        c.add_argument("--refine", type=_refine_factor, default=2,
+                       help="verification grid refinement factor (>= 1)")
     return p
 
 

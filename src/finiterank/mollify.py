@@ -10,16 +10,17 @@ cutoff at |x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import sympy as sp
 
 from .errors import ConvergenceError, QuadratureError
 from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, mi_order,
-                        multiindices, sf_sub, sf_zero)
+                        multiindices, sf_zero)
 from .geometry import Box, Region
-from .seminorms import weighted_seminorm
+# weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
+from .seminorms import jet_seminorm, sample_jet, weighted_seminorm  # noqa: F401
 from .weights import WeightFamily, WeightIndex
 
 _FLAT_CUTOFF = 1e-8
@@ -396,21 +397,51 @@ def regularize(f: SampledFunction, n: int, quad: QuadratureSpec) -> SampledFunct
     return convolve(fc, moll.as_sampled(), quad, side="g")
 
 
+class Smoothing(NamedTuple):
+    """f * rho_n at one scale: its jet on the history's grid, its support and
+    |f - f * rho_n|_{j,l,alpha} there."""
+
+    jet: np.ndarray
+    support: Optional[Region]
+    error: float
+
+
+class RegularizationHistory:
+    """|f - f * rho_n| on f's domain grid for every scale n measured, in order.
+
+    f's jet is sampled once; each scale keeps the jet of f * rho_n, so a
+    later stage reads the smoothed values instead of convolving f again.
+    """
+
+    def __init__(self, f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
+                 alpha: SeminormIndex):
+        self.f, self.fam, self.idx, self.alpha = f, fam, idx, alpha
+        self.pts = f.domain.grid_points()
+        self.f_jet = sample_jet(f, idx, self.pts)
+        self.scales: dict[int, Smoothing] = {}
+
+    def measure(self, n: int, smoothed: SampledFunction) -> float:
+        """Record smoothed = f * rho_n; returns |f - f * rho_n|."""
+        jet = sample_jet(smoothed, self.idx, self.pts)
+        err = jet_seminorm(self.f_jet - jet, self.pts, [self.f.support, smoothed.support],
+                           self.fam, self.idx, self.alpha, f"({self.f.name})-({smoothed.name})")
+        self.scales[n] = Smoothing(jet, smoothed.support, err.value)
+        return err.value
+
+
 def find_regularization_order(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                               alpha: SeminormIndex, eps: float, n_max: int,
-                              quad: QuadratureSpec) -> tuple[int, list[tuple[int, float]]]:
-    """Smallest n in {2, 4, ..., n_max} with |f - f*rho_n|_{j,l,alpha} < eps."""
+                              quad: QuadratureSpec) -> tuple[int, RegularizationHistory]:
+    """Smallest n in {2, 4, ..., n_max} with |f - f*rho_n|_{j,l,alpha} < eps
+    on f's domain grid."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    history = []
+    history = RegularizationHistory(f, fam, idx, alpha)
     n = 2
     while n <= n_max:
-        smoothed = regularize(f, n, quad)
-        err = weighted_seminorm(sf_sub(f, smoothed), fam, idx, alpha)
-        history.append((n, err.value))
-        if err.value < eps:
+        if history.measure(n, regularize(f, n, quad)) < eps:
             return n, history
         n *= 2
     raise ConvergenceError(
         f"regularization did not reach {eps} by n={n_max}",
-        best=min(v for _, v in history) if history else None)
+        best=min((s.error for s in history.scales.values()), default=None))

@@ -36,7 +36,7 @@ from .funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
 from .geometry import Region
 from .mollify import (QuadratureSpec, build_mollifier, convolve,
                       find_regularization_order, regularize)
-from .seminorms import weighted_seminorm
+from .seminorms import jet_seminorm, sample_jet, weighted_seminorm
 from .tensorapprox import finite_rank_c0_approx
 from .weights import (WeightFamily, WeightIndex,
                       check_locally_bounded_away_from_zero)
@@ -211,14 +211,10 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     N1 = _domain_fit_scale(V, scn.omega_region(), scn.n_max)
     # |f_tilde - f_tilde * rho_n| is already measured for every n the search
     # tried; scan only the scales it did not reach
-    measured = dict(history)
-
     def stage2_error(n: int) -> float:
-        if n not in measured:
-            smoothed = regularize(f_tilde, n, quad)
-            measured[n] = weighted_seminorm(
-                sf_sub(f_tilde, smoothed), fam, idx, alpha).value
-        return measured[n]
+        if n not in history.scales:
+            history.measure(n, regularize(f_tilde, n, quad))
+        return history.scales[n].error
 
     N2 = max(N0, N1)
     while stage2_error(N2) >= eps / 3.0 and N2 * 2 <= scn.n_max:
@@ -249,14 +245,21 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     ledger.rank = g.rank
 
     rho = moll.as_sampled()
-    stage3_fn = convolve(sf_sub(f_tilde, g.sampled), rho, quad, side="g")
-    stage3 = weighted_seminorm(stage3_fn, fam, idx, alpha, grid=scn.domain)
-    ledger.stage3_measured = stage3.value
-
     result = FiniteRankFunction(convolve(g.factors, rho, quad, side="g"), g.values,
                                 convolve(g.sampled, rho, quad, side="g"))
-    total = weighted_seminorm(sf_sub(f, result.sampled), fam, idx, alpha,
-                              grid=scn.domain)
+    # by linearity (f_tilde - g) * rho = f_tilde * rho - g * rho: stage 2
+    # sampled the first term on f's domain grid (scn.domain in every scenario),
+    # and the total needs the second anyway
+    pts = history.pts
+    smoothed = history.scales[N2]
+    result_jet = sample_jet(result.sampled, idx, pts)
+    stage3 = jet_seminorm(smoothed.jet - result_jet, pts,
+                          [smoothed.support, result.sampled.support], fam, idx, alpha,
+                          f"({f_tilde.name})*({rho.name})-({result.sampled.name})")
+    ledger.stage3_measured = stage3.value
+    total = jet_seminorm(sample_jet(f, idx, pts) - result_jet, pts,
+                         [f.support, result.sampled.support], fam, idx, alpha,
+                         f"({f.name})-({result.sampled.name})")
     ledger.total_measured = total.value
     ledger.total_bound = ledger.stage_sum()
     ledger.certified = bool(total.value < eps)
@@ -292,8 +295,11 @@ def verify_ledger(result: FiniteRankFunction, ledger: ErrorLedger,
 
     Needs only the result and the ledger's own fields: the stage-3 cap
     C1 C2 C3 |f_tilde - g|_{aux,0} reads the tensor stage's measurement
-    from the ledger.
+    from the ledger. refine must be at least 1: 0 or less would collapse
+    the fine grid to one point per axis.
     """
+    if refine < 1:
+        raise ValueError(f"refine must be at least 1, got {refine}")
     alpha = scn.seminorm(alpha_name)
     fam = scn.family
     fine = scn.domain.refine(refine)

@@ -37,40 +37,49 @@ class SeminormValue:
         }
 
 
-def _integrand(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
-               alpha: SeminormIndex, pts: np.ndarray):
-    """The scan every seminorm reads: (kept, betas, vals).
-
-    kept masks the points inside f's declared support; points outside it
-    contribute exactly 0 to every sup and are skipped. vals is the
-    (len(betas), kept.sum()) matrix p_alpha(d^beta f(x)) nu_{j,l}(x) over
-    |beta| <= l and the kept points, in scan order.
-    """
+def sample_jet(f: SampledFunction, idx: WeightIndex, pts: np.ndarray) -> np.ndarray:
+    """(len(betas), len(pts), m) stack of d^beta f over |beta| <= l at pts,
+    zero outside f's declared support: what a scan reads of f."""
     if idx.l > f.order:
         raise OrderError(f"weight order l={idx.l} exceeds function order {f.order}")
-    betas = multiindices(f.d, idx.l)
-    kept = (np.ones(len(pts), dtype=bool) if f.support is None
-            else f.support.contains(pts))
+    return f_multi_ext(f, multiindices(f.d, idx.l), pts)
+
+
+def _scan(jet: np.ndarray, pts: np.ndarray, supports, fam: WeightFamily,
+          idx: WeightIndex, alpha: SeminormIndex, name: str):
+    """(kept, betas, vals) of a function whose jet at pts is sampled (sample_jet).
+
+    kept masks the points inside the union of its supports (None: no
+    bound); points outside contribute exactly 0 to every sup and are
+    skipped. vals is the (len(betas), kept.sum()) matrix
+    p_alpha(d^beta f(x)) nu_{j,l}(x) in scan order. A non-finite entry is
+    refused.
+    """
+    if any(s is None for s in supports):
+        kept = np.ones(len(pts), dtype=bool)
+    else:
+        kept = np.any([s.contains(pts) for s in supports], axis=0)
     live = pts[kept]
+    betas = multiindices(pts.shape[1], idx.l)
     vals = np.zeros((len(betas), len(live)))
     if len(live):
         w = fam.eval_batch(idx, live)
-        stacked = f_multi_ext(f, betas, live)
         for bi in range(len(betas)):
-            vals[bi] = alpha.apply(stacked[bi]) * w
+            vals[bi] = alpha.apply(jet[bi, kept]) * w
     bad = np.argwhere(~np.isfinite(vals))
     if len(bad):
         bi, k = bad[0]
         raise FiniteRankError(
-            f"non-finite integrand {vals[bi, k]} of {f.name or 'f'} at "
+            f"non-finite integrand {vals[bi, k]} of {name or 'f'} at "
             f"x={live[k].tolist()}, beta={betas[bi]}")
     return kept, betas, vals
 
 
-def _sup(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
-         alpha: SeminormIndex, pts: np.ndarray) -> SeminormValue:
-    """Scan maximum; the witness is the first beta, then the first point."""
-    kept, betas, vals = _integrand(f, fam, idx, alpha, pts)
+def jet_seminorm(jet: np.ndarray, pts: np.ndarray, supports, fam: WeightFamily,
+                 idx: WeightIndex, alpha: SeminormIndex, name: str = "") -> SeminormValue:
+    """Scan maximum of a sampled jet (see _scan); the witness is the first
+    beta, then the first point."""
+    kept, betas, vals = _scan(jet, pts, supports, fam, idx, alpha, name)
     if vals.size == 0:
         return SeminormValue(0.0, None, None, empty=True)
     bi, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
@@ -81,7 +90,8 @@ def weighted_seminorm(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                       alpha: SeminormIndex, grid: Optional[Region] = None) -> SeminormValue:
     """sup over grid points and |beta| <= l of p_alpha(d^beta f(x)) nu_{j,l}(x)."""
     region = grid if grid is not None else f.domain
-    return _sup(f, fam, idx, alpha, region.grid_points())
+    pts = region.grid_points()
+    return jet_seminorm(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha, f.name)
 
 
 def tail_seminorm(f: SampledFunction, K: Region, fam: WeightFamily, idx: WeightIndex,
@@ -89,7 +99,8 @@ def tail_seminorm(f: SampledFunction, K: Region, fam: WeightFamily, idx: WeightI
     """Same sup restricted to grid points outside K."""
     region = grid if grid is not None else f.domain
     pts = region.grid_points()
-    return _sup(f, fam, idx, alpha, pts[~K.contains(pts)])
+    pts = pts[~K.contains(pts)]
+    return jet_seminorm(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha, f.name)
 
 
 def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
@@ -112,7 +123,8 @@ def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     if omega is None:
         omega = domain
     pts = search.grid_points()
-    kept, _, vals = _integrand(f, fam, idx, alpha, pts)
+    kept, _, vals = _scan(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha,
+                          f.name)
     integrand = np.zeros(len(pts))
     integrand[kept] = np.max(vals, axis=0)
 

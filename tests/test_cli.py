@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from finiterank.cli import main
 
 
@@ -63,6 +65,16 @@ def test_usage_error_exit_code(tmp_path):
     assert run(["check-weights", "--scenario", "no_such_scenario",
                 "--out", str(tmp_path)]) == 2
     assert run(["bogus-command"]) == 2
+
+
+@pytest.mark.parametrize("refine", ["0", "-1"])
+def test_approximate_rejects_refine_below_one(tmp_path, refine):
+    # a factor below 1 collapses the verification grid to one point, which
+    # would verify vacuously
+    code = run(["approximate", "--scenario", "schwartz_1d", "--eps", "0.2",
+                "--j", "1", "--l", "1", "--out", str(tmp_path), "--refine", refine])
+    assert code == 2
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_approximate_certified_and_deterministic(tmp_path):

@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from finiterank import pipeline
+from finiterank import mollify, pipeline
 from finiterank.cutoff import apply_cutoff
 from finiterank.errors import ResolutionError
 from finiterank.funcmodel import FiniteRankFunction, SampledFunction, sf_sub, sf_zero
@@ -103,8 +104,10 @@ def _counted_run(f, scn, eps):
         return wrapper
 
     def recorded_search(*args, **kwargs):
-        searches.append(search(*args, **kwargs))
-        return searches[-1]
+        # the scales the search itself measured, before approximate adds any
+        n, history = search(*args, **kwargs)
+        searches.append((n, [(k, s.error) for k, s in history.scales.items()]))
+        return n, history
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "convolve", counted("convolve", convolve))
@@ -153,6 +156,108 @@ def test_stage2_scans_scales_beyond_history(schwartz_scn):
     direct = weighted_seminorm(sf_sub(f_tilde, smoothed), scn.family, idx,
                                scn.seminorm("sup"))
     assert ledger.stage2_measured == direct.value
+
+
+def _recorded_run(f, scn, eps):
+    """approximate, recording f_tilde, g, the smoothed functions regularize
+    returned, the convolutions that evaluated f_tilde at shifted points and
+    how often each convolution was evaluated."""
+    seen = {}
+    open_convs, through, evaluations, regularized = [], {}, Counter(), []
+    localize = pipeline.finite_rank_c0_approx
+
+    def cut_off(*args, **kwargs):
+        f_tilde, report = apply_cutoff(*args, **kwargs)
+        plain = f_tilde.deriv_multi
+
+        def deriv_multi(betas, pts):
+            if open_convs:
+                through[id(open_convs[-1])] = open_convs[-1]
+            return plain(betas, pts)
+
+        f_tilde.deriv_multi = deriv_multi
+        seen["f_tilde"] = f_tilde
+        return f_tilde, report
+
+    def tracked_convolve(*args, **kwargs):
+        conv = convolve(*args, **kwargs)
+        plain = conv.deriv_multi
+
+        def deriv_multi(betas, pts):
+            evaluations[id(conv)] += 1
+            open_convs.append(conv)
+            try:
+                return plain(betas, pts)
+            finally:
+                open_convs.pop()
+
+        conv.deriv_multi = deriv_multi
+        return conv
+
+    def tracked_regularize(*args, **kwargs):
+        regularized.append(regularize(*args, **kwargs))
+        return regularized[-1]
+
+    def recorded_localize(*args, **kwargs):
+        seen["g"], report = localize(*args, **kwargs)
+        return seen["g"], report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "apply_cutoff", cut_off)
+        mp.setattr(pipeline, "finite_rank_c0_approx", recorded_localize)
+        for module in (pipeline, mollify):
+            mp.setattr(module, "convolve", tracked_convolve)
+            mp.setattr(module, "regularize", tracked_regularize)
+        _, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", eps)
+    return ledger, seen, regularized, through, evaluations
+
+
+@pytest.fixture(scope="module")
+def recorded_runs(schwartz_scn):
+    # eps 0.2 on the shipped scenario, and eps 0.1 with an omega tight around
+    # V, which forces N1 > N0 so that approximate measures scales itself
+    scn, f = schwartz_scn
+    V = _cut_off(f, scn, WeightIndex(1, 1), 0.1).support_region().inflate(
+        scn.domain.spacing())
+    tight = replace(scn, omega=V.inflate(0.3))
+    return {"shipped": (scn, _recorded_run(f, scn, 0.2)),
+            "tight": (tight, _recorded_run(f, tight, 0.1))}
+
+
+@pytest.mark.parametrize("run", ["shipped", "tight"])
+def test_stage3_equals_direct_scan(recorded_runs, run):
+    # stage 3 read by linearity from f_tilde * rho and g * rho matches the
+    # scan of the convolved difference
+    scn, (ledger, seen, _, _, _) = recorded_runs[run]
+    rho = build_mollifier(1, ledger.N2, scn.quad).as_sampled()
+    direct = weighted_seminorm(
+        convolve(sf_sub(seen["f_tilde"], seen["g"].sampled), rho, scn.quad, side="g"),
+        scn.family, WeightIndex(1, 1), scn.seminorm("sup"), grid=scn.domain)
+    assert ledger.stage3_measured == pytest.approx(direct.value, rel=1e-12, abs=0.0)
+    assert ledger.stage3_measured > 0.0
+
+
+@pytest.mark.parametrize("run", ["shipped", "tight"])
+def test_f_tilde_convolved_once_per_stage2_scale(recorded_runs, run):
+    # f_tilde reaches shifted points only through the smoothed functions of
+    # the scales stage 2 measures, each evaluated once; stage 3 convolves
+    # nothing of it
+    _, (ledger, _, regularized, through, evaluations) = recorded_runs[run]
+    assert set(through) == {id(s) for s in regularized}
+    assert all(evaluations[key] == 1 for key in through)
+    assert regularized[-1].name.endswith(f"(rho_{ledger.N2})")
+    if run == "tight":
+        assert ledger.N1 > ledger.N0
+
+
+def test_verify_rejects_refine_below_one(counted_runs, schwartz_scn):
+    # refine 0 or -1 would collapse the fine grid to one point per axis
+    scn, f = schwartz_scn
+    result, ledger, _, _ = counted_runs[0.2]
+    for refine in (0, -1):
+        with pytest.raises(ValueError, match="refine"):
+            verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup",
+                          refine=refine)
 
 
 def test_verify_measures_given_result(counted_runs, schwartz_scn):
