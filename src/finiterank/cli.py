@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .errors import (ConfigError, ConvergenceError, CoverDefectError,
                      CriterionError, FiniteRankError, GeometryError,
                      QuadratureError, ResolutionError)
-from .funcmodel import sf_sub
-from .mollify import regularize
+from .mollify import RegularizationHistory, regularize
 from .pipeline import approximate, ledger_float, verify_ledger
 from .scenarios import load_scenario, _region_from_cfg
-from .seminorms import weighted_seminorm
 from .tensorapprox import finite_rank_c0_approx
 from .weights import (WeightIndex, check_directed, check_locally_bounded,
                       check_locally_bounded_away_from_zero, check_vanishing_ratio)
@@ -39,6 +38,17 @@ def _refine_factor(text: str) -> int:
     return factor
 
 
+def _eps_list(text: str) -> list[float]:
+    try:
+        eps_list = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
+    bad = [eps for eps in eps_list if not (0 < eps < math.inf)]
+    if bad:
+        raise argparse.ArgumentTypeError(f"every tolerance must be finite and > 0, got {bad}")
+    return eps_list
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="finiterank")
     sub = p.add_subparsers(dest="command", required=True)
@@ -46,8 +56,8 @@ def _parser() -> argparse.ArgumentParser:
         c = sub.add_parser(name)
         c.add_argument("--scenario", required=True,
                        help="config path or registry name")
-        c.add_argument("--eps", default="0.1",
-                       help="comma-separated tolerance list")
+        c.add_argument("--eps", type=_eps_list, default="0.1",
+                       help="comma-separated tolerance list (each finite, > 0)")
         c.add_argument("--j", type=int, default=1)
         c.add_argument("--l", type=int, default=0)
         c.add_argument("--alpha", default="sup")
@@ -119,11 +129,10 @@ def cmd_approximate(args) -> int:
     if f is None:
         raise ConfigError("scenario declares no function")
     idx = WeightIndex(args.j, args.l)
-    eps_list = [float(tok) for tok in str(args.eps).split(",") if tok]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     all_certified = True
-    for eps in eps_list:
+    for eps in args.eps:
         result, ledger = approximate(f, scn, idx, args.alpha, eps)
         verification = verify_ledger(result, ledger, f, scn, idx, args.alpha,
                                      refine=args.refine)
@@ -165,18 +174,17 @@ def cmd_convergence(args) -> int:
     delta = scn.delta_rule(idx)
     f_c, _ = apply_cutoff(f, scn.family, idx, alpha, 1e-3, delta,
                           scn.domain, scn.quad)
+    history = RegularizationHistory(f_c, scn.family, idx, alpha)
     rows = ["n,seminorm_error"]
     n = 2
     while n <= min(scn.n_max, 32):
-        smooth = regularize(f_c, n, scn.quad)
-        err = weighted_seminorm(sf_sub(f_c, smooth), scn.family, idx, alpha)
-        rows.append(f"{n},{ledger_float(err.value)!r}")
+        err = history.measure(n, regularize(f_c, n, scn.quad))
+        rows.append(f"{n},{ledger_float(err)!r}")
         n *= 2
     (out / "convergence.csv").write_text("\n".join(rows) + "\n")
 
-    eps_list = [float(tok) for tok in str(args.eps).split(",") if tok]
     rank_rows = ["eps,rank"]
-    for eps in sorted(eps_list, reverse=True):
+    for eps in sorted(args.eps, reverse=True):
         _, report = finite_rank_c0_approx(
             f, scn.family, args.j, alpha, eps, scn.domain, scn.quad)
         rank_rows.append(f"{eps!r},{report.rank}")

@@ -20,12 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeometryError, OrderError
-from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, mi_order,
-                        mi_sub, multiindex_binom, multiindices, product_rule_apply,
-                        sf_sub, submultiindices)
+from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, mi_order, mi_sub,
+                        multiindex_binom, multiindices, product_rule_apply, submultiindices)
 from .geometry import Box, Region
 from .mollify import SMOOTH_ORDER, QuadratureSpec, build_mollifier
-from .seminorms import SeminormValue, find_tail_compact, tail_seminorm, weighted_seminorm
+# weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
+from .seminorms import (SeminormValue, difference_seminorm, find_tail_compact,  # noqa: F401
+                        tail_seminorm, weighted_seminorm)
 from .weights import WeightFamily, WeightIndex
 
 
@@ -172,8 +173,7 @@ def build_cutoff(K: Region, delta: float, l: int, quad: QuadratureSpec,
 
     # the axis kernels are 1D and cheap; use a generous node count even when
     # the scenario's (d-dimensional) convolution quadrature is coarse
-    kq = QuadratureSpec(rule="midpoint",
-                        points_per_axis=max(64, quad.points_per_axis),
+    kq = QuadratureSpec(points_per_axis=max(64, quad.points_per_axis),
                         refinement_levels=max(1, quad.refinement_levels),
                         tol=quad.tol)
     scale = int(np.ceil(4.0 / delta))
@@ -311,7 +311,7 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
 
     f_tilde = multiply_cutoff(cut, f)
     tail = tail_seminorm(f, K, fam, idx, alpha)
-    measured = weighted_seminorm(sf_sub(f, f_tilde), fam, idx, alpha)
+    measured = difference_seminorm(f, f_tilde, fam, idx, alpha)
     report = CutoffReport(
         delta=delta, K=K, Cbeta_table=cut.Cbeta_table, C_l_delta=C_final,
         tail=tail, measured=measured,

@@ -75,11 +75,22 @@ class SeminormIndex:
     kind 'sup_all': max |v_q| over all coordinates.
     kind 'sup_subset': max |v_q| over the declared coordinate subset.
     kind 'weighted_sup': max w_q |v_q| with declared positive weights.
+    A zero or negative weight would make every difference measure 0.
     """
 
     kind: str = "sup_all"
     subset: tuple[int, ...] = ()
     coord_weights: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in ("sup_all", "sup_subset", "weighted_sup"):
+            raise ValueError(f"unknown seminorm kind {self.kind!r}")
+        if self.kind == "sup_subset" and (not self.subset or min(self.subset) < 0):
+            raise ValueError(f"sup_subset needs coordinate indices >= 0, got {self.subset}")
+        if self.kind == "weighted_sup" and not (
+                self.coord_weights
+                and all(math.isfinite(w) and w > 0 for w in self.coord_weights)):
+            raise ValueError(f"weighted_sup needs finite weights > 0, got {self.coord_weights}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         vals = np.atleast_2d(values)
@@ -87,10 +98,7 @@ class SeminormIndex:
             return np.max(np.abs(vals), axis=1)
         if self.kind == "sup_subset":
             return np.max(np.abs(vals[:, list(self.subset)]), axis=1)
-        if self.kind == "weighted_sup":
-            w = np.asarray(self.coord_weights)
-            return np.max(np.abs(vals) * w, axis=1)
-        raise ValueError(f"unknown seminorm kind {self.kind}")
+        return np.max(np.abs(vals) * np.asarray(self.coord_weights), axis=1)
 
     def __call__(self, value: np.ndarray) -> float:
         return float(self.apply(np.atleast_2d(value))[0])
@@ -259,31 +267,6 @@ def sf_zero(domain: Region, value_dim: int, order: int = 6) -> SampledFunction:
         support=Region.empty(domain.d),
         name="zero",
     )
-
-
-def sf_sub(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """Pointwise difference with derivative pass-through (measurement helper)."""
-    if f.value_dim != g.value_dim:
-        raise ValueError("value dimensions differ")
-    support = None
-    if f.support is not None and g.support is not None:
-        support = Region(tuple(f.support.boxes + g.support.boxes), f.domain.points_per_axis)
-
-    diff = SampledFunction(
-        domain=f.domain,
-        order=min(f.order, g.order),
-        value_dim=f.value_dim,
-        evaluator=lambda pts: f.eval_extended(pts) - g.eval_extended(pts),
-        derivative=lambda beta, pts: f.deriv_extended(beta, pts) - g.deriv_extended(beta, pts),
-        support=support,
-        name=f"({f.name})-({g.name})",
-    )
-
-    def deriv_multi(betas, pts):
-        return f_multi_ext(f, betas, pts) - f_multi_ext(g, betas, pts)
-
-    diff.deriv_multi = deriv_multi
-    return diff
 
 
 def f_multi_ext(f: SampledFunction, betas, points) -> np.ndarray:

@@ -36,7 +36,6 @@ CHUNK_POINTS = 2048
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rule: str = "midpoint"
     points_per_axis: int = 64
     refinement_levels: int = 2
     tol: float = 1e-6
@@ -55,22 +54,14 @@ class QuadratureSpec:
         return self.level_points(self.refinement_levels)
 
 
-def box_nodes(box: Box, points_per_axis: int, rule: str = "midpoint"):
-    """Tensor nodes and weights on a closed box, deterministic order."""
+def box_nodes(box: Box, points_per_axis: int):
+    """Tensor midpoint nodes and weights on a closed box, deterministic order."""
     axes = []
     wts = []
     for lo, hi in zip(box.lo, box.hi):
-        width = hi - lo
-        if rule == "midpoint":
-            h = width / points_per_axis
-            axes.append(lo + (np.arange(points_per_axis) + 0.5) * h)
-            wts.append(np.full(points_per_axis, h))
-        elif rule == "gauss":
-            u, w = np.polynomial.legendre.leggauss(points_per_axis)
-            axes.append(lo + 0.5 * width * (u + 1.0))
-            wts.append(0.5 * width * w)
-        else:
-            raise ValueError(f"unknown quadrature rule {rule!r}")
+        h = (hi - lo) / points_per_axis
+        axes.append(lo + (np.arange(points_per_axis) + 0.5) * h)
+        wts.append(np.full(points_per_axis, h))
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     wmesh = np.meshgrid(*wts, indexing="ij")
@@ -80,11 +71,11 @@ def box_nodes(box: Box, points_per_axis: int, rule: str = "midpoint"):
     return nodes, weights
 
 
-def region_nodes(region: Region, points_per_axis: int, rule: str = "midpoint"):
+def region_nodes(region: Region, points_per_axis: int):
     nodes = []
     weights = []
     for b in region.boxes:
-        n, w = box_nodes(b, points_per_axis, rule)
+        n, w = box_nodes(b, points_per_axis)
         nodes.append(n)
         weights.append(w)
     if not nodes:
@@ -136,7 +127,7 @@ def _normalization(d: int, quad: QuadratureSpec) -> float:
     Refines at least `refinement_levels` times and then keeps doubling until
     successive levels differ by less than tol (or a hard node cap is hit).
     """
-    key = (d, quad.rule, quad.points_per_axis, quad.refinement_levels, quad.tol)
+    key = (d, quad.points_per_axis, quad.refinement_levels, quad.tol)
     if key not in _norm_cache:
         box = Box((-1.0,) * d, (1.0,) * d)
         cap = 4096 if d == 1 else 1024
@@ -144,7 +135,7 @@ def _normalization(d: int, quad: QuadratureSpec) -> float:
         points = quad.points_per_axis
         level = 0
         while True:
-            nodes, weights = box_nodes(box, points, quad.rule)
+            nodes, weights = box_nodes(box, points)
             masses.append(float(np.dot(weights, bump_profile(nodes))))
             converged = (level >= max(quad.refinement_levels, 1)
                          and abs(masses[-1] - masses[-2]) < quad.tol)
@@ -209,7 +200,7 @@ class Mollifier:
         """integral of |d^beta rho_n| via quadrature over the support."""
         nodes, weights = box_nodes(
             Box((-self.radius,) * self.d, (self.radius,) * self.d),
-            self.quad.finest_points, self.quad.rule)
+            self.quad.finest_points)
         return float(np.dot(weights, np.abs(self.deriv(beta, nodes))))
 
 
@@ -219,7 +210,7 @@ def build_mollifier(d: int, n: int, quad: QuadratureSpec) -> Mollifier:
     moll = Mollifier(d=d, n=n, normC=_normalization(d, quad), quad=quad)
     # generic-path mass check over the support of rho_n
     nodes, weights = box_nodes(Box((-moll.radius,) * d, (moll.radius,) * d),
-                               quad.finest_points, quad.rule)
+                               quad.finest_points)
     moll.mass_check = float(np.dot(weights, moll.value(nodes)))
     if abs(moll.mass_check - 1.0) >= quad.tol:
         raise QuadratureError(f"mollifier mass check failed: {moll.mass_check}")
@@ -258,7 +249,7 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
     if nodes_region.is_empty:
         return sf_zero(f.domain, f.value_dim, order=max(f.order, g.order))
 
-    nodes, weights = region_nodes(nodes_region, quad.finest_points, quad.rule)
+    nodes, weights = region_nodes(nodes_region, quad.finest_points)
     m = f.value_dim
 
     if side == "g":

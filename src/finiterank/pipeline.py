@@ -30,13 +30,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cutoff import apply_cutoff
-from .errors import FiniteRankError, GeometryError
-from .funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
-                        multiindices, sf_sub)
+from .errors import ConfigError, FiniteRankError, GeometryError
+from .funcmodel import FiniteRankFunction, SampledFunction, SeminormIndex, multiindices
 from .geometry import Region
 from .mollify import (QuadratureSpec, build_mollifier, convolve,
                       find_regularization_order, regularize)
-from .seminorms import jet_seminorm, sample_jet, weighted_seminorm
+# weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
+from .seminorms import difference_seminorm, jet_seminorm, sample_jet, weighted_seminorm  # noqa: F401
 from .tensorapprox import finite_rank_c0_approx
 from .weights import (WeightFamily, WeightIndex,
                       check_locally_bounded_away_from_zero)
@@ -72,7 +72,7 @@ class Scenario:
 
     def seminorm(self, name: str) -> SeminormIndex:
         if name not in self.seminorms:
-            raise KeyError(f"scenario has no seminorm named {name!r}")
+            raise ConfigError(f"scenario has no seminorm named {name!r}")
         return self.seminorms[name]
 
 
@@ -183,8 +183,8 @@ def _domain_fit_scale(V: Region, domain: Region, n_max: int) -> int:
 def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
                 alpha_name: str, eps: float) -> tuple[FiniteRankFunction, ErrorLedger]:
     """Run the three-stage pipeline; returns the finite-rank result and ledger."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (0 < eps < np.inf):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if idx.l > f.order:
         raise FiniteRankError("weight order exceeds the function's order")
     alpha = scn.seminorm(alpha_name)
@@ -303,8 +303,7 @@ def verify_ledger(result: FiniteRankFunction, ledger: ErrorLedger,
     alpha = scn.seminorm(alpha_name)
     fam = scn.family
     fine = scn.domain.refine(refine)
-    refined_total = weighted_seminorm(sf_sub(f, result.sampled), fam, idx, alpha,
-                                      grid=fine)
+    refined_total = difference_seminorm(f, result.sampled, fam, idx, alpha, grid=fine)
     cap = ledger.C1 * ledger.C2 * ledger.C3 * ledger.tensor_measured \
         + 10.0 * scn.quad.tol
     domination_ok = ledger.stage3_measured <= cap

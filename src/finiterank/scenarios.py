@@ -64,19 +64,22 @@ def _family_from_cfg(cfg: dict, domain: Region) -> WeightFamily:
 
 
 def _seminorms_from_cfg(cfg: dict) -> dict[str, SeminormIndex]:
-    out = {}
-    for name, spec in cfg.items():
-        kind = spec.get("kind", "sup_all")
-        if kind == "sup_all":
-            out[name] = SeminormIndex("sup_all")
-        elif kind == "sup_subset":
-            out[name] = SeminormIndex("sup_subset", subset=tuple(spec["subset"]))
-        elif kind == "weighted_sup":
-            out[name] = SeminormIndex("weighted_sup",
-                                      coord_weights=tuple(spec["coord_weights"]))
-        else:
-            raise ConfigError(f"unknown seminorm kind {kind!r}")
-    return out
+    # SeminormIndex rejects an unknown kind and a degenerate subset or weight
+    return {name: SeminormIndex(spec.get("kind", "sup_all"),
+                                subset=tuple(map(int, spec.get("subset", ()))),
+                                coord_weights=tuple(map(float, spec.get("coord_weights", ()))))
+            for name, spec in cfg.items()}
+
+
+def _check_value_dim(seminorms: dict[str, SeminormIndex], m: int) -> None:
+    """Every subset index and coordinate weight names one of f's m coordinates."""
+    for name, alpha in seminorms.items():
+        if alpha.kind == "sup_subset" and max(alpha.subset) >= m:
+            raise ConfigError(f"seminorm {name!r} selects coordinate {max(alpha.subset)} "
+                              f"of a function with {m}")
+        if alpha.kind == "weighted_sup" and len(alpha.coord_weights) != m:
+            raise ConfigError(f"seminorm {name!r} has {len(alpha.coord_weights)} weights "
+                              f"for {m} coordinates")
 
 
 def _delta_rule_from_cfg(cfg: dict, fam: WeightFamily, domain: Region):
@@ -110,8 +113,9 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
         fam = _family_from_cfg(cfg["family"], domain)
         seminorms = _seminorms_from_cfg(cfg.get("seminorms", {"sup": {"kind": "sup_all"}}))
         quad_cfg = cfg.get("quad", {})
+        if quad_cfg.get("rule", "midpoint") != "midpoint":
+            raise ConfigError(f"unknown quadrature rule {quad_cfg['rule']!r}")
         quad = QuadratureSpec(
-            rule=quad_cfg.get("rule", "midpoint"),
             points_per_axis=int(quad_cfg.get("points_per_axis", 64)),
             refinement_levels=int(quad_cfg.get("refinement_levels", 2)),
             tol=float(quad_cfg.get("tol", 1e-6)),
@@ -131,9 +135,13 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
             config=cfg,
         )
         f = _function_from_cfg(cfg["function"], domain, order) if "function" in cfg else None
+        if f is not None:
+            _check_value_dim(seminorms, f.value_dim)
         return scn, f
     except KeyError as exc:
         raise ConfigError(f"scenario config missing key {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_scenario(source: str | Path, grid_override: Optional[int] = None

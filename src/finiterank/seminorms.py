@@ -94,6 +94,17 @@ def weighted_seminorm(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     return jet_seminorm(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha, f.name)
 
 
+def difference_seminorm(f: SampledFunction, g: SampledFunction, fam: WeightFamily,
+                        idx: WeightIndex, alpha: SeminormIndex,
+                        grid: Optional[Region] = None) -> SeminormValue:
+    """weighted_seminorm of f - g, read as one sampled jet minus the other."""
+    region = grid if grid is not None else f.domain
+    pts = region.grid_points()
+    diff = sample_jet(f, idx, pts) - sample_jet(g, idx, pts)
+    return jet_seminorm(diff, pts, [f.support, g.support], fam, idx, alpha,
+                        f"({f.name})-({g.name})")
+
+
 def tail_seminorm(f: SampledFunction, K: Region, fam: WeightFamily, idx: WeightIndex,
                   alpha: SeminormIndex, grid: Optional[Region] = None) -> SeminormValue:
     """Same sup restricted to grid points outside K."""

@@ -15,12 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import CoverDefectError, GeometryError, ResolutionError
-from .funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
-                        sf_sub, sf_zero)
+from .funcmodel import FiniteRankFunction, SampledFunction, SeminormIndex, sf_zero
 from .geometry import Region
 from .mollify import QuadratureSpec
 from .cutoff import build_cutoff
-from .seminorms import SeminormValue, find_tail_compact, weighted_seminorm
+from .seminorms import SeminormValue, difference_seminorm, find_tail_compact, weighted_seminorm
 from .weights import WeightFamily, WeightIndex
 
 
@@ -301,7 +300,7 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     cover = oscillation_cover(f, K, fam, j, alpha, eps,
                               cover_margin=margin, extra_points=dom_pts[near])
     g = partition_sum(cover, K, quad, f.domain)
-    measured = weighted_seminorm(sf_sub(f, g.sampled), fam, idx, alpha)
+    measured = difference_seminorm(f, g.sampled, fam, idx, alpha)
     report = LocalizationReport(
         n_centers=cover.n_centers,
         rank=g.rank,

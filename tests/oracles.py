@@ -5,11 +5,15 @@ Simpson instead of tensor midpoint, bisection on closed forms instead of box
 scans, and Richardson-checked central differences instead of the analytic
 providers. The dense partition formulas are the all-pairs reference for
 the package's sparse bump evaluation, and the per-node convolution loop is
-the reference for the node-batched one.
+the reference for the node-batched one. The package measures differences
+as one sampled jet minus another; difference_function builds f - g as one
+function instead, for the tests that need to convolve it.
 """
 
 import numpy as np
 
+from finiterank.funcmodel import SampledFunction
+from finiterank.geometry import Region
 from finiterank.mollify import region_nodes
 from finiterank.seminorms import weighted_seminorm
 
@@ -47,6 +51,16 @@ def bisect_root(g, lo, hi, iters=80):
 def dense_rescan(f, fam, idx, alpha, factor=10):
     """Seminorm re-scan on a grid refined by the given factor."""
     return weighted_seminorm(f, fam, idx, alpha, grid=f.domain.refine(factor))
+
+
+def difference_function(f, g):
+    """f - g, both zero-extended outside their supports: an evaluator only,
+    supported on both supports' boxes."""
+    return SampledFunction(
+        domain=f.domain, order=0, value_dim=f.value_dim,
+        evaluator=lambda pts: f.eval_extended(pts) - g.eval_extended(pts),
+        support=Region(f.support.boxes + g.support.boxes, f.domain.points_per_axis),
+        name=f"({f.name})-({g.name})")
 
 
 def richardson_central(f, x, h):
@@ -96,7 +110,7 @@ def convolve_per_node(f, g, quad, betas, points):
     One call of f per live quadrature node at the points shifted by it, each
     node's term added in node order.
     """
-    nodes, weights = region_nodes(g.support, quad.finest_points, quad.rule)
+    nodes, weights = region_nodes(g.support, quad.finest_points)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     coeffs = np.stack([
         weights * (g.eval_extended(nodes) if sum(b) == 0

@@ -12,15 +12,14 @@ import pytest
 import finiterank as fr
 from finiterank.cutoff import apply_cutoff
 from finiterank.expressions import builtin_function, expr_function_from_strings
-from finiterank.funcmodel import (sf_from_expr_function, sf_sub,
-                                  support_estimate)
+from finiterank.funcmodel import sf_from_expr_function, support_estimate
 from finiterank.geometry import Region
 from finiterank.mollify import (QuadratureSpec, build_mollifier,
                                 commutativity_check, convolve,
                                 derivative_transfer_check, regularize)
 from finiterank.pipeline import approximate, verify_ledger
 from finiterank.scenarios import load_scenario, _region_from_cfg
-from finiterank.seminorms import weighted_seminorm
+from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.tensorapprox import (build_partition, finite_rank_c0_approx,
                                      oscillation_cover)
 from finiterank.weights import (WeightIndex, check_directed, check_locally_bounded,
@@ -101,8 +100,8 @@ def test_criterion_3_regularization_convergence(domain_1d, schwartz_fam, sup_alp
         errors = []
         for n in (2, 4, 8, 16, 32):
             smoothed = regularize(ft, n, quad)
-            errors.append(weighted_seminorm(sf_sub(ft, smoothed), schwartz_fam,
-                                            idx, sup_alpha).value)
+            errors.append(difference_seminorm(ft, smoothed, schwartz_fam,
+                                              idx, sup_alpha).value)
         ok &= all(a > b for a, b in zip(errors, errors[1:]))
         ok &= errors[-1] < 1e-2
         final[l] = errors[-1]
@@ -128,7 +127,7 @@ def test_criterion_4_cutoff_bound(domain_1d, schwartz_fam, sup_alpha, quad):
         idx = WeightIndex(1, l)
         ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
                                domain_1d, quad)
-        measured = weighted_seminorm(sf_sub(f, ft), schwartz_fam, idx, sup_alpha)
+        measured = difference_seminorm(f, ft, schwartz_fam, idx, sup_alpha)
         slack = (1 + rep.C_l_delta) * rep.tail.value + 1e-10 - measured.value
         worst_slack = max(worst_slack, -slack)
         ok &= slack >= 0.0

@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from finiterank.cli import main
+from finiterank.scenarios import load_scenario
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(args):
@@ -77,6 +80,65 @@ def test_approximate_rejects_refine_below_one(tmp_path, refine):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("eps", ["-0.1", "abc", ",", "inf", "nan", "0"])
+def test_approximate_rejects_bad_eps(tmp_path, eps):
+    # each used to crash with exit 1 ("uncertified"), exit 4, or exit 0
+    # with nothing written or an infinite tolerance "certified"
+    code = run(["approximate", "--scenario", "schwartz_1d", f"--eps={eps}",
+                "--j", "1", "--l", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert not list(tmp_path.glob("*"))
+
+
+def test_approximate_rejects_unknown_alpha(tmp_path, capsys):
+    code = run(["approximate", "--scenario", "schwartz_1d", "--eps", "0.2",
+                "--j", "1", "--l", "1", "--alpha", "nope", "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def _schwartz_cfg(tmp_path, **changes):
+    """schwartz_1d's config (8 value coordinates) with entries replaced."""
+    scn, _ = load_scenario("schwartz_1d")
+    cfg = dict(scn.config, **changes)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "weighted_sup", "coord_weights": [0.0]},
+    {"kind": "weighted_sup", "coord_weights": [-1.0]},
+    {"kind": "weighted_sup", "coord_weights": [1.0, 1.0]},
+    {"kind": "weighted_sup", "coord_weights": [1.0] * 7 + [float("inf")]},
+    {"kind": "sup_subset", "subset": []},
+    {"kind": "sup_subset", "subset": [8]},
+    {"kind": "sup_subset", "subset": [-1]},
+    {"kind": "sup_max"},
+], ids=["weight0", "weight-1", "two_weights", "weight_inf", "empty_subset",
+        "subset8", "subset-1", "unknown_kind"])
+def test_approximate_rejects_bad_seminorm(tmp_path, capsys, spec):
+    # a zero or negative weight used to certify anything (total 0 or -0);
+    # the others crashed inside numpy with exit 1
+    path = _schwartz_cfg(tmp_path, seminorms={"sup": spec})
+    out = tmp_path / "out"
+    code = run(["approximate", "--scenario", str(path), "--eps", "0.1",
+                "--j", "1", "--l", "1", "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not list(out.glob("ledger_*"))
+
+
+def test_quadrature_rule_must_be_midpoint(tmp_path, capsys):
+    scn, _ = load_scenario("schwartz_1d")
+    assert scn.config["quad"]["rule"] == "midpoint"
+    path = _schwartz_cfg(tmp_path, quad=dict(scn.config["quad"], rule="gauss"))
+    code = run(["check-weights", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown quadrature rule 'gauss'" in capsys.readouterr().err
+
+
 def test_approximate_certified_and_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -118,6 +180,8 @@ def test_convergence_outputs(tmp_path):
     assert rows[0] == "n,seminorm_error"
     errs = [float(r.split(",")[1]) for r in rows[1:]]
     assert all(a > b for a, b in zip(errs, errs[1:]))
+    assert (tmp_path / "convergence.csv").read_bytes() == (
+        FIXTURES / "convergence_schwartz_j1_l1_eps0p4_0p2.csv").read_bytes()
     rank_rows = (tmp_path / "rank_vs_eps.csv").read_text().splitlines()
     pairs = [(float(r.split(",")[0]), int(r.split(",")[1])) for r in rank_rows[1:]]
     assert _at_ledger_digits(errs + [eps for eps, _ in pairs])

@@ -7,11 +7,10 @@ from finiterank.cutoff import (_AxisProfile, apply_cutoff, build_cutoff,
 from finiterank.errors import GeometryError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import (SampledFunction, fd_derivative_oracle,
-                                  multiindices, sf_from_expr_function, sf_sub,
-                                  sf_zero)
+                                  multiindices, sf_from_expr_function, sf_zero)
 from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier
-from finiterank.seminorms import weighted_seminorm
+from finiterank.seminorms import difference_seminorm
 from finiterank.weights import WeightIndex
 import expected
 
@@ -164,7 +163,7 @@ def test_apply_cutoff_bound_randomized(domain_1d, schwartz_fam, sup_alpha, quad,
         idx = WeightIndex(1, l)
         ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
                                domain_1d, quad)
-        measured = weighted_seminorm(sf_sub(f, ft), schwartz_fam, idx, sup_alpha)
+        measured = difference_seminorm(f, ft, schwartz_fam, idx, sup_alpha)
         bound = (1 + cutoff_constant_from_report(rep)) * rep.tail.value
         assert measured.value <= bound + 1e-10
         assert measured.value == rep.measured.value

@@ -165,6 +165,22 @@ def test_seminorm_axioms_randomized(rng):
             assert alpha(v + w) <= alpha(v) + alpha(w) + 1e-12
 
 
+@pytest.mark.parametrize("kind, kwargs", [
+    ("sup_max", {}),
+    ("sup_subset", {"subset": ()}),
+    ("sup_subset", {"subset": (0, -1)}),
+    ("weighted_sup", {"coord_weights": ()}),
+    ("weighted_sup", {"coord_weights": (1.0, 0.0)}),
+    ("weighted_sup", {"coord_weights": (-1.0,)}),
+    ("weighted_sup", {"coord_weights": (1.0, float("nan"))}),
+    ("weighted_sup", {"coord_weights": (float("inf"),)}),
+])
+def test_seminorm_index_rejects_degenerate_declarations(kind, kwargs):
+    # a zero or negative weight would measure every difference as 0 or less
+    with pytest.raises(ValueError):
+        SeminormIndex(kind, **kwargs)
+
+
 def test_support_estimate_bump(quad):
     moll = fr.build_mollifier(1, 1, quad)
     dom = Region.box([-2.0], [2.0], 401)

@@ -4,14 +4,14 @@ import pytest
 import finiterank as fr
 from finiterank.errors import ConvergenceError
 from finiterank.expressions import builtin_function, expr_function_from_strings
-from finiterank.funcmodel import (SampledFunction, sf_from_expr_function, sf_sub,
-                                  sf_zero, support_estimate)
+from finiterank.funcmodel import (SampledFunction, sf_from_expr_function, sf_zero,
+                                  support_estimate)
 from finiterank.geometry import Region
 from finiterank.mollify import (QuadratureSpec, build_mollifier,
                                 commutativity_check, convolve,
                                 derivative_transfer_check,
                                 find_regularization_order, regularize)
-from finiterank.seminorms import weighted_seminorm
+from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
 from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from finiterank import mollify
@@ -241,8 +241,8 @@ def test_regularize_sup_error_monotone(quad, domain_1d, schwartz_fam, sup_alpha,
     errors = []
     for n in (2, 4, 8, 16):
         sm = regularize(ft, n, quad)
-        errors.append(weighted_seminorm(sf_sub(ft, sm), schwartz_fam,
-                                        WeightIndex(1, 0), sup_alpha).value)
+        errors.append(difference_seminorm(ft, sm, schwartz_fam,
+                                          WeightIndex(1, 0), sup_alpha).value)
     assert all(a > b for a, b in zip(errors, errors[1:]))
 
 

@@ -8,14 +8,15 @@ import pytest
 from finiterank import mollify, pipeline
 from finiterank.cutoff import apply_cutoff
 from finiterank.errors import ResolutionError
-from finiterank.funcmodel import FiniteRankFunction, SampledFunction, sf_sub, sf_zero
+from finiterank.funcmodel import FiniteRankFunction, SampledFunction, sf_zero
 from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier, convolve, regularize
 from finiterank.pipeline import (ErrorLedger, VerificationReport, approximate,
                                  verify_ledger)
 from finiterank.scenarios import load_scenario
-from finiterank.seminorms import weighted_seminorm
+from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
+from oracles import difference_function
 import expected
 
 
@@ -153,9 +154,27 @@ def test_stage2_scans_scales_beyond_history(schwartz_scn):
     assert calls["regularize"] == len(fresh) > 0
     f_tilde = _cut_off(f, tight, idx, eps)
     smoothed = regularize(f_tilde, ledger.N2, scn.quad)
-    direct = weighted_seminorm(sf_sub(f_tilde, smoothed), scn.family, idx,
-                               scn.seminorm("sup"))
+    direct = difference_seminorm(f_tilde, smoothed, scn.family, idx, scn.seminorm("sup"))
     assert ledger.stage2_measured == direct.value
+
+
+def test_no_scan_tests_a_union_of_supports(schwartz_scn):
+    # each difference is measured as one sampled jet minus another, so no
+    # support test sees two functions' supports joined into one region
+    scn, f = schwartz_scn
+    idx = WeightIndex(1, 1)
+    boxes = []
+    contains = Region.contains
+
+    def counted(region, points, *args, **kwargs):
+        boxes.append(len(region.boxes))
+        return contains(region, points, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Region, "contains", counted)
+        result, ledger = approximate(f, scn, idx, "sup", 0.2)
+        verify_ledger(result, ledger, f, scn, idx, "sup", refine=2)
+    assert boxes and max(boxes) == 1
 
 
 def _recorded_run(f, scn, eps):
@@ -231,7 +250,8 @@ def test_stage3_equals_direct_scan(recorded_runs, run):
     scn, (ledger, seen, _, _, _) = recorded_runs[run]
     rho = build_mollifier(1, ledger.N2, scn.quad).as_sampled()
     direct = weighted_seminorm(
-        convolve(sf_sub(seen["f_tilde"], seen["g"].sampled), rho, scn.quad, side="g"),
+        convolve(difference_function(seen["f_tilde"], seen["g"].sampled), rho, scn.quad,
+                 side="g"),
         scn.family, WeightIndex(1, 1), scn.seminorm("sup"), grid=scn.domain)
     assert ledger.stage3_measured == pytest.approx(direct.value, rel=1e-12, abs=0.0)
     assert ledger.stage3_measured > 0.0
