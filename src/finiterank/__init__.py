@@ -8,7 +8,7 @@ from .geometry import Box, Region
 from .mollify import (Mollifier, QuadratureSpec, build_mollifier,
                       commutativity_check, convolve, derivative_transfer_check,
                       find_regularization_order, regularize)
-from .cutoff import CutoffFunction, apply_cutoff, build_cutoff, cutoff_constant
+from .cutoff import apply_cutoff, build_cutoff, cutoff_constant, measure_cbeta
 from .pipeline import ErrorLedger, Scenario, approximate, verify_ledger
 from .seminorms import (SeminormValue, difference_seminorm, find_tail_compact,
                         tail_seminorm, weighted_seminorm)

@@ -124,11 +124,23 @@ def cmd_check_weights(args) -> int:
     return EXIT_OK if ok else EXIT_CRITERION
 
 
-def cmd_approximate(args) -> int:
-    scn, f = load_scenario(args.scenario, args.grid or None)
+def _weight_index(args, scn, f) -> WeightIndex:
+    """--j and --l as a weight index, checked before anything runs."""
     if f is None:
         raise ConfigError("scenario declares no function")
-    idx = WeightIndex(args.j, args.l)
+    fam = scn.family
+    if args.j not in fam.js:
+        raise ConfigError(f"--j {args.j} is not a weight index of the family; it has {fam.js}")
+    top = min(f.order, fam.k_max)
+    if not 0 <= args.l <= top:
+        raise ConfigError(f"--l must be between 0 and {top} (the function's order and "
+                          f"the family's k_max), got {args.l}")
+    return WeightIndex(args.j, args.l)
+
+
+def cmd_approximate(args) -> int:
+    scn, f = load_scenario(args.scenario, args.grid or None)
+    idx = _weight_index(args, scn, f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     all_certified = True
@@ -162,9 +174,7 @@ def _dump_factors(path: Path, result, scn) -> None:
 
 def cmd_convergence(args) -> int:
     scn, f = load_scenario(args.scenario, args.grid or None)
-    if f is None:
-        raise ConfigError("scenario declares no function")
-    idx = WeightIndex(args.j, args.l)
+    idx = _weight_index(args, scn, f)
     alpha = scn.seminorm(args.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,14 +7,16 @@ continuum: 0 <= psi <= 1, psi = 1 on K + delta/4, supp psi inside
 K + 3 delta/4, all per axis. The discrete kernel is normalized to unit mass,
 so the plateau value is exactly 1 and is set without any quadrature.
 
-The C_beta table stores delta^|beta| * sup |d^beta psi| measured on a fixed
-dense grid, so the Hoermander-style bound |d^beta psi| <= C_beta delta^-|beta|
-holds by construction and re-measurement reproduces the table.
+build_cutoff measures nothing. measure_cbeta stores delta^|beta| * max
+|d^beta psi| over a fixed dense grid plus any pinned points, so the
+Hoermander-style bound |d^beta psi| <= C_beta delta^-|beta| holds there by
+construction and re-measurement reproduces the table. Only apply_cutoff,
+whose tail bound reads C_{l,delta}, measures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +34,10 @@ from .weights import WeightFamily, WeightIndex
 
 # ramp points per block of the window quadrature
 _RAMP_ROWS = 128
+# Gauss-Legendre nodes on the (flat-ended) overlap window: ~1e-9 relative
+# accuracy for the ramp values; the plateau is exactly 1 and skips the
+# quadrature, and derivatives are closed-form
+_WINDOW_NODES = 128
 
 
 class _AxisProfile:
@@ -46,12 +52,12 @@ class _AxisProfile:
     support, the value is exactly 1 by normalization and no quadrature runs.
     """
 
-    def __init__(self, lo: float, hi: float, delta: float, moll, count: int):
+    def __init__(self, lo: float, hi: float, delta: float, moll):
         self.a = lo - 0.5 * delta
         self.b = hi + 0.5 * delta
         self.moll = moll
         self.r = moll.radius
-        u, w = np.polynomial.legendre.leggauss(count)
+        u, w = np.polynomial.legendre.leggauss(_WINDOW_NODES)
         self._gl_u = 0.5 * (u + 1.0)
         self._gl_w = 0.5 * w
         full_nodes = -self.r + self._gl_u * 2.0 * self.r
@@ -88,8 +94,8 @@ class _AxisProfile:
 class _TensorCutoff:
     """Product of axis profiles over one box."""
 
-    def __init__(self, box: Box, delta: float, moll, count: int):
-        self.profiles = [_AxisProfile(lo, hi, delta, moll, count)
+    def __init__(self, box: Box, delta: float, moll):
+        self.profiles = [_AxisProfile(lo, hi, delta, moll)
                          for lo, hi in zip(box.lo, box.hi)]
 
     def deriv(self, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
@@ -114,9 +120,8 @@ def _product_deriv(factors, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
 class _UnionCutoff:
     """1 - prod_b (1 - psi_b); equals psi_b wherever the others vanish."""
 
-    def __init__(self, pieces: list[_TensorCutoff], d: int):
+    def __init__(self, pieces: list[_TensorCutoff]):
         self.pieces = pieces
-        self.d = d
 
     def deriv(self, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
         if len(self.pieces) == 1:
@@ -134,36 +139,9 @@ class _UnionCutoff:
         return -prod
 
 
-@dataclass
-class CutoffFunction:
-    K: Region
-    delta: float
-    psi: SampledFunction
-    Cbeta_table: dict[MultiIndex, float]
-    measure_region: Region = None
-    extra_measure_points: np.ndarray = None
-    _union: _UnionCutoff = field(default=None, repr=False)
-
-    def measure_cbeta(self) -> dict[MultiIndex, float]:
-        """Re-measure the table on the stored dense grid (plus any pinned
-        extra points, e.g. the scan grid the bound will be checked on)."""
-        pts = self.measure_region.grid_points()
-        if self.extra_measure_points is not None and len(self.extra_measure_points):
-            pts = np.concatenate([pts, self.extra_measure_points])
-        out = {}
-        for beta in self.Cbeta_table:
-            vals = np.abs(self._union.deriv(beta, pts))
-            out[beta] = float(np.max(vals)) * self.delta ** mi_order(beta)
-        return out
-
-
-def build_cutoff(K: Region, delta: float, l: int, quad: QuadratureSpec,
-                 omega: Optional[Region] = None,
-                 measure_points_per_axis: Optional[int] = None,
-                 extra_measure_points: Optional[np.ndarray] = None) -> CutoffFunction:
-    """Mollified-indicator cut-off: psi = 1 on K, supp psi in K + 3 delta/4.
-
-    C_beta is measured for |beta| <= l, all that cutoff_constant(cut, l) reads."""
+def build_cutoff(K: Region, delta: float, quad: QuadratureSpec,
+                 omega: Optional[Region] = None) -> SampledFunction:
+    """Mollified-indicator cut-off psi: psi = 1 on K, supp psi in K + 3 delta/4."""
     if delta <= 0:
         raise GeometryError("delta must be positive")
     if K.is_empty:
@@ -176,19 +154,10 @@ def build_cutoff(K: Region, delta: float, l: int, quad: QuadratureSpec,
     kq = QuadratureSpec(points_per_axis=max(64, quad.points_per_axis),
                         refinement_levels=max(1, quad.refinement_levels),
                         tol=quad.tol)
-    scale = int(np.ceil(4.0 / delta))
-    moll = build_mollifier(1, scale, kq)
-    # 128 Gauss-Legendre nodes on the (flat-ended) overlap window reach ~1e-9
-    # relative accuracy for the ramp values; the plateau is exactly 1 and
-    # skips the quadrature; derivatives are closed-form
-    count = 128
-
-    pieces = [_TensorCutoff(box, delta, moll, count) for box in K.boxes]
-    union = _UnionCutoff(pieces, K.d)
-
+    moll = build_mollifier(1, int(np.ceil(4.0 / delta)), kq)
+    union = _UnionCutoff([_TensorCutoff(box, delta, moll) for box in K.boxes])
     support = K.inflate(0.75 * delta)
-
-    psi = SampledFunction(
+    return SampledFunction(
         domain=omega if omega is not None else support,
         order=SMOOTH_ORDER,
         value_dim=1,
@@ -198,29 +167,31 @@ def build_cutoff(K: Region, delta: float, l: int, quad: QuadratureSpec,
         name="cutoff",
     )
 
-    if measure_points_per_axis is None:
-        measure_points_per_axis = 801 if K.d == 1 else 101
-    measure_region = support.with_resolution(measure_points_per_axis)
-    cut = CutoffFunction(K=K, delta=delta, psi=psi,
-                         Cbeta_table=dict.fromkeys(multiindices(K.d, l), 0.0),
-                         measure_region=measure_region,
-                         extra_measure_points=extra_measure_points, _union=union)
-    cut.Cbeta_table = cut.measure_cbeta()
-    return cut
+
+def measure_cbeta(psi: SampledFunction, delta: float, l: int,
+                  extra_points: Optional[np.ndarray] = None) -> dict[MultiIndex, float]:
+    """{beta: delta^|beta| max |d^beta psi|} for |beta| <= l, on the dense grid
+    of supp psi (801 points in 1D, 101 per axis otherwise) plus extra_points,
+    e.g. the scan grid the bound will be checked on."""
+    pts = psi.support.with_resolution(801 if psi.d == 1 else 101).grid_points()
+    if extra_points is not None and len(extra_points):
+        pts = np.concatenate([pts, extra_points])
+    return {beta: float(np.max(np.abs(psi.deriv(beta, pts)))) * delta ** mi_order(beta)
+            for beta in multiindices(psi.d, l)}
 
 
-def cutoff_constant(cut: CutoffFunction, l: int) -> float:
+def cutoff_constant(Cbeta_table: dict[MultiIndex, float], delta: float, l: int) -> float:
     """sup over |beta| <= l of sum_{gamma <= beta} binom * C_{beta-gamma} delta^-|beta-gamma|."""
-    d = cut.K.d
+    d = len(next(iter(Cbeta_table)))
     best = 0.0
     for beta in multiindices(d, l):
         total = 0.0
         for gamma in submultiindices(beta):
             diff = mi_sub(beta, gamma)
-            if tuple(diff) not in cut.Cbeta_table:
+            if tuple(diff) not in Cbeta_table:
                 raise OrderError(f"C_beta table does not cover beta={diff}")
-            total += multiindex_binom(beta, gamma) * cut.Cbeta_table[tuple(diff)] \
-                * cut.delta ** (-mi_order(diff))
+            total += multiindex_binom(beta, gamma) * Cbeta_table[tuple(diff)] \
+                * delta ** (-mi_order(diff))
         best = max(best, total)
     return best
 
@@ -233,26 +204,11 @@ class CutoffReport:
     C_l_delta: float
     tail: SeminormValue
     measured: SeminormValue
-    bound: float
     target: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "K_boxes": [[list(b.lo), list(b.hi)] for b in self.K.boxes],
-            "C_beta": {",".join(map(str, k)): v for k, v in sorted(self.Cbeta_table.items())},
-            "C_l_delta": self.C_l_delta,
-            "tail": self.tail.value,
-            "measured_error": self.measured.value,
-            "bound": self.bound,
-            "target": self.target,
-        }
 
-
-def multiply_cutoff(cut: CutoffFunction, f: SampledFunction) -> SampledFunction:
+def multiply_cutoff(psi: SampledFunction, f: SampledFunction) -> SampledFunction:
     """psi * f with product-rule derivatives and psi's support."""
-    psi = cut.psi
-
     def evaluator(pts):
         return psi.eval(pts)[:, 0:1] * f.eval(pts)
 
@@ -294,8 +250,8 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
         center = 0.5 * (np.asarray(b0.lo) + np.asarray(b0.hi))
         K0 = Region((Box(tuple(center - 0.5 * step), tuple(center + 0.5 * step)),),
                     domain.points_per_axis)
-    provisional = build_cutoff(K0, delta, idx.l, quad, omega=omega)
-    C = cutoff_constant(provisional, idx.l)
+    provisional = build_cutoff(K0, delta, quad, omega=omega)
+    C = cutoff_constant(measure_cbeta(provisional, delta, idx.l), delta, idx.l)
     target = eps / (1.0 + C)
 
     K = find_tail_compact(f, fam, idx, alpha, target, delta, search, omega=omega)
@@ -305,16 +261,15 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     # at every point the seminorms will visit
     dom_pts = domain.grid_points()
     near = K.inflate(delta).contains(dom_pts)
-    cut = build_cutoff(K, delta, idx.l, quad, omega=omega,
-                       extra_measure_points=dom_pts[near])
-    C_final = cutoff_constant(cut, idx.l)
+    psi = build_cutoff(K, delta, quad, omega=omega)
+    Cbeta_table = measure_cbeta(psi, delta, idx.l, extra_points=dom_pts[near])
+    C_final = cutoff_constant(Cbeta_table, delta, idx.l)
 
-    f_tilde = multiply_cutoff(cut, f)
+    f_tilde = multiply_cutoff(psi, f)
     tail = tail_seminorm(f, K, fam, idx, alpha)
     measured = difference_seminorm(f, f_tilde, fam, idx, alpha)
     report = CutoffReport(
-        delta=delta, K=K, Cbeta_table=cut.Cbeta_table, C_l_delta=C_final,
-        tail=tail, measured=measured,
-        bound=(1.0 + C_final) * tail.value, target=target,
+        delta=delta, K=K, Cbeta_table=Cbeta_table, C_l_delta=C_final,
+        tail=tail, measured=measured, target=target,
     )
     return f_tilde, report

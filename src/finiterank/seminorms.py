@@ -146,10 +146,13 @@ def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     if not np.any(violating):
         halfwidths = np.zeros(search.d)
     else:
-        needed = np.max(np.abs(pts[violating]), axis=0)
+        hits = pts[violating]
+        needed = np.max(np.abs(hits), axis=0)
         bb = search.bounding_box()
-        outer = np.maximum(np.abs(np.asarray(bb.lo)), np.abs(np.asarray(bb.hi)))
-        if np.any(needed >= outer - 0.49 * step):
+        # each side on its own: a violating point at the nearer edge of an
+        # asymmetric window leaves the unscanned tail beyond it uncertified
+        if (np.any(np.min(hits, axis=0) <= np.asarray(bb.lo) + 0.49 * step)
+                or np.any(np.max(hits, axis=0) >= np.asarray(bb.hi) - 0.49 * step)):
             raise CriterionError(
                 "violating points reach the search boundary; the tail cannot "
                 "be certified inside the scanned region",

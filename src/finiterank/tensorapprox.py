@@ -194,8 +194,7 @@ def build_partition(cover: Cover, K: Region,
     """
     step = float(np.min(K.spacing())) if not K.is_empty else 1.0
     s = (2.0 / 3.0) * step
-    theta_cut = build_cutoff(K, s, 0, quad)
-    theta = theta_cut.psi
+    theta = build_cutoff(K, s, quad)
     basis = PartitionBasis(cover, theta)
 
     # cover-defect audit: sum of bumps must be positive on all of supp theta

@@ -4,12 +4,15 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
 Every tolerance is stated inline; nothing is deferred to later calibration.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import finiterank as fr
+from finiterank.cli import _rounded
 from finiterank.cutoff import apply_cutoff
 from finiterank.expressions import builtin_function, expr_function_from_strings
 from finiterank.funcmodel import sf_from_expr_function, support_estimate
@@ -27,6 +30,8 @@ from finiterank.weights import (WeightIndex, check_directed, check_locally_bound
                                 check_vanishing_ratio)
 from oracles import adaptive_simpson, bisect_root, dense_rescan, fd_step_sweep
 import expected
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def report(num, ok, detail):
@@ -198,6 +203,13 @@ def test_criterion_7_end_to_end(name, jl):
           and verification.domination_ok
           and verification.budget_ok
           and elapsed < 300.0)
+    if name == "exp_strips_2d":
+        # the one pinned 2D run: the two-box cut-off union runs only in 2D
+        ledger_json = ledger.to_json()
+        verify_json = json.dumps(_rounded(verification.to_json_dict()),
+                                 sort_keys=True, indent=2) + "\n"
+        assert ledger_json == (FIXTURES / "ledger_exp_strips_j1_l1_eps0p1.json").read_text()
+        assert verify_json == (FIXTURES / "verify_exp_strips_j1_l1_eps0p1.json").read_text()
     report(7, ok,
            f"{name}: certified={ledger.certified}, stage sum "
            f"{ledger.stage_sum():.4f} < 0.1, stage-3 domination "

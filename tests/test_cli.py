@@ -98,6 +98,20 @@ def test_approximate_rejects_unknown_alpha(tmp_path, capsys):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("command", ["approximate", "convergence"])
+@pytest.mark.parametrize("flags", [["--l", "-1"], ["--j", "0"], ["--j", "99"], ["--l", "5"]],
+                         ids=["l-1", "j0", "j99", "l5"])
+def test_rejects_weight_index_outside_the_scenario(tmp_path, capsys, command, flags):
+    # schwartz_1d has j in 1..3 and l up to 2; these used to exit 1 with a
+    # traceback (--l -1) or 3 ("numeric failure") after the run had started
+    out = tmp_path / "out"
+    code = run([command, "--scenario", "schwartz_1d", "--eps", "0.2", *flags,
+                "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _schwartz_cfg(tmp_path, **changes):
     """schwartz_1d's config (8 value coordinates) with entries replaced."""
     scn, _ = load_scenario("schwartz_1d")

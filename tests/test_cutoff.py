@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import finiterank as fr
-from finiterank.cutoff import (_AxisProfile, apply_cutoff, build_cutoff,
-                               cutoff_constant, multiply_cutoff)
+from finiterank.cutoff import (_AxisProfile, _UnionCutoff, apply_cutoff, build_cutoff,
+                               cutoff_constant, measure_cbeta, multiply_cutoff)
 from finiterank.errors import GeometryError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import (SampledFunction, fd_derivative_oracle,
@@ -18,7 +18,12 @@ import expected
 @pytest.fixture(scope="module")
 def unit_cut(quad):
     K = fr.Region.box([-1.0], [1.0], 1201)
-    return build_cutoff(K, 1.0, 4, quad)
+    return build_cutoff(K, 1.0, quad)
+
+
+@pytest.fixture(scope="module")
+def unit_table(unit_cut):
+    return measure_cbeta(unit_cut, 1.0, 4)
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +32,7 @@ def quad():
 
 
 def test_construction_radii(unit_cut):
-    psi = unit_cut.psi
+    psi = unit_cut
     X = np.array([[-1.0], [0.0], [1.0], [1.24], [1.76], [2.5]])
     vals = psi.eval(X)[:, 0]
     assert vals[0] == 1.0 and vals[1] == 1.0 and vals[2] == 1.0
@@ -56,7 +61,7 @@ def _full_window_profile(prof, t):
 def test_profile_plateau_skips_quadrature(rng, monkeypatch):
     moll = build_mollifier(1, 4, fr.QuadratureSpec(points_per_axis=64,
                                                    refinement_levels=2))
-    prof = _AxisProfile(-1.0, 1.0, 1.0, moll, 128)   # window [-1.5, 1.5], r = 1/4
+    prof = _AxisProfile(-1.0, 1.0, 1.0, moll)   # window [-1.5, 1.5], r = 1/4
     assert (prof.a, prof.b, prof.r) == (-1.5, 1.5, 0.25)
     left = rng.uniform(-1.75, -1.25, 7)
     right = rng.uniform(1.25, 1.75, 10)
@@ -83,7 +88,7 @@ def test_profile_plateau_skips_quadrature(rng, monkeypatch):
 def test_profile_value_depends_on_the_point_only(rng):
     moll = build_mollifier(1, 4, fr.QuadratureSpec(points_per_axis=64,
                                                    refinement_levels=2))
-    prof = _AxisProfile(-1.0, 1.0, 1.0, moll, 128)
+    prof = _AxisProfile(-1.0, 1.0, 1.0, moll)
     t = rng.uniform(-1.8, 1.8, 2000)
     whole = prof.deriv(0, t)
     for idx in (rng.choice(len(t), 333, replace=False), np.arange(1, len(t), 7),
@@ -93,52 +98,66 @@ def test_profile_value_depends_on_the_point_only(rng):
         assert prof.deriv(0, t[i:i + 1])[0] == whole[i]
 
 
-def test_range_and_derivative_c0(unit_cut):
+def test_range_and_derivative_c0(unit_cut, unit_table):
     X = np.linspace(-3, 3, 601)[:, None]
-    vals = unit_cut.psi.eval(X)[:, 0]
+    vals = unit_cut.eval(X)[:, 0]
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    assert unit_cut.Cbeta_table[(0,)] == pytest.approx(1.0)
+    assert unit_table[(0,)] == pytest.approx(1.0)
 
 
-def test_c1_pinned_from_dense_oracle(unit_cut, quad):
-    assert unit_cut.Cbeta_table[(1,)] == pytest.approx(expected.CUTOFF_C1_DELTA1,
-                                                       rel=1e-5)
-    K = fr.Region.box([-1.0], [1.0], 1201)
-    dense = build_cutoff(K, 1.0, 4, quad, measure_points_per_axis=8001)
-    assert dense.Cbeta_table[(1,)] == pytest.approx(expected.CUTOFF_C1_DELTA1,
-                                                    rel=1e-12)
-    assert dense.Cbeta_table[(2,)] == pytest.approx(expected.CUTOFF_C2_DELTA1,
-                                                    rel=1e-12)
+def test_c1_pinned_from_dense_oracle(unit_cut, unit_table):
+    assert unit_table[(1,)] == pytest.approx(expected.CUTOFF_C1_DELTA1, rel=1e-5)
+    dense_grid = unit_cut.support.with_resolution(8001).grid_points()
+    dense = measure_cbeta(unit_cut, 1.0, 2, extra_points=dense_grid)
+    assert dense[(1,)] == pytest.approx(expected.CUTOFF_C1_DELTA1, rel=1e-12)
+    assert dense[(2,)] == pytest.approx(expected.CUTOFF_C2_DELTA1, rel=1e-12)
 
 
-def test_remeasure_reproduces_table(unit_cut):
-    again = unit_cut.measure_cbeta()
-    for beta, val in unit_cut.Cbeta_table.items():
+def test_remeasure_reproduces_table(unit_cut, unit_table):
+    again = measure_cbeta(unit_cut, 1.0, 4)
+    for beta, val in unit_table.items():
         assert again[beta] == val
 
 
-def test_cutoff_constant_formula(unit_cut):
-    assert cutoff_constant(unit_cut, 0) == pytest.approx(1.0)
-    c0 = unit_cut.Cbeta_table[(0,)]
-    c1 = unit_cut.Cbeta_table[(1,)]
-    assert cutoff_constant(unit_cut, 1) == pytest.approx(max(c0, c1 / 1.0 + c0))
+def test_build_cutoff_measures_nothing(quad, monkeypatch):
+    calls = []
+    deriv = _UnionCutoff.deriv
+
+    def counted(union, beta, pts):
+        calls.append(len(pts))
+        return deriv(union, beta, pts)
+
+    monkeypatch.setattr(_UnionCutoff, "deriv", counted)
+    # two boxes in 2D, so psi is the smooth union the exp_strips_2d runs build
+    K = fr.Region.from_bounds([[-1.0, -1.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], 41)
+    psi = build_cutoff(K, 0.5, quad)
+    assert calls == []
+    psi.eval(np.zeros((3, 2)))
+    assert calls == [3]
+
+
+def test_cutoff_constant_formula(unit_table):
+    assert cutoff_constant(unit_table, 1.0, 0) == pytest.approx(1.0)
+    c0 = unit_table[(0,)]
+    c1 = unit_table[(1,)]
+    assert cutoff_constant(unit_table, 1.0, 1) == pytest.approx(max(c0, c1 / 1.0 + c0))
     with pytest.raises(OrderError):
-        cutoff_constant(unit_cut, 5)
+        cutoff_constant(unit_table, 1.0, 5)
 
 
 def test_constant_shrinks_with_delta(quad):
     K = fr.Region.box([-1.0], [1.0], 1201)
-    small = build_cutoff(K, 1.0, 2, quad)
-    big = build_cutoff(K, 2.0, 2, quad)
-    assert cutoff_constant(big, 1) <= cutoff_constant(small, 1) + 1e-9
-    assert big.Cbeta_table[(1,)] <= small.Cbeta_table[(1,)] * (1 + 1e-4)
+    small = measure_cbeta(build_cutoff(K, 1.0, quad), 1.0, 2)
+    big = measure_cbeta(build_cutoff(K, 2.0, quad), 2.0, 2)
+    assert cutoff_constant(big, 2.0, 1) <= cutoff_constant(small, 1.0, 1) + 1e-9
+    assert big[(1,)] <= small[(1,)] * (1 + 1e-4)
 
 
 def test_geometry_error_when_leaving_domain(quad):
     K = fr.Region.box([-1.0], [1.0], 101)
     omega = fr.Region.box([-1.2], [1.2], 101)
     with pytest.raises(GeometryError):
-        build_cutoff(K, 1.0, 2, quad, omega=omega)
+        build_cutoff(K, 1.0, quad, omega=omega)
 
 
 def test_product_derivatives_match_fd(unit_cut, domain_1d, gauss_1d, rng):
@@ -198,15 +217,6 @@ def test_apply_cutoff_zero(domain_1d, schwartz_fam, sup_alpha, quad):
     assert rep.measured.value == 0.0
 
 
-def test_report_serializes(domain_1d, schwartz_fam, sup_alpha, quad, gauss_1d):
-    _, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 1), sup_alpha,
-                          0.05, 1.0, domain_1d, quad)
-    record = rep.to_json_dict()
-    for key in ("delta", "K_boxes", "C_beta", "C_l_delta", "tail",
-                "measured_error", "bound"):
-        assert key in record
-
-
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha, quad,
                                           gauss_1d):
@@ -216,7 +226,7 @@ def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha,
     # the same cut-off measured to order 4 gives the same constant, bit for bit
     dom_pts = domain_1d.grid_points()
     near = rep.K.inflate(rep.delta).contains(dom_pts)
-    deep = build_cutoff(rep.K, rep.delta, 4, quad, omega=domain_1d,
-                        extra_measure_points=dom_pts[near])
-    assert list(deep.Cbeta_table) == multiindices(1, 4)
-    assert cutoff_constant(deep, l) == rep.C_l_delta
+    psi = build_cutoff(rep.K, rep.delta, quad, omega=domain_1d)
+    deep = measure_cbeta(psi, rep.delta, 4, extra_points=dom_pts[near])
+    assert list(deep) == multiindices(1, 4)
+    assert cutoff_constant(deep, rep.delta, l) == rep.C_l_delta

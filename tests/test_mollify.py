@@ -258,8 +258,8 @@ def test_regularize_support_inflation(quad, domain_1d, gauss_1d, schwartz_fam, s
 
 
 def test_regularize_leaves_argument_unchanged(quad, gauss_1d):
-    cut = build_cutoff(Region.box([-1.0], [1.0], 201), 1.0, 0, quad)
-    ft = multiply_cutoff(cut, gauss_1d)
+    psi = build_cutoff(Region.box([-1.0], [1.0], 201), 1.0, quad)
+    ft = multiply_cutoff(psi, gauss_1d)
     before = set(vars(ft))
     regularize(ft, 4, quad)
     assert set(vars(ft)) == before

@@ -152,6 +152,20 @@ def test_find_tail_compact_failure_signal(domain_1d, schwartz_fam, sup_alpha):
     assert err.value.best is not None
 
 
+@pytest.mark.parametrize("hi", [3.0, 6.0])
+def test_find_tail_compact_refuses_violations_at_either_edge(hi, schwartz_fam, sup_alpha):
+    # the bump at -2.8 still exceeds eps at the left edge -3, the nearer edge
+    # of [-3, 6]: the tail beyond -3 is never scanned, so nothing is certified
+    from finiterank.expressions import expr_function_from_strings
+    window = Region.box([-3.0], [hi], 901)
+    fn = expr_function_from_strings(["exp(-(x + 2.8)^2)"], 1)
+    f = sf_from_expr_function(fn, window, order=2)
+    omega = Region.box([-1e6], [1e6], 901)
+    with pytest.raises(CriterionError, match="search boundary"):
+        find_tail_compact(f, schwartz_fam, WeightIndex(1, 0), sup_alpha, 0.1, 0.5,
+                          window, omega=omega)
+
+
 def test_serialized_record_fields(gauss_1d, schwartz_fam, sup_alpha):
     sv = weighted_seminorm(gauss_1d, schwartz_fam, WeightIndex(1, 1), sup_alpha)
     record = sv.to_json_dict()
