@@ -1,9 +1,10 @@
 """Batch front-end: weight audits, certified runs, convergence curves.
 
-Exit codes: 0 pass/certified, 1 uncertified, 2 usage or config error,
-3 numeric failure (a quadrature that did not converge, a non-finite
-integrand, or another FiniteRankError such as a missing derivative order),
-4 criterion failure (tail compact or cover unreachable at this resolution).
+Exit codes: 0 pass/certified, 1 uncertified (a check of the verdict failed),
+2 usage or config error, 3 numeric failure (a quadrature that did not
+converge, a non-finite integrand, or another FiniteRankError such as a
+missing derivative order), 4 criterion failure (tail compact or cover
+unreachable at this resolution).
 """
 
 from __future__ import annotations
@@ -153,9 +154,10 @@ def cmd_approximate(args) -> int:
         (out / f"ledger_{tag}.csv").write_text(ledger.to_csv())
         _write_json(out / f"verify_{tag}.json", verification.to_json_dict())
         _dump_factors(out / f"factors_{tag}.csv", result, scn)
+        failed = ",".join(verification.failed_checks)
         print(f"eps={eps:g} rank={ledger.rank} total={ledger.total_measured:.3e} "
-              f"certified={ledger.certified}")
-        all_certified = all_certified and ledger.certified
+              f"certified={verification.certified}" + (f" failed={failed}" if failed else ""))
+        all_certified = all_certified and verification.certified
     return EXIT_OK if all_certified else EXIT_UNCERTIFIED
 
 

@@ -5,7 +5,10 @@ psi is built per box of K as a tensor product of 1D mollified indicators
 boxes by the smooth union 1 - prod(1 - psi_b). This gives, exactly on the
 continuum: 0 <= psi <= 1, psi = 1 on K + delta/4, supp psi inside
 K + 3 delta/4, all per axis. The discrete kernel is normalized to unit mass,
-so the plateau value is exactly 1 and is set without any quadrature.
+so the plateau value is exactly 1 and is set without any quadrature. Each
+axis profile runs its window quadrature once per distinct ramp point over its
+lifetime and answers repeats from a table; the window rule is built once per
+process.
 
 build_cutoff measures nothing. measure_cbeta stores delta^|beta| * max
 |d^beta psi| over a fixed dense grid plus any pinned points, so the
@@ -16,6 +19,7 @@ whose tail bound reads C_{l,delta}, measures.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,6 +44,13 @@ _RAMP_ROWS = 128
 _WINDOW_NODES = 128
 
 
+@functools.cache
+def _window_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], built once per process."""
+    u, w = np.polynomial.legendre.leggauss(_WINDOW_NODES)
+    return 0.5 * (u + 1.0), 0.5 * w
+
+
 class _AxisProfile:
     """1D mollified indicator of [lo - delta/2, hi + delta/2].
 
@@ -57,13 +68,15 @@ class _AxisProfile:
         self.b = hi + 0.5 * delta
         self.moll = moll
         self.r = moll.radius
-        u, w = np.polynomial.legendre.leggauss(_WINDOW_NODES)
-        self._gl_u = 0.5 * (u + 1.0)
-        self._gl_w = 0.5 * w
+        self._gl_u, self._gl_w = _window_rule()
         full_nodes = -self.r + self._gl_u * 2.0 * self.r
         self.mass = float(np.dot(self._gl_w,
                                  self.moll.deriv((0,), full_nodes[:, None]))
                           * 2.0 * self.r)
+        # ramp points computed so far, sorted, and their values; the inf
+        # sentinel ends the table, so every lookup lands on an entry
+        self._ramp_t = np.array([np.inf])
+        self._ramp_v = np.array([np.nan])
 
     def deriv(self, k: int, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -71,24 +84,34 @@ class _AxisProfile:
             upper = self.moll.deriv((k - 1,), (t - self.a)[:, None])
             lower = self.moll.deriv((k - 1,), (t - self.b)[:, None])
             return (upper - lower) / self.mass
-        lo = np.maximum(-self.r, t - self.b)
-        hi = np.minimum(self.r, t - self.a)
-        length = hi - lo
-        live = length > 0
+        live = np.minimum(self.r, t - self.a) - np.maximum(-self.r, t - self.b) > 0
         full = (t - self.b <= -self.r) & (t - self.a >= self.r)
-        ramp = live & ~full
         out = np.zeros(len(t))
-        # one row of window nodes per ramp point, summed along its row, so a
-        # value depends on its own point and not on the rest of the batch;
-        # rows go in fixed blocks to bound the temporaries
-        idx = np.flatnonzero(ramp)
-        for start in range(0, len(idx), _RAMP_ROWS):
-            rows = idx[start:start + _RAMP_ROWS]
-            nodes = lo[rows][:, None] + self._gl_u[None, :] * length[rows][:, None]
-            vals = self.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(nodes.shape)
-            out[rows] = np.sum(vals * self._gl_w, axis=1) * length[rows] / self.mass
+        ramp = live & ~full
+        if ramp.any():
+            out[ramp] = self._ramp_values(t[ramp])
         out[full] = 1.0
         return out
+
+    def _ramp_values(self, t: np.ndarray) -> np.ndarray:
+        """Ramp values at t; the quadrature runs once per new distinct point."""
+        new = np.unique(t[self._ramp_t[np.searchsorted(self._ramp_t, t)] != t])
+        if len(new):
+            # one row of window nodes per new point, summed along its row, so
+            # a value depends on its own point and not on the rest of the
+            # batch; rows go in fixed blocks to bound the temporaries
+            lo = np.maximum(-self.r, new - self.b)
+            length = np.minimum(self.r, new - self.a) - lo
+            values = np.empty(len(new))
+            for start in range(0, len(new), _RAMP_ROWS):
+                rows = slice(start, start + _RAMP_ROWS)
+                nodes = lo[rows, None] + self._gl_u[None, :] * length[rows, None]
+                vals = self.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(nodes.shape)
+                values[rows] = np.sum(vals * self._gl_w, axis=1) * length[rows] / self.mass
+            at = np.searchsorted(self._ramp_t, new)
+            self._ramp_t = np.insert(self._ramp_t, at, new)
+            self._ramp_v = np.insert(self._ramp_v, at, values)
+        return self._ramp_v[np.searchsorted(self._ramp_t, t)]
 
 
 class _TensorCutoff:

@@ -6,12 +6,13 @@ sup on the final support, C3 from the mollifier derivative masses. The tensor
 stage gets eps / (12 C1 C2 C3) because the localization proposition only
 certifies 4x its input tolerance, so the delivered error is eps/(3 C1 C2 C3).
 
-Certification is by measurement: a run is certified iff the directly measured
-total error is below eps. A run whose measured total misses eps returns its
-ledger, uncertified. A run whose tail compact or cover cannot be built at
-this grid raises a tagged error (CriterionError, ResolutionError; CLI exit
-4) before any ledger exists. Grid resolution, not the mathematics, is the
-usual cause of both.
+Certification is by measurement: a ledger is certified iff the directly
+measured total error is below eps, and verify_ledger's verdict also needs the
+refined total below eps, the stage-3 domination and the budget to hold. A run
+whose measured total misses eps returns its ledger, uncertified. A run whose
+tail compact or cover cannot be built at this grid raises a tagged error
+(CriterionError, ResolutionError; CLI exit 4) before any ledger exists. Grid
+resolution, not the mathematics, is the usual cause of both.
 
 Serialized ledgers and verification reports write every float rounded to
 LEDGER_SIG_DIGITS significant digits, so their bytes do not depend on the
@@ -24,7 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -272,20 +273,15 @@ class VerificationReport:
     ledger_total: float
     stage3_measured: float
     stage3_cap: float
+    stage3_slack: float
     domination_ok: bool
     budget_ok: bool
     certified: bool
+    failed_checks: list[str]
 
     def to_json_dict(self) -> dict:
-        return {
-            "refined_total": ledger_float(self.refined_total),
-            "ledger_total": ledger_float(self.ledger_total),
-            "stage3_measured": ledger_float(self.stage3_measured),
-            "stage3_cap": ledger_float(self.stage3_cap),
-            "domination_ok": self.domination_ok,
-            "budget_ok": self.budget_ok,
-            "certified": self.certified,
-        }
+        return {key: ledger_float(value) if isinstance(value, float) else value
+                for key, value in asdict(self).items()}
 
 
 def verify_ledger(result: FiniteRankFunction, ledger: ErrorLedger,
@@ -296,7 +292,7 @@ def verify_ledger(result: FiniteRankFunction, ledger: ErrorLedger,
     Needs only the result and the ledger's own fields: the stage-3 cap
     C1 C2 C3 |f_tilde - g|_{aux,0} reads the tensor stage's measurement
     from the ledger. refine must be at least 1: 0 or less would collapse
-    the fine grid to one point per axis.
+    the fine grid to one point per axis. The verdict needs every check.
     """
     if refine < 1:
         raise ValueError(f"refine must be at least 1, got {refine}")
@@ -304,16 +300,21 @@ def verify_ledger(result: FiniteRankFunction, ledger: ErrorLedger,
     fam = scn.family
     fine = scn.domain.refine(refine)
     refined_total = difference_seminorm(f, result.sampled, fam, idx, alpha, grid=fine)
-    cap = ledger.C1 * ledger.C2 * ledger.C3 * ledger.tensor_measured \
-        + 10.0 * scn.quad.tol
-    domination_ok = ledger.stage3_measured <= cap
-    budget_ok = ledger.total_measured <= ledger.stage_sum() + 1e-10
+    cap = ledger.C1 * ledger.C2 * ledger.C3 * ledger.tensor_measured
+    slack = 10.0 * scn.quad.tol
+    checks = {"ledger_certified": ledger.certified,
+              "refined_total": refined_total.value < ledger.eps,
+              "domination": ledger.stage3_measured <= cap + slack,
+              "budget": ledger.total_measured <= ledger.stage_sum() + 1e-10}
+    failed = [name for name, ok in checks.items() if not ok]
     return VerificationReport(
         refined_total=refined_total.value,
         ledger_total=ledger.total_measured,
         stage3_measured=ledger.stage3_measured,
         stage3_cap=cap,
-        domination_ok=domination_ok,
-        budget_ok=budget_ok,
-        certified=ledger.certified,
+        stage3_slack=slack,
+        domination_ok=checks["domination"],
+        budget_ok=checks["budget"],
+        certified=not failed,
+        failed_checks=failed,
     )

@@ -7,12 +7,15 @@ providers. The dense partition formulas are the all-pairs reference for
 the package's sparse bump evaluation, and the per-node convolution loop is
 the reference for the node-batched one. The package measures differences
 as one sampled jet minus another; difference_function builds f - g as one
-function instead, for the tests that need to convolve it.
+function instead, for the tests that need to convolve it. scaled_result
+swaps a result's sum for k f, a wrong answer for the verdict tests.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from finiterank.funcmodel import SampledFunction
+from finiterank.funcmodel import FiniteRankFunction, SampledFunction
 from finiterank.geometry import Region
 from finiterank.mollify import region_nodes
 from finiterank.seminorms import weighted_seminorm
@@ -61,6 +64,13 @@ def difference_function(f, g):
         evaluator=lambda pts: f.eval_extended(pts) - g.eval_extended(pts),
         support=Region(f.support.boxes + g.support.boxes, f.domain.points_per_axis),
         name=f"({f.name})-({g.name})")
+
+
+def scaled_result(result, f, k):
+    """result with its sum replaced by k f, so |f - result| is |1 - k| |f|."""
+    return FiniteRankFunction(result.factors, result.values, replace(
+        f, evaluator=lambda p: k * f.eval(p), derivative=lambda b, p: k * f.deriv(b, p),
+        name=f"{k}*({f.name})"))
 
 
 def richardson_central(f, x, h):

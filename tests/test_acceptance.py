@@ -214,7 +214,8 @@ def test_criterion_7_end_to_end(name, jl):
            f"{name}: certified={ledger.certified}, stage sum "
            f"{ledger.stage_sum():.4f} < 0.1, stage-3 domination "
            f"{ledger.stage3_measured:.2e} <= {verification.stage3_cap:.2e} "
-           f"(slack 10 quad.tol), rank {ledger.rank}, runtime {elapsed:.0f}s < 300s")
+           f"+ {verification.stage3_slack:.0e} (10 quad.tol), rank {ledger.rank}, "
+           f"runtime {elapsed:.0f}s < 300s")
 
 
 @pytest.mark.parametrize("name", ["schwartz_1d", "exhaustion_1d",

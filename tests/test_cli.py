@@ -1,10 +1,14 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from finiterank import cli
 from finiterank.cli import main
+from finiterank.pipeline import approximate
 from finiterank.scenarios import load_scenario
+from oracles import scaled_result
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -176,6 +180,43 @@ def test_approximate_certified_and_deterministic(tmp_path):
                             / "verify_schwartz_j1_l1_eps0p2.json").read_bytes()
     verify = json.loads(verify_bytes)
     assert verify["domination_ok"] and verify["budget_ok"]
+
+
+def test_warm_caches_keep_the_eps_0p2_ledger(tmp_path):
+    # eps 0.1 first warms every process cache; eps 0.2 must still give the
+    # pinned bytes, so no cached state leaks from one operation to the next
+    code = run(["approximate", "--scenario", "schwartz_1d", "--eps", "0.1,0.2",
+                "--j", "1", "--l", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "ledger_0p2.json").read_bytes() == (
+        FIXTURES / "ledger_schwartz_j1_l1_eps0p2.json").read_bytes()
+
+
+def _shrink_tensor_stage(result, ledger, f):
+    return result, replace(ledger, tensor_measured=ledger.tensor_measured * 1e-3)
+
+
+def _replace_result(result, ledger, f):
+    return scaled_result(result, f, 100.0), ledger
+
+
+@pytest.mark.parametrize("tamper,check", [(_shrink_tensor_stage, "domination"),
+                                          (_replace_result, "refined_total")])
+def test_approximate_exits_1_when_a_check_fails(tmp_path, monkeypatch, capsys,
+                                                tamper, check):
+    # the ledger stays certified; the verdict reads every check and fails
+    def tampered(f, scn, idx, alpha, eps):
+        return tamper(*approximate(f, scn, idx, alpha, eps), f)
+
+    monkeypatch.setattr(cli, "approximate", tampered)
+    code = run(["approximate", "--scenario", "schwartz_1d", "--eps", "0.2",
+                "--j", "1", "--l", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert json.loads((tmp_path / "ledger_0p2.json").read_text())["certified"] is True
+    verify = json.loads((tmp_path / "verify_0p2.json").read_text())
+    assert verify["certified"] is False
+    assert verify["failed_checks"] == [check]
+    assert f"certified=False failed={check}" in capsys.readouterr().out
 
 
 def test_approximate_unreachable_budget(tmp_path):

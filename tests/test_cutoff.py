@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import finiterank as fr
+from finiterank import cutoff
 from finiterank.cutoff import (_AxisProfile, _UnionCutoff, apply_cutoff, build_cutoff,
                                cutoff_constant, measure_cbeta, multiply_cutoff)
 from finiterank.errors import GeometryError, OrderError
@@ -96,6 +97,74 @@ def test_profile_value_depends_on_the_point_only(rng):
         assert np.array_equal(prof.deriv(0, t[idx]), whole[idx])
     for i in rng.choice(len(t), 40, replace=False):
         assert prof.deriv(0, t[i:i + 1])[0] == whole[i]
+
+
+def _profile(lo=-1.0, hi=1.0):
+    moll = build_mollifier(1, 4, fr.QuadratureSpec(points_per_axis=64,
+                                                   refinement_levels=2))
+    return _AxisProfile(lo, hi, 1.0, moll)   # r = 1/4
+
+
+def _count_kernel_points(prof, monkeypatch):
+    """A list that grows by the point count of every kernel call prof makes."""
+    seen = []
+    kernel = prof.moll.deriv
+
+    def counted(beta, points):
+        seen.append(len(points))
+        return kernel(beta, points)
+
+    monkeypatch.setattr(prof.moll, "deriv", counted)
+    return seen
+
+
+def test_profile_repeats_read_the_ramp_table(rng, monkeypatch):
+    prof = _profile()
+    t = rng.uniform(-1.8, 1.8, 500)
+    first = prof.deriv(0, t)
+    seen = _count_kernel_points(prof, monkeypatch)
+    again = prof.deriv(0, t[::-1])
+    assert seen == []
+    assert np.array_equal(again, first[::-1])
+    assert np.array_equal(first, _full_window_profile(prof, t))
+
+
+def test_profile_quadrature_once_per_new_distinct_point(rng, monkeypatch):
+    prof = _profile()
+    old = rng.uniform(1.25, 1.75, 150)           # right ramp
+    new = rng.uniform(-1.75, -1.25, 150)         # left ramp
+    prof.deriv(0, old)
+    seen = _count_kernel_points(prof, monkeypatch)
+    t = rng.permutation(np.concatenate([old, new, new[:40], old[:30], new[:5]]))
+    vals = prof.deriv(0, t)
+    assert sum(seen) == 128 * 150
+    assert np.array_equal(vals, _full_window_profile(prof, t))
+
+
+def test_profiles_keep_their_own_ramp_tables(rng):
+    t = rng.uniform(1.25, 1.65, 200)             # on the right ramp of both
+    shifted = _profile(hi=1.1)
+    values = _profile().deriv(0, t)
+    assert not np.array_equal(shifted.deriv(0, t), values)
+    assert np.array_equal(shifted.deriv(0, t), _profile(hi=1.1).deriv(0, t))
+    assert np.array_equal(shifted.deriv(0, t), _full_window_profile(shifted, t))
+
+
+def test_window_rule_built_once_per_process(quad, monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    cutoff._window_rule.cache_clear()
+    profiles = [_profile(lo, 1.0) for lo in (-1.0, -0.5, 0.0)]
+    K = fr.Region.from_bounds([[-1.0, -1.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], 41)
+    build_cutoff(K, 0.5, quad).eval(np.zeros((3, 2)))
+    assert calls == [128]
+    assert all(p._gl_u is profiles[0]._gl_u for p in profiles)
 
 
 def test_range_and_derivative_c0(unit_cut, unit_table):

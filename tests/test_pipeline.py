@@ -16,7 +16,7 @@ from finiterank.pipeline import (ErrorLedger, VerificationReport, approximate,
 from finiterank.scenarios import load_scenario
 from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
-from oracles import difference_function
+from oracles import difference_function, scaled_result
 import expected
 
 
@@ -306,6 +306,32 @@ def test_verify_needs_only_ledger_fields(counted_runs, schwartz_scn):
     report = verify_ledger(result, rebuilt, f, scn, idx, "sup", refine=2)
     assert report == verify_ledger(result, ledger, f, scn, idx, "sup", refine=2)
     assert report.domination_ok and report.budget_ok
+    assert report.certified and report.failed_checks == []
+
+
+def test_verdict_fails_when_domination_fails(counted_runs, schwartz_scn):
+    # a ledger whose tensor stage claims far less than stage 3 measured
+    scn, f = schwartz_scn
+    result, ledger, _, _ = counted_runs[0.2]
+    shrunk = replace(ledger, tensor_measured=ledger.tensor_measured * 1e-3)
+    report = verify_ledger(result, shrunk, f, scn, WeightIndex(1, 1), "sup", refine=2)
+    assert shrunk.certified and report.budget_ok
+    assert report.stage3_measured > report.stage3_cap + report.stage3_slack
+    assert not report.domination_ok
+    assert not report.certified and report.failed_checks == ["domination"]
+    assert report.to_json_dict()["failed_checks"] == ["domination"]
+
+
+def test_verdict_fails_when_refined_total_misses_eps(counted_runs, schwartz_scn):
+    # the ledger was measured on the untampered result; only the refined
+    # re-measurement sees the wrong one
+    scn, f = schwartz_scn
+    result, ledger, _, _ = counted_runs[0.2]
+    report = verify_ledger(scaled_result(result, f, 100.0), ledger, f, scn,
+                           WeightIndex(1, 1), "sup", refine=2)
+    assert ledger.certified and report.domination_ok and report.budget_ok
+    assert report.refined_total >= ledger.eps
+    assert not report.certified and report.failed_checks == ["refined_total"]
 
 
 def test_monotone_budget_stage1_compact(schwartz_scn):
@@ -387,9 +413,11 @@ def test_serialized_ledger_ignores_last_bit_differences():
             ledger_total=0.004081762303411737 * (1 + rel),
             stage3_measured=0.002863308591943674 * (1 + rel),
             stage3_cap=0.02863308591943674 * (1 + rel),
-            domination_ok=True, budget_ok=True, certified=True)
+            stage3_slack=1e-5 * (1 + rel),
+            domination_ok=True, budget_ok=True, certified=True, failed_checks=[])
     ra, rb = report(0.0).to_json_dict(), report(2e-14).to_json_dict()
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
     assert all(isinstance(ra[k], float) for k in
-               ("refined_total", "ledger_total", "stage3_measured", "stage3_cap"))
+               ("refined_total", "ledger_total", "stage3_measured", "stage3_cap",
+                "stage3_slack"))
     assert ra["domination_ok"] is True
