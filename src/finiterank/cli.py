@@ -19,7 +19,7 @@ from .errors import (ConfigError, ConvergenceError, CoverDefectError,
                      CriterionError, FiniteRankError, GeometryError,
                      QuadratureError, ResolutionError)
 from .mollify import RegularizationHistory, regularize
-from .pipeline import approximate, ledger_float, verify_ledger
+from .pipeline import approximate, ledger_float, rounded, verify_ledger
 from .scenarios import load_scenario, _region_from_cfg
 from .tensorapprox import finite_rank_c0_approx
 from .weights import (WeightIndex, check_directed, check_locally_bounded,
@@ -57,33 +57,25 @@ def _parser() -> argparse.ArgumentParser:
         c = sub.add_parser(name)
         c.add_argument("--scenario", required=True,
                        help="config path or registry name")
+        c.add_argument("--grid", type=int, default=0,
+                       help="override points per axis")
+        c.add_argument("--out", default="out")
+        if name == "check-weights":
+            continue
         c.add_argument("--eps", type=_eps_list, default="0.1",
                        help="comma-separated tolerance list (each finite, > 0)")
         c.add_argument("--j", type=int, default=1)
         c.add_argument("--l", type=int, default=0)
         c.add_argument("--alpha", default="sup")
-        c.add_argument("--grid", type=int, default=0,
-                       help="override points per axis")
-        c.add_argument("--out", default="out")
-        c.add_argument("--refine", type=_refine_factor, default=2,
-                       help="verification grid refinement factor (>= 1)")
+        if name == "approximate":
+            c.add_argument("--refine", type=_refine_factor, default=2,
+                           help="verification grid refinement factor (>= 1)")
     return p
-
-
-def _rounded(obj):
-    """obj with every float rounded through ledger_float, containers rebuilt."""
-    if isinstance(obj, float):
-        return ledger_float(obj)
-    if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    return obj
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_rounded(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(rounded(payload), sort_keys=True, indent=2) + "\n")
 
 
 def cmd_check_weights(args) -> int:

@@ -26,8 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeometryError, OrderError
-from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, mi_order, mi_sub,
-                        multiindex_binom, multiindices, product_rule_apply, submultiindices)
+from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, leibniz, mi_order,
+                        mi_sub, multiindex_binom, multiindices, product_rule_apply,
+                        submultiindices)
 from .geometry import Box, Region
 from .mollify import SMOOTH_ORDER, QuadratureSpec, build_mollifier
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
@@ -128,18 +129,6 @@ class _TensorCutoff:
         return out
 
 
-def _product_deriv(factors, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
-    """Leibniz rule for a product of smooth scalar factors."""
-    if len(factors) == 1:
-        return factors[0](beta, pts)
-    head, rest = factors[0], factors[1:]
-    acc = np.zeros(len(pts))
-    for gamma in submultiindices(beta):
-        acc += multiindex_binom(beta, gamma) * head(gamma, pts) \
-            * _product_deriv(rest, mi_sub(beta, gamma), pts)
-    return acc
-
-
 class _UnionCutoff:
     """1 - prod_b (1 - psi_b); equals psi_b wherever the others vanish."""
 
@@ -156,7 +145,7 @@ class _UnionCutoff:
                 return (1.0 - v) if mi_order(b) == 0 else -v
             return fn
 
-        prod = _product_deriv([one_minus(p) for p in self.pieces], beta, pts)
+        prod = leibniz([one_minus(p) for p in self.pieces], beta, pts)
         if mi_order(beta) == 0:
             return 1.0 - prod
         return -prod

@@ -151,11 +151,6 @@ class SampledFunction:
     def deriv_extended(self, beta: MultiIndex, points: np.ndarray) -> np.ndarray:
         return f_multi_ext(self, [tuple(beta)], points)[0]
 
-    def support_region(self) -> Region:
-        if self.support is not None:
-            return self.support
-        return support_estimate(self)
-
 
 def _nested_central(evaluate, beta: MultiIndex, points: np.ndarray, h: float) -> np.ndarray:
     axis = next((i for i, b in enumerate(beta) if b > 0), None)
@@ -191,19 +186,24 @@ def fd_derivative_oracle(f: SampledFunction, beta: MultiIndex, x, h: float) -> n
     return _nested_central(f.eval, beta, pt, h)[0]
 
 
+def leibniz(factors, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
+    """d^beta of the product of factors, each a callable (gamma, pts) -> array,
+    by the Leibniz rule; the first factor's gamma runs in lexicographic order."""
+    if len(factors) == 1:
+        return factors[0](beta, pts)
+    head, rest = factors[0], factors[1:]
+    return sum(multiindex_binom(beta, gamma) * head(gamma, pts)
+               * leibniz(rest, mi_sub(beta, gamma), pts)
+               for gamma in submultiindices(beta))
+
+
 def product_rule_apply(g: SampledFunction, f: SampledFunction, beta: MultiIndex, points) -> np.ndarray:
-    """derivative of (g f) via the binomial sum over gamma <= beta."""
+    """derivative of (g f) for a scalar g, by the Leibniz rule."""
     beta = tuple(int(b) for b in beta)
     if mi_order(beta) > min(g.order, f.order):
         raise OrderError("product-rule order exceeds a factor's order")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    acc = np.zeros((len(pts), f.value_dim))
-    for gamma in submultiindices(beta):
-        coeff = multiindex_binom(beta, gamma)
-        gv = g.deriv(mi_sub(beta, gamma), pts)[:, 0]
-        fv = f.deriv(gamma, pts)
-        acc += coeff * gv[:, None] * fv
-    return acc
+    return leibniz([f.deriv, lambda gamma, x: g.deriv(gamma, x)[:, 0:1]], beta, pts)
 
 
 def support_estimate(f: SampledFunction, threshold: float = 1e-12) -> Region:

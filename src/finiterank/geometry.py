@@ -9,6 +9,7 @@ derived from it are therefore conservative, and in d=1 the two coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -208,3 +209,22 @@ class Region:
 def centered_box(halfwidths) -> Box:
     h = np.atleast_1d(np.asarray(halfwidths, dtype=float))
     return Box(tuple(-h), tuple(h))
+
+
+def centered_halfwidths(search: Region, hits: np.ndarray) -> Optional[np.ndarray]:
+    """Halfwidths of the smallest centred box holding every hit (grid points
+    of search), snapped up to search's grid; zero without hits.
+
+    None when a hit lies on the edge of its own side of search's bounding
+    box: the region beyond that edge was never scanned. Each side is tested
+    on its own, so on an asymmetric window a hit past the nearer edge's
+    distance from the origin is still interior.
+    """
+    if len(hits) == 0:
+        return np.zeros(search.d)
+    step = np.maximum(search.spacing(), 1e-300)
+    bb = search.bounding_box()
+    if (np.any(np.min(hits, axis=0) <= np.asarray(bb.lo) + 0.49 * step)
+            or np.any(np.max(hits, axis=0) >= np.asarray(bb.hi) - 0.49 * step)):
+        return None
+    return np.ceil(np.max(np.abs(hits), axis=0) / step) * step

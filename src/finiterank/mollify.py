@@ -9,7 +9,7 @@ cutoff at |x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,12 +46,9 @@ class QuadratureSpec:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
-    def level_points(self, level: int) -> int:
-        return self.points_per_axis * (2**level)
-
     @property
     def finest_points(self) -> int:
-        return self.level_points(self.refinement_levels)
+        return self.points_per_axis * 2**self.refinement_levels
 
 
 def box_nodes(box: Box, points_per_axis: int):
@@ -379,13 +376,13 @@ def derivative_transfer_check(f: SampledFunction, moll: Mollifier, beta: MultiIn
 
 
 def regularize(f: SampledFunction, n: int, quad: QuadratureSpec) -> SampledFunction:
-    """f * rho_n for compactly supported f; support inflates by 1/n."""
-    support = f.support_region()
-    if support.is_empty:
+    """f * rho_n for f with a declared compact support; support inflates by 1/n."""
+    if f.support is None:
+        raise ValueError(f"regularize needs a declared support; {f.name or 'f'} has none")
+    if f.support.is_empty:
         return sf_zero(f.domain, f.value_dim, order=SMOOTH_ORDER)
     moll = build_mollifier(f.d, n, quad)
-    fc = f if f.support is not None else replace(f, support=support)
-    return convolve(fc, moll.as_sampled(), quad, side="g")
+    return convolve(f, moll.as_sampled(), quad, side="g")
 
 
 class Smoothing(NamedTuple):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,6 +52,18 @@ LEDGER_SIG_DIGITS = 10
 def ledger_float(x: float) -> float:
     """x rounded to LEDGER_SIG_DIGITS significant digits, still a float."""
     return float(f"{x:.{LEDGER_SIG_DIGITS}g}")
+
+
+def rounded(obj):
+    """obj with every float rounded through ledger_float and every tuple a
+    list: the one walk behind every serialized ledger, report and audit."""
+    if isinstance(obj, float):
+        return ledger_float(obj)
+    if isinstance(obj, dict):
+        return {k: rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [rounded(v) for v in obj]
+    return obj
 
 
 @dataclass
@@ -114,38 +126,10 @@ class ErrorLedger:
         return self.stage1_measured + self.stage2_measured + self.stage3_measured
 
     def to_json_dict(self) -> dict:
-        boxes = []
-        if self.stage1_K is not None:
-            boxes = [[list(map(ledger_float, b.lo)), list(map(ledger_float, b.hi))]
-                     for b in self.stage1_K.boxes]
-        return {
-            "alpha": self.alpha,
-            "aux_index": self.aux_index,
-            "C1": ledger_float(self.C1),
-            "C2": ledger_float(self.C2),
-            "C3": ledger_float(self.C3),
-            "certified": self.certified,
-            "eps": ledger_float(self.eps),
-            "index": list(self.index),
-            "mollifier_mass": ledger_float(self.mollifier_mass),
-            "mollifier_normC": ledger_float(self.mollifier_normC),
-            "N0": self.N0,
-            "N1": self.N1,
-            "N2": self.N2,
-            "rank": self.rank,
-            "stage1_C_l_delta": ledger_float(self.stage1_C_l_delta),
-            "stage1_delta": ledger_float(self.stage1_delta),
-            "stage1_K_boxes": boxes,
-            "stage1_measured": ledger_float(self.stage1_measured),
-            "stage1_tail": ledger_float(self.stage1_tail),
-            "stage2_measured": ledger_float(self.stage2_measured),
-            "stage3_measured": ledger_float(self.stage3_measured),
-            "tensor_eps": ledger_float(self.tensor_eps),
-            "tensor_measured": ledger_float(self.tensor_measured),
-            "total_bound": ledger_float(self.total_bound),
-            "total_measured": ledger_float(self.total_measured),
-            "value_space": self.value_space,
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        K = record.pop("stage1_K")
+        record["stage1_K_boxes"] = [] if K is None else [[b.lo, b.hi] for b in K.boxes]
+        return rounded(record)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -207,7 +191,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     # stage 2: regularization scale with budget eps/3
     N0, history = find_regularization_order(
         f_tilde, fam, idx, alpha, eps / 3.0, scn.n_max, quad)
-    K1 = f_tilde.support_region()
+    K1 = f_tilde.support
     V = K1.inflate(scn.domain.spacing())
     N1 = _domain_fit_scale(V, scn.omega_region(), scn.n_max)
     # |f_tilde - f_tilde * rho_n| is already measured for every n the search
@@ -280,8 +264,7 @@ class VerificationReport:
     failed_checks: list[str]
 
     def to_json_dict(self) -> dict:
-        return {key: ledger_float(value) if isinstance(value, float) else value
-                for key, value in asdict(self).items()}
+        return rounded(asdict(self))
 
 
 def verify_ledger(result: FiniteRankFunction, ledger: ErrorLedger,

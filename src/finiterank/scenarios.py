@@ -82,7 +82,7 @@ def _check_value_dim(seminorms: dict[str, SeminormIndex], m: int) -> None:
                               f"for {m} coordinates")
 
 
-def _delta_rule_from_cfg(cfg: dict, fam: WeightFamily, domain: Region):
+def _delta_rule_from_cfg(cfg: dict):
     kind = cfg.get("kind", "fixed")
     if kind == "fixed":
         value = float(cfg["value"])
@@ -127,8 +127,7 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
             family=fam,
             domain=domain,
             seminorms=seminorms,
-            delta_rule=_delta_rule_from_cfg(cfg.get("delta", {"kind": "fixed", "value": 1.0}),
-                                            fam, domain),
+            delta_rule=_delta_rule_from_cfg(cfg.get("delta", {"kind": "fixed", "value": 1.0})),
             n_max=int(cfg.get("n_max", 64)),
             quad=quad,
             omega=omega,

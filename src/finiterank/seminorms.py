@@ -15,7 +15,7 @@ import numpy as np
 from .errors import CriterionError, FiniteRankError, OrderError
 from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, f_multi_ext,
                         multiindices)
-from .geometry import Region, centered_box
+from .geometry import Region, centered_box, centered_halfwidths
 from .weights import WeightFamily, WeightIndex
 
 
@@ -141,23 +141,12 @@ def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
 
     clip = fam.structure_region(idx.j)
     base = clip if clip is not None else domain
-    step = np.maximum(search.spacing(), 1e-300)
-    violating = integrand >= eps
-    if not np.any(violating):
-        halfwidths = np.zeros(search.d)
-    else:
-        hits = pts[violating]
-        needed = np.max(np.abs(hits), axis=0)
-        bb = search.bounding_box()
-        # each side on its own: a violating point at the nearer edge of an
-        # asymmetric window leaves the unscanned tail beyond it uncertified
-        if (np.any(np.min(hits, axis=0) <= np.asarray(bb.lo) + 0.49 * step)
-                or np.any(np.max(hits, axis=0) >= np.asarray(bb.hi) - 0.49 * step)):
-            raise CriterionError(
-                "violating points reach the search boundary; the tail cannot "
-                "be certified inside the scanned region",
-                best=float(np.max(integrand)))
-        halfwidths = np.ceil(needed / step) * step
+    halfwidths = centered_halfwidths(search, pts[integrand >= eps])
+    if halfwidths is None:
+        raise CriterionError(
+            "violating points reach the search boundary; the tail cannot "
+            "be certified inside the scanned region",
+            best=float(np.max(integrand)))
     K = base.intersect_box(centered_box(halfwidths))
     outside = ~K.contains(pts)
     tail = float(np.max(integrand[outside])) if np.any(outside) else 0.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, UnknownIndexError
 from .expressions import compile_scalar
-from .geometry import Box, Region, centered_box
+from .geometry import Box, Region, centered_box, centered_halfwidths
 
 WeightEvaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -296,23 +296,14 @@ def check_vanishing_ratio(fam: WeightFamily, jl: WeightIndex, im: WeightIndex,
     """Smallest centered box K (clipped to the domain boxes) outside of which
     nu_{j,l} <= eps * nu_{i,m} holds at every scanned grid point.
 
-    Returns None when violating points reach the search boundary, i.e. the
-    scan cannot certify the condition with a compact inside the region.
+    Returns None when a violating point lies on the search boundary, i.e.
+    the scan cannot certify the condition with a compact inside the region.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     pts = search.grid_points()
-    lhs = fam.eval_batch(jl, pts)
-    rhs = fam.eval_batch(im, pts)
-    violating = lhs > eps * rhs + 1e-300
-    if not np.any(violating):
-        return search.intersect_box(centered_box(np.zeros(search.d)))
-    bad = np.abs(pts[violating])
-    halfwidths = np.max(bad, axis=0)
-    bb = search.bounding_box()
-    outer = np.minimum(np.abs(bb.lo), np.abs(bb.hi))
-    step = search.spacing()
-    if np.any(halfwidths >= outer - 0.5 * step):
+    violating = fam.eval_batch(jl, pts) > eps * fam.eval_batch(im, pts) + 1e-300
+    halfwidths = centered_halfwidths(search, pts[violating])
+    if halfwidths is None:
         return None
-    halfwidths = np.ceil(halfwidths / np.maximum(step, 1e-300)) * step
     return search.intersect_box(centered_box(halfwidths))

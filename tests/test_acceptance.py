@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import finiterank as fr
-from finiterank.cli import _rounded
 from finiterank.cutoff import apply_cutoff
 from finiterank.expressions import builtin_function, expr_function_from_strings
 from finiterank.funcmodel import sf_from_expr_function, support_estimate
@@ -20,7 +19,7 @@ from finiterank.geometry import Region
 from finiterank.mollify import (QuadratureSpec, build_mollifier,
                                 commutativity_check, convolve,
                                 derivative_transfer_check, regularize)
-from finiterank.pipeline import approximate, verify_ledger
+from finiterank.pipeline import approximate, rounded, verify_ledger
 from finiterank.scenarios import load_scenario, _region_from_cfg
 from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.tensorapprox import (build_partition, finite_rank_c0_approx,
@@ -206,7 +205,7 @@ def test_criterion_7_end_to_end(name, jl):
     if name == "exp_strips_2d":
         # the one pinned 2D run: the two-box cut-off union runs only in 2D
         ledger_json = ledger.to_json()
-        verify_json = json.dumps(_rounded(verification.to_json_dict()),
+        verify_json = json.dumps(rounded(verification.to_json_dict()),
                                  sort_keys=True, indent=2) + "\n"
         assert ledger_json == (FIXTURES / "ledger_exp_strips_j1_l1_eps0p1.json").read_text()
         assert verify_json == (FIXTURES / "verify_exp_strips_j1_l1_eps0p1.json").read_text()

@@ -74,6 +74,15 @@ def test_usage_error_exit_code(tmp_path):
     assert run(["bogus-command"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["check-weights", "--scenario", "schwartz_1d", "--eps", "0.1"],
+    ["convergence", "--scenario", "schwartz_1d", "--refine", "2"]])
+def test_subcommand_refuses_flags_it_does_not_read(tmp_path, args):
+    # a flag that is accepted and then ignored reads as if it took effect
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*"))
+
+
 @pytest.mark.parametrize("refine", ["0", "-1"])
 def test_approximate_rejects_refine_below_one(tmp_path, refine):
     # a factor below 1 collapses the verification grid to one point, which

@@ -265,6 +265,12 @@ def test_regularize_leaves_argument_unchanged(quad, gauss_1d):
     assert set(vars(ft)) == before
 
 
+def test_regularize_needs_a_declared_support(quad, gauss_1d):
+    assert gauss_1d.support is None
+    with pytest.raises(ValueError, match="declared support"):
+        regularize(gauss_1d, 4, quad)
+
+
 def test_find_regularization_order_zero(quad, domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 1)
     n, _ = find_regularization_order(z, schwartz_fam, WeightIndex(1, 0), sup_alpha,

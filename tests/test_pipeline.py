@@ -76,7 +76,7 @@ def test_schwartz_pinned_run(schwartz_scn):
     assert ledger.stage2_measured < 0.1 / 3
     assert ledger.stage3_measured < 0.1 / 3
     # result factors: smooth, compactly supported inside K2 = V + 1/N2
-    V = _cut_off(f, scn, idx, 0.1).support_region().inflate(scn.domain.spacing())
+    V = _cut_off(f, scn, idx, 0.1).support.inflate(scn.domain.spacing())
     K2 = V.inflate(1.0 / ledger.N2)
     pts = scn.domain.grid_points()
     outside = ~K2.contains(pts)
@@ -144,7 +144,7 @@ def test_stage2_scans_scales_beyond_history(schwartz_scn):
     # an omega tight around V forces N1 > N0, a scale the search never tried
     scn, f = schwartz_scn
     idx, eps = WeightIndex(1, 1), 0.1
-    V = _cut_off(f, scn, idx, eps).support_region().inflate(scn.domain.spacing())
+    V = _cut_off(f, scn, idx, eps).support.inflate(scn.domain.spacing())
     tight = replace(scn, omega=V.inflate(0.3))
     _, ledger, calls, history = _counted_run(f, tight, eps)
     assert ledger.N1 == 4 > ledger.N0
@@ -236,7 +236,7 @@ def recorded_runs(schwartz_scn):
     # eps 0.2 on the shipped scenario, and eps 0.1 with an omega tight around
     # V, which forces N1 > N0 so that approximate measures scales itself
     scn, f = schwartz_scn
-    V = _cut_off(f, scn, WeightIndex(1, 1), 0.1).support_region().inflate(
+    V = _cut_off(f, scn, WeightIndex(1, 1), 0.1).support.inflate(
         scn.domain.spacing())
     tight = replace(scn, omega=V.inflate(0.3))
     return {"shipped": (scn, _recorded_run(f, scn, 0.2)),

@@ -162,6 +162,26 @@ def test_vanishing_ratio_monotone_in_eps(schwartz_fam):
     assert np.all(lhs <= 0.08 * rhs + 1e-300)
 
 
+def _indicator_ratio(lo, hi):
+    """nu_{1,0} = indicator(lo, hi) against nu_{2,0} = 1 on [-3, 6] at eps 0.5."""
+    fam = custom_family(0, {(1, 0): f"indicator({lo}, {hi})", (2, 0): "1"}, 1)
+    return check_vanishing_ratio(fam, WeightIndex(1, 0), WeightIndex(2, 0), 0.5,
+                                 Region.box([-3.0], [6.0], 901))
+
+
+def test_vanishing_ratio_asymmetric_window_interior_set():
+    # the violating set [-1, 4.5] reaches past 3, the nearer edge's distance
+    # from the origin, yet touches neither edge of [-3, 6]
+    K = _indicator_ratio(-1, 4.5)
+    assert K is not None and len(K.boxes) == 1
+    assert K.boxes[0].lo[0] == -3.0
+    assert K.boxes[0].hi[0] == pytest.approx(4.5, abs=1e-12)
+
+
+def test_vanishing_ratio_hit_on_the_edge_refused():
+    assert _indicator_ratio(-3, 1) is None
+
+
 def test_structure_consistency(strips):
     pts = np.array([[0.5, 1.0], [0.5, 0.4], [3.0, -1.5], [0.0, 2.0]])
     region = strips.structure_region(1)
