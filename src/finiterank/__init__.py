@@ -3,7 +3,7 @@ in weighted sup-seminorms."""
 
 from .funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
                         evaluate, fd_derivative_oracle, multiindex_binom,
-                        product_rule_apply, support_estimate)
+                        product_rule_apply)
 from .geometry import Box, Region
 from .mollify import (Mollifier, QuadratureSpec, build_mollifier,
                       commutativity_check, convolve, derivative_transfer_check,

@@ -68,7 +68,7 @@ def compile_scalar(expr: sp.Expr | str, d: int):
         expr = parse_scalar_expr(expr, d)
     xs = _symbols(d)
     expr = _rewrite_indicators(expr, xs)
-    fn = sp.lambdify(xs, expr, modules=["numpy"])
+    fn = sp.lambdify(xs, expr, modules=[np])
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -103,7 +103,7 @@ class ExprFunction:
                     if b:
                         expr = sp.diff(expr, x, b)
                 derivs.append(expr)
-            self._compiled[beta] = sp.lambdify(self.xs, derivs, modules=["numpy"])
+            self._compiled[beta] = sp.lambdify(self.xs, derivs, modules=[np])
         return self._compiled[beta]
 
     def eval(self, points: np.ndarray) -> np.ndarray:

@@ -206,39 +206,6 @@ def product_rule_apply(g: SampledFunction, f: SampledFunction, beta: MultiIndex,
     return leibniz([f.deriv, lambda gamma, x: g.deriv(gamma, x)[:, 0:1]], beta, pts)
 
 
-def support_estimate(f: SampledFunction, threshold: float = 1e-12) -> Region:
-    """Grid-aligned box union covering all points with |f| above threshold*max.
-
-    One bounding box is fitted per domain box, so disjoint components
-    separated by distinct domain boxes stay separate.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    step = f.domain.spacing()
-    gmax = 0.0
-    per_box = []
-    for b in f.domain.boxes:
-        pts = b.grid(f.domain.points_per_axis)
-        vals = np.max(np.abs(f.eval(pts)), axis=1)
-        per_box.append((pts, vals))
-        if len(vals):
-            gmax = max(gmax, float(np.max(vals)))
-    if gmax == 0.0:
-        return Region.empty(f.d)
-    cut = threshold * gmax
-    boxes = []
-    for (pts, vals), b in zip(per_box, f.domain.boxes):
-        mask = vals > cut
-        if not np.any(mask):
-            continue
-        lo = np.maximum(np.min(pts[mask], axis=0) - step, b.lo)
-        hi = np.minimum(np.max(pts[mask], axis=0) + step, b.hi)
-        boxes.append(Box(tuple(lo), tuple(hi)))
-    if not boxes:
-        return Region.empty(f.d)
-    return Region(tuple(boxes), f.domain.points_per_axis)
-
-
 @dataclass
 class FiniteRankFunction:
     """g = sum_i phi_i (x) e_i, an element of CV(Omega) (x) R^m.

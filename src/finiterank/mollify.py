@@ -29,9 +29,10 @@ _FLAT_CUTOFF = 1e-8
 # cut-off) declares: the symbolic bump derivatives are generated to it.
 SMOOTH_ORDER = 6
 
-# The most shifted points one convolution hands f at once: larger chunks
-# save little call overhead and grow the peak memory.
-CHUNK_POINTS = 2048
+# The most values one convolution has f return at once (nodes x points x
+# coordinates; 512 KB of float64). A 1D scan hands f several nodes per call;
+# a many-coordinate f or a 2D grid stays near one node per call.
+CHUNK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def _profile_fn(d: int, beta: MultiIndex):
         for x, b in zip(xs, beta):
             if b:
                 expr = sp.diff(expr, x, b)
-        _profile_cache[key] = sp.lambdify(xs, expr, modules=["numpy"])
+        _profile_cache[key] = sp.lambdify(xs, expr, modules=[np])
     return _profile_cache[key]
 
 
@@ -262,7 +263,7 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
             live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
             # f sees the points shifted by a chunk of nodes in one call; the
             # sum still adds one node at a time, in node order
-            per_chunk = max(1, CHUNK_POINTS // max(len(pts), 1))
+            per_chunk = max(1, CHUNK_VALUES // max(len(pts) * m, 1))
             for start in range(0, len(live), per_chunk):
                 qs = live[start:start + per_chunk]
                 shifted = f.eval_extended(

@@ -9,6 +9,8 @@ the reference for the node-batched one. The package measures differences
 as one sampled jet minus another; difference_function builds f - g as one
 function instead, for the tests that need to convolve it. scaled_result
 swaps a result's sum for k f, a wrong answer for the verdict tests.
+support_estimate reads a support off the grid, for the tests that build a
+function without declaring one.
 """
 
 from dataclasses import replace
@@ -16,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from finiterank.funcmodel import FiniteRankFunction, SampledFunction
-from finiterank.geometry import Region
+from finiterank.geometry import Box, Region
 from finiterank.mollify import region_nodes
 from finiterank.seminorms import weighted_seminorm
 
@@ -135,3 +137,36 @@ def convolve_per_node(f, g, quad, betas, points):
             if coeffs[bi, q] != 0.0:
                 out[bi] += coeffs[bi, q] * shifted
     return out
+
+
+def support_estimate(f: SampledFunction, threshold: float = 1e-12) -> Region:
+    """Grid-aligned box union covering all points with |f| above threshold*max.
+
+    One bounding box is fitted per domain box, so disjoint components
+    separated by distinct domain boxes stay separate.
+    """
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    step = f.domain.spacing()
+    gmax = 0.0
+    per_box = []
+    for b in f.domain.boxes:
+        pts = b.grid(f.domain.points_per_axis)
+        vals = np.max(np.abs(f.eval(pts)), axis=1)
+        per_box.append((pts, vals))
+        if len(vals):
+            gmax = max(gmax, float(np.max(vals)))
+    if gmax == 0.0:
+        return Region.empty(f.d)
+    cut = threshold * gmax
+    boxes = []
+    for (pts, vals), b in zip(per_box, f.domain.boxes):
+        mask = vals > cut
+        if not np.any(mask):
+            continue
+        lo = np.maximum(np.min(pts[mask], axis=0) - step, b.lo)
+        hi = np.minimum(np.max(pts[mask], axis=0) + step, b.hi)
+        boxes.append(Box(tuple(lo), tuple(hi)))
+    if not boxes:
+        return Region.empty(f.d)
+    return Region(tuple(boxes), f.domain.points_per_axis)

@@ -14,7 +14,7 @@ import pytest
 import finiterank as fr
 from finiterank.cutoff import apply_cutoff
 from finiterank.expressions import builtin_function, expr_function_from_strings
-from finiterank.funcmodel import sf_from_expr_function, support_estimate
+from finiterank.funcmodel import sf_from_expr_function
 from finiterank.geometry import Region
 from finiterank.mollify import (QuadratureSpec, build_mollifier,
                                 commutativity_check, convolve,
@@ -27,7 +27,8 @@ from finiterank.tensorapprox import (build_partition, finite_rank_c0_approx,
 from finiterank.weights import (WeightIndex, check_directed, check_locally_bounded,
                                 check_locally_bounded_away_from_zero,
                                 check_vanishing_ratio)
-from oracles import adaptive_simpson, bisect_root, dense_rescan, fd_step_sweep
+from oracles import (adaptive_simpson, bisect_root, dense_rescan, fd_step_sweep,
+                     support_estimate)
 import expected
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -1,9 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import sympy
 
+import finiterank
+from finiterank import mollify
 from finiterank.errors import ConfigError
 from finiterank.expressions import (builtin_function, compile_scalar,
                                     expr_function_from_strings, parse_scalar_expr)
+from finiterank.funcmodel import multiindices
+from finiterank.geometry import Region
+from finiterank.scenarios import REGISTRY, load_scenario
 
 
 def test_compile_scalar_grammar():
@@ -75,8 +86,6 @@ def test_builtin_strip_waves_flat_in_x2():
 
 
 def test_one_compile_per_beta(monkeypatch):
-    import sympy
-
     fn = builtin_function({"builtin": "plane_waves", "amplitude": 1.0, "sigma": 1.0,
                            "nodes": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]}, 1)
     assert fn.value_dim == 8
@@ -96,3 +105,76 @@ def test_one_compile_per_beta(monkeypatch):
         assert first.shape == (2, 8)
         assert np.array_equal(fn.deriv(beta, x), first)
         assert len(calls) - before == 1
+
+
+def _compile_by_name(monkeypatch):
+    """Make every sympy.lambdify the package calls compile against the name
+    "numpy" (sympy's star import) instead of the numpy module it passes."""
+    lambdify = sympy.lambdify
+    calls = []
+
+    def by_name(*args, **kwargs):
+        assert kwargs["modules"] == [np]
+        calls.append(args)
+        return lambdify(*args, **{**kwargs, "modules": ["numpy"]})
+
+    monkeypatch.setattr(sympy, "lambdify", by_name)
+    return calls
+
+
+def _scenario_values(name):
+    """f at every beta up to its order, every weight and every gauge
+    expression, each on the scenario grid, from a fresh load."""
+    scn, f = load_scenario(name)
+    grid = scn.domain.grid_points()
+    values = [f.deriv(beta, grid) for beta in multiindices(f.d, f.order)]
+    values += [scn.family.eval_batch(idx, grid) for idx in scn.family.indices()]
+    values += [compile_scalar(text, f.d)(grid)
+               for texts in scn.config["family"].get("gauge_sets", []) for text in texts]
+    return values
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_module_namespace_compiles_the_same_bits(name, monkeypatch):
+    by_module = _scenario_values(name)
+    calls = _compile_by_name(monkeypatch)
+    by_name = _scenario_values(name)
+    assert calls
+    assert len(by_module) == len(by_name)
+    for a, b in zip(by_module, by_name):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bump_profile_module_namespace_same_bits(d, monkeypatch):
+    grid = Region.box([-1.0] * d, [1.0] * d, 2401 if d == 1 else 121).grid_points()
+    betas = multiindices(d, 2)
+    monkeypatch.setattr(mollify, "_profile_cache", {})
+    by_module = [mollify.bump_profile(grid, beta) for beta in betas]
+    calls = _compile_by_name(monkeypatch)
+    monkeypatch.setattr(mollify, "_profile_cache", {})
+    by_name = [mollify.bump_profile(grid, beta) for beta in betas]
+    assert len(calls) == len(betas)
+    for a, b in zip(by_module, by_name):
+        assert np.array_equal(a, b)
+
+
+def test_compiling_loads_no_numpy_test_tools():
+    # sympy's modules=["numpy"] star-imports numpy, which loads numpy.f2py,
+    # numpy.testing and more; the numpy module object needs none of them
+    script = """
+import sys
+from finiterank.pipeline import approximate, verify_ledger
+from finiterank.scenarios import load_scenario
+from finiterank.weights import WeightIndex
+for name, eps in (("om_finite_1d", 0.1), ("schwartz_1d", 0.2)):
+    scn, f = load_scenario(name)
+    result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", eps)
+    verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup")
+print(sorted(m for m in ("numpy.f2py", "numpy.testing") if m in sys.modules))
+"""
+    src = str(Path(finiterank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -8,9 +8,9 @@ from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, SeminormI
                                   evaluate, fd_derivative_oracle, mi_order,
                                   multiindex_binom, multiindices,
                                   product_rule_apply, sf_from_expr_function,
-                                  submultiindices, support_estimate)
+                                  submultiindices)
 from finiterank.geometry import Region
-from oracles import fd_step_sweep
+from oracles import fd_step_sweep, support_estimate
 
 
 def test_binom_examples():

@@ -4,8 +4,7 @@ import pytest
 import finiterank as fr
 from finiterank.errors import ConvergenceError
 from finiterank.expressions import builtin_function, expr_function_from_strings
-from finiterank.funcmodel import (SampledFunction, sf_from_expr_function, sf_zero,
-                                  support_estimate)
+from finiterank.funcmodel import SampledFunction, sf_from_expr_function, sf_zero
 from finiterank.geometry import Region
 from finiterank.mollify import (QuadratureSpec, build_mollifier,
                                 commutativity_check, convolve,
@@ -15,7 +14,7 @@ from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
 from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from finiterank import mollify
-from oracles import adaptive_simpson, convolve_per_node
+from oracles import adaptive_simpson, convolve_per_node, support_estimate
 import expected
 
 
@@ -148,11 +147,12 @@ def _piecewise_kernel():
 
 
 @pytest.mark.parametrize("case", ["piecewise_1d", "rho_1d", "rho_2d"])
-@pytest.mark.parametrize("n_points", [7, 250, 2100])
+@pytest.mark.parametrize("n_points", [7, 250, 1201, 2100])
 def test_batched_convolve_matches_per_node_loop(case, n_points, rng):
     d = 2 if case == "rho_2d" else 1
     if case == "piecewise_1d":
-        q = QuadratureSpec(points_per_axis=40, refinement_levels=0)
+        # 31 live nodes, a prime: any chunk of 2 to 30 nodes leaves a partial last one
+        q = QuadratureSpec(points_per_axis=42, refinement_levels=0)
         g = _piecewise_kernel()
         betas = [(0,), (1,), (2,), (3,)]
     else:
@@ -175,7 +175,7 @@ def test_batched_convolve_matches_per_node_loop(case, n_points, rng):
         live = np.count_nonzero(np.any(coeffs != 0.0, axis=0))
         assert live < len(nodes)                            # dead nodes
         assert np.any((coeffs == 0.0) & np.any(coeffs != 0.0, axis=0))
-        per_chunk = max(1, mollify.CHUNK_POINTS // n_points)
+        per_chunk = max(1, mollify.CHUNK_VALUES // (n_points * f.value_dim))
         assert live % per_chunk != 0 or per_chunk == 1
 
 
