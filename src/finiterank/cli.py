@@ -161,8 +161,8 @@ def _dump_factors(path: Path, result, scn) -> None:
     factors = result.factors.eval_extended(sample)
     for i in range(result.rank):
         for p, v in zip(sample, factors[:, i]):
-            coords = ";".join(repr(float(c)) for c in p)
-            lines.append(f"{i},{coords},{float(v)!r}")
+            coords = ";".join(repr(ledger_float(float(c))) for c in p)
+            lines.append(f"{i},{coords},{ledger_float(float(v))!r}")
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -182,7 +182,11 @@ def test_approximate_certified_and_deterministic(tmp_path):
     ledger = json.loads(first)
     assert ledger["certified"] is True
     assert (out1 / "ledger_0p2.csv").exists()
-    assert (out1 / "factors_0p2.csv").exists()
+    rows = (out1 / "factors_0p2.csv").read_text().splitlines()
+    assert rows[0] == "factor,point,value" and len(rows) > 1
+    factor_floats = [float(tok) for row in rows[1:]
+                     for tok in row.split(",", 1)[1].replace(";", ",").split(",")]
+    assert _at_ledger_digits(factor_floats)
     verify_bytes = (out1 / "verify_0p2.json").read_bytes()
     assert verify_bytes == (out2 / "verify_0p2.json").read_bytes()
     assert verify_bytes == (Path(__file__).parent / "fixtures"
