@@ -176,8 +176,7 @@ def cmd_convergence(args) -> int:
     # regularization curve needs a compactly supported start: cut f off first
     from .cutoff import apply_cutoff
     delta = scn.delta_rule(idx)
-    f_c, _ = apply_cutoff(f, scn.family, idx, alpha, 1e-3, delta,
-                          scn.domain, scn.quad)
+    f_c, _ = apply_cutoff(f, scn.family, idx, alpha, 1e-3, delta, scn.domain)
     history = RegularizationHistory(f_c, scn.family, idx, alpha)
     rows = ["n,seminorm_error"]
     n = 2
@@ -189,8 +188,7 @@ def cmd_convergence(args) -> int:
 
     rank_rows = ["eps,rank"]
     for eps in sorted(args.eps, reverse=True):
-        _, report = finite_rank_c0_approx(
-            f, scn.family, args.j, alpha, eps, scn.domain, scn.quad)
+        _, report = finite_rank_c0_approx(f, scn.family, args.j, alpha, eps, scn.domain)
         rank_rows.append(f"{eps!r},{report.rank}")
     (out / "rank_vs_eps.csv").write_text("\n".join(rank_rows) + "\n")
     print("convergence data written")

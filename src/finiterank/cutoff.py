@@ -1,14 +1,16 @@
 """Smooth cut-off functions with measured derivative constants.
 
 psi is built per box of K as a tensor product of 1D mollified indicators
-(window inflated by delta/2, kernel radius <= delta/4) and joined across
-boxes by the smooth union 1 - prod(1 - psi_b). This gives, exactly on the
-continuum: 0 <= psi <= 1, psi = 1 on K + delta/4, supp psi inside
-K + 3 delta/4, all per axis. The discrete kernel is normalized to unit mass,
-so the plateau value is exactly 1 and is set without any quadrature. Each
-axis profile runs its window quadrature once per distinct ramp point over its
-lifetime and answers repeats from a table; the window rule is built once per
-process.
+(window inflated by delta/2) and joined across boxes by the smooth union
+1 - prod(1 - psi_b). The kernel is the unit bump u -> exp(-1/(1-u^2)) at
+scale n = ceil(4/delta), so its radius 1/n is at most delta/4, divided by
+its own Gauss-Legendre window mass; psi depends on K and delta alone and no
+convolution quadrature enters. This gives, exactly on the continuum:
+0 <= psi <= 1, psi = 1 on K + delta/4, supp psi inside K + 3 delta/4, all
+per axis. The plateau value is exactly 1 by that normalization and is set
+without any quadrature. Each axis profile runs its window quadrature once
+per distinct ramp point over its lifetime and answers repeats from a table;
+the window rule is built once per process.
 
 build_cutoff measures nothing. measure_cbeta stores delta^|beta| * max
 |d^beta psi| over a fixed dense grid plus any pinned points, so the
@@ -25,12 +27,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import mollify
 from .errors import GeometryError, OrderError
 from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, leibniz, mi_order,
                         mi_sub, multiindex_binom, multiindices, product_rule_apply,
                         submultiindices)
 from .geometry import Box, Region
-from .mollify import SMOOTH_ORDER, QuadratureSpec, build_mollifier
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
 from .seminorms import (SeminormValue, difference_seminorm, find_tail_compact,  # noqa: F401
                         tail_seminorm, weighted_seminorm)
@@ -39,8 +41,9 @@ from .weights import WeightFamily, WeightIndex
 
 # ramp points per block of the window quadrature
 _RAMP_ROWS = 128
-# Gauss-Legendre nodes on the (flat-ended) overlap window: ~1e-9 relative
-# accuracy for the ramp values; the plateau is exactly 1 and skips the
+# Gauss-Legendre nodes on the (flat-ended) overlap window: the ramp values
+# are within ~3e-15 absolute of the exact integral (relatively worse only
+# where psi itself is tiny); the plateau is exactly 1 and skips the
 # quadrature, and derivatives are closed-form
 _WINDOW_NODES = 128
 
@@ -56,7 +59,7 @@ class _AxisProfile:
     """1D mollified indicator of [lo - delta/2, hi + delta/2].
 
     psi(t) = (R(t - a) - R(t - b)) / R(inf) with R the running integral of
-    the kernel bump, so the derivatives have the closed forms
+    the kernel rho(u) = bump(n u), so the derivatives have the closed forms
     psi^(k)(t) = (rho^(k-1)(t - a) - rho^(k-1)(t - b)) / mass. On the ramps
     the value is a fixed-count Gauss-Legendre quadrature over the moving
     overlap window, which is smooth in t because the bump is flat at its
@@ -64,26 +67,29 @@ class _AxisProfile:
     support, the value is exactly 1 by normalization and no quadrature runs.
     """
 
-    def __init__(self, lo: float, hi: float, delta: float, moll):
+    def __init__(self, lo: float, hi: float, delta: float, n: int):
         self.a = lo - 0.5 * delta
         self.b = hi + 0.5 * delta
-        self.moll = moll
-        self.r = moll.radius
+        self.n = n
+        self.r = 1.0 / n
         self._gl_u, self._gl_w = _window_rule()
         full_nodes = -self.r + self._gl_u * 2.0 * self.r
-        self.mass = float(np.dot(self._gl_w,
-                                 self.moll.deriv((0,), full_nodes[:, None]))
-                          * 2.0 * self.r)
+        self.mass = float(np.dot(self._gl_w, self.kernel(0, full_nodes)) * 2.0 * self.r)
         # ramp points computed so far, sorted, and their values; the inf
         # sentinel ends the table, so every lookup lands on an entry
         self._ramp_t = np.array([np.inf])
         self._ramp_v = np.array([np.nan])
 
+    def kernel(self, k: int, u: np.ndarray) -> np.ndarray:
+        """rho^(k)(u) = n^k bump^(k)(n u), unnormalized."""
+        # looked up at call time, so a rebinding of mollify.bump_profile sees it
+        return float(self.n ** k) * mollify.bump_profile(self.n * u[:, None], (k,))
+
     def deriv(self, k: int, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if k > 0:
-            upper = self.moll.deriv((k - 1,), (t - self.a)[:, None])
-            lower = self.moll.deriv((k - 1,), (t - self.b)[:, None])
+            upper = self.kernel(k - 1, t - self.a)
+            lower = self.kernel(k - 1, t - self.b)
             return (upper - lower) / self.mass
         live = np.minimum(self.r, t - self.a) - np.maximum(-self.r, t - self.b) > 0
         full = (t - self.b <= -self.r) & (t - self.a >= self.r)
@@ -107,7 +113,7 @@ class _AxisProfile:
             for start in range(0, len(new), _RAMP_ROWS):
                 rows = slice(start, start + _RAMP_ROWS)
                 nodes = lo[rows, None] + self._gl_u[None, :] * length[rows, None]
-                vals = self.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(nodes.shape)
+                vals = self.kernel(0, nodes.ravel()).reshape(nodes.shape)
                 values[rows] = np.sum(vals * self._gl_w, axis=1) * length[rows] / self.mass
             at = np.searchsorted(self._ramp_t, new)
             self._ramp_t = np.insert(self._ramp_t, at, new)
@@ -118,8 +124,8 @@ class _AxisProfile:
 class _TensorCutoff:
     """Product of axis profiles over one box."""
 
-    def __init__(self, box: Box, delta: float, moll):
-        self.profiles = [_AxisProfile(lo, hi, delta, moll)
+    def __init__(self, box: Box, delta: float, n: int):
+        self.profiles = [_AxisProfile(lo, hi, delta, n)
                          for lo, hi in zip(box.lo, box.hi)]
 
     def deriv(self, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
@@ -151,7 +157,7 @@ class _UnionCutoff:
         return -prod
 
 
-def build_cutoff(K: Region, delta: float, quad: QuadratureSpec,
+def build_cutoff(K: Region, delta: float,
                  omega: Optional[Region] = None) -> SampledFunction:
     """Mollified-indicator cut-off psi: psi = 1 on K, supp psi in K + 3 delta/4."""
     if delta <= 0:
@@ -161,17 +167,12 @@ def build_cutoff(K: Region, delta: float, quad: QuadratureSpec,
     if omega is not None and not omega.covers(K.inflate(delta)):
         raise GeometryError("K inflated by delta leaves the domain surrogate")
 
-    # the axis kernels are 1D and cheap; use a generous node count even when
-    # the scenario's (d-dimensional) convolution quadrature is coarse
-    kq = QuadratureSpec(points_per_axis=max(64, quad.points_per_axis),
-                        refinement_levels=max(1, quad.refinement_levels),
-                        tol=quad.tol)
-    moll = build_mollifier(1, int(np.ceil(4.0 / delta)), kq)
-    union = _UnionCutoff([_TensorCutoff(box, delta, moll) for box in K.boxes])
+    n = int(np.ceil(4.0 / delta))
+    union = _UnionCutoff([_TensorCutoff(box, delta, n) for box in K.boxes])
     support = K.inflate(0.75 * delta)
     return SampledFunction(
         domain=omega if omega is not None else support,
-        order=SMOOTH_ORDER,
+        order=mollify.SMOOTH_ORDER,
         value_dim=1,
         evaluator=lambda pts: union.deriv((0,) * K.d, np.atleast_2d(pts))[:, None],
         derivative=lambda beta, pts: union.deriv(tuple(beta), np.atleast_2d(pts))[:, None],
@@ -240,7 +241,6 @@ def multiply_cutoff(psi: SampledFunction, f: SampledFunction) -> SampledFunction
 
 def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                  alpha: SeminormIndex, eps: float, delta: float, search: Region,
-                 quad: QuadratureSpec,
                  omega: Optional[Region] = None) -> tuple[SampledFunction, CutoffReport]:
     """Cut f off outside a tail compact with budget eps.
 
@@ -262,7 +262,7 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
         center = 0.5 * (np.asarray(b0.lo) + np.asarray(b0.hi))
         K0 = Region((Box(tuple(center - 0.5 * step), tuple(center + 0.5 * step)),),
                     domain.points_per_axis)
-    provisional = build_cutoff(K0, delta, quad, omega=omega)
+    provisional = build_cutoff(K0, delta, omega=omega)
     C = cutoff_constant(measure_cbeta(provisional, delta, idx.l), delta, idx.l)
     target = eps / (1.0 + C)
 
@@ -273,7 +273,7 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     # at every point the seminorms will visit
     dom_pts = domain.grid_points()
     near = K.inflate(delta).contains(dom_pts)
-    psi = build_cutoff(K, delta, quad, omega=omega)
+    psi = build_cutoff(K, delta, omega=omega)
     Cbeta_table = measure_cbeta(psi, delta, idx.l, extra_points=dom_pts[near])
     C_final = cutoff_constant(Cbeta_table, delta, idx.l)
 

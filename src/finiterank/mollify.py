@@ -158,13 +158,6 @@ class Mollifier:
     quad: QuadratureSpec
     mass_check: float = 0.0
 
-    def rho_unit(self, points: np.ndarray) -> np.ndarray:
-        return self.normC * bump_profile(points)
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (self.n**self.d) * self.rho_unit(self.n * pts)
-
     def deriv(self, beta: MultiIndex, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         scale = float(self.n ** (self.d + mi_order(beta)))
@@ -174,12 +167,9 @@ class Mollifier:
     def radius(self) -> float:
         return 1.0 / self.n
 
-    def support_region(self, points_per_axis=33) -> Region:
-        r = self.radius
-        return Region.box((-r,) * self.d, (r,) * self.d, points_per_axis)
-
     def as_sampled(self) -> SampledFunction:
-        support = self.support_region()
+        r = self.radius
+        support = Region.box((-r,) * self.d, (r,) * self.d, 33)
 
         def derivative(beta, pts):
             return self.deriv(beta, pts)[:, None]
@@ -188,7 +178,7 @@ class Mollifier:
             domain=support,
             order=SMOOTH_ORDER,
             value_dim=1,
-            evaluator=lambda pts: self.value(pts)[:, None],
+            evaluator=lambda pts: derivative((0,) * self.d, pts),
             derivative=derivative,
             support=support,
             name=f"rho_{self.n}",
@@ -206,10 +196,10 @@ def build_mollifier(d: int, n: int, quad: QuadratureSpec) -> Mollifier:
     if n < 1:
         raise ValueError("scale n must be at least 1")
     moll = Mollifier(d=d, n=n, normC=_normalization(d, quad), quad=quad)
-    # generic-path mass check over the support of rho_n
+    # mass check of rho_n over its support
     nodes, weights = box_nodes(Box((-moll.radius,) * d, (moll.radius,) * d),
                                quad.finest_points)
-    moll.mass_check = float(np.dot(weights, moll.value(nodes)))
+    moll.mass_check = float(np.dot(weights, moll.deriv((0,) * d, nodes)))
     if abs(moll.mass_check - 1.0) >= quad.tol:
         raise QuadratureError(f"mollifier mass check failed: {moll.mass_check}")
     # make sure the flatness cutoff leaves the low derivatives finite

@@ -180,7 +180,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     # stage 1: cut off outside a tail compact with budget eps/3
     delta = scn.delta_rule(idx)
     f_tilde, cut_report = apply_cutoff(
-        f, fam, idx, alpha, eps / 3.0, delta, scn.domain, quad,
+        f, fam, idx, alpha, eps / 3.0, delta, scn.domain,
         omega=scn.omega_region())
     ledger.stage1_K = cut_report.K
     ledger.stage1_delta = delta
@@ -224,7 +224,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     tensor_eps = eps / (12.0 * C1 * C2 * C3)
     ledger.tensor_eps = eps / (3.0 * C1 * C2 * C3)
     g, loc_report = finite_rank_c0_approx(
-        f_tilde, fam, i_aux, alpha, tensor_eps, scn.domain, quad,
+        f_tilde, fam, i_aux, alpha, tensor_eps, scn.domain,
         support_constraint=V)
     ledger.tensor_measured = loc_report.measured.value
     ledger.rank = g.rank
@@ -274,11 +274,16 @@ def verify_ledger(result: FiniteRankFunction, ledger: ErrorLedger,
 
     Needs only the result and the ledger's own fields: the stage-3 cap
     C1 C2 C3 |f_tilde - g|_{aux,0} reads the tensor stage's measurement
-    from the ledger. refine must be at least 1: 0 or less would collapse
-    the fine grid to one point per axis. The verdict needs every check.
+    from the ledger. idx and alpha_name must be the ledger's own, or the
+    re-measurement would be in another seminorm. refine must be at least 1:
+    0 or less would collapse the fine grid to one point per axis. The
+    verdict needs every check.
     """
     if refine < 1:
         raise ValueError(f"refine must be at least 1, got {refine}")
+    if (idx.j, idx.l) != tuple(ledger.index) or alpha_name != ledger.alpha:
+        raise ValueError(f"asked to verify index ({idx.j}, {idx.l}) in {alpha_name!r}, "
+                         f"but the ledger is for {tuple(ledger.index)} in {ledger.alpha!r}")
     alpha = scn.seminorm(alpha_name)
     fam = scn.family
     fine = scn.domain.refine(refine)

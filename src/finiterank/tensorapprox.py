@@ -17,7 +17,6 @@ import numpy as np
 from .errors import CoverDefectError, GeometryError, ResolutionError
 from .funcmodel import FiniteRankFunction, SampledFunction, SeminormIndex, sf_zero
 from .geometry import Region
-from .mollify import QuadratureSpec
 from .cutoff import build_cutoff
 from .seminorms import SeminormValue, difference_seminorm, find_tail_compact, weighted_seminorm
 from .weights import WeightFamily, WeightIndex
@@ -185,8 +184,7 @@ class PartitionBasis:
                          for k in range(values.shape[1])], axis=1)
 
 
-def build_partition(cover: Cover, K: Region,
-                    quad: QuadratureSpec) -> tuple[SampledFunction, PartitionBasis]:
+def build_partition(cover: Cover, K: Region) -> tuple[SampledFunction, PartitionBasis]:
     """Smooth partition: phi_i = theta * b_i / sum(b), equal to 1 summed on K.
 
     Returns the factor map x -> (phi_1(x), ..., phi_rank(x)) as one
@@ -194,7 +192,7 @@ def build_partition(cover: Cover, K: Region,
     """
     step = float(np.min(K.spacing())) if not K.is_empty else 1.0
     s = (2.0 / 3.0) * step
-    theta = build_cutoff(K, s, quad)
+    theta = build_cutoff(K, s)
     basis = PartitionBasis(cover, theta)
 
     # cover-defect audit: sum of bumps must be positive on all of supp theta
@@ -223,10 +221,9 @@ def build_partition(cover: Cover, K: Region,
     return factors, basis
 
 
-def partition_sum(cover: Cover, K: Region, quad: QuadratureSpec,
-                  domain: Region) -> FiniteRankFunction:
+def partition_sum(cover: Cover, K: Region, domain: Region) -> FiniteRankFunction:
     """g = sum_i phi_i (x) f(c_i) over the partition of the cover."""
-    factors, basis = build_partition(cover, K, quad)
+    factors, basis = build_partition(cover, K)
     values = np.asarray(cover.values)
     # every phi_i carries the cut-off factor, so the sum vanishes outside
     # theta's support: one support for any rank
@@ -255,7 +252,6 @@ class LocalizationReport:
 
 def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
                           alpha: SeminormIndex, eps: float, search: Region,
-                          quad: QuadratureSpec,
                           support_constraint: Optional[Region] = None,
                           ) -> tuple[FiniteRankFunction, LocalizationReport]:
     """Order-zero finite-rank approximation with the 4 eps proof-chain bound."""
@@ -298,7 +294,7 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     near = K.inflate(0.75 * s).contains(dom_pts)
     cover = oscillation_cover(f, K, fam, j, alpha, eps,
                               cover_margin=margin, extra_points=dom_pts[near])
-    g = partition_sum(cover, K, quad, f.domain)
+    g = partition_sum(cover, K, f.domain)
     measured = difference_seminorm(f, g.sampled, fam, idx, alpha)
     report = LocalizationReport(
         n_centers=cover.n_centers,

@@ -3,7 +3,8 @@
 A family holds evaluators nu_{j,l} >= 0 indexed by j in a finite list J and
 derivative order l <= k_max. Standard-structure families factor as
 indicator(Omega_j) * nutilde_{j,l} with closed-box membership, so boundary
-points count as inside.
+points count as inside; such a family keeps its regions Omega_j, which the
+tail-compact search clips to.
 """
 
 from __future__ import annotations
@@ -27,20 +28,12 @@ class WeightIndex:
 
 
 @dataclass
-class FamilyStructure:
-    """Optional indicator-times-continuous factorization."""
-
-    regions: dict[int, Region]
-    nutilde: dict[tuple[int, int], WeightEvaluator]
-
-
-@dataclass
 class WeightFamily:
     kind: str
     k_max: int
     js: list[int]
     entries: dict[tuple[int, int], WeightEvaluator]
-    structure: Optional[FamilyStructure] = None
+    regions: Optional[dict[int, Region]] = None
 
     def indices(self) -> list[WeightIndex]:
         return [WeightIndex(j, l) for j in self.js for l in range(self.k_max + 1)]
@@ -56,9 +49,10 @@ class WeightFamily:
         return np.asarray(self.weight(idx)(pts), dtype=float)
 
     def structure_region(self, j: int) -> Optional[Region]:
-        if self.structure is None:
+        """Omega_j, outside which every nu_{j,l} is 0; None if undeclared."""
+        if self.regions is None:
             return None
-        return self.structure.regions.get(j)
+        return self.regions.get(j)
 
 
 def eval_weight(fam: WeightFamily, idx: WeightIndex, x, domain: Optional[Region] = None) -> float:
@@ -96,11 +90,7 @@ def exhaustion_family(k_max: int, omega_regions: dict[int, Region]) -> WeightFam
 
     js = sorted(omega_regions)
     entries = {(j, l): make(omega_regions[j]) for j in js for l in range(k_max + 1)}
-    structure = FamilyStructure(
-        regions=dict(omega_regions),
-        nutilde={(j, l): (lambda pts: np.ones(len(pts))) for j in js for l in range(k_max + 1)},
-    )
-    return WeightFamily("exhaustion", k_max, js, entries, structure=structure)
+    return WeightFamily("exhaustion", k_max, js, entries, regions=dict(omega_regions))
 
 
 def exp_strips_family(k_max: int, j_max: int,
@@ -113,7 +103,6 @@ def exp_strips_family(k_max: int, j_max: int,
     """
     lo1, hi1 = x1_extent
     regions = {}
-    nutilde = {}
     entries = {}
     js = list(range(1, j_max + 1))
     for j in js:
@@ -125,23 +114,14 @@ def exp_strips_family(k_max: int, j_max: int,
         region = Region(boxes, tuple(np.broadcast_to(points_per_axis, (2,)).astype(int)))
         regions[j] = region
 
-        def make_tilde(jj):
+        def make(jj, reg):
             def ev(pts):
-                return np.exp(-np.abs(pts[:, 0]) / (jj + 1))
-            return ev
-
-        def make_full(jj, reg):
-            tilde = make_tilde(jj)
-
-            def ev(pts):
-                return reg.contains(pts).astype(float) * tilde(pts)
+                return reg.contains(pts).astype(float) * np.exp(-np.abs(pts[:, 0]) / (jj + 1))
             return ev
 
         for l in range(k_max + 1):
-            nutilde[(j, l)] = make_tilde(j)
-            entries[(j, l)] = make_full(j, region)
-    structure = FamilyStructure(regions=regions, nutilde=nutilde)
-    return WeightFamily("exp_strips", k_max, js, entries, structure=structure)
+            entries[(j, l)] = make(j, region)
+    return WeightFamily("exp_strips", k_max, js, entries, regions=regions)
 
 
 def om_finite_family(k_max: int, gauge_sets: list[list[str]], d: int) -> WeightFamily:

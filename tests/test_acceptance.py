@@ -97,7 +97,7 @@ def test_criterion_3_regularization_convergence(domain_1d, schwartz_fam, sup_alp
                                                 gauss_1d, quad):
     start = time.monotonic()
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 1), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad)
+                         1e-3, 1.0, domain_1d)
     ok = True
     final = {}
     for l in (0, 1):
@@ -116,7 +116,7 @@ def test_criterion_3_regularization_convergence(domain_1d, schwartz_fam, sup_alp
            f"l=1: {final[1]:.2e} < 1e-2, runtime {elapsed:.1f}s < 60s")
 
 
-def test_criterion_4_cutoff_bound(domain_1d, schwartz_fam, sup_alpha, quad):
+def test_criterion_4_cutoff_bound(domain_1d, schwartz_fam, sup_alpha):
     rng = np.random.default_rng(42)
     ok = True
     worst_slack = -np.inf
@@ -131,7 +131,7 @@ def test_criterion_4_cutoff_bound(domain_1d, schwartz_fam, sup_alpha, quad):
         l = trial % 3
         idx = WeightIndex(1, l)
         ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
-                               domain_1d, quad)
+                               domain_1d)
         measured = difference_seminorm(f, ft, schwartz_fam, idx, sup_alpha)
         slack = (1 + rep.C_l_delta) * rep.tail.value + 1e-10 - measured.value
         worst_slack = max(worst_slack, -slack)
@@ -141,7 +141,7 @@ def test_criterion_4_cutoff_bound(domain_1d, schwartz_fam, sup_alpha, quad):
 
 
 def test_criterion_5_partition_identities(domain_1d, schwartz_fam, sup_alpha,
-                                          gauss_1d, plane_waves_1d, quad):
+                                          gauss_1d, plane_waves_1d):
     ok = True
     details = []
     fixtures = [(gauss_1d, Region.box([-1.5], [1.5], 301), 0.3),
@@ -149,7 +149,7 @@ def test_criterion_5_partition_identities(domain_1d, schwartz_fam, sup_alpha,
                 (plane_waves_1d, Region.box([-2.5], [2.5], 501), 0.05)]
     for f, K, eps in fixtures:
         cover = oscillation_cover(f, K, schwartz_fam, 1, sup_alpha, eps)
-        factors, _ = build_partition(cover, K, quad)
+        factors, _ = build_partition(cover, K)
         kpts = K.grid_points()
         vals = factors.eval(kpts).T
         sum_err = np.max(np.abs(np.sum(vals, axis=0) - 1.0))
@@ -169,18 +169,17 @@ def test_criterion_5_partition_identities(domain_1d, schwartz_fam, sup_alpha,
                   f"{len(fixtures)} fixtures ({'; '.join(details)})")
 
 
-def test_criterion_6_localization_bound(plane_waves_1d, schwartz_fam, sup_alpha,
-                                        quad, domain_1d):
+def test_criterion_6_localization_bound(plane_waves_1d, schwartz_fam, sup_alpha, domain_1d):
     ok = True
     details = []
     for eps in (0.2, 0.05):
         g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                       eps, domain_1d, quad)
+                                       eps, domain_1d)
         ok &= rep.measured.value < 4 * eps
         details.append(f"eps={eps}: |f-g| = {rep.measured.value:.3f} < {4*eps}")
     V = Region.box([-3.5], [3.5], 701)
     g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                   0.2, domain_1d, quad, support_constraint=V)
+                                   0.2, domain_1d, support_constraint=V)
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)
     # column i of the factor map is phi_i

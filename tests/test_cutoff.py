@@ -1,8 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 import finiterank as fr
-from finiterank import cutoff
+from finiterank import cutoff, mollify
 from finiterank.cutoff import (_AxisProfile, _UnionCutoff, apply_cutoff, build_cutoff,
                                cutoff_constant, measure_cbeta, multiply_cutoff)
 from finiterank.errors import GeometryError, OrderError
@@ -17,9 +18,9 @@ import expected
 
 
 @pytest.fixture(scope="module")
-def unit_cut(quad):
+def unit_cut():
     K = fr.Region.box([-1.0], [1.0], 1201)
-    return build_cutoff(K, 1.0, quad)
+    return build_cutoff(K, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ def _full_window_profile(prof, t):
     live = length > 0
     out = np.zeros(len(t))
     nodes = lo[live][:, None] + prof._gl_u[None, :] * length[live][:, None]
-    vals = prof.moll.deriv((0,), nodes.reshape(-1, 1)).reshape(nodes.shape)
+    vals = prof.kernel(0, nodes.ravel()).reshape(nodes.shape)
     out[live] = np.sum(vals * prof._gl_w, axis=1) * length[live] / prof.mass
     full = (t - prof.b <= -prof.r) & (t - prof.a >= prof.r)
     out[full] = 1.0
@@ -60,9 +61,7 @@ def _full_window_profile(prof, t):
 
 
 def test_profile_plateau_skips_quadrature(rng, monkeypatch):
-    moll = build_mollifier(1, 4, fr.QuadratureSpec(points_per_axis=64,
-                                                   refinement_levels=2))
-    prof = _AxisProfile(-1.0, 1.0, 1.0, moll)   # window [-1.5, 1.5], r = 1/4
+    prof = _AxisProfile(-1.0, 1.0, 1.0, 4)   # window [-1.5, 1.5], r = 1/4
     assert (prof.a, prof.b, prof.r) == (-1.5, 1.5, 0.25)
     left = rng.uniform(-1.75, -1.25, 7)
     right = rng.uniform(1.25, 1.75, 10)
@@ -71,14 +70,7 @@ def test_profile_plateau_skips_quadrature(rng, monkeypatch):
     t = rng.permutation(np.concatenate([left, right, plateau, outside]))
     expected_vals = _full_window_profile(prof, t)
 
-    seen = []
-    kernel = prof.moll.deriv
-
-    def counted(beta, points):
-        seen.append(len(points))
-        return kernel(beta, points)
-
-    monkeypatch.setattr(prof.moll, "deriv", counted)
+    seen = _count_kernel_points(monkeypatch)
     vals = prof.deriv(0, t)
     assert np.array_equal(vals, expected_vals)
     assert seen == [128 * 17]
@@ -89,34 +81,30 @@ def test_profile_plateau_skips_quadrature(rng, monkeypatch):
 def test_profile_value_depends_on_the_point_only(rng):
     # every batch goes to a fresh profile, so no value comes from the ramp
     # table a larger batch filled
-    moll = build_mollifier(1, 4, fr.QuadratureSpec(points_per_axis=64,
-                                                   refinement_levels=2))
     t = rng.uniform(-1.8, 1.8, 2000)
-    whole = _AxisProfile(-1.0, 1.0, 1.0, moll).deriv(0, t)
+    whole = _AxisProfile(-1.0, 1.0, 1.0, 4).deriv(0, t)
     for idx in (rng.choice(len(t), 333, replace=False), np.arange(1, len(t), 7),
                 np.arange(0, len(t), 2)):
-        assert np.array_equal(_AxisProfile(-1.0, 1.0, 1.0, moll).deriv(0, t[idx]),
+        assert np.array_equal(_AxisProfile(-1.0, 1.0, 1.0, 4).deriv(0, t[idx]),
                               whole[idx])
     for i in rng.choice(len(t), 40, replace=False):
-        assert _AxisProfile(-1.0, 1.0, 1.0, moll).deriv(0, t[i:i + 1])[0] == whole[i]
+        assert _AxisProfile(-1.0, 1.0, 1.0, 4).deriv(0, t[i:i + 1])[0] == whole[i]
 
 
 def _profile(lo=-1.0, hi=1.0):
-    moll = build_mollifier(1, 4, fr.QuadratureSpec(points_per_axis=64,
-                                                   refinement_levels=2))
-    return _AxisProfile(lo, hi, 1.0, moll)   # r = 1/4
+    return _AxisProfile(lo, hi, 1.0, 4)   # r = 1/4
 
 
-def _count_kernel_points(prof, monkeypatch):
-    """A list that grows by the point count of every kernel call prof makes."""
+def _count_kernel_points(monkeypatch):
+    """A list that grows by the point count of every unit-bump call."""
     seen = []
-    kernel = prof.moll.deriv
+    bump = mollify.bump_profile
 
-    def counted(beta, points):
+    def counted(points, beta=None):
         seen.append(len(points))
-        return kernel(beta, points)
+        return bump(points, beta)
 
-    monkeypatch.setattr(prof.moll, "deriv", counted)
+    monkeypatch.setattr(mollify, "bump_profile", counted)
     return seen
 
 
@@ -124,7 +112,7 @@ def test_profile_repeats_read_the_ramp_table(rng, monkeypatch):
     prof = _profile()
     t = rng.uniform(-1.8, 1.8, 500)
     first = prof.deriv(0, t)
-    seen = _count_kernel_points(prof, monkeypatch)
+    seen = _count_kernel_points(monkeypatch)
     again = prof.deriv(0, t[::-1])
     assert seen == []
     assert np.array_equal(again, first[::-1])
@@ -136,7 +124,7 @@ def test_profile_quadrature_once_per_new_distinct_point(rng, monkeypatch):
     old = rng.uniform(1.25, 1.75, 150)           # right ramp
     new = rng.uniform(-1.75, -1.25, 150)         # left ramp
     prof.deriv(0, old)
-    seen = _count_kernel_points(prof, monkeypatch)
+    seen = _count_kernel_points(monkeypatch)
     t = rng.permutation(np.concatenate([old, new, new[:40], old[:30], new[:5]]))
     vals = prof.deriv(0, t)
     assert sum(seen) == 128 * 150
@@ -152,7 +140,7 @@ def test_profiles_keep_their_own_ramp_tables(rng):
     assert np.array_equal(shifted.deriv(0, t), _full_window_profile(shifted, t))
 
 
-def test_window_rule_built_once_per_process(quad, monkeypatch):
+def test_window_rule_built_once_per_process(monkeypatch):
     calls = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -164,9 +152,33 @@ def test_window_rule_built_once_per_process(quad, monkeypatch):
     cutoff._window_rule.cache_clear()
     profiles = [_profile(lo, 1.0) for lo in (-1.0, -0.5, 0.0)]
     K = fr.Region.from_bounds([[-1.0, -1.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], 41)
-    build_cutoff(K, 0.5, quad).eval(np.zeros((3, 2)))
+    build_cutoff(K, 0.5).eval(np.zeros((3, 2)))
     assert calls == [128]
     assert all(p._gl_u is profiles[0]._gl_u for p in profiles)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.25, 1.0 / 150])
+def test_ramps_match_an_independent_integral(delta):
+    # on a ramp psi is the unit bump's integral over the overlap window divided
+    # by its whole integral; mpmath computes both at 30 digits
+    psi = build_cutoff(fr.Region.box([-1.0], [1.0], 201), delta)
+    n = int(np.ceil(4.0 / delta))
+    a, b, r = -1.0 - 0.5 * delta, 1.0 + 0.5 * delta, 1.0 / n
+    s = np.linspace(-1.0, 1.0, 12)[1:-1]
+    left, right = a + r * s, b + r * s
+    vals = psi.eval(np.concatenate([left, right])[:, None])[:, 0]
+
+    def bump(v):
+        return mpmath.exp(-1 / (1 - v * v))
+
+    with mpmath.workdps(30):
+        mass = mpmath.quad(bump, [-1, 1])
+        want = ([mpmath.quad(bump, [-1, n * (mpmath.mpf(t) - mpmath.mpf(a))]) / mass
+                 for t in left]
+                + [mpmath.quad(bump, [n * (mpmath.mpf(t) - mpmath.mpf(b)), 1]) / mass
+                   for t in right])
+    assert np.all((vals > 0.0) & (vals < 1.0))
+    assert np.max(np.abs(vals - np.array(want, dtype=float))) <= 1e-13
 
 
 def test_range_and_derivative_c0(unit_cut, unit_table):
@@ -190,7 +202,7 @@ def test_remeasure_reproduces_table(unit_cut, unit_table):
         assert again[beta] == val
 
 
-def test_build_cutoff_measures_nothing(quad, monkeypatch):
+def test_build_cutoff_measures_nothing(monkeypatch):
     calls = []
     deriv = _UnionCutoff.deriv
 
@@ -201,7 +213,7 @@ def test_build_cutoff_measures_nothing(quad, monkeypatch):
     monkeypatch.setattr(_UnionCutoff, "deriv", counted)
     # two boxes in 2D, so psi is the smooth union the exp_strips_2d runs build
     K = fr.Region.from_bounds([[-1.0, -1.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], 41)
-    psi = build_cutoff(K, 0.5, quad)
+    psi = build_cutoff(K, 0.5)
     assert calls == []
     psi.eval(np.zeros((3, 2)))
     assert calls == [3]
@@ -216,19 +228,19 @@ def test_cutoff_constant_formula(unit_table):
         cutoff_constant(unit_table, 1.0, 5)
 
 
-def test_constant_shrinks_with_delta(quad):
+def test_constant_shrinks_with_delta():
     K = fr.Region.box([-1.0], [1.0], 1201)
-    small = measure_cbeta(build_cutoff(K, 1.0, quad), 1.0, 2)
-    big = measure_cbeta(build_cutoff(K, 2.0, quad), 2.0, 2)
+    small = measure_cbeta(build_cutoff(K, 1.0), 1.0, 2)
+    big = measure_cbeta(build_cutoff(K, 2.0), 2.0, 2)
     assert cutoff_constant(big, 2.0, 1) <= cutoff_constant(small, 1.0, 1) + 1e-9
     assert big[(1,)] <= small[(1,)] * (1 + 1e-4)
 
 
-def test_geometry_error_when_leaving_domain(quad):
+def test_geometry_error_when_leaving_domain():
     K = fr.Region.box([-1.0], [1.0], 101)
     omega = fr.Region.box([-1.2], [1.2], 101)
     with pytest.raises(GeometryError):
-        build_cutoff(K, 1.0, quad, omega=omega)
+        build_cutoff(K, 1.0, omega=omega)
 
 
 def test_product_derivatives_match_fd(unit_cut, domain_1d, gauss_1d, rng):
@@ -241,7 +253,7 @@ def test_product_derivatives_match_fd(unit_cut, domain_1d, gauss_1d, rng):
         assert analytic == pytest.approx(fd, abs=max(1e-4 * max(abs(fd), 1e-3), 1e-8))
 
 
-def test_apply_cutoff_bound_randomized(domain_1d, schwartz_fam, sup_alpha, quad, rng):
+def test_apply_cutoff_bound_randomized(domain_1d, schwartz_fam, sup_alpha, rng):
     # five randomized rapidly-decreasing functions, l <= 2
     for trial in range(5):
         a, b = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
@@ -252,7 +264,7 @@ def test_apply_cutoff_bound_randomized(domain_1d, schwartz_fam, sup_alpha, quad,
         l = int(rng.integers(0, 3))
         idx = WeightIndex(1, l)
         ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
-                               domain_1d, quad)
+                               domain_1d)
         measured = difference_seminorm(f, ft, schwartz_fam, idx, sup_alpha)
         bound = (1 + cutoff_constant_from_report(rep)) * rep.tail.value
         assert measured.value <= bound + 1e-10
@@ -272,32 +284,31 @@ def test_apply_cutoff_identity_on_compact(domain_1d, schwartz_fam, sup_alpha, qu
                         evaluator=f.evaluator, derivative=f.derivative,
                         support=Region.box([-1.0], [1.0], 1201), name="bump")
     ft, rep = apply_cutoff(f, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                           1e-3, 1.0, domain_1d, quad)
+                           1e-3, 1.0, domain_1d)
     pts = domain_1d.grid_points()
     diff = np.max(np.abs(f.eval_extended(pts) - ft.eval_extended(pts)))
     assert diff <= 1e-12
     assert rep.measured.value <= 1e-12
 
 
-def test_apply_cutoff_zero(domain_1d, schwartz_fam, sup_alpha, quad):
+def test_apply_cutoff_zero(domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 2)
     ft, rep = apply_cutoff(z, schwartz_fam, WeightIndex(1, 1), sup_alpha,
-                           1e-2, 1.0, domain_1d, quad)
+                           1e-2, 1.0, domain_1d)
     pts = domain_1d.grid_points()
     assert np.all(ft.eval_extended(pts) == 0.0)
     assert rep.measured.value == 0.0
 
 
 @pytest.mark.parametrize("l", [0, 1, 2])
-def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha, quad,
-                                          gauss_1d):
+def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     _, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, l), sup_alpha,
-                          0.05, 1.0, domain_1d, quad)
+                          0.05, 1.0, domain_1d)
     assert list(rep.Cbeta_table) == multiindices(1, l)
     # the same cut-off measured to order 4 gives the same constant, bit for bit
     dom_pts = domain_1d.grid_points()
     near = rep.K.inflate(rep.delta).contains(dom_pts)
-    psi = build_cutoff(rep.K, rep.delta, quad, omega=domain_1d)
+    psi = build_cutoff(rep.K, rep.delta, omega=domain_1d)
     deep = measure_cbeta(psi, rep.delta, 4, extra_points=dom_pts[near])
     assert list(deep) == multiindices(1, 4)
     assert cutoff_constant(deep, rep.delta, l) == rep.C_l_delta

@@ -185,7 +185,7 @@ def test_support_estimate_bump(quad):
     moll = fr.build_mollifier(1, 1, quad)
     dom = Region.box([-2.0], [2.0], 401)
     f = SampledFunction(domain=dom, order=2, value_dim=1,
-                        evaluator=lambda p: moll.value(p)[:, None])
+                        evaluator=lambda p: moll.deriv((0,), p)[:, None])
     est = support_estimate(f, 1e-12)
     step = dom.spacing()[0]
     assert est.boxes[0].lo[0] >= -1.0 - step - 1e-12
@@ -199,17 +199,17 @@ def test_support_estimate_zero_and_mollifier_radius(domain_1d, quad):
 
     moll = fr.build_mollifier(1, 2, quad)
     f = SampledFunction(domain=domain_1d, order=2, value_dim=1,
-                        evaluator=lambda p: moll.value(p)[:, None])
+                        evaluator=lambda p: moll.deriv((0,), p)[:, None])
     est = support_estimate(f)
     step = domain_1d.spacing()[0]
     assert abs(est.boxes[0].hi[0] - 0.5) <= step + 1e-12
 
 
-def test_finite_rank_sum_identity(plane_waves_1d, schwartz_fam, sup_alpha, quad,
+def test_finite_rank_sum_identity(plane_waves_1d, schwartz_fam, sup_alpha,
                                   domain_1d):
     # g = sum_i phi_i (x) e_i: the factor map times the value matrix is the sum
     g, _ = fr.finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2,
-                                    domain_1d, quad)
+                                    domain_1d)
     assert isinstance(g, FiniteRankFunction)
     assert g.rank > 1
     assert g.factors.value_dim == g.rank

@@ -41,19 +41,20 @@ def test_mass_unit(d, n, quad):
 def test_support_exact_and_positive(quad):
     moll = build_mollifier(1, 4, quad)
     xs = np.array([[0.25], [0.2500001], [0.3], [1.0]])
-    vals = moll.value(xs)
+    vals = moll.deriv((0,), xs)
     assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] == 0.0 and vals[3] == 0.0
     inside = np.linspace(-0.2499, 0.2499, 101)[:, None]
-    assert np.all(moll.value(inside) >= 0.0)
+    assert np.all(moll.deriv((0,), inside) >= 0.0)
     assert np.all(moll.deriv((1,), xs) == 0.0)
 
 
 def test_scaling_law_bitexact(quad):
-    moll = build_mollifier(1, 4, quad)
+    # d^k rho_n(x) = n^(d+k) d^k rho_1(n x); powers of two scale exactly
+    moll, unit = build_mollifier(1, 4, quad), build_mollifier(1, 1, quad)
     xs = np.linspace(-0.24, 0.24, 33)[:, None]
-    direct = moll.value(xs)
-    rescaled = (4 ** 1) * moll.rho_unit(4 * xs)
-    assert np.array_equal(direct, rescaled)
+    for k in (0, 1, 2):
+        assert np.array_equal(moll.deriv((k,), xs),
+                              4.0 ** (1 + k) * unit.deriv((k,), 4 * xs))
 
 
 def test_convolve_zero(quad, domain_1d):
@@ -237,7 +238,7 @@ def test_convolution_linearity(quad, domain_1d, gauss_1d):
 
 def test_regularize_sup_error_monotone(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad)
+                         1e-3, 1.0, domain_1d)
     errors = []
     for n in (2, 4, 8, 16):
         sm = regularize(ft, n, quad)
@@ -248,7 +249,7 @@ def test_regularize_sup_error_monotone(quad, domain_1d, schwartz_fam, sup_alpha,
 
 def test_regularize_support_inflation(quad, domain_1d, gauss_1d, schwartz_fam, sup_alpha):
     ft, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                           1e-3, 1.0, domain_1d, quad)
+                           1e-3, 1.0, domain_1d)
     sm = regularize(ft, 4, quad)
     assert sm.support is not None
     est = support_estimate(sm)
@@ -258,7 +259,7 @@ def test_regularize_support_inflation(quad, domain_1d, gauss_1d, schwartz_fam, s
 
 
 def test_regularize_leaves_argument_unchanged(quad, gauss_1d):
-    psi = build_cutoff(Region.box([-1.0], [1.0], 201), 1.0, quad)
+    psi = build_cutoff(Region.box([-1.0], [1.0], 201), 1.0)
     ft = multiply_cutoff(psi, gauss_1d)
     before = set(vars(ft))
     regularize(ft, 4, quad)
@@ -280,7 +281,7 @@ def test_find_regularization_order_zero(quad, domain_1d, schwartz_fam, sup_alpha
 
 def test_find_regularization_order_pinned(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad)
+                         1e-3, 1.0, domain_1d)
     n, history = find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0),
                                            sup_alpha, 1e-2, 64, quad)
     assert n == expected.REG_ORDER_GAUSS_L0
@@ -289,7 +290,7 @@ def test_find_regularization_order_pinned(quad, domain_1d, schwartz_fam, sup_alp
 
 def test_find_regularization_order_loose_eps(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad)
+                         1e-3, 1.0, domain_1d)
     big = weighted_seminorm(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha).value
     n, _ = find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
                                      10.0 * big, 64, quad)
@@ -298,7 +299,7 @@ def test_find_regularization_order_loose_eps(quad, domain_1d, schwartz_fam, sup_
 
 def test_find_regularization_order_exhausted(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d, quad)
+                         1e-3, 1.0, domain_1d)
     with pytest.raises(ConvergenceError) as err:
         find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
                                   1e-12, 4, quad)

@@ -45,7 +45,7 @@ def test_structured_input_small_stage1(schwartz_scn, quad):
     phi = moll.as_sampled()
     e = np.array([0.02, -0.01, 0.005, 0.0025])
     f = SampledFunction(domain=scn.domain, order=4, value_dim=4,
-                        evaluator=lambda p: moll.value(p)[:, None] * e[None, :],
+                        evaluator=lambda p: moll.deriv((0,), p)[:, None] * e[None, :],
                         derivative=lambda b, p: moll.deriv(b, p)[:, None] * e[None, :],
                         support=Region.box([-1.0], [1.0], scn.domain.points_per_axis[0]),
                         name="bump_tensor_e")
@@ -57,7 +57,7 @@ def test_structured_input_small_stage1(schwartz_scn, quad):
 def _cut_off(f, scn, idx, eps):
     """f_tilde as stage 1 of approximate(f, scn, idx, "sup", eps) builds it."""
     f_tilde, _ = apply_cutoff(f, scn.family, idx, scn.seminorm("sup"), eps / 3.0,
-                              scn.delta_rule(idx), scn.domain, scn.quad,
+                              scn.delta_rule(idx), scn.domain,
                               omega=scn.omega_region())
     return f_tilde
 
@@ -278,6 +278,21 @@ def test_verify_rejects_refine_below_one(counted_runs, schwartz_scn):
         with pytest.raises(ValueError, match="refine"):
             verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup",
                           refine=refine)
+
+
+def test_verify_refuses_another_index_or_seminorm(counted_runs, schwartz_scn):
+    # a (1, 0) re-measurement of a (1, 1) ledger would compare another
+    # seminorm's value with the ledger's eps
+    scn, f = schwartz_scn
+    result, ledger, _, _ = counted_runs[0.2]
+    for idx, lg in ((WeightIndex(1, 0), ledger), (WeightIndex(2, 1), ledger),
+                    (WeightIndex(1, 1), replace(ledger, alpha="l2"))):
+        with pytest.raises(ValueError, match="ledger is for"):
+            verify_ledger(result, lg, f, scn, idx, "sup")
+    # an index read back from JSON is a list and still matches
+    report = verify_ledger(result, replace(ledger, index=list(ledger.index)), f, scn,
+                           WeightIndex(1, 1), "sup")
+    assert report.certified
 
 
 def test_verify_measures_given_result(counted_runs, schwartz_scn):

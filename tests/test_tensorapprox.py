@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import finiterank as fr
 from finiterank.errors import OrderError, ResolutionError
 from finiterank.funcmodel import SampledFunction, sf_zero
 from finiterank.geometry import Region
@@ -12,11 +11,6 @@ from finiterank.tensorapprox import (Cover, _bump_matrix, build_partition,
 from finiterank.weights import WeightIndex
 import expected
 from oracles import dense_bump_matrix, dense_partition
-
-
-@pytest.fixture(scope="session")
-def quad():
-    return fr.QuadratureSpec(points_per_axis=64, refinement_levels=2, tol=1e-6)
 
 
 def _linear(domain):
@@ -72,10 +66,10 @@ def test_cover_resolution_error(schwartz_fam, sup_alpha):
         oscillation_cover(f, K, schwartz_fam, 1, sup_alpha, 0.02)
 
 
-def test_partition_identities(domain_1d, schwartz_fam, sup_alpha, gauss_1d, quad):
+def test_partition_identities(domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     K = Region.box([-1.5], [1.5], 301)
     cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
-    factors, basis = build_partition(cover, K, quad)
+    factors, basis = build_partition(cover, K)
     assert factors.value_dim == cover.n_centers
     pts = K.grid_points()
     all_vals = factors.eval(pts).T
@@ -134,10 +128,10 @@ def test_bump_matrix_matches_dense_formula(d, rng):
     assert empty.shape == (9, 0)
 
 
-def test_eval_all_matches_dense_partition(gauss_1d, schwartz_fam, sup_alpha, quad):
+def test_eval_all_matches_dense_partition(gauss_1d, schwartz_fam, sup_alpha):
     K = Region.box([-1.5], [1.5], 301)
     cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
-    factors, basis = build_partition(cover, K, quad)
+    factors, basis = build_partition(cover, K)
     pts = Region.box([-3.0], [3.0], 1201).grid_points()
     theta = basis.theta.eval_extended(pts)[:, 0]
     dense = dense_partition(theta, dense_bump_matrix(pts, cover.centers, cover.radii))
@@ -146,13 +140,13 @@ def test_eval_all_matches_dense_partition(gauss_1d, schwartz_fam, sup_alpha, qua
     assert np.any(np.sum(phis, axis=0) == 0.0)     # points off every ball
 
 
-def test_partition_values_depend_on_the_point_only(quad, rng):
+def test_partition_values_depend_on_the_point_only(rng):
     # 21 bumps that all overlap: every point sums many of them
     K = Region.box([-1.0], [1.0], 201)
     cover = Cover(centers=np.linspace(-0.2, 0.2, 21)[:, None],
                   radii=np.full(21, 1.5), values=rng.normal(size=(21, 3)),
                   N_const=1.0, target_osc=0.1)
-    g = partition_sum(cover, K, quad, Region.box([-2.0], [2.0], 401))
+    g = partition_sum(cover, K, Region.box([-2.0], [2.0], 401))
     pts = Region.box([-1.5], [1.5], 301).grid_points()
     for fn in (g.factors, g.sampled):
         whole = fn.eval(pts)
@@ -164,38 +158,38 @@ def test_partition_values_depend_on_the_point_only(quad, rng):
 
 
 def test_unsmoothed_factors_declare_order_zero(plane_waves_1d, schwartz_fam,
-                                               sup_alpha, quad, domain_1d):
+                                               sup_alpha, domain_1d):
     # the factor map has no derivative; a derivative seminorm must refuse it
     # instead of reading finite differences
     g, _ = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                 0.2, domain_1d, quad)
+                                 0.2, domain_1d)
     assert g.factors.order == 0
     with pytest.raises(OrderError):
         weighted_seminorm(g.factors, schwartz_fam, WeightIndex(1, 1), sup_alpha)
 
 
-def test_partition_single_center_equals_cutoff(domain_1d, schwartz_fam, sup_alpha, quad):
+def test_partition_single_center_equals_cutoff(domain_1d, schwartz_fam, sup_alpha):
     c = SampledFunction(domain=domain_1d, order=0, value_dim=1,
                         evaluator=lambda p: np.ones((len(p), 1)))
     K = Region.box([-0.5], [0.5], 101)
     cover = oscillation_cover(c, K, schwartz_fam, 1, sup_alpha, 0.5)
     assert cover.n_centers == 1
-    factors, _ = build_partition(cover, K, quad)
+    factors, _ = build_partition(cover, K)
     pts = K.grid_points()
     assert factors.value_dim == 1
     assert np.max(np.abs(factors.eval(pts)[:, 0] - 1.0)) <= 1e-12
 
 
-def test_finite_rank_zero(domain_1d, schwartz_fam, sup_alpha, quad):
+def test_finite_rank_zero(domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 2)
     g, report = finite_rank_c0_approx(z, schwartz_fam, 1, sup_alpha, 0.1,
-                                      domain_1d, quad)
+                                      domain_1d)
     assert g.rank == 0
     assert report.measured.value == 0.0
     assert report.four_eps_ok
 
 
-def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, quad, gauss_1d):
+def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     # f = phi (x) e for one fixed vector e: the approximant's values stay
     # proportional to e and the bound holds
     e = np.array([2.0, -1.0, 0.5])
@@ -204,7 +198,7 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, quad, ga
                         derivative=lambda b, p: gauss_1d.deriv(b, p) * e[None, :])
     eps = 0.05
     g, report = finite_rank_c0_approx(f, schwartz_fam, 1, sup_alpha, eps,
-                                      domain_1d, quad)
+                                      domain_1d)
     assert report.four_eps_ok
     assert g.values.shape == (g.rank, 3)
     for value in g.values:
@@ -215,31 +209,30 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, quad, ga
 @pytest.mark.parametrize("eps,rank_key", [(0.2, "LOC_RANK_EPS_02"),
                                           (0.05, "LOC_RANK_EPS_005")])
 def test_finite_rank_plane_waves(eps, rank_key, plane_waves_1d, schwartz_fam,
-                                 sup_alpha, quad, domain_1d):
+                                 sup_alpha, domain_1d):
     g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                      eps, domain_1d, quad)
+                                      eps, domain_1d)
     assert report.measured.value < 4 * eps
     assert report.rank == getattr(expected, rank_key)
     assert report.rank == report.n_centers
 
 
-def test_rank_monotone_in_eps(plane_waves_1d, schwartz_fam, sup_alpha, quad, domain_1d):
+def test_rank_monotone_in_eps(plane_waves_1d, schwartz_fam, sup_alpha, domain_1d):
     ranks = []
     for eps in (0.4, 0.2, 0.1):
         _, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1,
-                                          sup_alpha, eps, domain_1d, quad)
+                                          sup_alpha, eps, domain_1d)
         ranks.append(report.rank)
     assert ranks[0] <= ranks[1] <= ranks[2]
 
 
-def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_alpha,
-                                             quad, domain_1d):
+def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_alpha, domain_1d):
     # the sum carries the cut-off factor, so it takes the cut-off's support
     # instead of one box per term
     ranks, box_counts = [], []
     for eps in (0.4, 0.1):
         g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1,
-                                          sup_alpha, eps, domain_1d, quad)
+                                          sup_alpha, eps, domain_1d)
         ranks.append(g.rank)
         box_counts.append(len(g.sampled.support.boxes))
         assert box_counts[-1] == len(report.K.boxes)
@@ -247,10 +240,10 @@ def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_a
     assert box_counts[0] == box_counts[1] < ranks[0]
 
 
-def test_support_constraint_honored(gauss_1d, schwartz_fam, sup_alpha, quad, domain_1d):
+def test_support_constraint_honored(gauss_1d, schwartz_fam, sup_alpha, domain_1d):
     V = Region.box([-3.5], [3.5], 701)
     g, report = finite_rank_c0_approx(gauss_1d, schwartz_fam, 1, sup_alpha, 0.1,
-                                      domain_1d, quad, support_constraint=V)
+                                      domain_1d, support_constraint=V)
     assert report.four_eps_ok
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)

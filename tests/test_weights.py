@@ -182,12 +182,19 @@ def test_vanishing_ratio_hit_on_the_edge_refused():
     assert _indicator_ratio(-3, 1) is None
 
 
-def test_structure_consistency(strips):
-    pts = np.array([[0.5, 1.0], [0.5, 0.4], [3.0, -1.5], [0.0, 2.0]])
-    region = strips.structure_region(1)
-    tilde = strips.structure.nutilde[(1, 1)]
-    direct = strips.eval_batch(WeightIndex(1, 1), pts)
-    assert np.array_equal(direct, region.contains(pts).astype(float) * tilde(pts))
+def test_structure_consistency(strips, exhaustion):
+    # find_tail_compact clips to structure_region(j): that is sound only if
+    # every nu_{j,l} is exactly 0 outside it
+    grids = {"exp_strips": Region.box([-5.0, -5.0], [5.0, 5.0], 101).grid_points(),
+             "exhaustion": Region.box([-4.0], [4.0], 161).grid_points()}
+    for fam in (strips, exhaustion):
+        pts = grids[fam.kind]
+        for idx in fam.indices():
+            inside = fam.structure_region(idx.j).contains(pts)
+            vals = fam.eval_batch(idx, pts)
+            assert inside.any() and not inside.all()
+            assert np.all(vals[~inside] == 0.0)
+            assert np.all(vals[inside] > 0.0)
 
 
 def test_monotone_in_l(schwartz_fam, strips):
