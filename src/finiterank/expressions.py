@@ -2,30 +2,24 @@
 
 The config grammar supports +, -, *, /, ^ plus exp, abs, the squared
 Euclidean norm (symbol ``normsq``) and ``indicator(lo1, hi1, ..., lod, hid)``
-for closed-box membership. Parsing and differentiation are delegated to
-sympy; compiled callables operate on (N, d) point batches.
+for closed-box membership. sympy parses and differentiates these strings,
+and only these: it is imported when the first one compiles. The builtin
+functions are numpy closed forms. Callables operate on (N, d) point batches.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import sympy as sp
-from sympy.parsing.sympy_parser import parse_expr, standard_transformations, convert_xor
 
 from .errors import ConfigError, OrderError
-
-_TRANSFORMS = standard_transformations + (convert_xor,)
-
-#: closed-box membership gate; only legal in weight expressions
-indicator = sp.Function("indicator")
+from .funcmodel import exp_poly, leibniz
 
 
-def _symbols(d: int):
-    return sp.symbols(f"x1:{d + 1}")
-
-
-def parse_scalar_expr(text: str, d: int) -> sp.Expr:
-    xs = _symbols(d)
+def parse_scalar_expr(text: str, d: int):
+    import sympy as sp
+    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+    xs = sp.symbols(f"x1:{d + 1}")
+    indicator = sp.Function("indicator")
     local = {f"x{i + 1}": xs[i] for i in range(d)}
     if d == 1:
         local["x"] = xs[0]
@@ -34,7 +28,8 @@ def parse_scalar_expr(text: str, d: int) -> sp.Expr:
     local["abs"] = sp.Abs
     local["indicator"] = indicator
     try:
-        expr = parse_expr(text, local_dict=local, transformations=_TRANSFORMS)
+        expr = parse_expr(text, local_dict=local,
+                          transformations=standard_transformations + (convert_xor,))
     except Exception as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
     for fn in expr.atoms(sp.Function):
@@ -46,11 +41,12 @@ def parse_scalar_expr(text: str, d: int) -> sp.Expr:
     return expr
 
 
-def _rewrite_indicators(expr: sp.Expr, xs) -> sp.Expr:
+def _rewrite_indicators(expr, xs):
     """Replace indicator(lo1,hi1,...) with a product of Heaviside gates."""
+    import sympy as sp
     replacements = {}
     for node in expr.atoms(sp.Function):
-        if node.func == indicator:
+        if node.func == sp.Function("indicator"):
             args = [sp.Float(a) for a in node.args]
             if len(args) != 2 * len(xs):
                 raise ConfigError("indicator needs lo/hi per axis")
@@ -62,11 +58,12 @@ def _rewrite_indicators(expr: sp.Expr, xs) -> sp.Expr:
     return expr.xreplace(replacements) if replacements else expr
 
 
-def compile_scalar(expr: sp.Expr | str, d: int):
-    """Compile one scalar expression to a batch callable (N, d) -> (N,)."""
+def compile_scalar(expr, d: int):
+    """Compile one scalar expression (string or sympy) to a batch callable (N, d) -> (N,)."""
+    import sympy as sp
     if isinstance(expr, str):
         expr = parse_scalar_expr(expr, d)
-    xs = _symbols(d)
+    xs = sp.symbols(f"x1:{d + 1}")
     expr = _rewrite_indicators(expr, xs)
     fn = sp.lambdify(xs, expr, modules=[np])
 
@@ -81,12 +78,13 @@ def compile_scalar(expr: sp.Expr | str, d: int):
 class ExprFunction:
     """Vector of scalar sympy expressions with lazily compiled derivatives."""
 
-    def __init__(self, exprs: list[sp.Expr], d: int):
+    def __init__(self, exprs: list, d: int):
+        import sympy as sp
         self.d = d
-        self.xs = _symbols(d)
+        self.xs = sp.symbols(f"x1:{d + 1}")
         self.exprs = [sp.sympify(e) for e in exprs]
         for e in self.exprs:
-            if e.atoms(indicator):
+            if e.atoms(sp.Function("indicator")):
                 raise ConfigError("indicator() is not differentiable; not allowed in functions")
         self._compiled: dict[tuple[int, ...], object] = {}
 
@@ -96,6 +94,7 @@ class ExprFunction:
 
     def _fn(self, beta: tuple[int, ...]):
         """One callable returning d^beta of every coordinate, compiled once."""
+        import sympy as sp
         if beta not in self._compiled:
             derivs = []
             for expr in self.exprs:
@@ -118,46 +117,80 @@ class ExprFunction:
                          for v in vals], axis=1)
 
 
-def builtin_function(cfg: dict, d: int) -> ExprFunction:
+def _gaussians(centers, width: float, scale: float = 1.0):
+    """(beta, pts) -> d^beta scale sum_c exp(-|x - c|^2 / width^2) as an (N, 1)
+    column: per axis width^-k p_k(y_i), with y = (x - c) / width and
+    p_k = (-1)^k H_k, H_k the Hermite polynomial."""
+    def one(beta, y):
+        out = scale * np.exp(-np.sum(y * y, axis=1))
+        for i, k in enumerate(beta):
+            if k:
+                out = out * (np.polyval(exp_poly(k, (1.0,), (-2.0, 0.0)), y[:, i]) / width**k)
+        return out
+    return lambda beta, pts: sum(one(beta, (pts - c) / width) for c in centers)[:, None]
+
+
+def _along_x1(deriv, width: int):
+    """(beta, pts) -> d^beta of a factor of x1 alone, (N, width); deriv maps
+    (k, x1 as an (N, 1) column) to the k-th derivative."""
+    return lambda beta, pts: (np.zeros((len(pts), width)) if any(beta[1:])
+                              else deriv(beta[0], pts[:, :1]))
+
+
+def _waves(freqs):
+    """d^beta cos(s x1) for every frequency s at once, as (N, m) columns:
+    s^k {cos, -sin, -cos, sin}[k mod 4](s x1) for beta = (k, 0, ..., 0)."""
+    s = np.asarray(freqs, dtype=float)
+    return _along_x1(lambda k, x1: ((1.0, -1.0, -1.0, 1.0)[k % 4] * s**k)
+                     * (np.cos, np.sin)[k % 2](x1 * s), len(s))
+
+
+class BuiltinFunction:
+    """x -> coeffs * prod(factors)(x), each factor a closed form
+    (beta, pts) -> (N, 1) or (N, m); derivatives by the Leibniz rule."""
+
+    def __init__(self, factors: list, coeffs: np.ndarray, d: int):
+        self.factors, self.coeffs, self.d, self.value_dim = factors, coeffs, d, len(coeffs)
+
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        return self.deriv((0,) * self.d, points)
+
+    def deriv(self, beta: tuple[int, ...], points: np.ndarray) -> np.ndarray:
+        if len(beta) != self.d:
+            raise OrderError(f"multi-index {beta} has wrong dimension for d={self.d}")
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return leibniz(self.factors, tuple(beta), pts) * self.coeffs
+
+
+def builtin_function(cfg: dict, d: int) -> BuiltinFunction:
     """Named sample functions used by the shipped scenarios."""
     kind = cfg.get("builtin")
-    xs = _symbols(d)
-    normsq = sum(x**2 for x in xs)
-    amp = sp.Float(cfg.get("amplitude", 1.0))
+    amp = float(cfg.get("amplitude", 1.0))
+    origin = [np.zeros(d)]
+    e = amp * np.asarray(cfg.get("e", [1.0]), dtype=float)
+    nodes = cfg.get("nodes", [0.0])
     if kind == "gaussian":
-        sigma = sp.Float(cfg.get("sigma", 1.0))
-        e = cfg.get("e", [1.0])
-        base = amp * sp.exp(-normsq / sigma**2)
-        return ExprFunction([sp.Float(c) * base for c in e], d)
+        return BuiltinFunction([_gaussians(origin, float(cfg.get("sigma", 1.0)))], e, d)
     if kind == "poly_gaussian":
-        coeffs = cfg.get("coeffs", [1.0])
-        e = cfg.get("e", [1.0])
-        poly = sum(sp.Float(c) * xs[0] ** k for k, c in enumerate(coeffs))
-        base = amp * poly * sp.exp(-normsq)
-        return ExprFunction([sp.Float(c) * base for c in e], d)
+        poly = np.asarray(cfg.get("coeffs", [1.0]), dtype=float)[::-1]
+        factors = [_along_x1(lambda k, x1: np.polyval(np.polyder(poly, k), x1), 1),
+                   _gaussians(origin, 1.0)]
+        return BuiltinFunction(factors, e, d)
     if kind == "plane_waves":
-        sigma = sp.Float(cfg.get("sigma", 1.0))
-        nodes = cfg.get("nodes")
-        if not nodes:
+        if not cfg.get("nodes"):
             raise ConfigError("plane_waves needs sample nodes")
-        env = amp * sp.exp(-normsq / sigma**2)
-        return ExprFunction([env * sp.cos(sp.Float(s) * xs[0]) for s in nodes], d)
+        env = _gaussians(origin, float(cfg.get("sigma", 1.0)), amp)
+        return BuiltinFunction([env, _waves(nodes)], np.ones(len(nodes)), d)
     if kind == "strip_waves":
         # bounded, no decay of its own: the strip weights supply the decay
-        nodes = cfg.get("nodes", [0.0])
-        return ExprFunction([amp * sp.cos(sp.Float(s) * xs[0]) for s in nodes], d)
+        return BuiltinFunction([_waves(nodes)], np.full(len(nodes), amp), d)
     if kind == "twin_gaussian_waves":
         if d != 2:
             raise ConfigError("twin_gaussian_waves is a d=2 builtin")
-        sigma = sp.Float(cfg.get("sigma", 0.5))
-        center = sp.Float(cfg.get("center", 1.2))
-        nodes = cfg.get("nodes", [0.0])
-        x1, x2 = xs
-        env = amp * (
-            sp.exp(-(x1**2 + (x2 - center) ** 2) / (2 * sigma**2))
-            + sp.exp(-(x1**2 + (x2 + center) ** 2) / (2 * sigma**2))
-        )
-        return ExprFunction([env * sp.cos(sp.Float(s) * x1) for s in nodes], d)
+        center = float(cfg.get("center", 1.2))
+        env = _gaussians([np.array([0.0, center]), np.array([0.0, -center])],
+                         float(cfg.get("sigma", 0.5)) * np.sqrt(2.0), amp)
+        return BuiltinFunction([env, _waves(nodes)], np.ones(len(nodes)), d)
     raise ConfigError(f"unknown builtin function {kind!r}")
 
 

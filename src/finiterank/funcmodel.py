@@ -186,6 +186,15 @@ def fd_derivative_oracle(f: SampledFunction, beta: MultiIndex, x, h: float) -> n
     return _nested_central(f.eval, beta, pt, h)[0]
 
 
+def exp_poly(k: int, a, b) -> np.ndarray:
+    """Descending coefficients of p_k in d^k/dx^k exp(h) = p_k(v) exp(h), where
+    dv/dx = a(v) and dh/dx = b(v) are polynomials: p_0 = 1, p_{k+1} = a p_k' + b p_k."""
+    p = np.ones(1)
+    for _ in range(k):
+        p = np.polyadd(np.polymul(a, np.polyder(p)), np.polymul(b, p))
+    return p
+
+
 def leibniz(factors, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
     """d^beta of the product of factors, each a callable (gamma, pts) -> array,
     by the Leibniz rule; the first factor's gamma runs in lexicographic order."""

@@ -9,14 +9,16 @@ cutoff at |x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConvergenceError, QuadratureError
-from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, mi_order,
+from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, exp_poly, mi_order,
                         multiindices, sf_zero)
 from .geometry import Box, Region
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
@@ -26,7 +28,7 @@ from .weights import WeightFamily, WeightIndex
 _FLAT_CUTOFF = 1e-8
 
 # The order every smooth object (the mollifier, every convolution, the
-# cut-off) declares: the symbolic bump derivatives are generated to it.
+# cut-off) declares.
 SMOOTH_ORDER = 6
 
 # The most values one convolution has f return at once (nodes x points x
@@ -83,80 +85,71 @@ def region_nodes(region: Region, points_per_axis: int):
 
 
 # ---------------------------------------------------------------------------
-# the bump profile and its symbolic derivatives
-
-_profile_cache: dict[tuple[int, MultiIndex], object] = {}
-
-
-def _profile_fn(d: int, beta: MultiIndex):
-    key = (d, tuple(beta))
-    if key not in _profile_cache:
-        xs = sp.symbols(f"u0:{d}")
-        expr = sp.exp(-1 / (1 - sum(x**2 for x in xs)))
-        for x, b in zip(xs, beta):
-            if b:
-                expr = sp.diff(expr, x, b)
-        _profile_cache[key] = sp.lambdify(xs, expr, modules=[np])
-    return _profile_cache[key]
+# the bump profile and its derivatives
 
 
 def bump_profile(points: np.ndarray, beta: Optional[MultiIndex] = None) -> np.ndarray:
-    """exp(-1/(1-|u|^2)) (or a derivative of it), zero for |u|^2 >= 1 - cutoff."""
+    """exp(-1/(1-|u|^2)) (or a derivative of it), zero for |u|^2 >= 1 - cutoff.
+
+    With phi(t) = exp(-1/(1-t)) and s = 1/(1-t), phi^(k)(t) = q_k(s) phi(t) for
+    integer polynomials q_0 = 1, q_{k+1} = s^2 (q_k' - q_k); d^beta phi(|u|^2)
+    is the sum over 2 gamma <= beta of phi^(|beta| - |gamma|)(|u|^2) times
+    prod_i beta_i! / (gamma_i! (beta_i - 2 gamma_i)!) (2 u_i)^(beta_i - 2 gamma_i).
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts.shape[1]
-    if beta is None:
-        beta = (0,) * d
+    beta = (0,) * pts.shape[1] if beta is None else tuple(beta)
     t = np.sum(pts * pts, axis=1)
     mask = t < 1.0 - _FLAT_CUTOFF
+    s = 1.0 / (1.0 - t[mask])
+    phi = np.exp(-s)
+    terms = []
+    for gamma in itertools.product(*(range(b // 2 + 1) for b in beta)):
+        q = exp_poly(sum(beta) - sum(gamma), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+        term = phi * np.polyval(q, s) if len(q) > 1 else phi
+        for i, (b, g) in enumerate(zip(beta, gamma)):
+            if b:
+                coeff = math.factorial(b) // (math.factorial(g) * math.factorial(b - 2 * g))
+                term = term * (coeff * (2.0 * pts[mask, i]) ** (b - 2 * g))
+        terms.append(term)
     out = np.zeros(len(pts))
-    if np.any(mask):
-        fn = _profile_fn(d, tuple(beta))
-        vals = fn(*(pts[:, i][mask] for i in range(d)))
-        out[mask] = np.broadcast_to(np.asarray(vals, dtype=float), (int(np.sum(mask)),))
+    out[mask] = sum(terms)
     return out
 
 
-_norm_cache: dict[tuple, float] = {}
-
-
+@functools.cache
 def _normalization(d: int, quad: QuadratureSpec) -> float:
     """1 / integral of the unnormalized bump over the unit box.
 
     Refines at least `refinement_levels` times and then keeps doubling until
     successive levels differ by less than tol (or a hard node cap is hit).
     """
-    key = (d, quad.points_per_axis, quad.refinement_levels, quad.tol)
-    if key not in _norm_cache:
-        box = Box((-1.0,) * d, (1.0,) * d)
-        cap = 4096 if d == 1 else 1024
-        masses = []
-        points = quad.points_per_axis
-        level = 0
-        while True:
-            nodes, weights = box_nodes(box, points)
-            masses.append(float(np.dot(weights, bump_profile(nodes))))
-            converged = (level >= max(quad.refinement_levels, 1)
-                         and abs(masses[-1] - masses[-2]) < quad.tol)
-            if converged:
-                break
-            if points >= cap:
-                raise QuadratureError(
-                    f"normalization quadrature did not converge: ladder {masses}")
-            points *= 2
-            level += 1
-        _norm_cache[key] = 1.0 / masses[-1]
-    return _norm_cache[key]
+    box = Box((-1.0,) * d, (1.0,) * d)
+    cap = 4096 if d == 1 else 1024
+    masses = []
+    points = quad.points_per_axis
+    level = 0
+    while True:
+        nodes, weights = box_nodes(box, points)
+        masses.append(float(np.dot(weights, bump_profile(nodes))))
+        converged = (level >= max(quad.refinement_levels, 1)
+                     and abs(masses[-1] - masses[-2]) < quad.tol)
+        if converged:
+            return 1.0 / masses[-1]
+        if points >= cap:
+            raise QuadratureError(
+                f"normalization quadrature did not converge: ladder {masses}")
+        points *= 2
+        level += 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mollifier:
-    """The rescaled bump rho_n(x) = n^d rho(n x) with unit mass."""
+    """The rescaled bump rho_n(x) = n^d rho(n x) with unit mass; build_mollifier shares it."""
 
     d: int
     n: int
     normC: float
     quad: QuadratureSpec
-    mass_check: float = 0.0
 
     def deriv(self, beta: MultiIndex, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -191,18 +184,22 @@ class Mollifier:
             self.quad.finest_points)
         return float(np.dot(weights, np.abs(self.deriv(beta, nodes))))
 
+    @property
+    def mass_check(self) -> float:
+        """integral of rho_n over its support; 1 up to the quadrature's tol."""
+        return self.abs_deriv_integral((0,) * self.d)
 
+
+@functools.cache
 def build_mollifier(d: int, n: int, quad: QuadratureSpec) -> Mollifier:
+    # one rho_n per (d, n, quad): stage 2's regularize and stage 3's constants share it
     if n < 1:
         raise ValueError("scale n must be at least 1")
     moll = Mollifier(d=d, n=n, normC=_normalization(d, quad), quad=quad)
-    # mass check of rho_n over its support
-    nodes, weights = box_nodes(Box((-moll.radius,) * d, (moll.radius,) * d),
-                               quad.finest_points)
-    moll.mass_check = float(np.dot(weights, moll.deriv((0,) * d, nodes)))
     if abs(moll.mass_check - 1.0) >= quad.tol:
         raise QuadratureError(f"mollifier mass check failed: {moll.mass_check}")
     # make sure the flatness cutoff leaves the low derivatives finite
+    nodes, _ = box_nodes(Box((-moll.radius,) * d, (moll.radius,) * d), quad.finest_points)
     for beta in multiindices(d, 2):
         probe = moll.deriv(beta, nodes[: min(len(nodes), 128)])
         if not np.all(np.isfinite(probe)):

@@ -10,12 +10,16 @@ as one sampled jet minus another; difference_function builds f - g as one
 function instead, for the tests that need to convolve it. scaled_result
 swaps a result's sum for k f, a wrong answer for the verdict tests.
 support_estimate reads a support off the grid, for the tests that build a
-function without declaring one.
+function without declaring one. sympy_bump and sympy_builtin are the
+symbolic forms of the bump's derivatives and of the builtin functions, the
+reference for the package's closed forms.
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
+import sympy as sp
 
 from finiterank.funcmodel import FiniteRankFunction, SampledFunction
 from finiterank.geometry import Box, Region
@@ -170,3 +174,75 @@ def support_estimate(f: SampledFunction, threshold: float = 1e-12) -> Region:
     if not boxes:
         return Region.empty(f.d)
     return Region(tuple(boxes), f.domain.points_per_axis)
+
+
+
+class SympyJet:
+    """A vector of sympy expressions. d^beta is one sympy.diff of a cached
+    lower derivative, compiled with lambdify against numpy."""
+
+    def __init__(self, exprs, xs):
+        self.xs = xs
+        self.value_dim = len(exprs)
+        self._derivs = {(0,) * len(xs): list(exprs)}
+
+    def exprs(self, beta):
+        beta = tuple(beta)
+        if beta not in self._derivs:
+            axis = max(i for i, b in enumerate(beta) if b)
+            lower = tuple(b - (i == axis) for i, b in enumerate(beta))
+            self._derivs[beta] = [sp.diff(e, self.xs[axis]) for e in self.exprs(lower)]
+        return self._derivs[beta]
+
+    def deriv(self, beta, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        vals = sp.lambdify(self.xs, self.exprs(beta), modules=[np])(*pts.T)
+        return np.stack([np.broadcast_to(np.asarray(v, dtype=float), (len(pts),))
+                         for v in vals], axis=1)
+
+    def eval(self, points):
+        return self.deriv((0,) * len(self.xs), points)
+
+
+@functools.cache
+def _bump_jet(d):
+    xs = sp.symbols(f"u0:{d}")
+    return SympyJet([sp.exp(-1 / (1 - sum(x**2 for x in xs)))], xs)
+
+
+def sympy_bump(points, beta):
+    """d^beta exp(-1/(1-|u|^2)) by sympy.diff, zero for |u|^2 >= 1 - 1e-8."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    inside = np.sum(pts * pts, axis=1) < 1.0 - 1e-8
+    out = np.zeros(len(pts))
+    out[inside] = _bump_jet(pts.shape[1]).deriv(beta, pts[inside])[:, 0]
+    return out
+
+
+def sympy_builtin(cfg, d):
+    """The builtin function of cfg as sympy expressions, differentiated by
+    sympy.diff."""
+    kind = cfg.get("builtin")
+    xs = sp.symbols(f"x1:{d + 1}")
+    normsq = sum(x**2 for x in xs)
+    amp = sp.Float(cfg.get("amplitude", 1.0))
+    if kind == "gaussian":
+        base = amp * sp.exp(-normsq / sp.Float(cfg.get("sigma", 1.0))**2)
+        return SympyJet([sp.Float(c) * base for c in cfg.get("e", [1.0])], xs)
+    if kind == "poly_gaussian":
+        poly = sum(sp.Float(c) * xs[0] ** k for k, c in enumerate(cfg.get("coeffs", [1.0])))
+        base = amp * poly * sp.exp(-normsq)
+        return SympyJet([sp.Float(c) * base for c in cfg.get("e", [1.0])], xs)
+    waves = [sp.cos(sp.Float(s) * xs[0]) for s in cfg.get("nodes", [0.0])]
+    if kind == "plane_waves":
+        env = amp * sp.exp(-normsq / sp.Float(cfg.get("sigma", 1.0))**2)
+    elif kind == "strip_waves":
+        env = amp
+    elif kind == "twin_gaussian_waves":
+        sigma, center = sp.Float(cfg.get("sigma", 0.5)), sp.Float(cfg.get("center", 1.2))
+        x1, x2 = xs
+        env = amp * (sp.exp(-(x1**2 + (x2 - center) ** 2) / (2 * sigma**2))
+                     + sp.exp(-(x1**2 + (x2 + center) ** 2) / (2 * sigma**2)))
+    else:
+        raise ValueError(f"no oracle for builtin {kind!r}")
+    return SympyJet([env * w for w in waves], xs)

@@ -8,13 +8,14 @@ import pytest
 import sympy
 
 import finiterank
-from finiterank import mollify
 from finiterank.errors import ConfigError
 from finiterank.expressions import (builtin_function, compile_scalar,
                                     expr_function_from_strings, parse_scalar_expr)
 from finiterank.funcmodel import multiindices
 from finiterank.geometry import Region
-from finiterank.scenarios import REGISTRY, load_scenario
+from finiterank.mollify import SMOOTH_ORDER
+from finiterank.scenarios import REGISTRY, load_scenario, scenario_from_dict
+from oracles import sympy_builtin
 
 
 def test_compile_scalar_grammar():
@@ -86,8 +87,8 @@ def test_builtin_strip_waves_flat_in_x2():
 
 
 def test_one_compile_per_beta(monkeypatch):
-    fn = builtin_function({"builtin": "plane_waves", "amplitude": 1.0, "sigma": 1.0,
-                           "nodes": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]}, 1)
+    fn = expr_function_from_strings([f"exp(-{s} * x^2) * (1 + x)" for s in
+                                     (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)], 1)
     assert fn.value_dim == 8
     calls = []
     lambdify = sympy.lambdify
@@ -122,10 +123,16 @@ def _compile_by_name(monkeypatch):
     return calls
 
 
+# one string function of normsq, legal in every dimension
+STRING_FUNCTION = {"expressions": ["0.01 * exp(-normsq)", "0.01 * (1 + normsq) * exp(-normsq)"]}
+
+
 def _scenario_values(name):
     """f at every beta up to its order, every weight and every gauge
-    expression, each on the scenario grid, from a fresh load."""
-    scn, f = load_scenario(name)
+    expression, each on the scenario grid, from a fresh load of the scenario
+    with its function given as the string expressions STRING_FUNCTION."""
+    scn, _ = load_scenario(name)
+    scn, f = scenario_from_dict({**scn.config, "function": STRING_FUNCTION})
     grid = scn.domain.grid_points()
     values = [f.deriv(beta, grid) for beta in multiindices(f.d, f.order)]
     values += [scn.family.eval_batch(idx, grid) for idx in scn.family.indices()]
@@ -136,6 +143,8 @@ def _scenario_values(name):
 
 @pytest.mark.parametrize("name", REGISTRY)
 def test_module_namespace_compiles_the_same_bits(name, monkeypatch):
+    # only string expressions compile: the gauges (om_finite_1d) and the
+    # function strings; the builtin functions and the bump are numpy
     by_module = _scenario_values(name)
     calls = _compile_by_name(monkeypatch)
     by_name = _scenario_values(name)
@@ -145,18 +154,13 @@ def test_module_namespace_compiles_the_same_bits(name, monkeypatch):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_bump_profile_module_namespace_same_bits(d, monkeypatch):
-    grid = Region.box([-1.0] * d, [1.0] * d, 2401 if d == 1 else 121).grid_points()
-    betas = multiindices(d, 2)
-    monkeypatch.setattr(mollify, "_profile_cache", {})
-    by_module = [mollify.bump_profile(grid, beta) for beta in betas]
-    calls = _compile_by_name(monkeypatch)
-    monkeypatch.setattr(mollify, "_profile_cache", {})
-    by_name = [mollify.bump_profile(grid, beta) for beta in betas]
-    assert len(calls) == len(betas)
-    for a, b in zip(by_module, by_name):
-        assert np.array_equal(a, b)
+def _run_script(script):
+    """stdout lines of a fresh interpreter that imports finiterank from src/."""
+    src = str(Path(finiterank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()
 
 
 def test_compiling_loads_no_numpy_test_tools():
@@ -173,8 +177,67 @@ for name, eps in (("om_finite_1d", 0.1), ("schwartz_1d", 0.2)):
     verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup")
 print(sorted(m for m in ("numpy.f2py", "numpy.testing") if m in sys.modules))
 """
-    src = str(Path(finiterank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert _run_script(script)[-1] == "[]"
+
+
+def test_builtin_scenario_never_loads_sympy():
+    # a builtin function, numpy weights and the bump need no algebra system;
+    # om_finite_1d's gauges are strings, so loading it brings sympy in
+    script = """
+import sys
+from finiterank.pipeline import approximate, verify_ledger
+from finiterank.scenarios import load_scenario
+from finiterank.weights import WeightIndex
+scn, f = load_scenario("schwartz_1d")
+result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.2)
+verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup")
+print(ledger.certified, "sympy" in sys.modules)
+load_scenario("om_finite_1d")
+print("sympy" in sys.modules)
+"""
+    assert _run_script(script)[-2:] == ["True False", "True"]
+
+
+def test_om_finite_compiles_its_gauges(monkeypatch):
+    calls = _compile_by_name(monkeypatch)
+    scn, _ = load_scenario("om_finite_1d")
+    gauges = [text for texts in scn.config["family"]["gauge_sets"] for text in texts]
+    assert len(calls) == len(gauges) == 3
+    x = np.linspace(-2.0, 2.0, 9)[:, None]
+    assert np.allclose(compile_scalar(gauges[1], 1)(x),
+                       np.exp(-x[:, 0] ** 2) * (1 + x[:, 0] ** 2), rtol=1e-14, atol=0.0)
+
+
+def _sup_relative_gap(fn, oracle, grid, d):
+    """Largest |fn - oracle| over the grid, relative to the oracle's sup, over
+    every coordinate and every |beta| <= SMOOTH_ORDER. Relative to each value
+    it would blow up near the zeros of a derivative."""
+    gaps = []
+    for beta in multiindices(d, SMOOTH_ORDER):
+        got, want = fn.deriv(beta, grid), oracle.deriv(beta, grid)
+        assert got.shape == want.shape == (len(grid), oracle.value_dim)
+        sup = np.max(np.abs(want), axis=0)
+        gaps.append(np.max(np.abs(got - want), axis=0) / np.where(sup > 0, sup, 1.0))
+    return float(np.max(gaps))
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_builtin_matches_sympy_oracle(name):
+    scn, _ = load_scenario(name)
+    cfg, d, grid = scn.config["function"], scn.domain.d, scn.domain.grid_points()
+    fn, oracle = builtin_function(cfg, d), sympy_builtin(cfg, d)
+    assert _sup_relative_gap(fn, oracle, grid, d) <= 1e-13
+    # the values, which every convolution reads, are the oracle's bits in 1D
+    if d == 1:
+        assert np.array_equal(fn.eval(grid), oracle.eval(grid))
+
+
+@pytest.mark.parametrize("cfg, d", [
+    ({"builtin": "gaussian", "amplitude": 0.5, "sigma": 0.7, "e": [1.0, -2.0]}, 1),
+    ({"builtin": "gaussian", "amplitude": 0.5, "sigma": 0.7, "e": [1.0, -2.0]}, 2),
+    ({"builtin": "poly_gaussian", "coeffs": [1.0, 0.5, 0.25], "e": [1.0, 3.0]}, 1),
+    ({"builtin": "strip_waves", "amplitude": 2.0, "nodes": [0.0, 0.4, 1.3]}, 2),
+])
+def test_other_builtins_match_sympy_oracle(cfg, d):
+    grid = Region.box([-3.0] * d, [3.0] * d, 601 if d == 1 else 61).grid_points()
+    assert _sup_relative_gap(builtin_function(cfg, d), sympy_builtin(cfg, d), grid, d) <= 1e-13

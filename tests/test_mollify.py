@@ -4,7 +4,8 @@ import pytest
 import finiterank as fr
 from finiterank.errors import ConvergenceError
 from finiterank.expressions import builtin_function, expr_function_from_strings
-from finiterank.funcmodel import SampledFunction, sf_from_expr_function, sf_zero
+from finiterank.funcmodel import (SampledFunction, multiindices, sf_from_expr_function,
+                                  sf_zero)
 from finiterank.geometry import Region
 from finiterank.mollify import (QuadratureSpec, build_mollifier,
                                 commutativity_check, convolve,
@@ -14,7 +15,7 @@ from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
 from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from finiterank import mollify
-from oracles import adaptive_simpson, convolve_per_node, support_estimate
+from oracles import adaptive_simpson, convolve_per_node, support_estimate, sympy_bump
 import expected
 
 
@@ -27,6 +28,18 @@ def test_normalization_matches_adaptive_simpson(quad):
     assert oracle == pytest.approx(expected.BUMP_MASS_1D, abs=expected.BUMP_MASS_1D_TOL)
     moll = build_mollifier(1, 1, quad)
     assert 1.0 / moll.normC == pytest.approx(oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bump_matches_sympy_oracle(d):
+    # every |beta| <= SMOOTH_ORDER within 1e-13 of the derivative's sup; the
+    # values themselves, which fix the mollifier's mass, bit for bit
+    grid = Region.box([-1.0] * d, [1.0] * d, 2401 if d == 1 else 121).grid_points()
+    for beta in multiindices(d, mollify.SMOOTH_ORDER):
+        got, want = mollify.bump_profile(grid, beta), sympy_bump(grid, beta)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if sum(beta) == 0:
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", [1, 2])

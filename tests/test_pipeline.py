@@ -140,6 +140,27 @@ def test_stage2_reuses_search_history(counted_runs):
     assert ledger.stage2_measured == history[-1][1]
 
 
+def test_each_mollifier_built_once_per_operation(schwartz_scn, monkeypatch):
+    # stage 3 reads C3 from the rho_N2 that stage 2's regularize built, so no
+    # scale's mass check and derivative probes run twice
+    scn, f = schwartz_scn
+    built = []
+
+    class Counted(mollify.Mollifier):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.n)
+
+    monkeypatch.setattr(mollify, "Mollifier", Counted)
+    mollify.build_mollifier.cache_clear()
+    try:
+        _, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.2)
+    finally:
+        mollify.build_mollifier.cache_clear()
+    assert ledger.N2 in built
+    assert len(built) == len(set(built))
+
+
 def test_stage2_scans_scales_beyond_history(schwartz_scn):
     # an omega tight around V forces N1 > N0, a scale the search never tried
     scn, f = schwartz_scn
