@@ -102,8 +102,9 @@ class _AxisProfile:
 
     def _ramp_values(self, t: np.ndarray) -> np.ndarray:
         """Ramp values at t; the quadrature runs once per new distinct point."""
-        new = np.unique(t[self._ramp_t[np.searchsorted(self._ramp_t, t)] != t])
+        new = np.sort(t[self._ramp_t[np.searchsorted(self._ramp_t, t)] != t])
         if len(new):
+            new = new[np.append(True, new[1:] != new[:-1])]  # np.unique loads numpy.ma
             # one row of window nodes per new point, summed along its row, so
             # a value depends on its own point and not on the rest of the
             # batch; rows go in fixed blocks to bound the temporaries

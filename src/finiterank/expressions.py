@@ -2,12 +2,17 @@
 
 The config grammar supports +, -, *, /, ^ plus exp, abs, the squared
 Euclidean norm (symbol ``normsq``) and ``indicator(lo1, hi1, ..., lod, hid)``
-for closed-box membership. sympy parses and differentiates these strings,
-and only these: it is imported when the first one compiles. The builtin
-functions are numpy closed forms. Callables operate on (N, d) point batches.
+for closed-box membership. A weight string needs only its values, so
+compile_scalar walks its Python syntax tree into a numpy closure. A string
+function needs derivatives: sympy parses and differentiates it, and loads
+only when the first one is built. The builtin functions are numpy closed
+forms. Callables operate on (N, d) point batches.
 """
 
 from __future__ import annotations
+
+import ast
+import operator
 
 import numpy as np
 
@@ -15,64 +20,82 @@ from .errors import ConfigError, OrderError
 from .funcmodel import exp_poly, leibniz
 
 
-def parse_scalar_expr(text: str, d: int):
-    import sympy as sp
-    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
-    xs = sp.symbols(f"x1:{d + 1}")
-    indicator = sp.Function("indicator")
-    local = {f"x{i + 1}": xs[i] for i in range(d)}
-    if d == 1:
-        local["x"] = xs[0]
-    local["normsq"] = sum(x**2 for x in xs)
-    local["exp"] = sp.exp
-    local["abs"] = sp.Abs
-    local["indicator"] = indicator
-    try:
-        expr = parse_expr(text, local_dict=local,
-                          transformations=standard_transformations + (convert_xor,))
-    except Exception as exc:
-        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
-    for fn in expr.atoms(sp.Function):
-        if fn.func not in (sp.exp, sp.Abs, indicator):
-            raise ConfigError(f"function {fn.func} not in the expression grammar")
-    free = expr.free_symbols - set(xs)
-    if free:
-        raise ConfigError(f"unknown symbols {free} in expression {text!r}")
-    return expr
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_CALLS = {"exp": np.exp, "abs": np.abs}
 
 
-def _rewrite_indicators(expr, xs):
-    """Replace indicator(lo1,hi1,...) with a product of Heaviside gates."""
-    import sympy as sp
-    replacements = {}
-    for node in expr.atoms(sp.Function):
-        if node.func == sp.Function("indicator"):
-            args = [sp.Float(a) for a in node.args]
-            if len(args) != 2 * len(xs):
+def _number(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _walk(node, d: int, text: str):
+    """Closure xs -> value of one grammar node, xs the coordinate columns."""
+    if _number(node):
+        return lambda xs: node.value
+    if isinstance(node, ast.Name):
+        axes = {f"x{i + 1}": i for i in range(d)} | ({"x": 0} if d == 1 else {})
+        if node.id in axes:
+            return lambda xs, i=axes[node.id]: xs[i]
+        if node.id == "normsq":
+            return lambda xs: sum(x**2 for x in xs)
+        raise ConfigError(f"unknown symbols {{{node.id}}} in expression {text!r}")
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        op, arg = _UNARY[type(node.op)], _walk(node.operand, d, text)
+        return lambda xs: op(arg(xs))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op, a, b = _BINARY[type(node.op)], _walk(node.left, d, text), _walk(node.right, d, text)
+        return lambda xs: op(a(xs), b(xs))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        name, args = node.func.id, node.args
+        if name in _CALLS and len(args) == 1:
+            fn, arg = _CALLS[name], _walk(args[0], d, text)
+            return lambda xs: fn(arg(xs))
+        if name == "indicator":
+            if len(args) != 2 * d:
                 raise ConfigError("indicator needs lo/hi per axis")
-            gate = sp.Integer(1)
-            for i, x in enumerate(xs):
-                lo, hi = args[2 * i], args[2 * i + 1]
-                gate *= sp.Heaviside(x - lo, 1) * sp.Heaviside(hi - x, 1)
-            replacements[node] = gate
-    return expr.xreplace(replacements) if replacements else expr
+            if not all(_number(a.operand if isinstance(a, ast.UnaryOp) else a) for a in args):
+                raise ConfigError(f"indicator bounds must be numbers in {text!r}")
+            bounds = [float(_walk(a, d, text)(())) for a in args]
+            return lambda xs: np.all([(x >= lo) & (x <= hi) for x, lo, hi in
+                                      zip(xs, bounds[::2], bounds[1::2])], axis=0).astype(float)
+        raise ConfigError(f"function {name} of {len(args)} arguments not in the grammar")
+    raise ConfigError(f"cannot parse expression {text!r}: {type(node).__name__} not in the grammar")
 
 
-def compile_scalar(expr, d: int):
-    """Compile one scalar expression (string or sympy) to a batch callable (N, d) -> (N,)."""
-    import sympy as sp
-    if isinstance(expr, str):
-        expr = parse_scalar_expr(expr, d)
-    xs = sp.symbols(f"x1:{d + 1}")
-    expr = _rewrite_indicators(expr, xs)
-    fn = sp.lambdify(xs, expr, modules=[np])
+def compile_scalar(text: str, d: int):
+    """Compile one grammar string to a batch callable (N, d) -> (N,): its
+    syntax tree walked into a numpy closure, evaluated as written."""
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
+    fn = _walk(tree.body, d, text)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = fn(*(pts[:, i] for i in range(d)))
+        vals = fn([pts[:, i] for i in range(d)])
         return np.broadcast_to(np.asarray(vals, dtype=float), (len(pts),)).copy()
 
     return evaluate
+
+
+def parse_scalar_expr(text: str, d: int):
+    """One grammar string as a sympy expression, for the string functions,
+    which need derivatives; compile_scalar checks the grammar first."""
+    compile_scalar(text, d)
+    import sympy as sp
+    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+    xs = sp.symbols(f"x1:{d + 1}")
+    local = {f"x{i + 1}": x for i, x in enumerate(xs)} | ({"x": xs[0]} if d == 1 else {})
+    local.update(normsq=sum(x**2 for x in xs), exp=sp.exp, abs=sp.Abs,
+                 indicator=sp.Function("indicator"))
+    try:
+        return parse_expr(text, local_dict=local,
+                          transformations=standard_transformations + (convert_xor,))
+    except Exception as exc:
+        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
 
 
 class ExprFunction:
@@ -86,23 +109,28 @@ class ExprFunction:
         for e in self.exprs:
             if e.atoms(sp.Function("indicator")):
                 raise ConfigError("indicator() is not differentiable; not allowed in functions")
+        self._derivs = {(0,) * d: self.exprs}
         self._compiled: dict[tuple[int, ...], object] = {}
 
     @property
     def value_dim(self) -> int:
         return len(self.exprs)
 
+    def _exprs(self, beta: tuple[int, ...]) -> list:
+        """d^beta of every coordinate: one sp.diff of the cached beta - e_k,
+        k the last axis that beta differentiates."""
+        import sympy as sp
+        if beta not in self._derivs:
+            k = max(i for i, b in enumerate(beta) if b)
+            lower = tuple(b - (i == k) for i, b in enumerate(beta))
+            self._derivs[beta] = [sp.diff(e, self.xs[k]) for e in self._exprs(lower)]
+        return self._derivs[beta]
+
     def _fn(self, beta: tuple[int, ...]):
         """One callable returning d^beta of every coordinate, compiled once."""
         import sympy as sp
         if beta not in self._compiled:
-            derivs = []
-            for expr in self.exprs:
-                for x, b in zip(self.xs, beta):
-                    if b:
-                        expr = sp.diff(expr, x, b)
-                derivs.append(expr)
-            self._compiled[beta] = sp.lambdify(self.xs, derivs, modules=[np])
+            self._compiled[beta] = sp.lambdify(self.xs, self._exprs(beta), modules=[np])
         return self._compiled[beta]
 
     def eval(self, points: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ swaps a result's sum for k f, a wrong answer for the verdict tests.
 support_estimate reads a support off the grid, for the tests that build a
 function without declaring one. sympy_bump and sympy_builtin are the
 symbolic forms of the bump's derivatives and of the builtin functions, the
-reference for the package's closed forms.
+reference for the package's closed forms; sympy_scalar is the sympy compile
+of a weight string, the reference for the package's syntax-tree compiler.
 """
 
 import functools
@@ -246,3 +247,22 @@ def sympy_builtin(cfg, d):
     else:
         raise ValueError(f"no oracle for builtin {kind!r}")
     return SympyJet([env * w for w in waves], xs)
+
+
+def sympy_scalar(text, d):
+    """A grammar string parsed by sympy, each indicator(lo1, hi1, ...) a
+    product of closed Heaviside gates, lambdified against numpy: a batch
+    callable (N, d) -> (N,)."""
+    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+    xs = sp.symbols(f"x1:{d + 1}")
+
+    def indicator(*bounds):
+        return sp.Mul(*(sp.Heaviside(x - sp.Float(lo), 1) * sp.Heaviside(sp.Float(hi) - x, 1)
+                        for x, lo, hi in zip(xs, bounds[::2], bounds[1::2])))
+
+    local = {f"x{i + 1}": x for i, x in enumerate(xs)} | ({"x": xs[0]} if d == 1 else {})
+    local.update(normsq=sum(x**2 for x in xs), exp=sp.exp, abs=sp.Abs, indicator=indicator)
+    expr = parse_expr(text, local_dict=local,
+                      transformations=standard_transformations + (convert_xor,))
+    fn = sp.lambdify(xs, expr, modules=[np])
+    return lambda pts: np.broadcast_to(np.asarray(fn(*pts.T), dtype=float), (len(pts),))

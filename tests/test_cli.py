@@ -195,6 +195,16 @@ def test_approximate_certified_and_deterministic(tmp_path):
     assert verify["domination_ok"] and verify["budget_ok"]
 
 
+def test_approximate_om_finite_pinned(tmp_path):
+    # the first pinned om_finite output: its gauge weights are config strings
+    code = run(["approximate", "--scenario", "om_finite_1d", "--eps", "0.1",
+                "--j", "1", "--l", "1", "--out", str(tmp_path)])
+    assert code == 0
+    for kind in ("ledger", "verify"):
+        assert (tmp_path / f"{kind}_0p1.json").read_bytes() == (
+            FIXTURES / f"{kind}_om_finite_j1_l1_eps0p1.json").read_bytes()
+
+
 def test_warm_caches_keep_the_eps_0p2_ledger(tmp_path):
     # eps 0.1 first warms every process cache; eps 0.2 must still give the
     # pinned bytes, so no cached state leaks from one operation to the next

@@ -15,7 +15,7 @@ from finiterank.funcmodel import multiindices
 from finiterank.geometry import Region
 from finiterank.mollify import SMOOTH_ORDER
 from finiterank.scenarios import REGISTRY, load_scenario, scenario_from_dict
-from oracles import sympy_builtin
+from oracles import sympy_builtin, sympy_scalar
 
 
 def test_compile_scalar_grammar():
@@ -39,10 +39,49 @@ def test_indicator_weight():
 
 
 def test_unknown_function_rejected():
-    with pytest.raises(ConfigError):
-        parse_scalar_expr("sin(x)", 1)
-    with pytest.raises(ConfigError):
-        parse_scalar_expr("exp(y)", 1)
+    # weights and string functions read one grammar
+    for text in ["sin(x)", "exp(y)", "x.real", "__import__('os')", "lambda: 1", "x < 1",
+                 "exp(x, 2)", "indicator(0)", "indicator(a, 1)", "x +", "True"]:
+        with pytest.raises(ConfigError):
+            compile_scalar(text, 1)
+        with pytest.raises(ConfigError):
+            parse_scalar_expr(text, 1)
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_shipped_gauges_are_the_sympy_bits(name):
+    scn, _ = load_scenario(name)
+    grid, d = scn.domain.grid_points(), scn.domain.d
+    for text in (t for texts in scn.config["family"].get("gauge_sets", []) for t in texts):
+        assert np.array_equal(compile_scalar(text, d)(grid), sympy_scalar(text, d)(grid))
+
+
+# every weight string the tests compile
+TEST_WEIGHTS = ["exp(-normsq) * (1 + normsq)^2", "abs(x) / (1 + x^2)",
+                "indicator(-1, 1) * exp(-x^2)", "indicator(0, 1)", "indicator(2, 3)",
+                "indicator(-1, 4.5)", "indicator(-3, 1)", "1", "(1 + normsq)^1"]
+
+
+@pytest.mark.parametrize("text", TEST_WEIGHTS)
+def test_weights_in_tests_are_the_sympy_bits(text):
+    grid = load_scenario("om_finite_1d")[0].domain.grid_points()
+    assert np.array_equal(compile_scalar(text, 1)(grid), sympy_scalar(text, 1)(grid))
+
+
+@pytest.mark.parametrize("text, d", [
+    ("x/3 + 2", 1),
+    ("exp(-normsq/4) * abs(x)^1.5", 1),
+    ("-x^3 + 4.5 * x^2 + 10", 1),
+    ("exp(-normsq) * (1 + normsq)^3 / 7", 2),
+    ("indicator(-1, 1, 0, 2.5) * (2 + x1) * exp(-x2^2)", 2),
+    ("abs(x1 - 7) / (1 + 0.1 * x2^2)", 2),
+])
+def test_other_strings_agree_with_sympy(text, d):
+    # sympy rewrites x/3 as (1/3)*x; the compiler evaluates what is written
+    grid = Region.box([-3.0] * d, [3.0] * d, 601 if d == 1 else 61).grid_points()
+    want = sympy_scalar(text, d)(grid)
+    assert np.any(want != 0.0)
+    np.testing.assert_allclose(compile_scalar(text, d)(grid), want, rtol=1e-15, atol=0.0)
 
 
 def test_indicator_rejected_in_functions():
@@ -86,23 +125,31 @@ def test_builtin_strip_waves_flat_in_x2():
     assert a == b == pytest.approx(np.cos(0.2))
 
 
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every sympy.<name> call, recorded as it runs."""
+    calls, real = [], getattr(sympy, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, name, counted)
+    return calls
+
+
 def test_one_compile_per_beta(monkeypatch):
     fn = expr_function_from_strings([f"exp(-{s} * x^2) * (1 + x)" for s in
                                      (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)], 1)
     assert fn.value_dim == 8
-    calls = []
-    lambdify = sympy.lambdify
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return lambdify(*args, **kwargs)
-
-    monkeypatch.setattr(sympy, "lambdify", counted)
+    calls, diffs = _count_calls(monkeypatch, "lambdify"), _count_calls(monkeypatch, "diff")
     x = np.array([[0.3], [1.1]])
     for beta in [(0,), (1,), (2,)]:
-        before = len(calls)
+        before, diffs_before = len(calls), len(diffs)
         first = fn.deriv(beta, x)
         assert len(calls) - before == 1
+        # one first derivative of the cached beta - 1 per coordinate
+        assert len(diffs) - diffs_before == (8 if beta[0] else 0)
+        assert all(len(args) == 2 for args in diffs)
         assert first.shape == (2, 8)
         assert np.array_equal(fn.deriv(beta, x), first)
         assert len(calls) - before == 1
@@ -143,8 +190,8 @@ def _scenario_values(name):
 
 @pytest.mark.parametrize("name", REGISTRY)
 def test_module_namespace_compiles_the_same_bits(name, monkeypatch):
-    # only string expressions compile: the gauges (om_finite_1d) and the
-    # function strings; the builtin functions and the bump are numpy
+    # only the string function compiles with sympy; the gauges (om_finite_1d),
+    # the builtin functions and the bump are numpy
     by_module = _scenario_values(name)
     calls = _compile_by_name(monkeypatch)
     by_name = _scenario_values(name)
@@ -165,7 +212,8 @@ def _run_script(script):
 
 def test_compiling_loads_no_numpy_test_tools():
     # sympy's modules=["numpy"] star-imports numpy, which loads numpy.f2py,
-    # numpy.testing and more; the numpy module object needs none of them
+    # numpy.testing and more; the numpy module object needs none of them.
+    # np.unique imports numpy.ma, which the cut-off's ramp table avoids
     script = """
 import sys
 from finiterank.pipeline import approximate, verify_ledger
@@ -175,34 +223,33 @@ for name, eps in (("om_finite_1d", 0.1), ("schwartz_1d", 0.2)):
     scn, f = load_scenario(name)
     result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", eps)
     verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup")
-print(sorted(m for m in ("numpy.f2py", "numpy.testing") if m in sys.modules))
+print(sorted(m for m in ("numpy.f2py", "numpy.testing", "numpy.ma") if m in sys.modules))
 """
     assert _run_script(script)[-1] == "[]"
 
 
 def test_builtin_scenario_never_loads_sympy():
-    # a builtin function, numpy weights and the bump need no algebra system;
-    # om_finite_1d's gauges are strings, so loading it brings sympy in
+    # a builtin function, numpy weights, the bump and the om_finite_1d gauge
+    # strings, which compile by their syntax tree, need no algebra system
     script = """
 import sys
 from finiterank.pipeline import approximate, verify_ledger
 from finiterank.scenarios import load_scenario
 from finiterank.weights import WeightIndex
-scn, f = load_scenario("schwartz_1d")
-result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.2)
-verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup")
-print(ledger.certified, "sympy" in sys.modules)
-load_scenario("om_finite_1d")
-print("sympy" in sys.modules)
+for name, eps in (("schwartz_1d", 0.2), ("om_finite_1d", 0.1)):
+    scn, f = load_scenario(name)
+    result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", eps)
+    verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup")
+    print(name, ledger.certified, "sympy" in sys.modules)
 """
-    assert _run_script(script)[-2:] == ["True False", "True"]
+    assert _run_script(script)[-2:] == ["schwartz_1d True False", "om_finite_1d True False"]
 
 
 def test_om_finite_compiles_its_gauges(monkeypatch):
     calls = _compile_by_name(monkeypatch)
     scn, _ = load_scenario("om_finite_1d")
     gauges = [text for texts in scn.config["family"]["gauge_sets"] for text in texts]
-    assert len(calls) == len(gauges) == 3
+    assert len(gauges) == 3 and len(calls) == 0
     x = np.linspace(-2.0, 2.0, 9)[:, None]
     assert np.allclose(compile_scalar(gauges[1], 1)(x),
                        np.exp(-x[:, 0] ** 2) * (1 + x[:, 0] ** 2), rtol=1e-14, atol=0.0)
