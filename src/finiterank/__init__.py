@@ -2,11 +2,9 @@
 in weighted sup-seminorms."""
 
 from .funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
-                        evaluate, fd_derivative_oracle, multiindex_binom,
-                        product_rule_apply)
+                        multiindex_binom, product_rule_apply)
 from .geometry import Box, Region
-from .mollify import (Mollifier, QuadratureSpec, build_mollifier,
-                      commutativity_check, convolve, derivative_transfer_check,
+from .mollify import (Mollifier, QuadratureSpec, build_mollifier, convolve,
                       find_regularization_order, regularize)
 from .cutoff import apply_cutoff, build_cutoff, cutoff_constant, measure_cbeta
 from .pipeline import ErrorLedger, Scenario, approximate, verify_ledger
@@ -18,7 +16,7 @@ from .tensorapprox import (Cover, build_partition, finite_rank_c0_approx,
 from .weights import (WeightFamily, WeightIndex, check_directed,
                       check_locally_bounded,
                       check_locally_bounded_away_from_zero,
-                      check_vanishing_ratio, eval_weight, exhaustion_family,
+                      check_vanishing_ratio, exhaustion_family,
                       exp_strips_family, om_finite_family, schwartz_family)
 
 __version__ = "0.1.0"

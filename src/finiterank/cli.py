@@ -32,11 +32,14 @@ EXIT_NUMERIC = 3
 EXIT_CRITERION = 4
 
 
-def _refine_factor(text: str) -> int:
-    factor = int(text)
-    if factor < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {factor}")
-    return factor
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _eps_list(text: str) -> list[float]:
@@ -57,8 +60,8 @@ def _parser() -> argparse.ArgumentParser:
         c = sub.add_parser(name)
         c.add_argument("--scenario", required=True,
                        help="config path or registry name")
-        c.add_argument("--grid", type=int, default=0,
-                       help="override points per axis")
+        c.add_argument("--grid", type=_int_at_least(2), default=None,
+                       help="override points per axis (>= 2)")
         c.add_argument("--out", default="out")
         if name == "check-weights":
             continue
@@ -68,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
         c.add_argument("--l", type=int, default=0)
         c.add_argument("--alpha", default="sup")
         if name == "approximate":
-            c.add_argument("--refine", type=_refine_factor, default=2,
+            c.add_argument("--refine", type=_int_at_least(1), default=2,
                            help="verification grid refinement factor (>= 1)")
     return p
 
@@ -79,7 +82,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_check_weights(args) -> int:
-    scn, _ = load_scenario(args.scenario, args.grid or None)
+    scn, _ = load_scenario(args.scenario, args.grid)
     fam = scn.family
     audit_cfg = scn.config.get("audit", {})
     compact = (_region_from_cfg(audit_cfg["compact"])
@@ -132,7 +135,7 @@ def _weight_index(args, scn, f) -> WeightIndex:
 
 
 def cmd_approximate(args) -> int:
-    scn, f = load_scenario(args.scenario, args.grid or None)
+    scn, f = load_scenario(args.scenario, args.grid)
     idx = _weight_index(args, scn, f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,7 +170,7 @@ def _dump_factors(path: Path, result, scn) -> None:
 
 
 def cmd_convergence(args) -> int:
-    scn, f = load_scenario(args.scenario, args.grid or None)
+    scn, f = load_scenario(args.scenario, args.grid)
     idx = _weight_index(args, scn, f)
     alpha = scn.seminorm(args.alpha)
     out = Path(args.out)

@@ -67,6 +67,8 @@ def _walk(node, d: int, text: str):
 def compile_scalar(text: str, d: int):
     """Compile one grammar string to a batch callable (N, d) -> (N,): its
     syntax tree walked into a numpy closure, evaluated as written."""
+    if not isinstance(text, str):
+        raise ConfigError(f"an expression must be a string, got {text!r}")
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except (SyntaxError, ValueError) as exc:

@@ -2,8 +2,8 @@
 
 Values live in R^m (m sample coordinates). Functions carry a batch evaluator
 (N, d) -> (N, m) plus an optional analytic derivative provider; without one,
-a derivative request raises OrderError. Nested central differences serve only
-as the explicit test oracle (fd_derivative_oracle).
+a derivative request raises OrderError; no finite-difference stand-in exists
+in the package (the tests keep nested central differences as their oracle).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OrderError
-from .geometry import Box, Region
+from .errors import OrderError
+from .geometry import Region
 
 MultiIndex = tuple[int, ...]
 
@@ -150,40 +150,6 @@ class SampledFunction:
 
     def deriv_extended(self, beta: MultiIndex, points: np.ndarray) -> np.ndarray:
         return f_multi_ext(self, [tuple(beta)], points)[0]
-
-
-def _nested_central(evaluate, beta: MultiIndex, points: np.ndarray, h: float) -> np.ndarray:
-    axis = next((i for i, b in enumerate(beta) if b > 0), None)
-    if axis is None:
-        return evaluate(points)
-    lower = tuple(b - 1 if i == axis else b for i, b in enumerate(beta))
-    shift = np.zeros(points.shape[1])
-    shift[axis] = h
-    plus = _nested_central(evaluate, lower, points + shift, h)
-    minus = _nested_central(evaluate, lower, points - shift, h)
-    return (plus - minus) / (2.0 * h)
-
-
-def evaluate(f: SampledFunction, beta: MultiIndex, x) -> np.ndarray:
-    """Checked single-point derivative evaluation (the public contract)."""
-    beta = tuple(int(b) for b in beta)
-    if mi_order(beta) > f.order:
-        raise OrderError(f"|beta|={mi_order(beta)} exceeds function order {f.order}")
-    pt = np.atleast_2d(np.asarray(x, dtype=float))
-    if not bool(f.domain.contains(pt)[0]):
-        raise DomainError(f"point {x} outside the gridded domain")
-    return f.deriv(beta, pt)[0]
-
-
-def fd_derivative_oracle(f: SampledFunction, beta: MultiIndex, x, h: float) -> np.ndarray:
-    """Nested central differences, independent of any analytic provider."""
-    beta = tuple(int(b) for b in beta)
-    pt = np.atleast_2d(np.asarray(x, dtype=float))
-    margin = mi_order(beta) * h
-    stencil_box = Box(tuple(pt[0] - margin), tuple(pt[0] + margin))
-    if not f.domain.covers(Region((stencil_box,), f.domain.points_per_axis)):
-        raise DomainError("finite-difference stencil leaves the domain")
-    return _nested_central(f.eval, beta, pt, h)[0]
 
 
 def exp_poly(k: int, a, b) -> np.ndarray:

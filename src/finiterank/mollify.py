@@ -2,9 +2,12 @@
 
 The base bump exp(-1/(1-|x|^2)) has every derivative vanishing at |x|=1, so
 composite midpoint rules converge superalgebraically on it; the refinement
-ladder in QuadratureSpec makes that checkable. Derivatives of the bump are
-generated symbolically once per dimension and evaluated with a flatness
-cutoff at |x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
+ladder in QuadratureSpec makes that checkable. Derivatives of the bump come
+from a closed-form recurrence (bump_profile) and are evaluated with a
+flatness cutoff at |x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
+convolve integrates over the mollifier's support only: every derivative of
+f * rho_n falls on rho_n, and f is evaluated at the points shifted by each
+quadrature node.
 """
 
 from __future__ import annotations
@@ -211,72 +214,49 @@ def build_mollifier(d: int, n: int, quad: QuadratureSpec) -> Mollifier:
 # convolution
 
 
-def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
-             side: str = "g") -> SampledFunction:
-    """f * g for a scalar g with analytic derivatives (Mollifier.as_sampled),
-    the integral discretized over one factor's compact support.
-
-    side 'f' integrates sum_q w_q f(y_q) g(x - y_q) over supp f; side 'g'
-    substitutes z = x - y and integrates sum_q w_q g(z_q) f(x - z_q) over
-    supp g. Both discretize the same integral; the commutativity check
-    exercises the two node sets against each other. Either way every
-    derivative falls on g, so the result has g's order.
+def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec) -> SampledFunction:
+    """f * g for a scalar, compactly supported g with analytic derivatives
+    (Mollifier.as_sampled): with z = x - y, d^beta (f * g)(x) is
+    sum_q w_q d^beta g(z_q) f(x - z_q) over midpoint nodes z_q on supp g.
+    Every derivative falls on g, so the result has g's order.
     """
     if g.value_dim != 1:
         raise ValueError("the second convolution factor must be scalar")
     if g.derivative is None:
         raise ValueError("the second convolution factor needs analytic derivatives")
-    if side not in ("f", "g"):
-        raise ValueError("side must be 'f' or 'g'")
-    nodes_region = f.support if side == "f" else g.support
-    if nodes_region is None:
-        raise ValueError("the integration side of a convolution must have compact support")
-    if nodes_region.is_empty:
+    if g.support is None:
+        raise ValueError("the second convolution factor must have compact support")
+    if g.support.is_empty:
         return sf_zero(f.domain, f.value_dim, order=max(f.order, g.order))
 
-    nodes, weights = region_nodes(nodes_region, quad.finest_points)
+    nodes, weights = region_nodes(g.support, quad.finest_points)
     m = f.value_dim
+    base_coeff = weights * g.eval_extended(nodes)[:, 0]              # (Q,)
 
-    if side == "g":
-        base_coeff = weights * g.eval_extended(nodes)[:, 0]          # (Q,)
-
-        def deriv_multi(betas, points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            out = np.zeros((len(betas), len(pts), m))
-            coeffs = np.stack([
-                base_coeff if mi_order(tuple(b)) == 0
-                else weights * g.deriv(tuple(b), nodes)[:, 0]
-                for b in betas])                                      # (B, Q)
-            live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
-            # f sees the points shifted by a chunk of nodes in one call; the
-            # sum still adds one node at a time, in node order
-            per_chunk = max(1, CHUNK_VALUES // max(len(pts) * m, 1))
-            for start in range(0, len(live), per_chunk):
-                qs = live[start:start + per_chunk]
-                shifted = f.eval_extended(
-                    (pts[None] - nodes[qs][:, None]).reshape(-1, pts.shape[1]))
-                shifted = shifted.reshape(len(qs), len(pts), m)
-                for k, q in enumerate(qs):
-                    for bi in range(len(betas)):
-                        if coeffs[bi, q] != 0.0:
-                            out[bi] += coeffs[bi, q] * shifted[k]
-            return out
-
-    else:  # side == "f"
-        fvals = weights[:, None] * f.eval_extended(nodes)             # (Q, m)
-
-        def deriv_multi(betas, points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            out = np.zeros((len(betas), len(pts), m))
-            for bi, beta in enumerate(betas):
-                beta = tuple(beta)
-                for q in range(len(nodes)):
-                    gq = g.deriv_extended(beta, pts - nodes[q])[:, 0]
-                    out[bi] += gq[:, None] * fvals[q][None, :]
-            return out
+    def deriv_multi(betas, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros((len(betas), len(pts), m))
+        coeffs = np.stack([
+            base_coeff if mi_order(tuple(b)) == 0
+            else weights * g.deriv(tuple(b), nodes)[:, 0]
+            for b in betas])                                          # (B, Q)
+        live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
+        # f sees the points shifted by a chunk of nodes in one call; the
+        # sum still adds one node at a time, in node order
+        per_chunk = max(1, CHUNK_VALUES // max(len(pts) * m, 1))
+        for start in range(0, len(live), per_chunk):
+            qs = live[start:start + per_chunk]
+            shifted = f.eval_extended(
+                (pts[None] - nodes[qs][:, None]).reshape(-1, pts.shape[1]))
+            shifted = shifted.reshape(len(qs), len(pts), m)
+            for k, q in enumerate(qs):
+                for bi in range(len(betas)):
+                    if coeffs[bi, q] != 0.0:
+                        out[bi] += coeffs[bi, q] * shifted[k]
+        return out
 
     support = None
-    if f.support is not None and g.support is not None:
+    if f.support is not None:
         summed = []
         for fb in f.support.boxes:
             for gb in g.support.boxes:
@@ -284,7 +264,7 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
                                   tuple(np.asarray(fb.hi) + np.asarray(gb.hi))))
         support = Region(tuple(summed), f.domain.points_per_axis)
 
-    bb = nodes_region.bounding_box()
+    bb = g.support.bounding_box()
     radius = np.maximum(np.abs(bb.lo), np.abs(bb.hi))
     conv = SampledFunction(
         domain=f.domain.inflate(radius),
@@ -300,67 +280,7 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
 
 
 # ---------------------------------------------------------------------------
-# lemma-level checks and regularization
-
-
-def commutativity_check(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec,
-                        sample_points: np.ndarray) -> float:
-    """max over sample points of p_sup((f*g)(x) - (g*f)(x)).
-
-    The two orientations integrate over supp f and supp g respectively, so
-    they share no quadrature nodes.
-    """
-    fg = convolve(f, g, quad, side="f")
-    # g * f evaluated from its definition, nodes over supp g
-    gf = convolve(f, g, quad, side="g")
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    diff = fg.eval(pts) - gf.eval(pts)
-    return float(np.max(np.abs(diff))) if len(pts) else 0.0
-
-
-@dataclass
-class TransferReport:
-    """Pairwise sups between the three derivative routes of f * rho_n."""
-
-    fd_vs_kernel: float
-    fd_vs_carrier: float
-    kernel_vs_carrier: float
-
-    @property
-    def max_discrepancy(self) -> float:
-        return max(self.fd_vs_kernel, self.fd_vs_carrier, self.kernel_vs_carrier)
-
-
-def derivative_transfer_check(f: SampledFunction, moll: Mollifier, beta: MultiIndex,
-                              sample_points: np.ndarray, quad: QuadratureSpec,
-                              fd_step: float = 1e-3) -> TransferReport:
-    """Compare (a) finite differences of f*rho_n, (b) f*(d^beta rho_n),
-    (c) (d^beta f)*rho_n at the sample points."""
-    beta = tuple(int(b) for b in beta)
-    if mi_order(beta) > min(f.order, SMOOTH_ORDER):
-        raise ValueError("transfer check order exceeds the proven range")
-    rho = moll.as_sampled()
-    conv = convolve(f, rho, quad, side="g")
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-
-    from .funcmodel import _nested_central
-
-    route_fd = _nested_central(conv.eval, beta, pts, fd_step)
-    route_kernel = conv.deriv(beta, pts)  # f * d^beta rho by transfer
-
-    def df_eval(points):
-        return f.deriv_extended(beta, points)
-
-    df = SampledFunction(domain=f.domain, order=max(f.order - mi_order(beta), 0),
-                         value_dim=f.value_dim, evaluator=df_eval,
-                         support=f.support, name="df")
-    route_carrier = convolve(df, rho, quad, side="g").eval(pts)
-
-    return TransferReport(
-        fd_vs_kernel=float(np.max(np.abs(route_fd - route_kernel))),
-        fd_vs_carrier=float(np.max(np.abs(route_fd - route_carrier))),
-        kernel_vs_carrier=float(np.max(np.abs(route_kernel - route_carrier))),
-    )
+# regularization
 
 
 def regularize(f: SampledFunction, n: int, quad: QuadratureSpec) -> SampledFunction:
@@ -370,7 +290,7 @@ def regularize(f: SampledFunction, n: int, quad: QuadratureSpec) -> SampledFunct
     if f.support.is_empty:
         return sf_zero(f.domain, f.value_dim, order=SMOOTH_ORDER)
     moll = build_mollifier(f.d, n, quad)
-    return convolve(f, moll.as_sampled(), quad, side="g")
+    return convolve(f, moll.as_sampled(), quad)
 
 
 class Smoothing(NamedTuple):

@@ -230,8 +230,8 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     ledger.rank = g.rank
 
     rho = moll.as_sampled()
-    result = FiniteRankFunction(convolve(g.factors, rho, quad, side="g"), g.values,
-                                convolve(g.sampled, rho, quad, side="g"))
+    result = FiniteRankFunction(convolve(g.factors, rho, quad), g.values,
+                                convolve(g.sampled, rho, quad))
     # by linearity (f_tilde - g) * rho = f_tilde * rho - g * rho: stage 2
     # sampled the first term on f's domain grid (scn.domain in every scenario),
     # and the total needs the second anyway

@@ -30,8 +30,12 @@ def _region_from_cfg(cfg: dict, grid_override: Optional[int] = None) -> Region:
     boxes = tuple(Box(tuple(map(float, lo)), tuple(map(float, hi)))
                   for lo, hi in cfg["boxes"])
     ppa = cfg.get("points_per_axis", 101)
+    for n in (ppa, grid_override):
+        # one point per axis collapses the grid, so every scan on it is vacuous
+        if n is not None and np.min(n) < 2:
+            raise ConfigError(f"a grid needs at least 2 points per axis, got {n}")
     region = Region.from_bounds([b.lo for b in boxes], [b.hi for b in boxes], ppa)
-    if grid_override:
+    if grid_override is not None:
         region = region.with_resolution(grid_override)
     return region
 

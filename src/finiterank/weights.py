@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, UnknownIndexError
+from .errors import UnknownIndexError
 from .expressions import compile_scalar
 from .geometry import Box, Region, centered_box, centered_halfwidths
 
@@ -53,15 +53,6 @@ class WeightFamily:
         if self.regions is None:
             return None
         return self.regions.get(j)
-
-
-def eval_weight(fam: WeightFamily, idx: WeightIndex, x, domain: Optional[Region] = None) -> float:
-    """Checked single-point evaluation nu_{j,l}(x)."""
-    pt = np.atleast_2d(np.asarray(x, dtype=float))
-    if domain is not None and not bool(domain.contains(pt)[0]):
-        raise DomainError(f"point {x} outside the declared domain")
-    val = float(fam.eval_batch(idx, pt)[0])
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -10,21 +10,27 @@ as one sampled jet minus another; difference_function builds f - g as one
 function instead, for the tests that need to convolve it. scaled_result
 swaps a result's sum for k f, a wrong answer for the verdict tests.
 support_estimate reads a support off the grid, for the tests that build a
-function without declaring one. sympy_bump and sympy_builtin are the
+function without declaring one. The lemma checks live here too:
+commutativity_check sets the package's convolution over supp g against a
+per-node sum over supp f, and derivative_transfer_check sets nested central
+differences of f * rho_n against both routes of the derivative transfer.
+evaluate and eval_weight are checked single-point evaluations of a function
+and a weight. sympy_bump and sympy_builtin are the
 symbolic forms of the bump's derivatives and of the builtin functions, the
 reference for the package's closed forms; sympy_scalar is the sympy compile
 of a weight string, the reference for the package's syntax-tree compiler.
 """
 
 import functools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import sympy as sp
 
-from finiterank.funcmodel import FiniteRankFunction, SampledFunction
+from finiterank.errors import DomainError, OrderError
+from finiterank.funcmodel import FiniteRankFunction, SampledFunction, mi_order
 from finiterank.geometry import Box, Region
-from finiterank.mollify import region_nodes
+from finiterank.mollify import SMOOTH_ORDER, convolve, region_nodes
 from finiterank.seminorms import weighted_seminorm
 
 
@@ -142,6 +148,110 @@ def convolve_per_node(f, g, quad, betas, points):
             if coeffs[bi, q] != 0.0:
                 out[bi] += coeffs[bi, q] * shifted
     return out
+
+
+def _nested_central(evaluate, beta, points, h):
+    axis = next((i for i, b in enumerate(beta) if b > 0), None)
+    if axis is None:
+        return evaluate(points)
+    lower = tuple(b - 1 if i == axis else b for i, b in enumerate(beta))
+    shift = np.zeros(points.shape[1])
+    shift[axis] = h
+    plus = _nested_central(evaluate, lower, points + shift, h)
+    minus = _nested_central(evaluate, lower, points - shift, h)
+    return (plus - minus) / (2.0 * h)
+
+
+def fd_derivative_oracle(f, beta, x, h):
+    """Nested central differences, independent of any analytic provider."""
+    beta = tuple(int(b) for b in beta)
+    pt = np.atleast_2d(np.asarray(x, dtype=float))
+    margin = mi_order(beta) * h
+    stencil_box = Box(tuple(pt[0] - margin), tuple(pt[0] + margin))
+    if not f.domain.covers(Region((stencil_box,), f.domain.points_per_axis)):
+        raise DomainError("finite-difference stencil leaves the domain")
+    return _nested_central(f.eval, beta, pt, h)[0]
+
+
+def evaluate(f, beta, x):
+    """Checked single-point derivative evaluation: the order and the domain."""
+    beta = tuple(int(b) for b in beta)
+    if mi_order(beta) > f.order:
+        raise OrderError(f"|beta|={mi_order(beta)} exceeds function order {f.order}")
+    pt = np.atleast_2d(np.asarray(x, dtype=float))
+    if not bool(f.domain.contains(pt)[0]):
+        raise DomainError(f"point {x} outside the gridded domain")
+    return f.deriv(beta, pt)[0]
+
+
+def eval_weight(fam, idx, x, domain=None):
+    """Checked single-point evaluation nu_{j,l}(x)."""
+    pt = np.atleast_2d(np.asarray(x, dtype=float))
+    if domain is not None and not bool(domain.contains(pt)[0]):
+        raise DomainError(f"point {x} outside the declared domain")
+    return float(fam.eval_batch(idx, pt)[0])
+
+
+def convolve_over_f(f, g, quad, points):
+    """(f * g)(x) integrated over supp f: sum_q w_q f(y_q) g(x - y_q), one
+    node at a time in node order."""
+    nodes, weights = region_nodes(f.support, quad.finest_points)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    fvals = weights[:, None] * f.eval_extended(nodes)
+    out = np.zeros((len(pts), f.value_dim))
+    for q in range(len(nodes)):
+        gq = g.deriv_extended((0,) * f.d, pts - nodes[q])[:, 0]
+        out += gq[:, None] * fvals[q][None, :]
+    return out
+
+
+def commutativity_check(f, g, quad, sample_points):
+    """max over sample points of p_sup((f*g)(x) - (g*f)(x)).
+
+    The two orientations integrate over supp f and supp g respectively, so
+    they share no quadrature nodes.
+    """
+    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    diff = convolve_over_f(f, g, quad, pts) - convolve(f, g, quad).eval(pts)
+    return float(np.max(np.abs(diff))) if len(pts) else 0.0
+
+
+@dataclass
+class TransferReport:
+    """Pairwise sups between the three derivative routes of f * rho_n."""
+
+    fd_vs_kernel: float
+    fd_vs_carrier: float
+    kernel_vs_carrier: float
+
+    @property
+    def max_discrepancy(self):
+        return max(self.fd_vs_kernel, self.fd_vs_carrier, self.kernel_vs_carrier)
+
+
+def derivative_transfer_check(f, moll, beta, sample_points, quad, fd_step=1e-3):
+    """Compare (a) finite differences of f*rho_n, (b) f*(d^beta rho_n),
+    (c) (d^beta f)*rho_n at the sample points."""
+    beta = tuple(int(b) for b in beta)
+    if mi_order(beta) > min(f.order, SMOOTH_ORDER):
+        raise ValueError("transfer check order exceeds the proven range")
+    rho = moll.as_sampled()
+    conv = convolve(f, rho, quad)
+    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+
+    route_fd = _nested_central(conv.eval, beta, pts, fd_step)
+    route_kernel = conv.deriv(beta, pts)  # f * d^beta rho by transfer
+    df = SampledFunction(domain=f.domain, order=max(f.order - mi_order(beta), 0),
+                         value_dim=f.value_dim,
+                         evaluator=lambda points: f.deriv_extended(beta, points),
+                         support=f.support, name="df")
+    route_carrier = convolve(df, rho, quad).eval(pts)
+
+    return TransferReport(
+        fd_vs_kernel=float(np.max(np.abs(route_fd - route_kernel))),
+        fd_vs_carrier=float(np.max(np.abs(route_fd - route_carrier))),
+        kernel_vs_carrier=float(np.max(np.abs(route_kernel - route_carrier))),
+    )
 
 
 def support_estimate(f: SampledFunction, threshold: float = 1e-12) -> Region:

@@ -16,9 +16,7 @@ from finiterank.cutoff import apply_cutoff
 from finiterank.expressions import builtin_function, expr_function_from_strings
 from finiterank.funcmodel import sf_from_expr_function
 from finiterank.geometry import Region
-from finiterank.mollify import (QuadratureSpec, build_mollifier,
-                                commutativity_check, convolve,
-                                derivative_transfer_check, regularize)
+from finiterank.mollify import QuadratureSpec, build_mollifier, convolve, regularize
 from finiterank.pipeline import approximate, rounded, verify_ledger
 from finiterank.scenarios import load_scenario, _region_from_cfg
 from finiterank.seminorms import difference_seminorm, weighted_seminorm
@@ -27,8 +25,8 @@ from finiterank.tensorapprox import (build_partition, finite_rank_c0_approx,
 from finiterank.weights import (WeightIndex, check_directed, check_locally_bounded,
                                 check_locally_bounded_away_from_zero,
                                 check_vanishing_ratio)
-from oracles import (adaptive_simpson, bisect_root, dense_rescan, fd_step_sweep,
-                     support_estimate)
+from oracles import (adaptive_simpson, bisect_root, commutativity_check, dense_rescan,
+                     derivative_transfer_check, fd_step_sweep, support_estimate)
 import expected
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -79,7 +77,7 @@ def test_criterion_2_convolution_suite():
         rho = moll.as_sampled()
         disc = commutativity_check(f, rho, quad, sample)
         ok &= disc < 10 * quad.tol
-        conv = convolve(f, rho, quad, side="g")
+        conv = convolve(f, rho, quad)
         est = support_estimate(conv)
         lo_ok = est.boxes[0].lo[0] >= conv.support.boxes[0].lo[0] - step - 1e-12
         hi_ok = est.boxes[0].hi[0] <= conv.support.boxes[0].hi[0] + step + 1e-12

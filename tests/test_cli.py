@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,9 @@ from finiterank.scenarios import load_scenario
 from oracles import scaled_result
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# factors_0p2.csv of schwartz_1d (1,1) eps 0.2: the only output that evaluates
+# the convolved factor map, too large (161 KB) to commit as a fixture
+FACTORS_0P2_SHA256 = "c4f93d9baa6ddd653ffd68b9dba5a6916aea32ad69ca445f9550260b66e9ec8c"
 
 
 def run(args):
@@ -91,6 +95,37 @@ def test_approximate_rejects_refine_below_one(tmp_path, refine):
                 "--j", "1", "--l", "1", "--out", str(tmp_path), "--refine", refine])
     assert code == 2
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("grid", ["1", "-3"])
+def test_approximate_rejects_grid_below_two(tmp_path, grid):
+    # a one-point grid used to reach the tail-compact search and exit 4
+    code = run(["approximate", "--scenario", "schwartz_1d", "--eps", "0.2",
+                "--j", "1", "--l", "1", "--out", str(tmp_path), "--grid", grid])
+    assert code == 2
+    assert not list(tmp_path.glob("*"))
+
+
+@pytest.mark.parametrize("region", ["domain", "omega"])
+def test_config_rejects_grid_below_two(tmp_path, capsys, region):
+    scn, _ = load_scenario("schwartz_1d")
+    path = _schwartz_cfg(tmp_path, **{region: dict(scn.config[region], points_per_axis=1)})
+    code = run(["check-weights", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "at least 2 points per axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", [
+    {"family": {"kind": "custom", "k_max": 0, "entries": {"1,0": 1}}},
+    {"family": {"kind": "om_finite", "k_max": 2, "gauge_sets": [[1.0]]}},
+    {"function": {"expressions": ["x", 2]}},
+], ids=["custom_weight", "om_finite_gauge", "function_expression"])
+def test_rejects_non_string_expression(tmp_path, capsys, changes):
+    # a number where a string belongs used to end in an AttributeError, exit 1
+    path = _schwartz_cfg(tmp_path, **changes)
+    code = run(["check-weights", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "must be a string" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("eps", ["-0.1", "abc", ",", "inf", "nan", "0"])
@@ -187,6 +222,9 @@ def test_approximate_certified_and_deterministic(tmp_path):
     factor_floats = [float(tok) for row in rows[1:]
                      for tok in row.split(",", 1)[1].replace(";", ",").split(",")]
     assert _at_ledger_digits(factor_floats)
+    factor_bytes = (out1 / "factors_0p2.csv").read_bytes()
+    assert factor_bytes == (out2 / "factors_0p2.csv").read_bytes()
+    assert hashlib.sha256(factor_bytes).hexdigest() == FACTORS_0P2_SHA256
     verify_bytes = (out1 / "verify_0p2.json").read_bytes()
     assert verify_bytes == (out2 / "verify_0p2.json").read_bytes()
     assert verify_bytes == (Path(__file__).parent / "fixtures"

@@ -8,12 +8,12 @@ from finiterank.cutoff import (_AxisProfile, _UnionCutoff, apply_cutoff, build_c
                                cutoff_constant, measure_cbeta, multiply_cutoff)
 from finiterank.errors import GeometryError, OrderError
 from finiterank.expressions import expr_function_from_strings
-from finiterank.funcmodel import (SampledFunction, fd_derivative_oracle,
-                                  multiindices, sf_from_expr_function, sf_zero)
+from finiterank.funcmodel import SampledFunction, multiindices, sf_from_expr_function, sf_zero
 from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier
 from finiterank.seminorms import difference_seminorm
 from finiterank.weights import WeightIndex
+from oracles import fd_derivative_oracle
 import expected
 
 

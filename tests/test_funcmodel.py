@@ -5,12 +5,11 @@ import finiterank as fr
 from finiterank.errors import DomainError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
-                                  evaluate, fd_derivative_oracle, mi_order,
-                                  multiindex_binom, multiindices,
+                                  mi_order, multiindex_binom, multiindices,
                                   product_rule_apply, sf_from_expr_function,
                                   submultiindices)
 from finiterank.geometry import Region
-from oracles import fd_step_sweep, support_estimate
+from oracles import evaluate, fd_derivative_oracle, fd_step_sweep, support_estimate
 
 
 def test_binom_examples():

@@ -7,15 +7,14 @@ from finiterank.expressions import builtin_function, expr_function_from_strings
 from finiterank.funcmodel import (SampledFunction, multiindices, sf_from_expr_function,
                                   sf_zero)
 from finiterank.geometry import Region
-from finiterank.mollify import (QuadratureSpec, build_mollifier,
-                                commutativity_check, convolve,
-                                derivative_transfer_check,
+from finiterank.mollify import (QuadratureSpec, build_mollifier, convolve,
                                 find_regularization_order, regularize)
 from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
 from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from finiterank import mollify
-from oracles import adaptive_simpson, convolve_per_node, support_estimate, sympy_bump
+from oracles import (adaptive_simpson, commutativity_check, convolve_per_node,
+                     derivative_transfer_check, support_estimate, sympy_bump)
 import expected
 
 
@@ -73,7 +72,7 @@ def test_scaling_law_bitexact(quad):
 def test_convolve_zero(quad, domain_1d):
     moll = build_mollifier(1, 4, quad)
     z = sf_zero(domain_1d, 1)
-    conv = convolve(z, moll.as_sampled(), quad, side="g")
+    conv = convolve(z, moll.as_sampled(), quad)
     pts = np.linspace(-1, 1, 11)[:, None]
     assert np.all(conv.eval(pts) == 0.0)
 
@@ -84,9 +83,8 @@ def test_convolve_needs_kernel_derivatives(quad):
     rho = moll.as_sampled()
     bare = SampledFunction(domain=rho.domain, order=rho.order, value_dim=1,
                            evaluator=rho.evaluator, support=rho.support)
-    for side in ("f", "g"):
-        with pytest.raises(ValueError, match="analytic derivatives"):
-            convolve(rho, bare, quad, side=side)
+    with pytest.raises(ValueError, match="analytic derivatives"):
+        convolve(rho, bare, quad)
 
 
 def test_narrow_bump_recovers_identity(quad, domain_1d):
@@ -96,7 +94,7 @@ def test_narrow_bump_recovers_identity(quad, domain_1d):
                         evaluator=lambda p: p[:, 0:1])
     for n in (4, 16):
         moll = build_mollifier(1, n, quad)
-        conv = convolve(g, moll.as_sampled(), quad, side="g")
+        conv = convolve(g, moll.as_sampled(), quad)
         pts = np.linspace(-2, 2, 9)[:, None]
         assert np.max(np.abs(conv.eval(pts) - pts)) < 1e-12
 
@@ -106,7 +104,7 @@ def test_support_containment(quad, domain_1d, gauss_1d):
                         evaluator=gauss_1d.evaluator, derivative=gauss_1d.derivative)
     f.support = support_estimate(f)
     moll = build_mollifier(1, 4, quad)
-    conv = convolve(f, moll.as_sampled(), quad, side="g")
+    conv = convolve(f, moll.as_sampled(), quad)
     est = support_estimate(conv)
     step = domain_1d.spacing()[0]
     declared = conv.support
@@ -181,7 +179,7 @@ def test_batched_convolve_matches_per_node_loop(case, n_points, rng):
         support=Region.box([-2.0] * d, [2.0] * d, 41), name="f")
     pts = rng.uniform(-3.0, 3.0, (n_points, d))
     expected_stack = convolve_per_node(f, g, q, betas, pts)
-    conv = convolve(f, g, q, side="g")
+    conv = convolve(f, g, q)
     assert np.array_equal(conv.deriv_multi(betas, pts), expected_stack)
     if case == "piecewise_1d":
         nodes, _ = mollify.region_nodes(g.support, q.finest_points)
@@ -222,7 +220,7 @@ def test_transfer_linear_derivative_constant(quad, domain_1d):
     f.support = Region.box([-6.0], [6.0], 1201)
     moll = build_mollifier(1, 4, quad)
     rho = moll.as_sampled()
-    conv = convolve(f, rho, quad, side="g")
+    conv = convolve(f, rho, quad)
     pts = np.linspace(-2, 2, 9)[:, None]
     deriv = conv.deriv((1,), pts)
     # derivative of the smoothed linear function is the constant slope
@@ -242,9 +240,9 @@ def test_convolution_linearity(quad, domain_1d, gauss_1d):
                            evaluator=lambda p: 2.0 * f.eval(p) - 3.0 * g.eval(p),
                            support=sup)
     pts = np.linspace(-2, 2, 17)[:, None]
-    lhs = convolve(comb, rho, quad, side="g").eval(pts)
-    rhs = 2.0 * convolve(f, rho, quad, side="g").eval(pts) \
-        - 3.0 * convolve(g, rho, quad, side="g").eval(pts)
+    lhs = convolve(comb, rho, quad).eval(pts)
+    rhs = 2.0 * convolve(f, rho, quad).eval(pts) \
+        - 3.0 * convolve(g, rho, quad).eval(pts)
     scale = np.max(np.abs(rhs)) + 1e-300
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 

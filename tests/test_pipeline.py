@@ -271,8 +271,7 @@ def test_stage3_equals_direct_scan(recorded_runs, run):
     scn, (ledger, seen, _, _, _) = recorded_runs[run]
     rho = build_mollifier(1, ledger.N2, scn.quad).as_sampled()
     direct = weighted_seminorm(
-        convolve(difference_function(seen["f_tilde"], seen["g"].sampled), rho, scn.quad,
-                 side="g"),
+        convolve(difference_function(seen["f_tilde"], seen["g"].sampled), rho, scn.quad),
         scn.family, WeightIndex(1, 1), scn.seminorm("sup"), grid=scn.domain)
     assert ledger.stage3_measured == pytest.approx(direct.value, rel=1e-12, abs=0.0)
     assert ledger.stage3_measured > 0.0

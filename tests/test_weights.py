@@ -6,8 +6,9 @@ from finiterank.errors import DomainError, UnknownIndexError
 from finiterank.geometry import Region
 from finiterank.weights import (WeightIndex, check_directed, check_locally_bounded,
                                 check_locally_bounded_away_from_zero,
-                                check_vanishing_ratio, custom_family, eval_weight,
+                                check_vanishing_ratio, custom_family,
                                 exhaustion_family, exp_strips_family)
+from oracles import eval_weight
 
 
 @pytest.fixture(scope="module")
