@@ -241,7 +241,7 @@ def multiply_cutoff(psi: SampledFunction, f: SampledFunction) -> SampledFunction
 
 
 def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
-                 alpha: SeminormIndex, eps: float, delta: float, search: Region,
+                 alpha: SeminormIndex, eps: float, delta: float,
                  omega: Optional[Region] = None) -> tuple[SampledFunction, CutoffReport]:
     """Cut f off outside a tail compact with budget eps.
 
@@ -255,7 +255,7 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     domain = f.domain
     if omega is None:
         omega = domain
-    K0 = find_tail_compact(f, fam, idx, alpha, eps, delta, search, omega=omega)
+    K0 = find_tail_compact(f, fam, idx, alpha, eps, delta, omega=omega)
     if K0.is_empty:
         # tail already below target everywhere; cut around one central cell
         step = domain.spacing()
@@ -267,7 +267,7 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     C = cutoff_constant(measure_cbeta(provisional, delta, idx.l), delta, idx.l)
     target = eps / (1.0 + C)
 
-    K = find_tail_compact(f, fam, idx, alpha, target, delta, search, omega=omega)
+    K = find_tail_compact(f, fam, idx, alpha, target, delta, omega=omega)
     if K.is_empty or K.volume() == 0.0:
         K = K0
     # pin the scan grid into the C_beta measurement so the lemma bound holds

@@ -5,9 +5,10 @@ composite midpoint rules converge superalgebraically on it; the refinement
 ladder in QuadratureSpec makes that checkable. Derivatives of the bump come
 from a closed-form recurrence (bump_profile) and are evaluated with a
 flatness cutoff at |x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
-convolve integrates over the mollifier's support only: every derivative of
-f * rho_n falls on rho_n, and f is evaluated at the points shifted by each
-quadrature node.
+convolve takes the Mollifier itself and integrates over its 1/n box only:
+every derivative of f * rho_n falls on rho_n, whose node coefficients come
+straight from Mollifier.deriv, and f is evaluated at the points shifted by
+each quadrature node.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.points_per_axis < 8:
             raise ValueError("points_per_axis must be at least 8")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.refinement_levels < 0:
+            raise ValueError("refinement_levels must be at least 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
     @property
     def finest_points(self) -> int:
@@ -72,19 +75,6 @@ def box_nodes(box: Box, points_per_axis: int):
     for wm in wmesh:
         weights = weights * wm.ravel()
     return nodes, weights
-
-
-def region_nodes(region: Region, points_per_axis: int):
-    nodes = []
-    weights = []
-    for b in region.boxes:
-        n, w = box_nodes(b, points_per_axis)
-        nodes.append(n)
-        weights.append(w)
-    if not nodes:
-        d = region.d
-        return np.empty((0, d)), np.empty((0,))
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +153,15 @@ class Mollifier:
     def radius(self) -> float:
         return 1.0 / self.n
 
-    def as_sampled(self) -> SampledFunction:
+    @functools.cached_property
+    def support(self) -> Region:
+        """The 1/n box [-1/n, 1/n]^d, which holds the ball supp rho_n."""
         r = self.radius
-        support = Region.box((-r,) * self.d, (r,) * self.d, 33)
-
-        def derivative(beta, pts):
-            return self.deriv(beta, pts)[:, None]
-
-        return SampledFunction(
-            domain=support,
-            order=SMOOTH_ORDER,
-            value_dim=1,
-            evaluator=lambda pts: derivative((0,) * self.d, pts),
-            derivative=derivative,
-            support=support,
-            name=f"rho_{self.n}",
-        )
+        return Region.box((-r,) * self.d, (r,) * self.d, self.quad.finest_points)
 
     def abs_deriv_integral(self, beta: MultiIndex) -> float:
         """integral of |d^beta rho_n| via quadrature over the support."""
-        nodes, weights = box_nodes(
-            Box((-self.radius,) * self.d, (self.radius,) * self.d),
-            self.quad.finest_points)
+        nodes, weights = box_nodes(self.support.boxes[0], self.quad.finest_points)
         return float(np.dot(weights, np.abs(self.deriv(beta, nodes))))
 
     @property
@@ -202,7 +179,7 @@ def build_mollifier(d: int, n: int, quad: QuadratureSpec) -> Mollifier:
     if abs(moll.mass_check - 1.0) >= quad.tol:
         raise QuadratureError(f"mollifier mass check failed: {moll.mass_check}")
     # make sure the flatness cutoff leaves the low derivatives finite
-    nodes, _ = box_nodes(Box((-moll.radius,) * d, (moll.radius,) * d), quad.finest_points)
+    nodes, _ = box_nodes(moll.support.boxes[0], quad.finest_points)
     for beta in multiindices(d, 2):
         probe = moll.deriv(beta, nodes[: min(len(nodes), 128)])
         if not np.all(np.isfinite(probe)):
@@ -214,31 +191,22 @@ def build_mollifier(d: int, n: int, quad: QuadratureSpec) -> Mollifier:
 # convolution
 
 
-def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec) -> SampledFunction:
-    """f * g for a scalar, compactly supported g with analytic derivatives
-    (Mollifier.as_sampled): with z = x - y, d^beta (f * g)(x) is
-    sum_q w_q d^beta g(z_q) f(x - z_q) over midpoint nodes z_q on supp g.
-    Every derivative falls on g, so the result has g's order.
+def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> SampledFunction:
+    """f * rho_n: with z = x - y, d^beta (f * rho_n)(x) is
+    sum_q w_q d^beta rho_n(z_q) f(x - z_q) over midpoint nodes z_q on the
+    mollifier's 1/n box. Every derivative falls on rho_n, so the result has
+    the mollifier's order, and its support is f's inflated by 1/n.
     """
-    if g.value_dim != 1:
-        raise ValueError("the second convolution factor must be scalar")
-    if g.derivative is None:
-        raise ValueError("the second convolution factor needs analytic derivatives")
-    if g.support is None:
-        raise ValueError("the second convolution factor must have compact support")
-    if g.support.is_empty:
-        return sf_zero(f.domain, f.value_dim, order=max(f.order, g.order))
-
-    nodes, weights = region_nodes(g.support, quad.finest_points)
+    nodes, weights = box_nodes(moll.support.boxes[0], quad.finest_points)
     m = f.value_dim
-    base_coeff = weights * g.eval_extended(nodes)[:, 0]              # (Q,)
+    base_coeff = weights * moll.deriv((0,) * f.d, nodes)             # (Q,)
 
     def deriv_multi(betas, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros((len(betas), len(pts), m))
         coeffs = np.stack([
             base_coeff if mi_order(tuple(b)) == 0
-            else weights * g.deriv(tuple(b), nodes)[:, 0]
+            else weights * moll.deriv(tuple(b), nodes)
             for b in betas])                                          # (B, Q)
         live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
         # f sees the points shifted by a chunk of nodes in one call; the
@@ -255,25 +223,14 @@ def convolve(f: SampledFunction, g: SampledFunction, quad: QuadratureSpec) -> Sa
                         out[bi] += coeffs[bi, q] * shifted[k]
         return out
 
-    support = None
-    if f.support is not None:
-        summed = []
-        for fb in f.support.boxes:
-            for gb in g.support.boxes:
-                summed.append(Box(tuple(np.asarray(fb.lo) + np.asarray(gb.lo)),
-                                  tuple(np.asarray(fb.hi) + np.asarray(gb.hi))))
-        support = Region(tuple(summed), f.domain.points_per_axis)
-
-    bb = g.support.bounding_box()
-    radius = np.maximum(np.abs(bb.lo), np.abs(bb.hi))
     conv = SampledFunction(
-        domain=f.domain.inflate(radius),
-        order=g.order,
+        domain=f.domain.inflate(moll.radius),
+        order=SMOOTH_ORDER,
         value_dim=m,
         evaluator=lambda pts: deriv_multi([(0,) * f.d], np.atleast_2d(pts))[0],
         derivative=lambda beta, pts: deriv_multi([tuple(beta)], pts)[0],
-        support=support,
-        name=f"({f.name})*({g.name})",
+        support=None if f.support is None else f.support.inflate(moll.radius),
+        name=f"({f.name})*(rho_{moll.n})",
     )
     conv.deriv_multi = deriv_multi
     return conv
@@ -289,8 +246,7 @@ def regularize(f: SampledFunction, n: int, quad: QuadratureSpec) -> SampledFunct
         raise ValueError(f"regularize needs a declared support; {f.name or 'f'} has none")
     if f.support.is_empty:
         return sf_zero(f.domain, f.value_dim, order=SMOOTH_ORDER)
-    moll = build_mollifier(f.d, n, quad)
-    return convolve(f, moll.as_sampled(), quad)
+    return convolve(f, build_mollifier(f.d, n, quad), quad)
 
 
 class Smoothing(NamedTuple):

@@ -179,9 +179,8 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
 
     # stage 1: cut off outside a tail compact with budget eps/3
     delta = scn.delta_rule(idx)
-    f_tilde, cut_report = apply_cutoff(
-        f, fam, idx, alpha, eps / 3.0, delta, scn.domain,
-        omega=scn.omega_region())
+    f_tilde, cut_report = apply_cutoff(f, fam, idx, alpha, eps / 3.0, delta,
+                                       omega=scn.omega_region())
     ledger.stage1_K = cut_report.K
     ledger.stage1_delta = delta
     ledger.stage1_C_l_delta = cut_report.C_l_delta
@@ -223,15 +222,13 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     # stage 3: localization of f_tilde at the proof tolerance, then smoothing
     tensor_eps = eps / (12.0 * C1 * C2 * C3)
     ledger.tensor_eps = eps / (3.0 * C1 * C2 * C3)
-    g, loc_report = finite_rank_c0_approx(
-        f_tilde, fam, i_aux, alpha, tensor_eps, scn.domain,
-        support_constraint=V)
+    g, loc_report = finite_rank_c0_approx(f_tilde, fam, i_aux, alpha, tensor_eps,
+                                          support_constraint=V)
     ledger.tensor_measured = loc_report.measured.value
     ledger.rank = g.rank
 
-    rho = moll.as_sampled()
-    result = FiniteRankFunction(convolve(g.factors, rho, quad), g.values,
-                                convolve(g.sampled, rho, quad))
+    result = FiniteRankFunction(convolve(g.factors, moll, quad), g.values,
+                                convolve(g.sampled, moll, quad))
     # by linearity (f_tilde - g) * rho = f_tilde * rho - g * rho: stage 2
     # sampled the first term on f's domain grid (scn.domain in every scenario),
     # and the total needs the second anyway
@@ -240,7 +237,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     result_jet = sample_jet(result.sampled, idx, pts)
     stage3 = jet_seminorm(smoothed.jet - result_jet, pts,
                           [smoothed.support, result.sampled.support], fam, idx, alpha,
-                          f"({f_tilde.name})*({rho.name})-({result.sampled.name})")
+                          f"({f_tilde.name})*(rho_{N2})-({result.sampled.name})")
     ledger.stage3_measured = stage3.value
     total = jet_seminorm(sample_jet(f, idx, pts) - result_jet, pts,
                          [f.support, result.sampled.support], fam, idx, alpha,

@@ -8,13 +8,14 @@ files, not code.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .expressions import builtin_function, expr_function_from_strings
 from .funcmodel import SampledFunction, SeminormIndex, sf_from_expr_function
 from .geometry import Box, Region
@@ -27,8 +28,14 @@ REGISTRY = ("schwartz_1d", "exhaustion_1d", "om_finite_1d", "exp_strips_2d")
 
 
 def _region_from_cfg(cfg: dict, grid_override: Optional[int] = None) -> Region:
-    boxes = tuple(Box(tuple(map(float, lo)), tuple(map(float, hi)))
-                  for lo, hi in cfg["boxes"])
+    try:
+        boxes = tuple(Box(tuple(map(float, lo)), tuple(map(float, hi)))
+                      for lo, hi in cfg["boxes"])
+    except (TypeError, ValueError, GeometryError) as exc:
+        # lo > hi, corners of different lengths, a scalar where a list belongs
+        raise ConfigError(f"malformed region boxes {cfg['boxes']!r}: {exc}") from exc
+    if not boxes:
+        raise ConfigError("a region needs at least one box")
     ppa = cfg.get("points_per_axis", 101)
     for n in (ppa, grid_override):
         # one point per axis collapses the grid, so every scan on it is vacuous
@@ -48,8 +55,8 @@ def _family_from_cfg(cfg: dict, domain: Region) -> WeightFamily:
     if kind == "exhaustion":
         omegas = {}
         for key, boxes in cfg["omega_j"].items():
-            omegas[int(key)] = Region.from_bounds(
-                [b[0] for b in boxes], [b[1] for b in boxes], domain.points_per_axis)
+            omegas[int(key)] = _region_from_cfg(
+                {"boxes": boxes, "points_per_axis": domain.points_per_axis})
         return exhaustion_family(k_max, omegas)
     if kind == "exp_strips":
         if domain.d != 2:
@@ -86,16 +93,23 @@ def _check_value_dim(seminorms: dict[str, SeminormIndex], m: int) -> None:
                               f"for {m} coordinates")
 
 
+def _delta_value(value) -> float:
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ConfigError(f"delta must be finite and positive, got {value}")
+    return value
+
+
 def _delta_rule_from_cfg(cfg: dict):
     kind = cfg.get("kind", "fixed")
     if kind == "fixed":
-        value = float(cfg["value"])
+        value = _delta_value(cfg["value"])
         return lambda idx: value
     if kind == "strip_margin":
         # safety margin 1/(2j+2) for the strip family
         return lambda idx: 1.0 / (2 * idx.j + 2)
     if kind == "exhaustion_gap":
-        gaps = {int(k): float(v) for k, v in cfg["values"].items()}
+        gaps = {int(k): _delta_value(v) for k, v in cfg["values"].items()}
         return lambda idx: gaps[idx.j]
     raise ConfigError(f"unknown delta rule {kind!r}")
 
@@ -143,7 +157,8 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
         return scn, f
     except KeyError as exc:
         raise ConfigError(f"scenario config missing key {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
+        # a malformed value: a bad number, a scalar where a list belongs
         raise ConfigError(str(exc)) from exc
 
 

@@ -106,21 +106,20 @@ def difference_seminorm(f: SampledFunction, g: SampledFunction, fam: WeightFamil
 
 
 def tail_seminorm(f: SampledFunction, K: Region, fam: WeightFamily, idx: WeightIndex,
-                  alpha: SeminormIndex, grid: Optional[Region] = None) -> SeminormValue:
-    """Same sup restricted to grid points outside K."""
-    region = grid if grid is not None else f.domain
-    pts = region.grid_points()
+                  alpha: SeminormIndex) -> SeminormValue:
+    """Same sup restricted to f's domain grid points outside K."""
+    pts = f.domain.grid_points()
     pts = pts[~K.contains(pts)]
     return jet_seminorm(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha, f.name)
 
 
 def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                       alpha: SeminormIndex, eps: float, delta: float,
-                      search: Region, omega: Optional[Region] = None) -> Region:
+                      omega: Optional[Region] = None) -> Region:
     """Smallest centered grid-aligned box (clipped to the weight's structure
-    region when the family has one) whose tail seminorm is < eps and whose
-    delta-inflation stays inside omega, the boundary surrogate for the open
-    domain (defaults to the gridded domain).
+    region when the family has one) whose tail seminorm on f's domain grid
+    is < eps and whose delta-inflation stays inside omega, the boundary
+    surrogate for the open domain (defaults to the gridded domain).
 
     The minimal box is read off the violating set directly: per axis, the
     halfwidth is the largest |x_a| over grid points whose integrand reaches
@@ -133,7 +132,7 @@ def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     domain = f.domain
     if omega is None:
         omega = domain
-    pts = search.grid_points()
+    pts = domain.grid_points()
     kept, _, vals = _scan(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha,
                           f.name)
     integrand = np.zeros(len(pts))
@@ -141,7 +140,7 @@ def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
 
     clip = fam.structure_region(idx.j)
     base = clip if clip is not None else domain
-    halfwidths = centered_halfwidths(search, pts[integrand >= eps])
+    halfwidths = centered_halfwidths(domain, pts[integrand >= eps])
     if halfwidths is None:
         raise CriterionError(
             "violating points reach the search boundary; the tail cannot "

@@ -251,13 +251,13 @@ class LocalizationReport:
 
 
 def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
-                          alpha: SeminormIndex, eps: float, search: Region,
+                          alpha: SeminormIndex, eps: float,
                           support_constraint: Optional[Region] = None,
                           ) -> tuple[FiniteRankFunction, LocalizationReport]:
     """Order-zero finite-rank approximation with the 4 eps proof-chain bound."""
     idx = WeightIndex(j, 0)
     step = float(np.min(f.domain.spacing()))
-    K = find_tail_compact(f, fam, idx, alpha, eps, delta=step, search=search)
+    K = find_tail_compact(f, fam, idx, alpha, eps, delta=step)
     zero = FiniteRankFunction(sf_zero(f.domain, 0, order=0),
                               np.zeros((0, f.value_dim)),
                               sf_zero(f.domain, f.value_dim, order=0))

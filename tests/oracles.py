@@ -7,12 +7,14 @@ providers. The dense partition formulas are the all-pairs reference for
 the package's sparse bump evaluation, and the per-node convolution loop is
 the reference for the node-batched one. The package measures differences
 as one sampled jet minus another; difference_function builds f - g as one
-function instead, for the tests that need to convolve it. scaled_result
+function instead, for the tests that need to convolve it; bump_function
+is rho_n as a function, for the tests that use it as the f of a
+convolution or a cut-off. scaled_result
 swaps a result's sum for k f, a wrong answer for the verdict tests.
 support_estimate reads a support off the grid, for the tests that build a
 function without declaring one. The lemma checks live here too:
-commutativity_check sets the package's convolution over supp g against a
-per-node sum over supp f, and derivative_transfer_check sets nested central
+commutativity_check sets the package's convolution over supp rho_n against
+a per-node sum over supp f, and derivative_transfer_check sets nested central
 differences of f * rho_n against both routes of the derivative transfer.
 evaluate and eval_weight are checked single-point evaluations of a function
 and a weight. sympy_bump and sympy_builtin are the
@@ -30,7 +32,7 @@ import sympy as sp
 from finiterank.errors import DomainError, OrderError
 from finiterank.funcmodel import FiniteRankFunction, SampledFunction, mi_order
 from finiterank.geometry import Box, Region
-from finiterank.mollify import SMOOTH_ORDER, convolve, region_nodes
+from finiterank.mollify import SMOOTH_ORDER, box_nodes, convolve
 from finiterank.seminorms import weighted_seminorm
 
 
@@ -127,18 +129,35 @@ def dense_partition(theta, bumps):
     return phis
 
 
-def convolve_per_node(f, g, quad, betas, points):
-    """(len(betas), N, m) stack of d^beta (f * g) integrated over supp g.
+def bump_function(moll):
+    """rho_n as a scalar function on its 1/n box, with analytic derivatives."""
+    r = moll.radius
+    support = Region.box((-r,) * moll.d, (r,) * moll.d, 33)
+
+    def derivative(beta, pts):
+        return moll.deriv(beta, pts)[:, None]
+
+    return SampledFunction(
+        domain=support,
+        order=SMOOTH_ORDER,
+        value_dim=1,
+        evaluator=lambda pts: derivative((0,) * moll.d, pts),
+        derivative=derivative,
+        support=support,
+        name=f"rho_{moll.n}",
+    )
+
+
+def convolve_per_node(f, moll, quad, betas, points):
+    """(len(betas), N, m) stack of d^beta (f * rho_n) integrated over the
+    mollifier's 1/n box.
 
     One call of f per live quadrature node at the points shifted by it, each
     node's term added in node order.
     """
-    nodes, weights = region_nodes(g.support, quad.finest_points)
+    nodes, weights = box_nodes(moll.support.boxes[0], quad.finest_points)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    coeffs = np.stack([
-        weights * (g.eval_extended(nodes) if sum(b) == 0
-                   else g.deriv(tuple(b), nodes))[:, 0]
-        for b in betas])
+    coeffs = np.stack([weights * moll.deriv(tuple(b), nodes) for b in betas])
     out = np.zeros((len(betas), len(pts), f.value_dim))
     for q in range(len(nodes)):
         if not np.any(coeffs[:, q] != 0.0):
@@ -192,27 +211,35 @@ def eval_weight(fam, idx, x, domain=None):
     return float(fam.eval_batch(idx, pt)[0])
 
 
-def convolve_over_f(f, g, quad, points):
-    """(f * g)(x) integrated over supp f: sum_q w_q f(y_q) g(x - y_q), one
-    node at a time in node order."""
+def region_nodes(region, points_per_axis):
+    """Midpoint nodes and weights of every box of a region, in box order."""
+    parts = [box_nodes(b, points_per_axis) for b in region.boxes]
+    if not parts:
+        return np.empty((0, region.d)), np.empty((0,))
+    return np.concatenate([n for n, _ in parts]), np.concatenate([w for _, w in parts])
+
+
+def convolve_over_f(f, moll, quad, points):
+    """(f * rho_n)(x) integrated over supp f: sum_q w_q f(y_q) rho_n(x - y_q),
+    one node at a time in node order."""
     nodes, weights = region_nodes(f.support, quad.finest_points)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fvals = weights[:, None] * f.eval_extended(nodes)
     out = np.zeros((len(pts), f.value_dim))
     for q in range(len(nodes)):
-        gq = g.deriv_extended((0,) * f.d, pts - nodes[q])[:, 0]
+        gq = moll.deriv((0,) * f.d, pts - nodes[q])
         out += gq[:, None] * fvals[q][None, :]
     return out
 
 
-def commutativity_check(f, g, quad, sample_points):
-    """max over sample points of p_sup((f*g)(x) - (g*f)(x)).
+def commutativity_check(f, moll, quad, sample_points):
+    """max over sample points of p_sup((f*rho_n)(x) - (rho_n*f)(x)).
 
-    The two orientations integrate over supp f and supp g respectively, so
-    they share no quadrature nodes.
+    The two orientations integrate over supp f and the mollifier's box
+    respectively, so they share no quadrature nodes.
     """
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    diff = convolve_over_f(f, g, quad, pts) - convolve(f, g, quad).eval(pts)
+    diff = convolve_over_f(f, moll, quad, pts) - convolve(f, moll, quad).eval(pts)
     return float(np.max(np.abs(diff))) if len(pts) else 0.0
 
 
@@ -235,8 +262,7 @@ def derivative_transfer_check(f, moll, beta, sample_points, quad, fd_step=1e-3):
     beta = tuple(int(b) for b in beta)
     if mi_order(beta) > min(f.order, SMOOTH_ORDER):
         raise ValueError("transfer check order exceeds the proven range")
-    rho = moll.as_sampled()
-    conv = convolve(f, rho, quad)
+    conv = convolve(f, moll, quad)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
 
     route_fd = _nested_central(conv.eval, beta, pts, fd_step)
@@ -245,7 +271,7 @@ def derivative_transfer_check(f, moll, beta, sample_points, quad, fd_step=1e-3):
                          value_dim=f.value_dim,
                          evaluator=lambda points: f.deriv_extended(beta, points),
                          support=f.support, name="df")
-    route_carrier = convolve(df, rho, quad).eval(pts)
+    route_carrier = convolve(df, moll, quad).eval(pts)
 
     return TransferReport(
         fd_vs_kernel=float(np.max(np.abs(route_fd - route_kernel))),

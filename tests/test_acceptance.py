@@ -25,8 +25,9 @@ from finiterank.tensorapprox import (build_partition, finite_rank_c0_approx,
 from finiterank.weights import (WeightIndex, check_directed, check_locally_bounded,
                                 check_locally_bounded_away_from_zero,
                                 check_vanishing_ratio)
-from oracles import (adaptive_simpson, bisect_root, commutativity_check, dense_rescan,
-                     derivative_transfer_check, fd_step_sweep, support_estimate)
+from oracles import (adaptive_simpson, bisect_root, bump_function, commutativity_check,
+                     dense_rescan, derivative_transfer_check, fd_step_sweep,
+                     support_estimate)
 import expected
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -66,7 +67,7 @@ def test_criterion_2_convolution_suite():
         builtin_function({"builtin": "poly_gaussian", "coeffs": [1.0, 0.5, 0.25],
                           "e": [1.0]}, 1), dom, 6)
     polyg.support = support_estimate(polyg)
-    bump = moll1.as_sampled()
+    bump = bump_function(moll1)
     bump.domain = dom
 
     pairs = [(gauss, moll4), (polyg, moll4), (bump, moll4)]
@@ -74,10 +75,9 @@ def test_criterion_2_convolution_suite():
     ok = True
     details = []
     for f, moll in pairs:
-        rho = moll.as_sampled()
-        disc = commutativity_check(f, rho, quad, sample)
+        disc = commutativity_check(f, moll, quad, sample)
         ok &= disc < 10 * quad.tol
-        conv = convolve(f, rho, quad)
+        conv = convolve(f, moll, quad)
         est = support_estimate(conv)
         lo_ok = est.boxes[0].lo[0] >= conv.support.boxes[0].lo[0] - step - 1e-12
         hi_ok = est.boxes[0].hi[0] <= conv.support.boxes[0].hi[0] + step + 1e-12
@@ -91,11 +91,9 @@ def test_criterion_2_convolution_suite():
     report(2, ok, "; ".join(details) + f" (tols: {10*quad.tol:.0e}, 1e-4)")
 
 
-def test_criterion_3_regularization_convergence(domain_1d, schwartz_fam, sup_alpha,
-                                                gauss_1d, quad):
+def test_criterion_3_regularization_convergence(schwartz_fam, sup_alpha, gauss_1d, quad):
     start = time.monotonic()
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 1), sup_alpha,
-                         1e-3, 1.0, domain_1d)
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 1), sup_alpha, 1e-3, 1.0)
     ok = True
     final = {}
     for l in (0, 1):
@@ -128,8 +126,7 @@ def test_criterion_4_cutoff_bound(domain_1d, schwartz_fam, sup_alpha):
         f = sf_from_expr_function(fn, domain_1d, order=6)
         l = trial % 3
         idx = WeightIndex(1, l)
-        ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
-                               domain_1d)
+        ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0)
         measured = difference_seminorm(f, ft, schwartz_fam, idx, sup_alpha)
         slack = (1 + rep.C_l_delta) * rep.tail.value + 1e-10 - measured.value
         worst_slack = max(worst_slack, -slack)
@@ -171,13 +168,12 @@ def test_criterion_6_localization_bound(plane_waves_1d, schwartz_fam, sup_alpha,
     ok = True
     details = []
     for eps in (0.2, 0.05):
-        g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                       eps, domain_1d)
+        g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps)
         ok &= rep.measured.value < 4 * eps
         details.append(f"eps={eps}: |f-g| = {rep.measured.value:.3f} < {4*eps}")
     V = Region.box([-3.5], [3.5], 701)
     g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                   0.2, domain_1d, support_constraint=V)
+                                   0.2, support_constraint=V)
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)
     # column i of the factor map is phi_i

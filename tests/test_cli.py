@@ -192,6 +192,44 @@ def test_approximate_rejects_bad_seminorm(tmp_path, capsys, spec):
     assert not out.exists() or not list(out.glob("ledger_*"))
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("quad", "refinement_levels", -1),
+    ("quad", "tol", "nan"),
+    ("delta", "value", 0),
+    ("delta", "value", -1),
+    ("delta", "value", "nan"),
+    ("domain", "boxes", [[[6.0], [-6.0]]]),
+    ("domain", "boxes", [[[-6.0, 0.0], [6.0]]]),
+    ("domain", "boxes", []),
+    ("function", "nodes", 3),
+], ids=["levels-1", "tol_nan", "delta0", "delta-1", "delta_nan", "box_lo_above_hi",
+        "box_corner_lengths", "no_boxes", "scalar_nodes"])
+def test_approximate_rejects_malformed_config(tmp_path, capsys, section, key, value):
+    # each used to end in a traceback (exit 1), a "numeric failure" (3) or a
+    # "criterion failure" (4) instead of a config error
+    scn, _ = load_scenario("schwartz_1d")
+    path = _schwartz_cfg(tmp_path, **{section: dict(scn.config[section], **{key: value})})
+    out = tmp_path / "out"
+    code = run(["approximate", "--scenario", str(path), "--eps", "0.2",
+                "--j", "1", "--l", "1", "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("region", ["compact", "search"])
+def test_check_weights_rejects_malformed_audit_region(tmp_path, capsys, region):
+    # a box with lo > hi in the audit section used to exit 4
+    scn, _ = load_scenario("schwartz_1d")
+    audit = json.loads(json.dumps(scn.config["audit"]))
+    target = audit if region == "compact" else audit["ratio"]
+    target[region]["boxes"] = [[[3.0], [-3.0]]]
+    path = _schwartz_cfg(tmp_path, audit=audit)
+    code = run(["check-weights", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "negative extent" in capsys.readouterr().err
+
+
 def test_quadrature_rule_must_be_midpoint(tmp_path, capsys):
     scn, _ = load_scenario("schwartz_1d")
     assert scn.config["quad"]["rule"] == "midpoint"
@@ -304,3 +342,16 @@ def test_convergence_outputs(tmp_path):
     eps_sorted = sorted(pairs, key=lambda t: -t[0])
     ranks = [rank for _, rank in eps_sorted]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
+
+
+def test_convergence_cuts_off_against_omega(tmp_path):
+    # the domain ends 0.23 past the tail compact [-2.57, 2.57], less than
+    # delta = 1; omega is the boundary surrogate, as it is for approximate
+    path = _schwartz_cfg(tmp_path, domain={"boxes": [[[-2.8], [2.8]]],
+                                           "points_per_axis": 561})
+    out = tmp_path / "out"
+    code = run(["convergence", "--scenario", str(path), "--eps", "0.2",
+                "--j", "1", "--l", "1", "--out", str(out)])
+    assert code == 0
+    assert (out / "convergence.csv").read_text().startswith("n,seminorm_error\n2,")
+    assert (out / "rank_vs_eps.csv").read_text().startswith("eps,rank\n0.2,")

@@ -13,7 +13,7 @@ from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier
 from finiterank.seminorms import difference_seminorm
 from finiterank.weights import WeightIndex
-from oracles import fd_derivative_oracle
+from oracles import bump_function, fd_derivative_oracle
 import expected
 
 
@@ -263,8 +263,7 @@ def test_apply_cutoff_bound_randomized(domain_1d, schwartz_fam, sup_alpha, rng):
         f = sf_from_expr_function(fn, domain_1d, order=6)
         l = int(rng.integers(0, 3))
         idx = WeightIndex(1, l)
-        ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
-                               domain_1d)
+        ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0)
         measured = difference_seminorm(f, ft, schwartz_fam, idx, sup_alpha)
         bound = (1 + cutoff_constant_from_report(rep)) * rep.tail.value
         assert measured.value <= bound + 1e-10
@@ -278,13 +277,11 @@ def cutoff_constant_from_report(rep):
 def test_apply_cutoff_identity_on_compact(domain_1d, schwartz_fam, sup_alpha, quad):
     # bump fixture: once K + delta/4 swallows the support, psi f == f
     moll = build_mollifier(1, 1, quad)
-    f = moll.as_sampled()
-    f.domain = domain_1d
+    f = bump_function(moll)
     f = SampledFunction(domain=domain_1d, order=4, value_dim=1,
                         evaluator=f.evaluator, derivative=f.derivative,
                         support=Region.box([-1.0], [1.0], 1201), name="bump")
-    ft, rep = apply_cutoff(f, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                           1e-3, 1.0, domain_1d)
+    ft, rep = apply_cutoff(f, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
     pts = domain_1d.grid_points()
     diff = np.max(np.abs(f.eval_extended(pts) - ft.eval_extended(pts)))
     assert diff <= 1e-12
@@ -293,8 +290,7 @@ def test_apply_cutoff_identity_on_compact(domain_1d, schwartz_fam, sup_alpha, qu
 
 def test_apply_cutoff_zero(domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 2)
-    ft, rep = apply_cutoff(z, schwartz_fam, WeightIndex(1, 1), sup_alpha,
-                           1e-2, 1.0, domain_1d)
+    ft, rep = apply_cutoff(z, schwartz_fam, WeightIndex(1, 1), sup_alpha, 1e-2, 1.0)
     pts = domain_1d.grid_points()
     assert np.all(ft.eval_extended(pts) == 0.0)
     assert rep.measured.value == 0.0
@@ -302,8 +298,7 @@ def test_apply_cutoff_zero(domain_1d, schwartz_fam, sup_alpha):
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
-    _, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, l), sup_alpha,
-                          0.05, 1.0, domain_1d)
+    _, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, l), sup_alpha, 0.05, 1.0)
     assert list(rep.Cbeta_table) == multiindices(1, l)
     # the same cut-off measured to order 4 gives the same constant, bit for bit
     dom_pts = domain_1d.grid_points()

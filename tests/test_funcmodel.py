@@ -9,7 +9,8 @@ from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, SeminormI
                                   product_rule_apply, sf_from_expr_function,
                                   submultiindices)
 from finiterank.geometry import Region
-from oracles import evaluate, fd_derivative_oracle, fd_step_sweep, support_estimate
+from oracles import (bump_function, evaluate, fd_derivative_oracle, fd_step_sweep,
+                     support_estimate)
 
 
 def test_binom_examples():
@@ -207,8 +208,7 @@ def test_support_estimate_zero_and_mollifier_radius(domain_1d, quad):
 def test_finite_rank_sum_identity(plane_waves_1d, schwartz_fam, sup_alpha,
                                   domain_1d):
     # g = sum_i phi_i (x) e_i: the factor map times the value matrix is the sum
-    g, _ = fr.finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2,
-                                    domain_1d)
+    g, _ = fr.finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2)
     assert isinstance(g, FiniteRankFunction)
     assert g.rank > 1
     assert g.factors.value_dim == g.rank
@@ -222,7 +222,7 @@ def test_finite_rank_sum_identity(plane_waves_1d, schwartz_fam, sup_alpha,
 def test_declared_support_evaluator_consistency(quad):
     # evaluator vanishes at grid points outside a declared support
     moll = fr.build_mollifier(1, 2, quad)
-    f = moll.as_sampled()
+    f = bump_function(moll)
     f.domain = Region.box([-2.0], [2.0], 401)
     pts = f.domain.grid_points()
     outside = ~f.support.contains(pts)

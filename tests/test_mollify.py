@@ -13,8 +13,9 @@ from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
 from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from finiterank import mollify
-from oracles import (adaptive_simpson, commutativity_check, convolve_per_node,
-                     derivative_transfer_check, support_estimate, sympy_bump)
+from oracles import (adaptive_simpson, bump_function, commutativity_check,
+                     convolve_per_node, derivative_transfer_check, support_estimate,
+                     sympy_bump)
 import expected
 
 
@@ -72,19 +73,9 @@ def test_scaling_law_bitexact(quad):
 def test_convolve_zero(quad, domain_1d):
     moll = build_mollifier(1, 4, quad)
     z = sf_zero(domain_1d, 1)
-    conv = convolve(z, moll.as_sampled(), quad)
+    conv = convolve(z, moll, quad)
     pts = np.linspace(-1, 1, 11)[:, None]
     assert np.all(conv.eval(pts) == 0.0)
-
-
-def test_convolve_needs_kernel_derivatives(quad):
-    # every derivative of f * g falls on g, so g must provide them
-    moll = build_mollifier(1, 4, quad)
-    rho = moll.as_sampled()
-    bare = SampledFunction(domain=rho.domain, order=rho.order, value_dim=1,
-                           evaluator=rho.evaluator, support=rho.support)
-    with pytest.raises(ValueError, match="analytic derivatives"):
-        convolve(rho, bare, quad)
 
 
 def test_narrow_bump_recovers_identity(quad, domain_1d):
@@ -94,7 +85,7 @@ def test_narrow_bump_recovers_identity(quad, domain_1d):
                         evaluator=lambda p: p[:, 0:1])
     for n in (4, 16):
         moll = build_mollifier(1, n, quad)
-        conv = convolve(g, moll.as_sampled(), quad)
+        conv = convolve(g, moll, quad)
         pts = np.linspace(-2, 2, 9)[:, None]
         assert np.max(np.abs(conv.eval(pts) - pts)) < 1e-12
 
@@ -104,7 +95,7 @@ def test_support_containment(quad, domain_1d, gauss_1d):
                         evaluator=gauss_1d.evaluator, derivative=gauss_1d.derivative)
     f.support = support_estimate(f)
     moll = build_mollifier(1, 4, quad)
-    conv = convolve(f, moll.as_sampled(), quad)
+    conv = convolve(f, moll, quad)
     est = support_estimate(conv)
     step = domain_1d.spacing()[0]
     declared = conv.support
@@ -119,43 +110,23 @@ def test_support_containment(quad, domain_1d, gauss_1d):
 def test_commutativity(pair, domain_1d):
     quad = QuadratureSpec(points_per_axis=512, refinement_levels=2, tol=1e-6)
     moll = build_mollifier(1, 4, quad)
-    rho = moll.as_sampled()
     sample = np.linspace(-3, 3, 41)[:, None]
     if pair == "gauss_rho4":
         fn = builtin_function({"builtin": "gaussian", "amplitude": 1.0,
                                "sigma": 1.0, "e": [1.0, 0.5]}, 1)
         f = sf_from_expr_function(fn, domain_1d, order=6)
         f.support = support_estimate(f)
-        disc = commutativity_check(f, rho, quad, sample)
+        disc = commutativity_check(f, moll, quad, sample)
         assert disc < 10 * quad.tol
     elif pair == "zero":
         z = sf_zero(domain_1d, 1)
-        assert commutativity_check(z, rho, quad, sample) == 0.0
+        assert commutativity_check(z, moll, quad, sample) == 0.0
     else:
         m2 = build_mollifier(1, 2, quad)
-        f = m2.as_sampled()
+        f = bump_function(m2)
         f.domain = domain_1d
-        disc_at_zero = commutativity_check(f, rho, quad, np.array([[0.0]]))
+        disc_at_zero = commutativity_check(f, moll, quad, np.array([[0.0]]))
         assert disc_at_zero < quad.tol
-
-
-def _piecewise_kernel():
-    """x^3 for x > 0, (x + 1/2)^2 for x < -1/2, 0 between, on [-1, 1].
-
-    Every derivative vanishes on [-1/2, 0] and the third also for x < -1/2,
-    so some nodes are dead and some carry a zero coefficient for one beta.
-    """
-    def deriv(beta, pts):
-        x = pts[:, 0]
-        right = [x**3, 3 * x**2, 6 * x, np.ones_like(x)][beta[0]]
-        left = [(x + 0.5)**2, 2 * (x + 0.5), 2 * np.ones_like(x),
-                np.zeros_like(x)][beta[0]]
-        return np.where(x > 0, right, np.where(x < -0.5, left, 0.0))[:, None]
-
-    box = Region.box([-1.0], [1.0], 41)
-    return SampledFunction(domain=box, order=3, value_dim=1,
-                           evaluator=lambda p: deriv((0,), p),
-                           derivative=deriv, support=box, name="piecewise")
 
 
 @pytest.mark.parametrize("case", ["piecewise_1d", "rho_1d", "rho_2d"])
@@ -163,14 +134,15 @@ def _piecewise_kernel():
 def test_batched_convolve_matches_per_node_loop(case, n_points, rng):
     d = 2 if case == "rho_2d" else 1
     if case == "piecewise_1d":
-        # 31 live nodes, a prime: any chunk of 2 to 30 nodes leaves a partial last one
-        q = QuadratureSpec(points_per_axis=42, refinement_levels=0)
-        g = _piecewise_kernel()
+        # rho_4 on 31 midpoint nodes, all live: a prime count, so any chunk
+        # of 2 to 30 nodes leaves a partial last one; the centre node's
+        # first-derivative coefficient is exactly 0
+        q = QuadratureSpec(points_per_axis=31, refinement_levels=0, tol=1e-5)
         betas = [(0,), (1,), (2,), (3,)]
     else:
         q = QuadratureSpec(points_per_axis=16, refinement_levels=1, tol=1e-5)
-        g = build_mollifier(d, 4, q).as_sampled()
         betas = [(0,) * d] + [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    moll = build_mollifier(d, 4, q)
     # two coordinates, zero-extended outside [-2, 2]^d
     f = SampledFunction(
         domain=Region.box([-3.0] * d, [3.0] * d, 61), order=0, value_dim=2,
@@ -178,14 +150,16 @@ def test_batched_convolve_matches_per_node_loop(case, n_points, rng):
                                      axis=1),
         support=Region.box([-2.0] * d, [2.0] * d, 41), name="f")
     pts = rng.uniform(-3.0, 3.0, (n_points, d))
-    expected_stack = convolve_per_node(f, g, q, betas, pts)
-    conv = convolve(f, g, q)
+    expected_stack = convolve_per_node(f, moll, q, betas, pts)
+    conv = convolve(f, moll, q)
     assert np.array_equal(conv.deriv_multi(betas, pts), expected_stack)
+    nodes, _ = mollify.box_nodes(moll.support.boxes[0], q.finest_points)
+    coeffs = np.stack([moll.deriv(b, nodes) for b in betas])
+    live = np.count_nonzero(np.any(coeffs != 0.0, axis=0))
+    if case == "rho_2d":
+        assert live < len(nodes)                            # dead corner nodes
     if case == "piecewise_1d":
-        nodes, _ = mollify.region_nodes(g.support, q.finest_points)
-        coeffs = np.stack([g.deriv(b, nodes)[:, 0] for b in betas])
-        live = np.count_nonzero(np.any(coeffs != 0.0, axis=0))
-        assert live < len(nodes)                            # dead nodes
+        assert live == len(nodes) == 31
         assert np.any((coeffs == 0.0) & np.any(coeffs != 0.0, axis=0))
         per_chunk = max(1, mollify.CHUNK_VALUES // (n_points * f.value_dim))
         assert live % per_chunk != 0 or per_chunk == 1
@@ -219,8 +193,7 @@ def test_transfer_linear_derivative_constant(quad, domain_1d):
     f = sf_from_expr_function(fn, domain_1d, order=6)
     f.support = Region.box([-6.0], [6.0], 1201)
     moll = build_mollifier(1, 4, quad)
-    rho = moll.as_sampled()
-    conv = convolve(f, rho, quad)
+    conv = convolve(f, moll, quad)
     pts = np.linspace(-2, 2, 9)[:, None]
     deriv = conv.deriv((1,), pts)
     # derivative of the smoothed linear function is the constant slope
@@ -229,7 +202,6 @@ def test_transfer_linear_derivative_constant(quad, domain_1d):
 
 def test_convolution_linearity(quad, domain_1d, gauss_1d):
     moll = build_mollifier(1, 4, quad)
-    rho = moll.as_sampled()
     sup = Region.box([-5.3], [5.3], 1201)
     f = SampledFunction(domain=domain_1d, order=6, value_dim=1,
                         evaluator=gauss_1d.evaluator, support=sup)
@@ -240,16 +212,15 @@ def test_convolution_linearity(quad, domain_1d, gauss_1d):
                            evaluator=lambda p: 2.0 * f.eval(p) - 3.0 * g.eval(p),
                            support=sup)
     pts = np.linspace(-2, 2, 17)[:, None]
-    lhs = convolve(comb, rho, quad).eval(pts)
-    rhs = 2.0 * convolve(f, rho, quad).eval(pts) \
-        - 3.0 * convolve(g, rho, quad).eval(pts)
+    lhs = convolve(comb, moll, quad).eval(pts)
+    rhs = 2.0 * convolve(f, moll, quad).eval(pts) \
+        - 3.0 * convolve(g, moll, quad).eval(pts)
     scale = np.max(np.abs(rhs)) + 1e-300
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
 
-def test_regularize_sup_error_monotone(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d)
+def test_regularize_sup_error_monotone(quad, schwartz_fam, sup_alpha, gauss_1d):
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
     errors = []
     for n in (2, 4, 8, 16):
         sm = regularize(ft, n, quad)
@@ -259,8 +230,7 @@ def test_regularize_sup_error_monotone(quad, domain_1d, schwartz_fam, sup_alpha,
 
 
 def test_regularize_support_inflation(quad, domain_1d, gauss_1d, schwartz_fam, sup_alpha):
-    ft, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                           1e-3, 1.0, domain_1d)
+    ft, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
     sm = regularize(ft, 4, quad)
     assert sm.support is not None
     est = support_estimate(sm)
@@ -290,27 +260,24 @@ def test_find_regularization_order_zero(quad, domain_1d, schwartz_fam, sup_alpha
     assert n == 2
 
 
-def test_find_regularization_order_pinned(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d)
+def test_find_regularization_order_pinned(quad, schwartz_fam, sup_alpha, gauss_1d):
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
     n, history = find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0),
                                            sup_alpha, 1e-2, 64, quad)
     assert n == expected.REG_ORDER_GAUSS_L0
     assert n <= 64
 
 
-def test_find_regularization_order_loose_eps(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d)
+def test_find_regularization_order_loose_eps(quad, schwartz_fam, sup_alpha, gauss_1d):
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
     big = weighted_seminorm(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha).value
     n, _ = find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
                                      10.0 * big, 64, quad)
     assert n == 2
 
 
-def test_find_regularization_order_exhausted(quad, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                         1e-3, 1.0, domain_1d)
+def test_find_regularization_order_exhausted(quad, schwartz_fam, sup_alpha, gauss_1d):
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
     with pytest.raises(ConvergenceError) as err:
         find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
                                   1e-12, 4, quad)

@@ -42,7 +42,6 @@ def test_structured_input_small_stage1(schwartz_scn, quad):
     # swallows supp phi, the cut-off stage is lossless
     scn, _ = schwartz_scn
     moll = build_mollifier(1, 1, scn.quad)
-    phi = moll.as_sampled()
     e = np.array([0.02, -0.01, 0.005, 0.0025])
     f = SampledFunction(domain=scn.domain, order=4, value_dim=4,
                         evaluator=lambda p: moll.deriv((0,), p)[:, None] * e[None, :],
@@ -57,8 +56,7 @@ def test_structured_input_small_stage1(schwartz_scn, quad):
 def _cut_off(f, scn, idx, eps):
     """f_tilde as stage 1 of approximate(f, scn, idx, "sup", eps) builds it."""
     f_tilde, _ = apply_cutoff(f, scn.family, idx, scn.seminorm("sup"), eps / 3.0,
-                              scn.delta_rule(idx), scn.domain,
-                              omega=scn.omega_region())
+                              scn.delta_rule(idx), omega=scn.omega_region())
     return f_tilde
 
 
@@ -269,9 +267,9 @@ def test_stage3_equals_direct_scan(recorded_runs, run):
     # stage 3 read by linearity from f_tilde * rho and g * rho matches the
     # scan of the convolved difference
     scn, (ledger, seen, _, _, _) = recorded_runs[run]
-    rho = build_mollifier(1, ledger.N2, scn.quad).as_sampled()
+    moll = build_mollifier(1, ledger.N2, scn.quad)
     direct = weighted_seminorm(
-        convolve(difference_function(seen["f_tilde"], seen["g"].sampled), rho, scn.quad),
+        convolve(difference_function(seen["f_tilde"], seen["g"].sampled), moll, scn.quad),
         scn.family, WeightIndex(1, 1), scn.seminorm("sup"), grid=scn.domain)
     assert ledger.stage3_measured == pytest.approx(direct.value, rel=1e-12, abs=0.0)
     assert ledger.stage3_measured > 0.0

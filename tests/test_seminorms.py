@@ -106,14 +106,12 @@ def test_triangle_inequality_random_pairs(domain_1d, schwartz_fam, sup_alpha, rn
 
 def test_find_tail_compact_zero(domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 1)
-    K = find_tail_compact(z, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                          1e-3, 0.0, domain_1d)
+    K = find_tail_compact(z, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 0.0)
     assert K.volume() == 0.0
 
 
 def test_find_tail_compact_gauss_radius(gauss_1d, schwartz_fam, sup_alpha, domain_1d):
-    K = find_tail_compact(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                          1e-3, 0.5, domain_1d)
+    K = find_tail_compact(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 0.5)
     oracle = bisect_root(lambda r: np.exp(-r * r) - 1e-3, 0.0, 10.0)
     assert oracle == pytest.approx(expected.GAUSS_TAIL_RADIUS_1E3, abs=1e-10)
     assert abs(K.boxes[0].hi[0] - oracle) <= domain_1d.spacing()[0] + 1e-12
@@ -132,8 +130,7 @@ def test_find_tail_compact_strip_formula(sup_alpha):
     grow = expr_function_from_strings([f"exp(abs(x1) / {2 * j + 2})"], 2)
     f = SampledFunction(domain=domain, order=0, value_dim=1, evaluator=grow.eval)
     delta = 1.0 / (2 * j + 2)
-    K = find_tail_compact(f, fam, WeightIndex(j, 0), sup_alpha, eps, delta,
-                          domain, omega=omega)
+    K = find_tail_compact(f, fam, WeightIndex(j, 0), sup_alpha, eps, delta, omega=omega)
     predicted = -np.log(eps) * (2 * j + 2)
     halfwidth = K.boxes[0].hi[0]
     assert abs(halfwidth - predicted) <= domain.spacing()[0] + 1e-12
@@ -147,8 +144,7 @@ def test_find_tail_compact_failure_signal(domain_1d, schwartz_fam, sup_alpha):
                         evaluator=lambda p: np.ones((len(p), 1)))
     with pytest.raises(CriterionError) as err:
         # constant 1 with the (1+x^2)^(l/2) weight never decays
-        find_tail_compact(c, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                          0.5, 0.0, domain_1d)
+        find_tail_compact(c, schwartz_fam, WeightIndex(1, 0), sup_alpha, 0.5, 0.0)
     assert err.value.best is not None
 
 
@@ -163,7 +159,7 @@ def test_find_tail_compact_refuses_violations_at_either_edge(hi, schwartz_fam, s
     omega = Region.box([-1e6], [1e6], 901)
     with pytest.raises(CriterionError, match="search boundary"):
         find_tail_compact(f, schwartz_fam, WeightIndex(1, 0), sup_alpha, 0.1, 0.5,
-                          window, omega=omega)
+                          omega=omega)
 
 
 def test_serialized_record_fields(gauss_1d, schwartz_fam, sup_alpha):
@@ -204,4 +200,4 @@ def test_non_finite_integrand_is_refused(schwartz_fam, sup_alpha):
     with pytest.raises(FiniteRankError, match=msg):
         tail_seminorm(f, Region.box([-1.0], [1.0], 21), schwartz_fam, idx, sup_alpha)
     with pytest.raises(FiniteRankError, match=msg):
-        find_tail_compact(f, schwartz_fam, idx, sup_alpha, 1e-3, 0.0, domain)
+        find_tail_compact(f, schwartz_fam, idx, sup_alpha, 1e-3, 0.0)

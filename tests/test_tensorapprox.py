@@ -158,11 +158,10 @@ def test_partition_values_depend_on_the_point_only(rng):
 
 
 def test_unsmoothed_factors_declare_order_zero(plane_waves_1d, schwartz_fam,
-                                               sup_alpha, domain_1d):
+                                               sup_alpha):
     # the factor map has no derivative; a derivative seminorm must refuse it
     # instead of reading finite differences
-    g, _ = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                 0.2, domain_1d)
+    g, _ = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2)
     assert g.factors.order == 0
     with pytest.raises(OrderError):
         weighted_seminorm(g.factors, schwartz_fam, WeightIndex(1, 1), sup_alpha)
@@ -182,8 +181,7 @@ def test_partition_single_center_equals_cutoff(domain_1d, schwartz_fam, sup_alph
 
 def test_finite_rank_zero(domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 2)
-    g, report = finite_rank_c0_approx(z, schwartz_fam, 1, sup_alpha, 0.1,
-                                      domain_1d)
+    g, report = finite_rank_c0_approx(z, schwartz_fam, 1, sup_alpha, 0.1)
     assert g.rank == 0
     assert report.measured.value == 0.0
     assert report.four_eps_ok
@@ -197,8 +195,7 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, gauss_1d
                         evaluator=lambda p: gauss_1d.eval(p) * e[None, :],
                         derivative=lambda b, p: gauss_1d.deriv(b, p) * e[None, :])
     eps = 0.05
-    g, report = finite_rank_c0_approx(f, schwartz_fam, 1, sup_alpha, eps,
-                                      domain_1d)
+    g, report = finite_rank_c0_approx(f, schwartz_fam, 1, sup_alpha, eps)
     assert report.four_eps_ok
     assert g.values.shape == (g.rank, 3)
     for value in g.values:
@@ -208,31 +205,27 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, gauss_1d
 
 @pytest.mark.parametrize("eps,rank_key", [(0.2, "LOC_RANK_EPS_02"),
                                           (0.05, "LOC_RANK_EPS_005")])
-def test_finite_rank_plane_waves(eps, rank_key, plane_waves_1d, schwartz_fam,
-                                 sup_alpha, domain_1d):
-    g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                      eps, domain_1d)
+def test_finite_rank_plane_waves(eps, rank_key, plane_waves_1d, schwartz_fam, sup_alpha):
+    g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps)
     assert report.measured.value < 4 * eps
     assert report.rank == getattr(expected, rank_key)
     assert report.rank == report.n_centers
 
 
-def test_rank_monotone_in_eps(plane_waves_1d, schwartz_fam, sup_alpha, domain_1d):
+def test_rank_monotone_in_eps(plane_waves_1d, schwartz_fam, sup_alpha):
     ranks = []
     for eps in (0.4, 0.2, 0.1):
-        _, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1,
-                                          sup_alpha, eps, domain_1d)
+        _, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps)
         ranks.append(report.rank)
     assert ranks[0] <= ranks[1] <= ranks[2]
 
 
-def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_alpha, domain_1d):
+def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_alpha):
     # the sum carries the cut-off factor, so it takes the cut-off's support
     # instead of one box per term
     ranks, box_counts = [], []
     for eps in (0.4, 0.1):
-        g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1,
-                                          sup_alpha, eps, domain_1d)
+        g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps)
         ranks.append(g.rank)
         box_counts.append(len(g.sampled.support.boxes))
         assert box_counts[-1] == len(report.K.boxes)
@@ -243,7 +236,7 @@ def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_a
 def test_support_constraint_honored(gauss_1d, schwartz_fam, sup_alpha, domain_1d):
     V = Region.box([-3.5], [3.5], 701)
     g, report = finite_rank_c0_approx(gauss_1d, schwartz_fam, 1, sup_alpha, 0.1,
-                                      domain_1d, support_constraint=V)
+                                      support_constraint=V)
     assert report.four_eps_ok
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)
