@@ -1,8 +1,7 @@
 """Certified finite-rank approximation of vector-valued smooth functions
 in weighted sup-seminorms."""
 
-from .funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
-                        multiindex_binom, product_rule_apply)
+from .funcmodel import FiniteRankFunction, SampledFunction, SeminormIndex, multiindex_binom
 from .geometry import Box, Region
 from .mollify import (Mollifier, QuadratureSpec, build_mollifier, convolve,
                       find_regularization_order, regularize)

@@ -20,7 +20,7 @@ from .errors import (ConfigError, ConvergenceError, CoverDefectError,
                      QuadratureError, ResolutionError)
 from .mollify import RegularizationHistory, regularize
 from .pipeline import approximate, ledger_float, rounded, verify_ledger
-from .scenarios import load_scenario, _region_from_cfg
+from .scenarios import load_scenario
 from .tensorapprox import finite_rank_c0_approx
 from .weights import (WeightIndex, check_directed, check_locally_bounded,
                       check_locally_bounded_away_from_zero, check_vanishing_ratio)
@@ -84,13 +84,10 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_check_weights(args) -> int:
     scn, _ = load_scenario(args.scenario, args.grid)
     fam = scn.family
-    audit_cfg = scn.config.get("audit", {})
-    compact = (_region_from_cfg(audit_cfg["compact"])
-               if "compact" in audit_cfg else scn.domain)
 
     directed = check_directed(fam, scn.domain)
-    bounded = check_locally_bounded(fam, compact)
-    away = check_locally_bounded_away_from_zero(fam, compact)
+    bounded = check_locally_bounded(fam, scn.audit_compact)
+    away = check_locally_bounded_away_from_zero(fam, scn.audit_compact)
     report = {
         "scenario": scn.name,
         "scanned_region": [[list(b.lo), list(b.hi)] for b in scn.domain.boxes],
@@ -100,17 +97,13 @@ def cmd_check_weights(args) -> int:
         "ratio": [],
     }
     ok = directed.passed and bounded.passed and away.passed
-    ratio_cfg = audit_cfg.get("ratio")
-    if ratio_cfg:
-        search = _region_from_cfg(ratio_cfg["search"])
-        for (jl, im) in ratio_cfg["pairs"]:
-            K = check_vanishing_ratio(fam, WeightIndex(*jl), WeightIndex(*im),
-                                      float(ratio_cfg["eps"]), search)
-            entry = {"pair": [jl, im], "eps": ratio_cfg["eps"],
-                     "K_boxes": None if K is None else
-                     [[list(b.lo), list(b.hi)] for b in K.boxes]}
-            report["ratio"].append(entry)
-            ok = ok and K is not None
+    for jl, im, eps, search in scn.audit_ratios:
+        K = check_vanishing_ratio(fam, jl, im, eps, search)
+        entry = {"pair": [[jl.j, jl.l], [im.j, im.l]], "eps": eps,
+                 "K_boxes": None if K is None else
+                 [[list(b.lo), list(b.hi)] for b in K.boxes]}
+        report["ratio"].append(entry)
+        ok = ok and K is not None
     out = Path(args.out)
     _write_json(out / "weights_report.json", report)
     for line in ("directed", "locally_bounded", "bounded_away_from_zero"):

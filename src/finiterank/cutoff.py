@@ -16,7 +16,8 @@ build_cutoff measures nothing. measure_cbeta stores delta^|beta| * max
 |d^beta psi| over a fixed dense grid plus any pinned points, so the
 Hoermander-style bound |d^beta psi| <= C_beta delta^-|beta| holds there by
 construction and re-measurement reproduces the table. Only apply_cutoff,
-whose tail bound reads C_{l,delta}, measures.
+whose tail bound reads C_{l,delta}, measures. It returns f~ = psi f, whose
+Leibniz-rule derivatives stop at the lower order of psi and f.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import numpy as np
 from . import mollify
 from .errors import GeometryError, OrderError
 from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, leibniz, mi_order,
-                        mi_sub, multiindex_binom, multiindices, product_rule_apply,
-                        submultiindices)
+                        mi_sub, multiindex_binom, multiindices, submultiindices)
 from .geometry import Box, Region
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
 from .seminorms import (SeminormValue, difference_seminorm, find_tail_compact,  # noqa: F401
@@ -122,40 +122,33 @@ class _AxisProfile:
         return self._ramp_v[np.searchsorted(self._ramp_t, t)]
 
 
-class _TensorCutoff:
-    """Product of axis profiles over one box."""
+class _UnionCutoff:
+    """1 - prod_b (1 - psi_b) over the boxes b of K, psi_b the product of b's
+    axis profiles; equals psi_b wherever the others vanish."""
 
-    def __init__(self, box: Box, delta: float, n: int):
-        self.profiles = [_AxisProfile(lo, hi, delta, n)
-                         for lo, hi in zip(box.lo, box.hi)]
+    def __init__(self, K: Region, delta: float, n: int):
+        self.boxes = [[_AxisProfile(lo, hi, delta, n) for lo, hi in zip(box.lo, box.hi)]
+                      for box in K.boxes]
 
-    def deriv(self, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _box_deriv(profiles: list, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
         out = np.ones(len(pts))
-        for axis, prof in enumerate(self.profiles):
+        for axis, prof in enumerate(profiles):
             out = out * prof.deriv(beta[axis], pts[:, axis])
         return out
 
-
-class _UnionCutoff:
-    """1 - prod_b (1 - psi_b); equals psi_b wherever the others vanish."""
-
-    def __init__(self, pieces: list[_TensorCutoff]):
-        self.pieces = pieces
-
     def deriv(self, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
-        if len(self.pieces) == 1:
-            return self.pieces[0].deriv(beta, pts)
+        if len(self.boxes) == 1:
+            return self._box_deriv(self.boxes[0], beta, pts)
 
-        def one_minus(piece):
+        def one_minus(profiles):
             def fn(b, x):
-                v = piece.deriv(b, x)
+                v = self._box_deriv(profiles, b, x)
                 return (1.0 - v) if mi_order(b) == 0 else -v
             return fn
 
-        prod = leibniz([one_minus(p) for p in self.pieces], beta, pts)
-        if mi_order(beta) == 0:
-            return 1.0 - prod
-        return -prod
+        prod = leibniz([one_minus(p) for p in self.boxes], beta, pts)
+        return 1.0 - prod if mi_order(beta) == 0 else -prod
 
 
 def build_cutoff(K: Region, delta: float,
@@ -169,7 +162,7 @@ def build_cutoff(K: Region, delta: float,
         raise GeometryError("K inflated by delta leaves the domain surrogate")
 
     n = int(np.ceil(4.0 / delta))
-    union = _UnionCutoff([_TensorCutoff(box, delta, n) for box in K.boxes])
+    union = _UnionCutoff(K, delta, n)
     support = K.inflate(0.75 * delta)
     return SampledFunction(
         domain=omega if omega is not None else support,
@@ -212,28 +205,27 @@ def cutoff_constant(Cbeta_table: dict[MultiIndex, float], delta: float, l: int) 
 
 @dataclass
 class CutoffReport:
-    delta: float
     K: Region
     Cbeta_table: dict
     C_l_delta: float
     tail: SeminormValue
     measured: SeminormValue
-    target: float
 
 
 def multiply_cutoff(psi: SampledFunction, f: SampledFunction) -> SampledFunction:
-    """psi * f with product-rule derivatives and psi's support."""
-    def evaluator(pts):
-        return psi.eval(pts)[:, 0:1] * f.eval(pts)
+    """psi * f with Leibniz-rule derivatives up to the lower order, and psi's support."""
+    order = min(f.order, psi.order)
 
     def derivative(beta, pts):
-        return product_rule_apply(psi, f, beta, pts)
+        if mi_order(beta) > order:
+            raise OrderError("product-rule order exceeds a factor's order")
+        return leibniz([f.deriv, lambda gamma, x: psi.deriv(gamma, x)[:, 0:1]], beta, pts)
 
     return SampledFunction(
         domain=f.domain,
-        order=min(f.order, psi.order),
+        order=order,
         value_dim=f.value_dim,
-        evaluator=evaluator,
+        evaluator=lambda pts: psi.eval(pts)[:, 0:1] * f.eval(pts),
         derivative=derivative,
         support=psi.support,
         name=f"cutoff*({f.name})",
@@ -265,9 +257,8 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                     domain.points_per_axis)
     provisional = build_cutoff(K0, delta, omega=omega)
     C = cutoff_constant(measure_cbeta(provisional, delta, idx.l), delta, idx.l)
-    target = eps / (1.0 + C)
 
-    K = find_tail_compact(f, fam, idx, alpha, target, delta, omega=omega)
+    K = find_tail_compact(f, fam, idx, alpha, eps / (1.0 + C), delta, omega=omega)
     if K.is_empty or K.volume() == 0.0:
         K = K0
     # pin the scan grid into the C_beta measurement so the lemma bound holds
@@ -281,8 +272,4 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     f_tilde = multiply_cutoff(psi, f)
     tail = tail_seminorm(f, K, fam, idx, alpha)
     measured = difference_seminorm(f, f_tilde, fam, idx, alpha)
-    report = CutoffReport(
-        delta=delta, K=K, Cbeta_table=Cbeta_table, C_l_delta=C_final,
-        tail=tail, measured=measured, target=target,
-    )
-    return f_tilde, report
+    return f_tilde, CutoffReport(K, Cbeta_table, C_final, tail, measured)

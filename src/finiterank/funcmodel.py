@@ -122,10 +122,7 @@ class SampledFunction:
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self.evaluator(pts), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        return out
+        return np.asarray(self.evaluator(pts), dtype=float)
 
     def eval_extended(self, points: np.ndarray) -> np.ndarray:
         """Zero-extension outside the declared support (f_ex in the estimates)."""
@@ -139,10 +136,7 @@ class SampledFunction:
             raise OrderError(f"{self.name or 'function'} has no derivative provider "
                              f"for beta={beta}")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self.derivative(beta, pts), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        return out
+        return np.asarray(self.derivative(beta, pts), dtype=float)
 
     def deriv_multi(self, betas: Sequence[MultiIndex], points: np.ndarray) -> np.ndarray:
         """(len(betas), N, m) stack; convolution-backed functions override this."""
@@ -170,15 +164,6 @@ def leibniz(factors, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
     return sum(multiindex_binom(beta, gamma) * head(gamma, pts)
                * leibniz(rest, mi_sub(beta, gamma), pts)
                for gamma in submultiindices(beta))
-
-
-def product_rule_apply(g: SampledFunction, f: SampledFunction, beta: MultiIndex, points) -> np.ndarray:
-    """derivative of (g f) for a scalar g, by the Leibniz rule."""
-    beta = tuple(int(b) for b in beta)
-    if mi_order(beta) > min(g.order, f.order):
-        raise OrderError("product-rule order exceeds a factor's order")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return leibniz([f.deriv, lambda gamma, x: g.deriv(gamma, x)[:, 0:1]], beta, pts)
 
 
 @dataclass

@@ -79,6 +79,10 @@ class Scenario:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     omega: Optional[Region] = None
     config: dict = field(default_factory=dict)
+    # what check-weights audits: the local bounds on audit_compact, and one
+    # (nu_jl, nu_im, eps, search region) per vanishing-ratio check
+    audit_compact: Optional[Region] = None
+    audit_ratios: list = field(default_factory=list)
 
     def omega_region(self) -> Region:
         return self.omega if self.omega is not None else self.domain

@@ -21,7 +21,7 @@ from .funcmodel import SampledFunction, SeminormIndex, sf_from_expr_function
 from .geometry import Box, Region
 from .mollify import QuadratureSpec
 from .pipeline import Scenario
-from .weights import (WeightFamily, custom_family, exhaustion_family,
+from .weights import (WeightFamily, WeightIndex, custom_family, exhaustion_family,
                       exp_strips_family, om_finite_family, schwartz_family)
 
 REGISTRY = ("schwartz_1d", "exhaustion_1d", "om_finite_1d", "exp_strips_2d")
@@ -74,6 +74,22 @@ def _family_from_cfg(cfg: dict, domain: Region) -> WeightFamily:
     raise ConfigError(f"unknown weight family kind {kind!r}")
 
 
+def _audit_from_cfg(cfg: dict, domain: Region, fam: WeightFamily) -> tuple[Region, list]:
+    """The audit compact (the domain if none is given) and the ratio checks."""
+    compact = _region_from_cfg(cfg["compact"]) if "compact" in cfg else domain
+    ratio = cfg.get("ratio")
+    if not ratio:
+        return compact, []
+    eps = float(ratio["eps"])
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"audit ratio eps must be finite and positive, got {eps}")
+    pairs = [(WeightIndex(*jl), WeightIndex(*im)) for jl, im in ratio["pairs"]]
+    if any((idx.j, idx.l) not in fam.entries for pair in pairs for idx in pair):
+        raise ConfigError(f"audit ratio pairs {ratio['pairs']} name a weight outside the family")
+    search = _region_from_cfg(ratio["search"])
+    return compact, [(jl, im, eps, search) for jl, im in pairs]
+
+
 def _seminorms_from_cfg(cfg: dict) -> dict[str, SeminormIndex]:
     # SeminormIndex rejects an unknown kind and a degenerate subset or weight
     return {name: SeminormIndex(spec.get("kind", "sup_all"),
@@ -83,7 +99,10 @@ def _seminorms_from_cfg(cfg: dict) -> dict[str, SeminormIndex]:
 
 
 def _check_value_dim(seminorms: dict[str, SeminormIndex], m: int) -> None:
-    """Every subset index and coordinate weight names one of f's m coordinates."""
+    """f has a coordinate, and every subset index and coordinate weight names
+    one of its m coordinates."""
+    if m < 1:
+        raise ConfigError("the function needs at least one value coordinate")
     for name, alpha in seminorms.items():
         if alpha.kind == "sup_subset" and max(alpha.subset) >= m:
             raise ConfigError(f"seminorm {name!r} selects coordinate {max(alpha.subset)} "
@@ -140,16 +159,23 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
         )
         order = int(cfg.get("order", 2))
         omega = _region_from_cfg(cfg["omega"]) if "omega" in cfg else None
+        audit_compact, audit_ratios = _audit_from_cfg(cfg.get("audit", {}), domain, fam)
+        n_max = int(cfg.get("n_max", 64))
+        if n_max < 2:
+            # the regularization search starts at n = 2
+            raise ConfigError(f"n_max must be at least 2, got {n_max}")
         scn = Scenario(
             name=cfg.get("name", "unnamed"),
             family=fam,
             domain=domain,
             seminorms=seminorms,
             delta_rule=_delta_rule_from_cfg(cfg.get("delta", {"kind": "fixed", "value": 1.0})),
-            n_max=int(cfg.get("n_max", 64)),
+            n_max=n_max,
             quad=quad,
             omega=omega,
             config=cfg,
+            audit_compact=audit_compact,
+            audit_ratios=audit_ratios,
         )
         f = _function_from_cfg(cfg["function"], domain, order) if "function" in cfg else None
         if f is not None:

@@ -4,7 +4,8 @@ A greedy farthest-point cover of the tail compact K by metric balls certifies
 the value oscillation eps/N inside every ball (N = 1 + sup of the weight on
 the inflated neighbourhood W). Smooth bumps on the balls, normalized under a
 cut-off that is 1 on K, give the partition; the approximant interpolates f at
-the ball centers.
+the ball centers. So the cover fixes g: build_partition makes g from it, and
+the localization report keeps the cover itself (None when g = 0).
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ def oscillation_cover(f: SampledFunction, K: Region, fam: WeightFamily, j: int,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    step = np.max(K.spacing()) if not K.is_empty else np.max(f.domain.spacing())
+    if K.is_empty:
+        raise GeometryError("cannot cover an empty compact")
+    step = np.max(K.spacing())
     W = K.inflate(f.domain.spacing())
     n_const = 1.0 + float(np.max(fam.eval_batch(WeightIndex(j, 0), W.grid_points())))
     target = eps / n_const
 
     kpts = K.grid_points()
-    if len(kpts) == 0:
-        raise GeometryError("cannot cover an empty compact")
     pts = kpts if extra_points is None else np.concatenate(
         [kpts, np.atleast_2d(extra_points)])
     vals = f.eval(pts)
@@ -184,15 +185,15 @@ class PartitionBasis:
                          for k in range(values.shape[1])], axis=1)
 
 
-def build_partition(cover: Cover, K: Region) -> tuple[SampledFunction, PartitionBasis]:
-    """Smooth partition: phi_i = theta * b_i / sum(b), equal to 1 summed on K.
+def build_partition(cover: Cover, K: Region,
+                    domain: Region) -> tuple[FiniteRankFunction, PartitionBasis]:
+    """g = sum_i phi_i (x) f(c_i), phi_i = theta * b_i / sum(b), summing to 1 on K.
 
-    Returns the factor map x -> (phi_1(x), ..., phi_rank(x)) as one
-    R^rank-valued function, supported where the cut-off theta is.
+    g.factors is the map x -> (phi_1(x), ..., phi_rank(x)) as one
+    R^rank-valued function; it and the sum g.sampled (on `domain`) take the
+    support of the cut-off theta, whose width is two thirds of K's finest step.
     """
-    step = float(np.min(K.spacing())) if not K.is_empty else 1.0
-    s = (2.0 / 3.0) * step
-    theta = build_cutoff(K, s)
+    theta = build_cutoff(K, (2.0 / 3.0) * float(np.min(K.spacing())))
     basis = PartitionBasis(cover, theta)
 
     # cover-defect audit: sum of bumps must be positive on all of supp theta
@@ -218,12 +219,6 @@ def build_partition(cover: Cover, K: Region) -> tuple[SampledFunction, Partition
         support=theta.support,
         name="phi",
     )
-    return factors, basis
-
-
-def partition_sum(cover: Cover, K: Region, domain: Region) -> FiniteRankFunction:
-    """g = sum_i phi_i (x) f(c_i) over the partition of the cover."""
-    factors, basis = build_partition(cover, K)
     values = np.asarray(cover.values)
     # every phi_i carries the cut-off factor, so the sum vanishes outside
     # theta's support: one support for any rank
@@ -232,22 +227,18 @@ def partition_sum(cover: Cover, K: Region, domain: Region) -> FiniteRankFunction
         order=0,
         value_dim=values.shape[1],
         evaluator=lambda pts: basis.combine(pts, values),
-        support=factors.support,
+        support=theta.support,
         name="finite_rank",
     )
-    return FiniteRankFunction(factors, values, sampled)
+    return FiniteRankFunction(factors, values, sampled), basis
 
 
 @dataclass
 class LocalizationReport:
-    n_centers: int
     rank: int
-    N_const: float
-    eps: float
     measured: SeminormValue
-    four_eps_ok: bool
-    K: Region = None
-    target_osc: float = 0.0
+    K: Region
+    cover: Optional[Cover]       # None for the zero result, which needs no cover
 
 
 def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
@@ -258,21 +249,14 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     idx = WeightIndex(j, 0)
     step = float(np.min(f.domain.spacing()))
     K = find_tail_compact(f, fam, idx, alpha, eps, delta=step)
-    zero = FiniteRankFunction(sf_zero(f.domain, 0, order=0),
-                              np.zeros((0, f.value_dim)),
-                              sf_zero(f.domain, f.value_dim, order=0))
-
-    if K.is_empty:
-        # tail below eps outside nothing: the whole seminorm is below eps
-        measured = weighted_seminorm(f, fam, idx, alpha)
-        report = LocalizationReport(0, 0, 1.0, eps, measured,
-                                    measured.value < 4 * eps, K, eps)
-        return zero, report
-    if K.volume() == 0.0:
+    if K.is_empty or K.volume() == 0.0:
         full = weighted_seminorm(f, fam, idx, alpha)
-        if full.value == 0.0:
-            report = LocalizationReport(0, 0, 1.0, eps, full, True, K, eps)
-            return zero, report
+        if K.is_empty or full.value == 0.0:
+            # no tail above eps, or nothing at all: g = 0 leaves the whole seminorm
+            zero = FiniteRankFunction(sf_zero(f.domain, 0, order=0),
+                                      np.zeros((0, f.value_dim)),
+                                      sf_zero(f.domain, f.value_dim, order=0))
+            return zero, LocalizationReport(0, full, K, None)
         # a single high point survived the tail search; widen to one grid cell
         K = K.inflate(0.5 * np.asarray(f.domain.spacing())).intersect(f.domain)
 
@@ -294,16 +278,6 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     near = K.inflate(0.75 * s).contains(dom_pts)
     cover = oscillation_cover(f, K, fam, j, alpha, eps,
                               cover_margin=margin, extra_points=dom_pts[near])
-    g = partition_sum(cover, K, f.domain)
+    g, _ = build_partition(cover, K, f.domain)
     measured = difference_seminorm(f, g.sampled, fam, idx, alpha)
-    report = LocalizationReport(
-        n_centers=cover.n_centers,
-        rank=g.rank,
-        N_const=cover.N_const,
-        eps=eps,
-        measured=measured,
-        four_eps_ok=measured.value < 4 * eps,
-        K=K,
-        target_osc=cover.target_osc,
-    )
-    return g, report
+    return g, LocalizationReport(g.rank, measured, K, cover)

@@ -144,7 +144,7 @@ def test_criterion_5_partition_identities(domain_1d, schwartz_fam, sup_alpha,
                 (plane_waves_1d, Region.box([-2.5], [2.5], 501), 0.05)]
     for f, K, eps in fixtures:
         cover = oscillation_cover(f, K, schwartz_fam, 1, sup_alpha, eps)
-        factors, _ = build_partition(cover, K)
+        factors = build_partition(cover, K, domain_1d)[0].factors
         kpts = K.grid_points()
         vals = factors.eval(kpts).T
         sum_err = np.max(np.abs(np.sum(vals, axis=0) - 1.0))

@@ -15,6 +15,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # factors_0p2.csv of schwartz_1d (1,1) eps 0.2: the only output that evaluates
 # the convolved factor map, too large (161 KB) to commit as a fixture
 FACTORS_0P2_SHA256 = "c4f93d9baa6ddd653ffd68b9dba5a6916aea32ad69ca445f9550260b66e9ec8c"
+# weights_report.json of the other shipped scenarios; schwartz_1d's is the
+# fixture weights_report_schwartz.json
+WEIGHTS_REPORT_SHA256 = {
+    "om_finite_1d": "2b637d811cefe6f7b6e7f9a1ff812e4f8440c2f2cf1522ceaa63988a7dc4639e",
+    "exhaustion_1d": "5abb5934b4d139551d112ce00c7da5541d8c6dcb6ed4bb343df682806a259596",
+    "exp_strips_2d": "07d6432b7cf5c4a870a431ac1c5fcc367ce9b1b97dfa7a89509c0af916184a9e",
+}
 
 
 def run(args):
@@ -51,6 +58,16 @@ def test_check_weights_schwartz(tmp_path):
 def test_check_weights_om_finite(tmp_path):
     assert run(["check-weights", "--scenario", "om_finite_1d",
                 "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("name", ["schwartz_1d", *WEIGHTS_REPORT_SHA256])
+def test_check_weights_report_pinned(tmp_path, name):
+    assert run(["check-weights", "--scenario", name, "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "weights_report.json").read_bytes()
+    if name == "schwartz_1d":
+        assert report == (FIXTURES / "weights_report_schwartz.json").read_bytes()
+    else:
+        assert hashlib.sha256(report).hexdigest() == WEIGHTS_REPORT_SHA256[name]
 
 
 def test_check_weights_broken_family(tmp_path):
@@ -228,6 +245,45 @@ def test_check_weights_rejects_malformed_audit_region(tmp_path, capsys, region):
     code = run(["check-weights", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "negative extent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("ratio", "eps", "x"),
+    ("ratio", "eps", -1),
+    ("ratio", "pairs", 3),
+    ("ratio", "pairs", [[[9, 0], [1, 0]]]),
+    (None, "compact", {"points_per_axis": 301}),
+], ids=["eps_text", "eps-1", "scalar_pairs", "pair_j9", "compact_without_boxes"])
+def test_check_weights_rejects_malformed_audit(tmp_path, capsys, section, key, value):
+    # each used to exit 1 with a traceback (ValueError, TypeError, KeyError)
+    # or 3 ("no weight with index j=9") once the audits had started
+    scn, _ = load_scenario("schwartz_1d")
+    audit = json.loads(json.dumps(scn.config["audit"]))
+    (audit if section is None else audit[section])[key] = value
+    path = _schwartz_cfg(tmp_path, audit=audit)
+    out = tmp_path / "out"
+    code = run(["check-weights", "--scenario", str(path), "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("changes", [
+    {"function": {"expressions": []}},
+    {"function": {"builtin": "gaussian", "e": []}},
+    {"n_max": 0},
+    {"n_max": 1},
+], ids=["no_expressions", "empty_builtin", "n_max0", "n_max1"])
+def test_approximate_rejects_degenerate_config(tmp_path, capsys, changes):
+    # a function without value coordinates used to exit 1 inside numpy; an
+    # n_max below 2 exited 4, a criterion failure, as if the search had run
+    path = _schwartz_cfg(tmp_path, **changes)
+    out = tmp_path / "out"
+    code = run(["approximate", "--scenario", str(path), "--eps", "0.2",
+                "--j", "1", "--l", "1", "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quadrature_rule_must_be_midpoint(tmp_path, capsys):

@@ -253,6 +253,18 @@ def test_product_derivatives_match_fd(unit_cut, domain_1d, gauss_1d, rng):
         assert analytic == pytest.approx(fd, abs=max(1e-4 * max(abs(fd), 1e-3), 1e-8))
 
 
+def test_product_refuses_an_order_above_a_factor(unit_cut, domain_1d):
+    # f declared C^1: the product stops at order 1, though psi goes on
+    f = sf_from_expr_function(expr_function_from_strings(["exp(-x^2)"], 1),
+                              domain_1d, order=1)
+    ft = multiply_cutoff(unit_cut, f)
+    assert ft.order == 1
+    x = np.array([[0.3]])
+    assert ft.deriv((1,), x) == pytest.approx(-0.6 * np.exp(-0.09), rel=1e-12)
+    with pytest.raises(OrderError, match="product-rule order"):
+        ft.deriv((2,), x)
+
+
 def test_apply_cutoff_bound_randomized(domain_1d, schwartz_fam, sup_alpha, rng):
     # five randomized rapidly-decreasing functions, l <= 2
     for trial in range(5):
@@ -302,8 +314,8 @@ def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha,
     assert list(rep.Cbeta_table) == multiindices(1, l)
     # the same cut-off measured to order 4 gives the same constant, bit for bit
     dom_pts = domain_1d.grid_points()
-    near = rep.K.inflate(rep.delta).contains(dom_pts)
-    psi = build_cutoff(rep.K, rep.delta, omega=domain_1d)
-    deep = measure_cbeta(psi, rep.delta, 4, extra_points=dom_pts[near])
+    near = rep.K.inflate(1.0).contains(dom_pts)
+    psi = build_cutoff(rep.K, 1.0, omega=domain_1d)
+    deep = measure_cbeta(psi, 1.0, 4, extra_points=dom_pts[near])
     assert list(deep) == multiindices(1, 4)
-    assert cutoff_constant(deep, rep.delta, l) == rep.C_l_delta
+    assert cutoff_constant(deep, 1.0, l) == rep.C_l_delta

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import finiterank as fr
+from finiterank.cutoff import multiply_cutoff
 from finiterank.errors import DomainError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
                                   mi_order, multiindex_binom, multiindices,
-                                  product_rule_apply, sf_from_expr_function,
-                                  submultiindices)
+                                  sf_from_expr_function, submultiindices)
 from finiterank.geometry import Region
 from oracles import (bump_function, evaluate, fd_derivative_oracle, fd_step_sweep,
                      support_estimate)
@@ -112,7 +112,7 @@ def test_product_rule_identity_and_constant(gauss_1d, domain_1d):
                                                    else np.zeros((len(p), 1))))
     x = np.array([[0.4]])
     for beta in [(0,), (1,), (2,)]:
-        lhs = product_rule_apply(one, gauss_1d, beta, x)
+        lhs = multiply_cutoff(one, gauss_1d).deriv(beta, x)
         rhs = gauss_1d.deriv(beta, x)
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
@@ -123,7 +123,7 @@ def test_product_rule_vs_fd_oracle(domain_1d):
     f_fn = expr_function_from_strings(["exp(-x^2)"], 1)
     f = sf_from_expr_function(f_fn, domain_1d, order=6, name="gauss")
     x = np.array([[0.5]])
-    lhs = product_rule_apply(g, f, (2,), x)[0, 0]
+    lhs = multiply_cutoff(g, f).deriv((2,), x)[0, 0]
 
     prod = SampledFunction(domain=domain_1d, order=6, value_dim=1,
                            evaluator=lambda p: p[:, 0:1] * np.exp(-p[:, 0:1] ** 2))
@@ -135,7 +135,7 @@ def test_product_rule_beta_zero_exact(gauss_1d, domain_1d):
     g_fn = expr_function_from_strings(["x^2"], 1)
     g = sf_from_expr_function(g_fn, domain_1d, order=6, name="x2")
     pts = np.array([[0.3], [1.2]])
-    lhs = product_rule_apply(g, gauss_1d, (0,), pts)
+    lhs = multiply_cutoff(g, gauss_1d).deriv((0,), pts)
     rhs = g.eval(pts)[:, 0:1] * gauss_1d.eval(pts)
     assert np.array_equal(lhs, rhs)
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from finiterank.errors import OrderError, ResolutionError
+from finiterank import tensorapprox
+from finiterank.errors import CoverDefectError, GeometryError, OrderError, ResolutionError
 from finiterank.funcmodel import SampledFunction, sf_zero
 from finiterank.geometry import Region
 from finiterank.seminorms import weighted_seminorm
 from finiterank.tensorapprox import (Cover, _bump_matrix, build_partition,
-                                     finite_rank_c0_approx, oscillation_cover,
-                                     partition_sum)
-from finiterank.weights import WeightIndex
+                                     finite_rank_c0_approx, oscillation_cover)
+from finiterank.weights import WeightIndex, exp_strips_family
 import expected
 from oracles import dense_bump_matrix, dense_partition
 
@@ -66,10 +66,38 @@ def test_cover_resolution_error(schwartz_fam, sup_alpha):
         oscillation_cover(f, K, schwartz_fam, 1, sup_alpha, 0.02)
 
 
+def test_cover_refuses_an_empty_compact(domain_1d, schwartz_fam, sup_alpha):
+    # the weight sup over the empty neighbourhood used to fail first, inside numpy
+    with pytest.raises(GeometryError, match="empty compact"):
+        oscillation_cover(sf_zero(domain_1d, 1), Region.empty(1), schwartz_fam, 1,
+                          sup_alpha, 0.1)
+
+
+def test_cover_snaps_a_fringe_point_to_a_centre_in_K(schwartz_fam, sup_alpha):
+    # after the ball at 0, the farthest uncovered point is the extra point
+    # 1.3 outside K; the next centre is the K point nearest to it, 1.0
+    f = _linear(Region.box([0.0], [2.0], 201))
+    K = Region.box([0.0], [1.0], 101)
+    fringe = np.array([[1.3]])
+    cover = oscillation_cover(f, K, schwartz_fam, 1, sup_alpha, 2.0, extra_points=fringe)
+    assert np.array_equal(cover.centers, [[0.0], [1.0]])
+    assert np.all(K.contains(cover.centers))
+    assert np.linalg.norm(fringe[0] - cover.centers[1]) < cover.radii[1]
+
+
+def test_cover_defect_is_refused(monkeypatch, plane_waves_1d, schwartz_fam, sup_alpha):
+    # one ball far from K leaves the bump sum 0 inside the cut-off's support
+    far = Cover(centers=np.array([[50.0]]), radii=np.array([0.5]),
+                values=np.zeros((1, plane_waves_1d.value_dim)), N_const=1.0, target_osc=0.1)
+    monkeypatch.setattr(tensorapprox, "oscillation_cover", lambda *a, **k: far)
+    with pytest.raises(CoverDefectError, match="bump sum vanishes"):
+        finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2)
+
+
 def test_partition_identities(domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     K = Region.box([-1.5], [1.5], 301)
     cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
-    factors, basis = build_partition(cover, K)
+    factors = build_partition(cover, K, domain_1d)[0].factors
     assert factors.value_dim == cover.n_centers
     pts = K.grid_points()
     all_vals = factors.eval(pts).T
@@ -131,7 +159,8 @@ def test_bump_matrix_matches_dense_formula(d, rng):
 def test_eval_all_matches_dense_partition(gauss_1d, schwartz_fam, sup_alpha):
     K = Region.box([-1.5], [1.5], 301)
     cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
-    factors, basis = build_partition(cover, K)
+    g, basis = build_partition(cover, K, gauss_1d.domain)
+    factors = g.factors
     pts = Region.box([-3.0], [3.0], 1201).grid_points()
     theta = basis.theta.eval_extended(pts)[:, 0]
     dense = dense_partition(theta, dense_bump_matrix(pts, cover.centers, cover.radii))
@@ -146,7 +175,7 @@ def test_partition_values_depend_on_the_point_only(rng):
     cover = Cover(centers=np.linspace(-0.2, 0.2, 21)[:, None],
                   radii=np.full(21, 1.5), values=rng.normal(size=(21, 3)),
                   N_const=1.0, target_osc=0.1)
-    g = partition_sum(cover, K, Region.box([-2.0], [2.0], 401))
+    g, _ = build_partition(cover, K, Region.box([-2.0], [2.0], 401))
     pts = Region.box([-1.5], [1.5], 301).grid_points()
     for fn in (g.factors, g.sampled):
         whole = fn.eval(pts)
@@ -173,7 +202,7 @@ def test_partition_single_center_equals_cutoff(domain_1d, schwartz_fam, sup_alph
     K = Region.box([-0.5], [0.5], 101)
     cover = oscillation_cover(c, K, schwartz_fam, 1, sup_alpha, 0.5)
     assert cover.n_centers == 1
-    factors, _ = build_partition(cover, K)
+    factors = build_partition(cover, K, domain_1d)[0].factors
     pts = K.grid_points()
     assert factors.value_dim == 1
     assert np.max(np.abs(factors.eval(pts)[:, 0] - 1.0)) <= 1e-12
@@ -184,7 +213,20 @@ def test_finite_rank_zero(domain_1d, schwartz_fam, sup_alpha):
     g, report = finite_rank_c0_approx(z, schwartz_fam, 1, sup_alpha, 0.1)
     assert g.rank == 0
     assert report.measured.value == 0.0
-    assert report.four_eps_ok
+    assert report.measured.value < 4 * 0.1
+
+
+def test_finite_rank_zero_on_an_empty_tail_compact(sup_alpha):
+    # no Omega_j holds the origin, so the tail search of the zero function
+    # keeps no point at all: K is empty and g = 0
+    fam = exp_strips_family(2, 3, (-4, 4), (41, 36))
+    dom = fam.structure_region(3)
+    g, report = finite_rank_c0_approx(sf_zero(dom, 2), fam, 1, sup_alpha, 0.1)
+    assert report.K.is_empty
+    assert g.rank == report.rank == 0
+    assert g.values.shape == (0, 2)
+    assert report.measured.value == 0.0
+    assert np.all(g.sampled.eval(dom.grid_points()) == 0.0)
 
 
 def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, gauss_1d):
@@ -196,7 +238,7 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, gauss_1d
                         derivative=lambda b, p: gauss_1d.deriv(b, p) * e[None, :])
     eps = 0.05
     g, report = finite_rank_c0_approx(f, schwartz_fam, 1, sup_alpha, eps)
-    assert report.four_eps_ok
+    assert report.measured.value < 4 * eps
     assert g.values.shape == (g.rank, 3)
     for value in g.values:
         cross = np.linalg.norm(np.cross(value / np.linalg.norm(e), e / np.linalg.norm(e)))
@@ -209,7 +251,7 @@ def test_finite_rank_plane_waves(eps, rank_key, plane_waves_1d, schwartz_fam, su
     g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps)
     assert report.measured.value < 4 * eps
     assert report.rank == getattr(expected, rank_key)
-    assert report.rank == report.n_centers
+    assert report.rank == report.cover.n_centers
 
 
 def test_rank_monotone_in_eps(plane_waves_1d, schwartz_fam, sup_alpha):
@@ -237,7 +279,7 @@ def test_support_constraint_honored(gauss_1d, schwartz_fam, sup_alpha, domain_1d
     V = Region.box([-3.5], [3.5], 701)
     g, report = finite_rank_c0_approx(gauss_1d, schwartz_fam, 1, sup_alpha, 0.1,
                                       support_constraint=V)
-    assert report.four_eps_ok
+    assert report.measured.value < 4 * 0.1
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)
     # column i of the factor map is phi_i
