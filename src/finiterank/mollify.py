@@ -1,14 +1,24 @@
-"""Mollifiers and the quadrature convolution engine.
+"""Mollifiers and the lattice convolution engine.
 
 The base bump exp(-1/(1-|x|^2)) has every derivative vanishing at |x|=1, so
-composite midpoint rules converge superalgebraically on it; the refinement
-ladder in QuadratureSpec makes that checkable. Derivatives of the bump come
-from a closed-form recurrence (bump_profile) and are evaluated with a
-flatness cutoff at |x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
+composite midpoint and lattice rules converge superalgebraically on it; the
+refinement ladder in QuadratureSpec makes that checkable for the mollifier's
+mass. Derivatives of the bump come from a closed-form recurrence
+(bump_profile) and are evaluated with a flatness cutoff at
+|x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
+
 convolve takes the Mollifier itself and integrates over its 1/n box only:
-every derivative of f * rho_n falls on rho_n, whose node coefficients come
-straight from Mollifier.deriv, and f is evaluated at the points shifted by
-each quadrature node.
+every derivative of f * rho_n falls on rho_n. Its nodes z_q = q delta lie on
+the lattice x_0 + delta Z^d that refines the grid of f's domain k_a times per
+axis (lattice_steps: even, at least 2^(refinement_levels+1) and at least
+finest_points steps per radius), and its coefficients are normalized by the
+lattice mass, which must be 1 up to the quadrature's tol. A batch of points
+on the lattice (every scan grid and the verifier's refine=2 grid) samples f
+once per lattice point and sums the sampled values node by node (for
+d >= 2, by FFT where that is cheaper); a batch with a point off the lattice
+shifts every point by every node instead. Both read the same nodes and
+coefficients, so a point's value is the same either way up to the rounding
+of f's arguments.
 """
 
 from __future__ import annotations
@@ -35,10 +45,19 @@ _FLAT_CUTOFF = 1e-8
 # cut-off) declares.
 SMOOTH_ORDER = 6
 
-# The most values one convolution has f return at once (nodes x points x
-# coordinates; 512 KB of float64). A 1D scan hands f several nodes per call;
-# a many-coordinate f or a 2D grid stays near one node per call.
+# The most values one convolution has f return at once (points x
+# coordinates; 512 KB of float64).
 CHUNK_VALUES = 2**16
+
+# The most values one lattice window holds (lattice points x coordinates;
+# 16 MB of float64). A batch whose padded window is larger is cut into runs of
+# consecutive points, so a many-coordinate f (the partition's factor map)
+# never samples a dense lattice that is rank values wide.
+WINDOW_VALUES = 2**21
+
+# How far from a lattice point, in lattice steps, a point may lie and still
+# take the lattice path: rounding only.
+_ON_LATTICE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -191,37 +210,92 @@ def build_mollifier(d: int, n: int, quad: QuadratureSpec) -> Mollifier:
 # convolution
 
 
+def lattice_steps(h: np.ndarray, radius: float, quad: QuadratureSpec) -> np.ndarray:
+    """k_a, the lattice steps per scan cell on each axis: the smallest even
+    integer that is at least 2^(refinement_levels + 1) and at least
+    h_a finest_points / radius.
+
+    Even, so the verifier's refine=2 grid lies on the lattice too. The second
+    bound puts finest_points steps in one radius, the density of the
+    midpoint ladder's next level after its finest: the finest level itself
+    under-resolves what f does within one cell (the partition cut-off ramps
+    over two thirds of a cell, and a support edge is a jump). The first
+    refines each half cell as often as the quadrature refines its base rule.
+    """
+    need = np.maximum(2.0 ** (quad.refinement_levels + 1),
+                      np.asarray(h, dtype=float) * quad.finest_points / radius)
+    return 2 * np.ceil(need / 2.0 - 1e-9).astype(int)
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """The lattice x_0 + delta Z^d of one convolution, and the multi-indices
+    q of its nodes z_q = q delta in the 1/n box, in lexicographic order."""
+
+    origin: np.ndarray
+    delta: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.offsets * self.delta
+
+    def indices(self, pts: np.ndarray) -> Optional[np.ndarray]:
+        """J with pts = x_0 + J delta up to rounding, or None when a point
+        lies off the lattice."""
+        t = (pts - self.origin) / self.delta
+        J = np.rint(t)
+        if np.any(np.abs(t - J) > _ON_LATTICE):
+            return None
+        return J.astype(np.int64)
+
+
+def scan_lattice(domain: Region, moll: Mollifier, quad: QuadratureSpec) -> Lattice:
+    """The lattice through domain's first grid corner with spacing
+    h_a / k_a (lattice_steps), h the domain's grid spacing."""
+    r = moll.radius
+    h = domain.spacing()
+    h = np.where(h > 0, h, 2.0 * r / quad.finest_points)
+    delta = h / lattice_steps(h, r, quad)
+    reach = np.floor(r / delta).astype(int)
+    axes = np.meshgrid(*(np.arange(-R, R + 1) for R in reach), indexing="ij")
+    origin = np.asarray(domain.boxes[0].lo) if domain.boxes else np.zeros(domain.d)
+    return Lattice(origin, delta, np.stack([a.ravel() for a in axes], axis=1))
+
+
 def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> SampledFunction:
     """f * rho_n: with z = x - y, d^beta (f * rho_n)(x) is
-    sum_q w_q d^beta rho_n(z_q) f(x - z_q) over midpoint nodes z_q on the
-    mollifier's 1/n box. Every derivative falls on rho_n, so the result has
-    the mollifier's order, and its support is f's inflated by 1/n.
+    sum_q c_{beta,q} f(x - z_q) over the lattice nodes z_q in the mollifier's
+    1/n box, c_{beta,q} = w d^beta rho_n(z_q) / M for the cell volume w and
+    the lattice mass M = sum_q w rho_n(z_q). Every derivative falls on
+    rho_n, so the result has the mollifier's order, and its support is f's
+    inflated by 1/n.
     """
-    nodes, weights = box_nodes(moll.support.boxes[0], quad.finest_points)
+    lat = scan_lattice(f.domain, moll, quad)
+    nodes = lat.nodes
     m = f.value_dim
-    base_coeff = weights * moll.deriv((0,) * f.d, nodes)             # (Q,)
+    cell = float(np.prod(lat.delta))
+    raw = cell * moll.deriv((0,) * f.d, nodes)
+    mass = float(np.sum(raw))
+    if abs(mass - 1.0) >= quad.tol:
+        raise QuadratureError(f"lattice mass check failed: {mass}")
+    by_beta = {(0,) * f.d: raw / mass}
+
+    def coeff(beta):
+        if beta not in by_beta:
+            by_beta[beta] = cell * moll.deriv(beta, nodes) / mass
+        return by_beta[beta]
 
     def deriv_multi(betas, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((len(betas), len(pts), m))
-        coeffs = np.stack([
-            base_coeff if mi_order(tuple(b)) == 0
-            else weights * moll.deriv(tuple(b), nodes)
-            for b in betas])                                          # (B, Q)
+        coeffs = np.stack([coeff(tuple(b)) for b in betas])          # (B, Q)
         live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
-        # f sees the points shifted by a chunk of nodes in one call; the
-        # sum still adds one node at a time, in node order
-        per_chunk = max(1, CHUNK_VALUES // max(len(pts) * m, 1))
-        for start in range(0, len(live), per_chunk):
-            qs = live[start:start + per_chunk]
-            shifted = f.eval_extended(
-                (pts[None] - nodes[qs][:, None]).reshape(-1, pts.shape[1]))
-            shifted = shifted.reshape(len(qs), len(pts), m)
-            for k, q in enumerate(qs):
-                for bi in range(len(betas)):
-                    if coeffs[bi, q] != 0.0:
-                        out[bi] += coeffs[bi, q] * shifted[k]
-        return out
+        if len(pts) == 0:
+            return np.zeros((len(betas), 0, m))
+        J = lat.indices(pts)
+        if J is None:
+            return _shifted_sum(f, pts, nodes[live], coeffs[:, live])
+        return _lattice_sum(f, lat, J, lat.offsets[live], coeffs[:, live])
 
     conv = SampledFunction(
         domain=f.domain.inflate(moll.radius),
@@ -234,6 +308,113 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
     )
     conv.deriv_multi = deriv_multi
     return conv
+
+
+def _shifted_sum(f: SampledFunction, pts: np.ndarray, nodes: np.ndarray,
+                 coeffs: np.ndarray) -> np.ndarray:
+    """sum_q coeffs[:, q] f(x - z_q) at points off the lattice.
+
+    f sees the points shifted by a chunk of nodes in one call; the sum still
+    adds one node at a time, in node order.
+    """
+    m = f.value_dim
+    out = np.zeros((len(coeffs), len(pts), m))
+    per_chunk = max(1, CHUNK_VALUES // max(len(pts) * m, 1))
+    for start in range(0, len(nodes), per_chunk):
+        z = nodes[start:start + per_chunk]
+        shifted = f.eval_extended((pts[None] - z[:, None]).reshape(-1, pts.shape[1]))
+        shifted = shifted.reshape(len(z), len(pts), m)
+        for k in range(len(z)):
+            out += coeffs[:, start + k, None, None] * shifted[k]
+    return out
+
+
+def _lattice_sum(f: SampledFunction, lat: Lattice, J: np.ndarray, offsets: np.ndarray,
+                 coeffs: np.ndarray) -> np.ndarray:
+    """sum_q coeffs[:, q] u[J - q] at the lattice points x_0 + J delta, u = f
+    zero-extended, sampled once per window of consecutive points.
+
+    The sum adds one node at a time, in node order. For d >= 2 a window whose
+    points are dense enough that an FFT is cheaper is summed by one circular
+    convolution per beta instead: the window is padded by the nodes' reach,
+    so no point read back sees the wrap-around.
+    """
+    d, m = J.shape[1], f.value_dim
+    out = np.zeros((len(coeffs), len(J), m))
+    reach = np.max(np.abs(offsets), axis=0) if len(offsets) else np.zeros(d, dtype=int)
+    for g in _windows(J, reach, m):
+        lo = np.min(J[g], axis=0) - reach
+        shape = tuple(int(s) for s in np.max(J[g], axis=0) + reach - lo + 1)
+        at = J[g] - lo
+        size = math.prod(shape)
+        if d >= 2 and size * math.log2(size) < len(at) * len(offsets):
+            u = _sample_window(f, lat, lo, shape)
+            out[:, g] = _fft_sum(u.reshape(shape + (m,)), offsets, coeffs, at)
+            continue
+        strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+        rows, steps = at @ strides, offsets @ strides
+        gap = int(rows[1] - rows[0]) if len(rows) > 1 else 1
+        if gap > 0 and np.all(np.diff(rows) == gap):
+            # evenly spaced rows (a 1D grid): u is stored by phase modulo the
+            # gap, so that every shifted read is one contiguous block
+            u = _sample_window(f, lat, lo, shape, gap)
+            first = rows[0] - steps
+            starts = (first % gap) * (len(u) // gap) + first // gap
+            reads = (u[s:s + len(rows)] for s in starts)
+        else:
+            u = _sample_window(f, lat, lo, shape)
+            reads = (u[rows - s] for s in steps)
+        acc, term = out[:, g], np.empty((len(coeffs), len(at), m))
+        for k, shifted in enumerate(reads):
+            np.multiply(coeffs[:, k, None, None], shifted, out=term)
+            acc += term
+    return out
+
+
+def _windows(J: np.ndarray, reach: np.ndarray, m: int):
+    """Slices of consecutive points whose padded window holds at most
+    WINDOW_VALUES values, one point at least."""
+    start = 0
+    while start < len(J):
+        span = (np.maximum.accumulate(J[start:], axis=0)
+                - np.minimum.accumulate(J[start:], axis=0))
+        values = np.prod(span + 2 * reach + 1, axis=1) * max(m, 1)
+        stop = start + max(1, int(np.count_nonzero(values <= WINDOW_VALUES)))
+        yield slice(start, stop)
+        start = stop
+
+
+def _sample_window(f: SampledFunction, lat: Lattice, lo: np.ndarray, shape: tuple,
+                   gap: int = 1) -> np.ndarray:
+    """u = f zero-extended at every lattice point of the window, one row per
+    point: the point at flat index j in row (j mod gap) ceil(size / gap) +
+    j div gap. f returns at most CHUNK_VALUES values per call."""
+    size, m = math.prod(shape), f.value_dim
+    per = -(-size // gap)
+    u = np.zeros((gap * per, m))
+    per_call = max(1, CHUNK_VALUES // max(m, 1))
+    for start in range(0, size, per_call):
+        idx = np.arange(start, min(start + per_call, size))
+        J = lo + np.stack(np.unravel_index(idx, shape), axis=1)
+        u[(idx % gap) * per + idx // gap] = f.eval_extended(lat.origin + J * lat.delta)
+    return u
+
+
+def _fft_sum(u: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray,
+             at: np.ndarray) -> np.ndarray:
+    """(B, len(at), m) values at `at` of u circularly convolved with each
+    row of coeffs placed at its node offsets."""
+    from numpy import fft   # d >= 2 only; 1D runs never load it
+
+    shape = u.shape[:-1]
+    axes = tuple(range(len(shape)))
+    u_hat = fft.rfftn(u, axes=axes)
+    kern = np.zeros((len(coeffs),) + shape)
+    kern[(slice(None),) + tuple((offsets % np.asarray(shape)).T)] = coeffs
+    k_hat = fft.rfftn(kern, axes=tuple(a + 1 for a in axes))
+    read = tuple(at.T)
+    return np.stack([fft.irfftn(u_hat * kh[..., None], s=shape, axes=axes)[read]
+                     for kh in k_hat])
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,9 @@ def build_partition(cover: Cover, K: Region,
     """g = sum_i phi_i (x) f(c_i), phi_i = theta * b_i / sum(b), summing to 1 on K.
 
     g.factors is the map x -> (phi_1(x), ..., phi_rank(x)) as one
-    R^rank-valued function; it and the sum g.sampled (on `domain`) take the
-    support of the cut-off theta, whose width is two thirds of K's finest step.
+    R^rank-valued function. Both it and the sum g.sampled live on `domain`,
+    whose grid their convolutions' lattices match, and take the support of
+    the cut-off theta, whose width is two thirds of K's finest step.
     """
     theta = build_cutoff(K, (2.0 / 3.0) * float(np.min(K.spacing())))
     basis = PartitionBasis(cover, theta)
@@ -212,7 +213,7 @@ def build_partition(cover: Cover, K: Region,
     # no derivative is implemented, so the map declares order 0; its
     # mollified copy takes the mollifier's order
     factors = SampledFunction(
-        domain=theta.domain,
+        domain=domain,
         order=0,
         value_dim=cover.n_centers,
         evaluator=basis.factor_values,

@@ -32,3 +32,25 @@ CUTOFF_C2_DELTA1 = 28.77254805509735
 # end-to-end pinned runs (rank and scales are exact; errors carry tolerance)
 PIPELINE_SCHWARTZ = {"rank": 45, "N2": 2, "certified": True}
 PIPELINE_EXP_STRIPS = {"rank": 183, "N2": 4, "certified": True}
+
+# (stage3_measured, total_measured) of the 1D reference operations, (j, l) =
+# (1, 1) in the sup seminorm, by scenario and eps. Both columns come from the
+# midpoint rule on the mollifier's 1/n box (oracles.convolve_midpoint, swapped
+# in for mollify.convolve and pipeline.convolve): SMOOTHING_MIDPOINT_256 at
+# the shipped QuadratureSpec (256 nodes per axis), which is what the package
+# measured before its nodes moved onto the scan lattice, and
+# SMOOTHING_CONVERGED with 16x the nodes, the scenario's quad replaced by
+# QuadratureSpec(points_per_axis=1024). The 256-node rule under-resolves
+# g * rho_n: the partition cut-off ramps over two thirds of a grid cell.
+SMOOTHING_CONVERGED = {
+    ("schwartz_1d", 0.2): (2.859080919e-3, 4.082528802e-3),
+    ("schwartz_1d", 0.1): (1.935408964e-3, 2.738905282e-3),
+    ("schwartz_1d", 0.05): (9.753817322e-4, 2.77877348e-3),
+    ("om_finite_1d", 0.1): (2.131992374e-4, 1.754623069e-3),
+}
+SMOOTHING_MIDPOINT_256 = {
+    ("schwartz_1d", 0.2): (2.863308592e-3, 4.081762303e-3),
+    ("schwartz_1d", 0.1): (1.927972583e-3, 2.739289665e-3),
+    ("schwartz_1d", 0.05): (9.725828333e-4, 2.780201322e-3),
+    ("om_finite_1d", 0.1): (2.145758785e-4, 1.756343431e-3),
+}

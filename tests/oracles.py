@@ -4,8 +4,11 @@ These stay deliberately separate from the package's own numerics: adaptive
 Simpson instead of tensor midpoint, bisection on closed forms instead of box
 scans, and Richardson-checked central differences instead of the analytic
 providers. The dense partition formulas are the all-pairs reference for
-the package's sparse bump evaluation, and the per-node convolution loop is
-the reference for the node-batched one. The package measures differences
+the package's sparse bump evaluation. The per-node convolution loop over
+the lattice nodes is the reference for both of the package's paths (the
+lattice sum and the shifted-node sum), and convolve_midpoint, the midpoint
+rule the package convolved with before, is the reference for the lattice
+rule's accuracy. The package measures differences
 as one sampled jet minus another; difference_function builds f - g as one
 function instead, for the tests that need to convolve it; bump_function
 is rho_n as a function, for the tests that use it as the f of a
@@ -32,7 +35,7 @@ import sympy as sp
 from finiterank.errors import DomainError, OrderError
 from finiterank.funcmodel import FiniteRankFunction, SampledFunction, mi_order
 from finiterank.geometry import Box, Region
-from finiterank.mollify import SMOOTH_ORDER, box_nodes, convolve
+from finiterank.mollify import SMOOTH_ORDER, box_nodes, convolve, scan_lattice
 from finiterank.seminorms import weighted_seminorm
 
 
@@ -148,16 +151,25 @@ def bump_function(moll):
     )
 
 
-def convolve_per_node(f, moll, quad, betas, points):
-    """(len(betas), N, m) stack of d^beta (f * rho_n) integrated over the
-    mollifier's 1/n box.
+def lattice_coefficients(f, moll, quad, betas):
+    """(nodes, (len(betas), Q) coefficients) of the lattice rule convolve
+    uses for f: w d^beta rho_n(z_q) over the lattice mass, re-derived here."""
+    lat = scan_lattice(f.domain, moll, quad)
+    nodes = lat.nodes
+    cell = float(np.prod(lat.delta))
+    mass = float(np.sum(cell * moll.deriv((0,) * f.d, nodes)))
+    return nodes, np.stack([cell * moll.deriv(tuple(b), nodes) / mass for b in betas])
 
-    One call of f per live quadrature node at the points shifted by it, each
-    node's term added in node order.
+
+def convolve_per_node(f, moll, quad, betas, points):
+    """(len(betas), N, m) stack of d^beta (f * rho_n) over the lattice nodes
+    in the mollifier's 1/n box.
+
+    One call of f per live node at the points shifted by it, each node's
+    term added in node order.
     """
-    nodes, weights = box_nodes(moll.support.boxes[0], quad.finest_points)
+    nodes, coeffs = lattice_coefficients(f, moll, quad, betas)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    coeffs = np.stack([weights * moll.deriv(tuple(b), nodes) for b in betas])
     out = np.zeros((len(betas), len(pts), f.value_dim))
     for q in range(len(nodes)):
         if not np.any(coeffs[:, q] != 0.0):
@@ -167,6 +179,35 @@ def convolve_per_node(f, moll, quad, betas, points):
             if coeffs[bi, q] != 0.0:
                 out[bi] += coeffs[bi, q] * shifted
     return out
+
+
+def convolve_midpoint(f, moll, quad):
+    """f * rho_n by the midpoint rule on the mollifier's 1/n box at
+    quad.finest_points nodes per axis, the rule convolve used before its
+    nodes moved onto the scan lattice: sum_q w_q d^beta rho_n(z_q) f(x - z_q),
+    one node at a time in node order, with the mass that _normalization
+    fixes and no lattice renormalization."""
+    nodes, weights = box_nodes(moll.support.boxes[0], quad.finest_points)
+
+    def deriv_multi(betas, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros((len(betas), len(pts), f.value_dim))
+        coeffs = np.stack([weights * moll.deriv(tuple(b), nodes) for b in betas])
+        for q in np.flatnonzero(np.any(coeffs != 0.0, axis=0)):
+            shifted = f.eval_extended(pts - nodes[q])
+            for bi in range(len(betas)):
+                if coeffs[bi, q] != 0.0:
+                    out[bi] += coeffs[bi, q] * shifted
+        return out
+
+    conv = SampledFunction(
+        domain=f.domain.inflate(moll.radius), order=SMOOTH_ORDER, value_dim=f.value_dim,
+        evaluator=lambda pts: deriv_multi([(0,) * f.d], pts)[0],
+        derivative=lambda beta, pts: deriv_multi([tuple(beta)], pts)[0],
+        support=None if f.support is None else f.support.inflate(moll.radius),
+        name=f"({f.name})*(rho_{moll.n})")
+    conv.deriv_multi = deriv_multi
+    return conv
 
 
 def _nested_central(evaluate, beta, points, h):

@@ -14,7 +14,7 @@ from oracles import scaled_result
 FIXTURES = Path(__file__).parent / "fixtures"
 # factors_0p2.csv of schwartz_1d (1,1) eps 0.2: the only output that evaluates
 # the convolved factor map, too large (161 KB) to commit as a fixture
-FACTORS_0P2_SHA256 = "c4f93d9baa6ddd653ffd68b9dba5a6916aea32ad69ca445f9550260b66e9ec8c"
+FACTORS_0P2_SHA256 = "95b0846b238b367320d4f072df8635c4c24189174de142378b00257766ecb670"
 # weights_report.json of the other shipped scenarios; schwartz_1d's is the
 # fixture weights_report_schwartz.json
 WEIGHTS_REPORT_SHA256 = {

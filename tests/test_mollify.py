@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import finiterank as fr
-from finiterank.errors import ConvergenceError
+from finiterank.errors import ConvergenceError, QuadratureError
 from finiterank.expressions import builtin_function, expr_function_from_strings
 from finiterank.funcmodel import (SampledFunction, multiindices, sf_from_expr_function,
                                   sf_zero)
 from finiterank.geometry import Region
+from finiterank.scenarios import load_scenario
 from finiterank.mollify import (QuadratureSpec, build_mollifier, convolve,
                                 find_regularization_order, regularize)
 from finiterank.seminorms import difference_seminorm, weighted_seminorm
@@ -14,8 +21,8 @@ from finiterank.weights import WeightIndex
 from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from finiterank import mollify
 from oracles import (adaptive_simpson, bump_function, commutativity_check,
-                     convolve_per_node, derivative_transfer_check, support_estimate,
-                     sympy_bump)
+                     convolve_midpoint, convolve_per_node, derivative_transfer_check,
+                     lattice_coefficients, support_estimate, sympy_bump)
 import expected
 
 
@@ -131,38 +138,91 @@ def test_commutativity(pair, domain_1d):
 
 @pytest.mark.parametrize("case", ["piecewise_1d", "rho_1d", "rho_2d"])
 @pytest.mark.parametrize("n_points", [7, 250, 1201, 2100])
-def test_batched_convolve_matches_per_node_loop(case, n_points, rng):
+def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch):
+    # n points of the refined grid, which lie on the lattice, take the
+    # lattice sum; n random points take the shifted-node sum. Both equal the
+    # per-node loop over the lattice nodes. piecewise_1d reads derivatives to
+    # order 3 (the centre node's odd coefficients are exactly 0) through
+    # windows small enough that every batch is cut into several; the 2100
+    # points of rho_2d are dense enough to be summed by FFT
     d = 2 if case == "rho_2d" else 1
+    q = QuadratureSpec(points_per_axis=16, refinement_levels=1, tol=1e-5)
     if case == "piecewise_1d":
-        # rho_4 on 31 midpoint nodes, all live: a prime count, so any chunk
-        # of 2 to 30 nodes leaves a partial last one; the centre node's
-        # first-derivative coefficient is exactly 0
-        q = QuadratureSpec(points_per_axis=31, refinement_levels=0, tol=1e-5)
-        betas = [(0,), (1,), (2,), (3,)]
+        moll, betas = build_mollifier(1, 4, q), [(0,), (1,), (2,), (3,)]
+        monkeypatch.setattr(mollify, "WINDOW_VALUES", 2**9)
     else:
-        q = QuadratureSpec(points_per_axis=16, refinement_levels=1, tol=1e-5)
-        betas = [(0,) * d] + [tuple(int(i == k) for i in range(d)) for k in range(d)]
-    moll = build_mollifier(d, 4, q)
+        moll, betas = build_mollifier(d, 2, q), multiindices(d, 1)
     # two coordinates, zero-extended outside [-2, 2]^d
     f = SampledFunction(
-        domain=Region.box([-3.0] * d, [3.0] * d, 61), order=0, value_dim=2,
+        domain=Region.box([-3.0] * d, [3.0] * d, 61 if d == 1 else 31), order=0,
+        value_dim=2,
         evaluator=lambda p: np.stack([np.sin(3 * p[:, 0]), np.exp(-np.sum(p * p, axis=1))],
                                      axis=1),
         support=Region.box([-2.0] * d, [2.0] * d, 41), name="f")
-    pts = rng.uniform(-3.0, 3.0, (n_points, d))
-    expected_stack = convolve_per_node(f, moll, q, betas, pts)
+    fine = f.domain.refine(2).grid_points()
+    on = fine[np.linspace(0, len(fine) - 1, n_points).astype(int)]
+    off = rng.uniform(-3.0, 3.0, (n_points, d))
+    lattice = mollify.scan_lattice(f.domain, moll, q)
+    assert lattice.indices(on) is not None and lattice.indices(off) is None
+    windows, ffts = [], []
+    sample, fft_sum = mollify._sample_window, mollify._fft_sum
+    monkeypatch.setattr(mollify, "_sample_window",
+                        lambda *a: windows.append(a[3]) or sample(*a))
+    monkeypatch.setattr(mollify, "_fft_sum", lambda *a: ffts.append(a[0].shape) or fft_sum(*a))
     conv = convolve(f, moll, q)
-    assert np.array_equal(conv.deriv_multi(betas, pts), expected_stack)
-    nodes, _ = mollify.box_nodes(moll.support.boxes[0], q.finest_points)
-    coeffs = np.stack([moll.deriv(b, nodes) for b in betas])
-    live = np.count_nonzero(np.any(coeffs != 0.0, axis=0))
-    if case == "rho_2d":
-        assert live < len(nodes)                            # dead corner nodes
+    for pts in (on, off):
+        got = conv.deriv_multi(betas, pts)
+        want = convolve_per_node(f, moll, q, betas, pts)
+        for bi in range(len(betas)):
+            assert np.max(np.abs(got[bi] - want[bi])) <= 1e-13 * np.max(np.abs(want[bi]))
     if case == "piecewise_1d":
-        assert live == len(nodes) == 31
+        assert len(windows) > 1
+        _, coeffs = lattice_coefficients(f, moll, q, betas)
         assert np.any((coeffs == 0.0) & np.any(coeffs != 0.0, axis=0))
-        per_chunk = max(1, mollify.CHUNK_VALUES // (n_points * f.value_dim))
-        assert live % per_chunk != 0 or per_chunk == 1
+    if case == "rho_2d" and n_points == 2100:
+        assert ffts
+
+
+def test_lattice_scan_samples_f_once_per_lattice_point():
+    # one scan of schwartz_1d's grid reads f on the padded lattice, (N - 1) k + Q
+    # points, where the shifted-node sum reads N Q
+    scn, f = load_scenario("schwartz_1d")
+    moll = build_mollifier(1, 2, scn.quad)
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return f.eval(pts)
+
+    conv = convolve(replace(f, evaluator=counted), moll, scn.quad)
+    pts = scn.domain.grid_points()
+    conv.deriv_multi([(0,), (1,)], pts)
+    k = int(mollify.lattice_steps(scn.domain.spacing(), moll.radius, scn.quad)[0])
+    Q = len(mollify.scan_lattice(scn.domain, moll, scn.quad).offsets)
+    assert k == 8
+    assert sum(calls) <= (len(pts) - 1) * k + Q + 1 < len(pts) * Q
+
+
+def test_lattice_mass_check(quad, domain_1d, gauss_1d):
+    # the lattice coefficients carry the mass convolve divides by; a bump
+    # whose lattice mass misses 1 by tol is refused
+    moll = build_mollifier(1, 4, quad)
+    lattice = mollify.scan_lattice(domain_1d, moll, quad)
+    mass = np.prod(lattice.delta) * np.sum(moll.deriv((0,), lattice.nodes))
+    assert abs(mass - 1.0) < quad.tol
+    heavy = replace(moll, normC=moll.normC * (1.0 + 2.0 * quad.tol))
+    with pytest.raises(QuadratureError, match="lattice mass"):
+        convolve(gauss_1d, heavy, quad)
+
+
+def test_lattice_matches_midpoint_oracle(quad, domain_1d, gauss_1d):
+    # on a smooth f both rules resolve the integral far below the quadrature tol
+    moll = build_mollifier(1, 4, quad)
+    f = replace(gauss_1d, support=Region.box([-5.3], [5.3], 1201))
+    pts = domain_1d.grid_points()[::40]
+    lattice = convolve(f, moll, quad).deriv_multi([(0,), (1,)], pts)
+    midpoint = convolve_midpoint(f, moll, quad).deriv_multi([(0,), (1,)], pts)
+    assert np.max(np.abs(lattice - midpoint)) < 1e-3 * quad.tol
 
 
 def test_transfer_beta_zero_identical(quad, domain_1d, gauss_1d):
@@ -282,3 +342,21 @@ def test_find_regularization_order_exhausted(quad, schwartz_fam, sup_alpha, gaus
         find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
                                   1e-12, 4, quad)
     assert err.value.best is not None and err.value.best > 1e-12
+
+
+def test_1d_runs_never_load_numpy_fft():
+    # the FFT sums serve d >= 2 only and import numpy.fft on first use
+    script = """
+import sys
+from finiterank.pipeline import approximate, verify_ledger
+from finiterank.scenarios import load_scenario
+from finiterank.weights import WeightIndex
+scn, f = load_scenario("schwartz_1d")
+result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.2)
+verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup")
+print(ledger.certified, "numpy.fft" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(fr.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "True False"

@@ -16,7 +16,7 @@ from finiterank.pipeline import (ErrorLedger, VerificationReport, approximate,
 from finiterank.scenarios import load_scenario
 from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
-from oracles import difference_function, scaled_result
+from oracles import convolve_midpoint, difference_function, scaled_result
 import expected
 
 
@@ -454,3 +454,48 @@ def test_serialized_ledger_ignores_last_bit_differences():
                ("refined_total", "ledger_total", "stage3_measured", "stage3_cap",
                 "stage3_slack"))
     assert ra["domination_ok"] is True
+
+
+def test_verify_off_the_lattice_certifies(counted_runs, schwartz_scn):
+    # refine=3 puts the fine grid at h/3, off the convolution lattice's h/8
+    # steps, so the result's sum is read by shifting the points by each node
+    scn, f = schwartz_scn
+    result, ledger, _, _ = counted_runs[0.2]
+    fine = scn.domain.refine(3).grid_points()
+    lattice = mollify.scan_lattice(scn.domain, build_mollifier(1, ledger.N2, scn.quad),
+                                   scn.quad)
+    assert lattice.indices(fine) is None
+    assert lattice.indices(scn.domain.refine(2).grid_points()) is not None
+    report = verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup", refine=3)
+    assert report.certified, report.failed_checks
+
+
+def _smoothing_values(name, eps, quad_points=None):
+    """(stage3_measured, total_measured) of the reference operation, with the
+    midpoint oracle in place of convolve at quad_points nodes when given."""
+    scn, f = load_scenario(name)
+    with pytest.MonkeyPatch.context() as mp:
+        if quad_points is not None:
+            scn = replace(scn, quad=replace(scn.quad, points_per_axis=quad_points))
+            for module in (mollify, pipeline):
+                mp.setattr(module, "convolve", convolve_midpoint)
+        _, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", eps)
+    return ledger.stage3_measured, ledger.total_measured
+
+
+def test_midpoint_oracle_reproduces_pinned_smoothing():
+    # the oracle behind both pinned columns, at the cheapest operation
+    for points, pinned in ((64, expected.SMOOTHING_MIDPOINT_256),
+                           (1024, expected.SMOOTHING_CONVERGED)):
+        got = _smoothing_values("schwartz_1d", 0.2, points)
+        assert got == pytest.approx(pinned[("schwartz_1d", 0.2)], rel=1e-9)
+
+
+@pytest.mark.parametrize("name,eps", list(expected.SMOOTHING_CONVERGED))
+def test_lattice_smoothing_closer_to_converged(name, eps):
+    # the lattice rule lands nearer the converged values than the 256-node
+    # midpoint rule did, in stage 3 and in the total
+    got = _smoothing_values(name, eps)
+    for new, converged, midpoint in zip(got, expected.SMOOTHING_CONVERGED[(name, eps)],
+                                        expected.SMOOTHING_MIDPOINT_256[(name, eps)]):
+        assert abs(new - converged) < abs(midpoint - converged)
