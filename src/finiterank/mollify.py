@@ -312,21 +312,29 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
 
 def _shifted_sum(f: SampledFunction, pts: np.ndarray, nodes: np.ndarray,
                  coeffs: np.ndarray) -> np.ndarray:
-    """sum_q coeffs[:, q] f(x - z_q) at points off the lattice.
-
-    f sees the points shifted by a chunk of nodes in one call; the sum still
-    adds one node at a time, in node order.
-    """
+    """sum_q coeffs[:, q] f(x - z_q) at points off the lattice; f sees the
+    points shifted by a chunk of nodes in one call."""
     m = f.value_dim
-    out = np.zeros((len(coeffs), len(pts), m))
     per_chunk = max(1, CHUNK_VALUES // max(len(pts) * m, 1))
-    for start in range(0, len(nodes), per_chunk):
-        z = nodes[start:start + per_chunk]
-        shifted = f.eval_extended((pts[None] - z[:, None]).reshape(-1, pts.shape[1]))
-        shifted = shifted.reshape(len(z), len(pts), m)
-        for k in range(len(z)):
-            out += coeffs[:, start + k, None, None] * shifted[k]
+
+    def shifted():
+        for start in range(0, len(nodes), per_chunk):
+            z = nodes[start:start + per_chunk]
+            values = f.eval_extended((pts[None] - z[:, None]).reshape(-1, pts.shape[1]))
+            yield from values.reshape(len(z), len(pts), m)
+
+    out = np.zeros((len(coeffs), len(pts), m))
+    _add_node_terms(out, coeffs, shifted())
     return out
+
+
+def _add_node_terms(acc: np.ndarray, coeffs: np.ndarray, shifted) -> None:
+    """acc += coeffs[:, q] * (the q-th shifted values), one node at a time in
+    node order: both paths of a convolution add their terms here."""
+    term = np.empty(acc.shape)
+    for q, values in enumerate(shifted):
+        np.multiply(coeffs[:, q, None, None], values, out=term)
+        acc += term
 
 
 def _lattice_sum(f: SampledFunction, lat: Lattice, J: np.ndarray, offsets: np.ndarray,
@@ -364,10 +372,7 @@ def _lattice_sum(f: SampledFunction, lat: Lattice, J: np.ndarray, offsets: np.nd
         else:
             u = _sample_window(f, lat, lo, shape)
             reads = (u[rows - s] for s in steps)
-        acc, term = out[:, g], np.empty((len(coeffs), len(at), m))
-        for k, shifted in enumerate(reads):
-            np.multiply(coeffs[:, k, None, None], shifted, out=term)
-            acc += term
+        _add_node_terms(out[:, g], coeffs, reads)
     return out
 
 
