@@ -13,12 +13,15 @@ the lattice x_0 + delta Z^d that refines the grid of f's domain k_a times per
 axis (lattice_steps: even, at least 2^(refinement_levels+1) and at least
 finest_points steps per radius), and its coefficients are normalized by the
 lattice mass, which must be 1 up to the quadrature's tol. A batch of points
-on the lattice (every scan grid and the verifier's refine=2 grid) samples f
-once per lattice point and sums the sampled values node by node (for
-d >= 2, by FFT where that is cheaper); a batch with a point off the lattice
-shifts every point by every node instead. Both read the same nodes and
-coefficients, so a point's value is the same either way up to the rounding
-of f's arguments.
+is split by the points' offset from the lattice: every scan grid and the
+verifier's refine=2 grid lie on the lattice itself, and a refine=3 grid on
+3^d copies of it (3 offsets per axis when 3 does not divide k_a). A group
+whose padded window holds fewer lattice points than it has (point, node)
+pairs samples f once per lattice point of the window and sums the sampled
+values node by node; the other points (scattered ones) shift every point by
+every node instead. Both read the same nodes and coefficients and add the
+terms in node order, so a point's value is the same either way up to the
+rounding of f's arguments.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -240,14 +243,22 @@ class Lattice:
     def nodes(self) -> np.ndarray:
         return self.offsets * self.delta
 
-    def indices(self, pts: np.ndarray) -> Optional[np.ndarray]:
-        """J with pts = x_0 + J delta up to rounding, or None when a point
-        lies off the lattice."""
+    def split(self, pts: np.ndarray):
+        """Groups of the points by their offset from the lattice: yields
+        (rows, lattice, J), pts[rows] = lattice.origin + J delta up to
+        rounding, where lattice is this one shifted by the group's offset.
+        Points on the lattice itself keep its origin exactly."""
+        if not len(pts):
+            return
         t = (pts - self.origin) / self.delta
-        J = np.rint(t)
-        if np.any(np.abs(t - J) > _ON_LATTICE):
-            return None
-        return J.astype(np.int64)
+        frac = t - np.rint(t)
+        key = np.rint(frac / _ON_LATTICE).astype(np.int64)
+        _, group = np.unique(key, axis=0, return_inverse=True)
+        order = np.argsort(group.ravel(), kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(group.ravel()[order])) + 1):
+            shift = np.where(key[rows[0]] == 0, 0.0, np.mean(frac[rows], axis=0))
+            J = np.rint(t[rows] - shift).astype(np.int64)
+            yield rows, replace(self, origin=self.origin + shift * self.delta), J
 
 
 def scan_lattice(domain: Region, moll: Mollifier, quad: QuadratureSpec) -> Lattice:
@@ -290,12 +301,21 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         coeffs = np.stack([coeff(tuple(b)) for b in betas])          # (B, Q)
         live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
-        if len(pts) == 0:
-            return np.zeros((len(betas), 0, m))
-        J = lat.indices(pts)
-        if J is None:
-            return _shifted_sum(f, pts, nodes[live], coeffs[:, live])
-        return _lattice_sum(f, lat, J, lat.offsets[live], coeffs[:, live])
+        offsets, coeffs = lat.offsets[live], coeffs[:, live]
+        reach = np.max(np.abs(offsets), axis=0)
+        out = np.zeros((len(betas), len(pts), m))
+        scattered = []
+        for rows, shifted, J in lat.split(pts):
+            # both paths add the same node terms; the lattice sum reads f on
+            # the group's padded window, the shifted sum at every point and node
+            if np.prod(np.ptp(J, axis=0) + 2 * reach + 1) < len(rows) * len(live):
+                out[:, rows] = _lattice_sum(f, shifted, J, offsets, coeffs)
+            else:
+                scattered.append(rows)
+        if scattered:
+            rows = np.sort(np.concatenate(scattered))
+            out[:, rows] = _shifted_sum(f, pts[rows], offsets * lat.delta, coeffs)
+        return out
 
     conv = SampledFunction(
         domain=f.domain.inflate(moll.radius),
@@ -312,8 +332,8 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
 
 def _shifted_sum(f: SampledFunction, pts: np.ndarray, nodes: np.ndarray,
                  coeffs: np.ndarray) -> np.ndarray:
-    """sum_q coeffs[:, q] f(x - z_q) at points off the lattice; f sees the
-    points shifted by a chunk of nodes in one call."""
+    """sum_q coeffs[:, q] f(x - z_q) at points that share no lattice window;
+    f sees the points shifted by a chunk of nodes in one call."""
     m = f.value_dim
     per_chunk = max(1, CHUNK_VALUES // max(len(pts) * m, 1))
 
@@ -340,27 +360,16 @@ def _add_node_terms(acc: np.ndarray, coeffs: np.ndarray, shifted) -> None:
 def _lattice_sum(f: SampledFunction, lat: Lattice, J: np.ndarray, offsets: np.ndarray,
                  coeffs: np.ndarray) -> np.ndarray:
     """sum_q coeffs[:, q] u[J - q] at the lattice points x_0 + J delta, u = f
-    zero-extended, sampled once per window of consecutive points.
-
-    The sum adds one node at a time, in node order. For d >= 2 a window whose
-    points are dense enough that an FFT is cheaper is summed by one circular
-    convolution per beta instead: the window is padded by the nodes' reach,
-    so no point read back sees the wrap-around.
-    """
-    d, m = J.shape[1], f.value_dim
+    zero-extended, sampled once per window of consecutive points; the sum
+    adds one node at a time, in node order."""
+    m = f.value_dim
     out = np.zeros((len(coeffs), len(J), m))
-    reach = np.max(np.abs(offsets), axis=0) if len(offsets) else np.zeros(d, dtype=int)
+    reach = np.max(np.abs(offsets), axis=0)
     for g in _windows(J, reach, m):
         lo = np.min(J[g], axis=0) - reach
         shape = tuple(int(s) for s in np.max(J[g], axis=0) + reach - lo + 1)
-        at = J[g] - lo
-        size = math.prod(shape)
-        if d >= 2 and size * math.log2(size) < len(at) * len(offsets):
-            u = _sample_window(f, lat, lo, shape)
-            out[:, g] = _fft_sum(u.reshape(shape + (m,)), offsets, coeffs, at)
-            continue
         strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-        rows, steps = at @ strides, offsets @ strides
+        rows, steps = (J[g] - lo) @ strides, offsets @ strides
         gap = int(rows[1] - rows[0]) if len(rows) > 1 else 1
         if gap > 0 and np.all(np.diff(rows) == gap):
             # evenly spaced rows (a 1D grid): u is stored by phase modulo the
@@ -403,23 +412,6 @@ def _sample_window(f: SampledFunction, lat: Lattice, lo: np.ndarray, shape: tupl
         J = lo + np.stack(np.unravel_index(idx, shape), axis=1)
         u[(idx % gap) * per + idx // gap] = f.eval_extended(lat.origin + J * lat.delta)
     return u
-
-
-def _fft_sum(u: np.ndarray, offsets: np.ndarray, coeffs: np.ndarray,
-             at: np.ndarray) -> np.ndarray:
-    """(B, len(at), m) values at `at` of u circularly convolved with each
-    row of coeffs placed at its node offsets."""
-    from numpy import fft   # d >= 2 only; 1D runs never load it
-
-    shape = u.shape[:-1]
-    axes = tuple(range(len(shape)))
-    u_hat = fft.rfftn(u, axes=axes)
-    kern = np.zeros((len(coeffs),) + shape)
-    kern[(slice(None),) + tuple((offsets % np.asarray(shape)).T)] = coeffs
-    k_hat = fft.rfftn(kern, axes=tuple(a + 1 for a in axes))
-    read = tuple(at.T)
-    return np.stack([fft.irfftn(u_hat * kh[..., None], s=shape, axes=axes)[read]
-                     for kh in k_hat])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,12 +135,14 @@ def test_commutativity(pair, domain_1d):
 @pytest.mark.parametrize("case", ["piecewise_1d", "rho_1d", "rho_2d"])
 @pytest.mark.parametrize("n_points", [7, 250, 1201, 2100])
 def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch):
-    # n points of the refined grid, which lie on the lattice, take the
-    # lattice sum; n random points take the shifted-node sum. Both equal the
-    # per-node loop over the lattice nodes. piecewise_1d reads derivatives to
-    # order 3 (the centre node's odd coefficients are exactly 0) through
-    # windows small enough that every batch is cut into several; the 2100
-    # points of rho_2d are dense enough to be summed by FFT
+    # n points of the refined grid lie on the lattice and n points of the
+    # grid refined 3 times lie on shifted copies of it; where they are dense
+    # they take the lattice sum, which matches the per-node loop over the
+    # lattice nodes up to the rounding of f's arguments. n random points share
+    # no window and take the shifted-node sum, which adds the same products in
+    # the same order as the loop. piecewise_1d reads derivatives to order 3
+    # (the centre node's odd coefficients are exactly 0) through windows small
+    # enough that every lattice batch is cut into several
     d = 2 if case == "rho_2d" else 1
     q = QuadratureSpec(points_per_axis=16, refinement_levels=1, tol=1e-5)
     if case == "piecewise_1d":
@@ -159,28 +157,36 @@ def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch
         evaluator=lambda p: np.stack([np.sin(3 * p[:, 0]), np.exp(-np.sum(p * p, axis=1))],
                                      axis=1),
         support=Region.box([-2.0] * d, [2.0] * d, 41), name="f")
-    fine = f.domain.refine(2).grid_points()
-    on = fine[np.linspace(0, len(fine) - 1, n_points).astype(int)]
+    fine, thirds = (f.domain.refine(r).grid_points() for r in (2, 3))
+    on, shifted = (g[np.linspace(0, len(g) - 1, n_points).astype(int)] for g in (fine, thirds))
     off = rng.uniform(-3.0, 3.0, (n_points, d))
     lattice = mollify.scan_lattice(f.domain, moll, q)
-    assert lattice.indices(on) is not None and lattice.indices(off) is None
-    windows, ffts = [], []
-    sample, fft_sum = mollify._sample_window, mollify._fft_sum
+    (_, on_lattice, _), = lattice.split(on)
+    assert np.array_equal(on_lattice.origin, lattice.origin)
+    assert len(list(lattice.split(thirds))) == 3**d
+    assert len(list(lattice.split(off))) == n_points
+    windows = []
+    sample = mollify._sample_window
     monkeypatch.setattr(mollify, "_sample_window",
                         lambda *a: windows.append(a[3]) or sample(*a))
-    monkeypatch.setattr(mollify, "_fft_sum", lambda *a: ffts.append(a[0].shape) or fft_sum(*a))
     conv = convolve(f, moll, q)
-    for pts in (on, off):
+    for pts in (on, shifted):
         got = conv.deriv_multi(betas, pts)
         want = convolve_per_node(f, moll, q, betas, pts)
         for bi in range(len(betas)):
             assert np.max(np.abs(got[bi] - want[bi])) <= 1e-13 * np.max(np.abs(want[bi]))
+    if n_points >= 250:
+        assert len(windows) > (1 if case == "piecewise_1d" else 0)
+    windows.clear()
+    assert np.array_equal(conv.deriv_multi(betas, off),
+                          convolve_per_node(f, moll, q, betas, off))
+    assert not windows
+    nodes, coeffs = lattice_coefficients(f, moll, q, betas)
+    live = np.count_nonzero(np.any(coeffs != 0.0, axis=0))
+    if case == "rho_2d":
+        assert live < len(nodes)                            # dead corner nodes
     if case == "piecewise_1d":
-        assert len(windows) > 1
-        _, coeffs = lattice_coefficients(f, moll, q, betas)
         assert np.any((coeffs == 0.0) & np.any(coeffs != 0.0, axis=0))
-    if case == "rho_2d" and n_points == 2100:
-        assert ffts
 
 
 def test_lattice_scan_samples_f_once_per_lattice_point():
@@ -342,21 +348,3 @@ def test_find_regularization_order_exhausted(quad, schwartz_fam, sup_alpha, gaus
         find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
                                   1e-12, 4, quad)
     assert err.value.best is not None and err.value.best > 1e-12
-
-
-def test_1d_runs_never_load_numpy_fft():
-    # the FFT sums serve d >= 2 only and import numpy.fft on first use
-    script = """
-import sys
-from finiterank.pipeline import approximate, verify_ledger
-from finiterank.scenarios import load_scenario
-from finiterank.weights import WeightIndex
-scn, f = load_scenario("schwartz_1d")
-result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.2)
-verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup")
-print(ledger.certified, "numpy.fft" in sys.modules)
-"""
-    env = {**os.environ, "PYTHONPATH": str(Path(fr.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "True False"

@@ -458,14 +458,15 @@ def test_serialized_ledger_ignores_last_bit_differences():
 
 def test_verify_off_the_lattice_certifies(counted_runs, schwartz_scn):
     # refine=3 puts the fine grid at h/3, off the convolution lattice's h/8
-    # steps, so the result's sum is read by shifting the points by each node
+    # steps: its points lie on 3 shifted copies of the lattice, where the
+    # refine=2 grid lies on the lattice itself
     scn, f = schwartz_scn
     result, ledger, _, _ = counted_runs[0.2]
-    fine = scn.domain.refine(3).grid_points()
     lattice = mollify.scan_lattice(scn.domain, build_mollifier(1, ledger.N2, scn.quad),
                                    scn.quad)
-    assert lattice.indices(fine) is None
-    assert lattice.indices(scn.domain.refine(2).grid_points()) is not None
+    assert len(list(lattice.split(scn.domain.refine(3).grid_points()))) == 3
+    (_, on, _), = lattice.split(scn.domain.refine(2).grid_points())
+    assert np.array_equal(on.origin, lattice.origin)
     report = verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup", refine=3)
     assert report.certified, report.failed_checks
 
