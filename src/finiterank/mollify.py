@@ -58,9 +58,10 @@ CHUNK_VALUES = 2**16
 # never samples a dense lattice that is rank values wide.
 WINDOW_VALUES = 2**21
 
-# How far from a lattice point, in lattice steps, a point may lie and still
-# take the lattice path: rounding only.
-_ON_LATTICE = 1e-9
+# The resolution, in lattice steps, at which Lattice.split tells points'
+# offsets from the lattice apart: offsets that differ by rounding only
+# share a group.
+_OFFSET_QUANTUM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ class Lattice:
             return
         t = (pts - self.origin) / self.delta
         frac = t - np.rint(t)
-        key = np.rint(frac / _ON_LATTICE).astype(np.int64)
+        key = np.rint(frac / _OFFSET_QUANTUM).astype(np.int64)
         _, group = np.unique(key, axis=0, return_inverse=True)
         order = np.argsort(group.ravel(), kind="stable")
         for rows in np.split(order, np.flatnonzero(np.diff(group.ravel()[order])) + 1):
