@@ -22,8 +22,10 @@ differences of f * rho_n against both routes of the derivative transfer.
 evaluate and eval_weight are checked single-point evaluations of a function
 and a weight. sympy_bump and sympy_builtin are the
 symbolic forms of the bump's derivatives and of the builtin functions, the
-reference for the package's closed forms; sympy_scalar is the sympy compile
-of a weight string, the reference for the package's syntax-tree compiler.
+reference for the package's closed forms. sympy_parse reads the config
+grammar with sympy: sympy_scalar compiles a weight string with it and
+sympy_strings differentiates a string function with it, the references for
+the package's syntax-tree walker.
 """
 
 import functools
@@ -426,20 +428,30 @@ def sympy_builtin(cfg, d):
     return SympyJet([env * w for w in waves], xs)
 
 
-def sympy_scalar(text, d):
-    """A grammar string parsed by sympy, each indicator(lo1, hi1, ...) a
-    product of closed Heaviside gates, lambdified against numpy: a batch
-    callable (N, d) -> (N,)."""
+def sympy_parse(text, xs):
+    """A grammar string as a sympy expression in the symbols xs, each
+    indicator(lo1, hi1, ...) a product of closed Heaviside gates."""
     from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
-    xs = sp.symbols(f"x1:{d + 1}")
 
     def indicator(*bounds):
         return sp.Mul(*(sp.Heaviside(x - sp.Float(lo), 1) * sp.Heaviside(sp.Float(hi) - x, 1)
                         for x, lo, hi in zip(xs, bounds[::2], bounds[1::2])))
 
-    local = {f"x{i + 1}": x for i, x in enumerate(xs)} | ({"x": xs[0]} if d == 1 else {})
+    local = {f"x{i + 1}": x for i, x in enumerate(xs)} | ({"x": xs[0]} if len(xs) == 1 else {})
     local.update(normsq=sum(x**2 for x in xs), exp=sp.exp, abs=sp.Abs, indicator=indicator)
-    expr = parse_expr(text, local_dict=local,
+    return parse_expr(text, local_dict=local,
                       transformations=standard_transformations + (convert_xor,))
-    fn = sp.lambdify(xs, expr, modules=[np])
+
+
+def sympy_scalar(text, d):
+    """A grammar string parsed by sympy and lambdified against numpy: a batch
+    callable (N, d) -> (N,)."""
+    xs = sp.symbols(f"x1:{d + 1}")
+    fn = sp.lambdify(xs, sympy_parse(text, xs), modules=[np])
     return lambda pts: np.broadcast_to(np.asarray(fn(*pts.T), dtype=float), (len(pts),))
+
+
+def sympy_strings(texts, d):
+    """A string function parsed by sympy and differentiated by sympy.diff."""
+    xs = sp.symbols(f"x1:{d + 1}")
+    return SympyJet([sympy_parse(t, xs) for t in texts], xs)

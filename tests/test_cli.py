@@ -10,11 +10,17 @@ from finiterank.cli import main
 from finiterank.pipeline import approximate
 from finiterank.scenarios import load_scenario
 from oracles import scaled_result
+from test_expressions import STRING_FUNCTION
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # factors_0p2.csv of schwartz_1d (1,1) eps 0.2: the only output that evaluates
 # the convolved factor map, too large (161 KB) to commit as a fixture
 FACTORS_0P2_SHA256 = "95b0846b238b367320d4f072df8635c4c24189174de142378b00257766ecb670"
+# factors_0p1.csv of each scenario with the string function STRING_FUNCTION
+STRING_FACTORS_0P1_SHA256 = {
+    "schwartz_1d": "6928d62f4d386a9893e0ffe23472afd9aaea4a670bd644352d333f4fa4b26092",
+    "om_finite_1d": "3044510891875e0e9af37d9c49a1eeb5c447488231deb585455f0b15513f3288",
+}
 # weights_report.json of the other shipped scenarios; schwartz_1d's is the
 # fixture weights_report_schwartz.json
 WEIGHTS_REPORT_SHA256 = {
@@ -126,7 +132,7 @@ def test_approximate_rejects_grid_below_two(tmp_path, grid):
 @pytest.mark.parametrize("region", ["domain", "omega"])
 def test_config_rejects_grid_below_two(tmp_path, capsys, region):
     scn, _ = load_scenario("schwartz_1d")
-    path = _schwartz_cfg(tmp_path, **{region: dict(scn.config[region], points_per_axis=1)})
+    path = _scenario_cfg(tmp_path, **{region: dict(scn.config[region], points_per_axis=1)})
     code = run(["check-weights", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "at least 2 points per axis" in capsys.readouterr().err
@@ -139,7 +145,7 @@ def test_config_rejects_grid_below_two(tmp_path, capsys, region):
 ], ids=["custom_weight", "om_finite_gauge", "function_expression"])
 def test_rejects_non_string_expression(tmp_path, capsys, changes):
     # a number where a string belongs used to end in an AttributeError, exit 1
-    path = _schwartz_cfg(tmp_path, **changes)
+    path = _scenario_cfg(tmp_path, **changes)
     code = run(["check-weights", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "must be a string" in capsys.readouterr().err
@@ -177,9 +183,10 @@ def test_rejects_weight_index_outside_the_scenario(tmp_path, capsys, command, fl
     assert not out.exists()
 
 
-def _schwartz_cfg(tmp_path, **changes):
-    """schwartz_1d's config (8 value coordinates) with entries replaced."""
-    scn, _ = load_scenario("schwartz_1d")
+def _scenario_cfg(tmp_path, name="schwartz_1d", **changes):
+    """A shipped scenario's config (schwartz_1d's has 8 value coordinates)
+    with entries replaced."""
+    scn, _ = load_scenario(name)
     cfg = dict(scn.config, **changes)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -200,7 +207,7 @@ def _schwartz_cfg(tmp_path, **changes):
 def test_approximate_rejects_bad_seminorm(tmp_path, capsys, spec):
     # a zero or negative weight used to certify anything (total 0 or -0);
     # the others crashed inside numpy with exit 1
-    path = _schwartz_cfg(tmp_path, seminorms={"sup": spec})
+    path = _scenario_cfg(tmp_path, seminorms={"sup": spec})
     out = tmp_path / "out"
     code = run(["approximate", "--scenario", str(path), "--eps", "0.1",
                 "--j", "1", "--l", "1", "--out", str(out)])
@@ -225,7 +232,7 @@ def test_approximate_rejects_malformed_config(tmp_path, capsys, section, key, va
     # each used to end in a traceback (exit 1), a "numeric failure" (3) or a
     # "criterion failure" (4) instead of a config error
     scn, _ = load_scenario("schwartz_1d")
-    path = _schwartz_cfg(tmp_path, **{section: dict(scn.config[section], **{key: value})})
+    path = _scenario_cfg(tmp_path, **{section: dict(scn.config[section], **{key: value})})
     out = tmp_path / "out"
     code = run(["approximate", "--scenario", str(path), "--eps", "0.2",
                 "--j", "1", "--l", "1", "--out", str(out)])
@@ -241,7 +248,7 @@ def test_check_weights_rejects_malformed_audit_region(tmp_path, capsys, region):
     audit = json.loads(json.dumps(scn.config["audit"]))
     target = audit if region == "compact" else audit["ratio"]
     target[region]["boxes"] = [[[3.0], [-3.0]]]
-    path = _schwartz_cfg(tmp_path, audit=audit)
+    path = _scenario_cfg(tmp_path, audit=audit)
     code = run(["check-weights", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "negative extent" in capsys.readouterr().err
@@ -260,7 +267,7 @@ def test_check_weights_rejects_malformed_audit(tmp_path, capsys, section, key, v
     scn, _ = load_scenario("schwartz_1d")
     audit = json.loads(json.dumps(scn.config["audit"]))
     (audit if section is None else audit[section])[key] = value
-    path = _schwartz_cfg(tmp_path, audit=audit)
+    path = _scenario_cfg(tmp_path, audit=audit)
     out = tmp_path / "out"
     code = run(["check-weights", "--scenario", str(path), "--out", str(out)])
     assert code == 2
@@ -277,7 +284,7 @@ def test_check_weights_rejects_malformed_audit(tmp_path, capsys, section, key, v
 def test_approximate_rejects_degenerate_config(tmp_path, capsys, changes):
     # a function without value coordinates used to exit 1 inside numpy; an
     # n_max below 2 exited 4, a criterion failure, as if the search had run
-    path = _schwartz_cfg(tmp_path, **changes)
+    path = _scenario_cfg(tmp_path, **changes)
     out = tmp_path / "out"
     code = run(["approximate", "--scenario", str(path), "--eps", "0.2",
                 "--j", "1", "--l", "1", "--out", str(out)])
@@ -289,7 +296,7 @@ def test_approximate_rejects_degenerate_config(tmp_path, capsys, changes):
 def test_quadrature_rule_must_be_midpoint(tmp_path, capsys):
     scn, _ = load_scenario("schwartz_1d")
     assert scn.config["quad"]["rule"] == "midpoint"
-    path = _schwartz_cfg(tmp_path, quad=dict(scn.config["quad"], rule="gauss"))
+    path = _scenario_cfg(tmp_path, quad=dict(scn.config["quad"], rule="gauss"))
     code = run(["check-weights", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "unknown quadrature rule 'gauss'" in capsys.readouterr().err
@@ -335,6 +342,34 @@ def test_approximate_om_finite_pinned(tmp_path):
     for kind in ("ledger", "verify"):
         assert (tmp_path / f"{kind}_0p1.json").read_bytes() == (
             FIXTURES / f"{kind}_om_finite_j1_l1_eps0p1.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, fixture", [("schwartz_1d", "schwartz"),
+                                           ("om_finite_1d", "om_finite")])
+def test_string_function_pinned(tmp_path, name, fixture):
+    # the first pinned output of a string function, whose derivatives the
+    # package computes itself
+    path = _scenario_cfg(tmp_path, name, function=STRING_FUNCTION)
+    out = tmp_path / "out"
+    code = run(["approximate", "--scenario", str(path), "--eps", "0.1",
+                "--j", "1", "--l", "1", "--out", str(out)])
+    assert code == 0
+    for kind in ("ledger", "verify"):
+        assert (out / f"{kind}_0p1.json").read_bytes() == (
+            FIXTURES / f"{kind}_{fixture}_string_j1_l1_eps0p1.json").read_bytes()
+    factor_bytes = (out / "factors_0p1.csv").read_bytes()
+    assert hashlib.sha256(factor_bytes).hexdigest() == STRING_FACTORS_0P1_SHA256[name]
+
+
+def test_string_function_with_abs_has_no_derivative(tmp_path, capsys):
+    # abs has values only; its derivative used to crash inside sympy's
+    # printer with exit 1, the code of an uncertified result
+    path = _scenario_cfg(tmp_path, function={"expressions": ["0.01 * abs(x) * exp(-normsq)"]})
+    out = tmp_path / "out"
+    code = run(["approximate", "--scenario", str(path), "--eps", "0.1",
+                "--j", "1", "--l", "1", "--out", str(out)])
+    assert code == 3
+    assert "error: abs has no derivatives" in capsys.readouterr().err
 
 
 def test_warm_caches_keep_the_eps_0p2_ledger(tmp_path):
@@ -403,8 +438,8 @@ def test_convergence_outputs(tmp_path):
 def test_convergence_cuts_off_against_omega(tmp_path):
     # the domain ends 0.23 past the tail compact [-2.57, 2.57], less than
     # delta = 1; omega is the boundary surrogate, as it is for approximate
-    path = _schwartz_cfg(tmp_path, domain={"boxes": [[[-2.8], [2.8]]],
-                                           "points_per_axis": 561})
+    path = _scenario_cfg(tmp_path, domain={"boxes": [[[-2.8], [2.8]]],
+                                            "points_per_axis": 561})
     out = tmp_path / "out"
     code = run(["convergence", "--scenario", str(path), "--eps", "0.2",
                 "--j", "1", "--l", "1", "--out", str(out)])

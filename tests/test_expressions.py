@@ -5,17 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import sympy
 
 import finiterank
-from finiterank.errors import ConfigError
-from finiterank.expressions import (builtin_function, compile_scalar,
-                                    expr_function_from_strings, parse_scalar_expr)
+from finiterank import expressions
+from finiterank.errors import ConfigError, OrderError
+from finiterank.expressions import builtin_function, compile_scalar, expr_function_from_strings
 from finiterank.funcmodel import multiindices
 from finiterank.geometry import Region
 from finiterank.mollify import SMOOTH_ORDER
 from finiterank.scenarios import REGISTRY, load_scenario, scenario_from_dict
-from oracles import sympy_builtin, sympy_scalar
+from oracles import sympy_builtin, sympy_scalar, sympy_strings
 
 
 def test_compile_scalar_grammar():
@@ -45,7 +44,7 @@ def test_unknown_function_rejected():
         with pytest.raises(ConfigError):
             compile_scalar(text, 1)
         with pytest.raises(ConfigError):
-            parse_scalar_expr(text, 1)
+            expr_function_from_strings([text], 1)
 
 
 @pytest.mark.parametrize("name", REGISTRY)
@@ -126,48 +125,32 @@ def test_builtin_strip_waves_flat_in_x2():
 
 
 def _count_calls(monkeypatch, name):
-    """The argument tuples of every sympy.<name> call, recorded as it runs."""
-    calls, real = [], getattr(sympy, name)
+    """The argument tuples of every expressions.<name> call, recorded as it runs."""
+    calls, real = [], getattr(expressions, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sympy, name, counted)
+    monkeypatch.setattr(expressions, name, counted)
     return calls
 
 
 def test_one_compile_per_beta(monkeypatch):
+    # each string is walked once, when the function is built; no beta and no
+    # call walks it again
+    parses, walks = _count_calls(monkeypatch, "_parse"), _count_calls(monkeypatch, "_walk")
     fn = expr_function_from_strings([f"exp(-{s} * x^2) * (1 + x)" for s in
                                      (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)], 1)
     assert fn.value_dim == 8
-    calls, diffs = _count_calls(monkeypatch, "lambdify"), _count_calls(monkeypatch, "diff")
+    assert len(parses) == 8 and len(walks) > 8
+    walked = len(walks)
     x = np.array([[0.3], [1.1]])
     for beta in [(0,), (1,), (2,)]:
-        before, diffs_before = len(calls), len(diffs)
         first = fn.deriv(beta, x)
-        assert len(calls) - before == 1
-        # one first derivative of the cached beta - 1 per coordinate
-        assert len(diffs) - diffs_before == (8 if beta[0] else 0)
-        assert all(len(args) == 2 for args in diffs)
         assert first.shape == (2, 8)
         assert np.array_equal(fn.deriv(beta, x), first)
-        assert len(calls) - before == 1
-
-
-def _compile_by_name(monkeypatch):
-    """Make every sympy.lambdify the package calls compile against the name
-    "numpy" (sympy's star import) instead of the numpy module it passes."""
-    lambdify = sympy.lambdify
-    calls = []
-
-    def by_name(*args, **kwargs):
-        assert kwargs["modules"] == [np]
-        calls.append(args)
-        return lambdify(*args, **{**kwargs, "modules": ["numpy"]})
-
-    monkeypatch.setattr(sympy, "lambdify", by_name)
-    return calls
+    assert len(parses) == 8 and len(walks) == walked
 
 
 # one string function of normsq, legal in every dimension
@@ -189,15 +172,11 @@ def _scenario_values(name):
 
 
 @pytest.mark.parametrize("name", REGISTRY)
-def test_module_namespace_compiles_the_same_bits(name, monkeypatch):
-    # only the string function compiles with sympy; the gauges (om_finite_1d),
-    # the builtin functions and the bump are numpy
-    by_module = _scenario_values(name)
-    calls = _compile_by_name(monkeypatch)
-    by_name = _scenario_values(name)
-    assert calls
-    assert len(by_module) == len(by_name)
-    for a, b in zip(by_module, by_name):
+def test_module_namespace_compiles_the_same_bits(name):
+    # two fresh loads compile every string and closed form to the same bits
+    first, second = _scenario_values(name), _scenario_values(name)
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
 
@@ -211,9 +190,9 @@ def _run_script(script):
 
 
 def test_compiling_loads_no_numpy_test_tools():
-    # sympy's modules=["numpy"] star-imports numpy, which loads numpy.f2py,
-    # numpy.testing and more; the numpy module object needs none of them.
-    # np.unique imports numpy.ma, which the cut-off's ramp table avoids
+    # the package uses the numpy module object, which needs none of
+    # numpy.f2py, numpy.testing or numpy.ma; np.unique imports numpy.ma,
+    # which the cut-off's ramp table avoids
     script = """
 import sys
 from finiterank.pipeline import approximate, verify_ledger
@@ -245,11 +224,28 @@ for name, eps in (("schwartz_1d", 0.2), ("om_finite_1d", 0.1)):
     assert _run_script(script)[-2:] == ["schwartz_1d True False", "om_finite_1d True False"]
 
 
+def test_string_function_never_loads_sympy():
+    # a string function differentiates on its syntax tree, with numpy only
+    script = f"""
+import sys
+from finiterank.pipeline import approximate, verify_ledger
+from finiterank.scenarios import load_scenario, scenario_from_dict
+from finiterank.weights import WeightIndex
+scn, _ = load_scenario("schwartz_1d")
+scn, f = scenario_from_dict(dict(scn.config, function={STRING_FUNCTION!r}))
+result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.1)
+verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup")
+print(ledger.certified, "sympy" in sys.modules)
+"""
+    assert _run_script(script)[-1] == "True False"
+
+
 def test_om_finite_compiles_its_gauges(monkeypatch):
-    calls = _compile_by_name(monkeypatch)
+    # loading walks each of the three gauge strings once
+    parses = _count_calls(monkeypatch, "_parse")
     scn, _ = load_scenario("om_finite_1d")
     gauges = [text for texts in scn.config["family"]["gauge_sets"] for text in texts]
-    assert len(gauges) == 3 and len(calls) == 0
+    assert len(gauges) == 3 and [args[0] for args in parses] == gauges
     x = np.linspace(-2.0, 2.0, 9)[:, None]
     assert np.allclose(compile_scalar(gauges[1], 1)(x),
                        np.exp(-x[:, 0] ** 2) * (1 + x[:, 0] ** 2), rtol=1e-14, atol=0.0)
@@ -288,3 +284,40 @@ def test_builtin_matches_sympy_oracle(name):
 def test_other_builtins_match_sympy_oracle(cfg, d):
     grid = Region.box([-3.0] * d, [3.0] * d, 601 if d == 1 else 61).grid_points()
     assert _sup_relative_gap(builtin_function(cfg, d), sympy_builtin(cfg, d), grid, d) <= 1e-13
+
+
+def _acceptance_triples():
+    """The string functions of test_acceptance's criterion 4, trial by trial."""
+    rng = np.random.default_rng(42)
+    triples = []
+    for _ in range(5):
+        a, b, c = rng.uniform(0.3, 2.0), rng.uniform(0.4, 1.5), rng.uniform(-1.5, 1.5)
+        triples.append([f"{a} * exp(-{b} * x^2)", f"{c} * x * exp(-{b} * x^2)",
+                        f"{a * c} * x^2 * exp(-{b} * x^2)"])
+    return triples
+
+
+@pytest.mark.parametrize("texts, d, lo", [
+    (STRING_FUNCTION["expressions"], 1, -3.0),
+    (STRING_FUNCTION["expressions"], 2, -3.0),
+    *((triple, 1, -3.0) for triple in _acceptance_triples()),
+    (["x1 / (2 + x2^2)"], 2, -3.0),
+    (["(1 + normsq)^1.5 * exp(-normsq)"], 1, -3.0),
+    (["(1 + normsq)^1.5 * exp(-normsq)"], 2, -3.0),
+    (["x^2", "x^3"], 1, -3.0),
+    (["2^x"], 1, -3.0),
+    (["(x + 20)^x"], 1, -19.5),
+    (["abs(-2) * x / 3 + 2"], 1, -3.0),
+])
+def test_string_functions_match_sympy_oracle(texts, d, lo):
+    # every grid runs through 0, where the derivatives of x^2 and x^3 are exact
+    grid = Region.box([lo] * d, [3.0] * d, 601 if d == 1 else 61).grid_points()
+    fn, oracle = expr_function_from_strings(texts, d), sympy_strings(texts, d)
+    assert _sup_relative_gap(fn, oracle, grid, d) <= 1e-13
+
+
+def test_abs_has_values_only():
+    fn = expr_function_from_strings(["abs(x) * exp(-x^2)"], 1)
+    assert fn.eval(np.array([[-1.0]]))[0, 0] == np.exp(-1.0)
+    with pytest.raises(OrderError, match="abs"):
+        fn.deriv((1,), np.array([[-1.0]]))
