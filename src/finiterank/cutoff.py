@@ -10,7 +10,7 @@ convolution quadrature enters. This gives, exactly on the continuum:
 per axis. The plateau value is exactly 1 by that normalization and is set
 without any quadrature. Each axis profile runs its window quadrature once
 per distinct ramp point over its lifetime and answers repeats from a table;
-the window rule is built once per process.
+the window rule is built once per process, without LAPACK.
 
 build_cutoff measures nothing. measure_cbeta stores delta^|beta| * max
 |d^beta psi| over a fixed dense grid plus any pinned points, so the
@@ -48,10 +48,42 @@ _RAMP_ROWS = 128
 _WINDOW_NODES = 128
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's iteration on the recurrence from the first guesses
+    cos(pi (k - 1/4) / (n + 1/2)), weights 2 / ((1 - x^2) P_n'(x)^2), both
+    made symmetric and the weights scaled to sum to 2 (Hale & Townsend,
+    SIAM J. Sci. Comput. 35, 2013). numpy's leggauss takes the nodes from a
+    LAPACK eigensolver instead, whose first call starts OpenBLAS's thread
+    pool, and that pool then slows every later numpy step of the process.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    x = 0.5 * (x - x[::-1])
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    w = 0.5 * (w + w[::-1])
+    return x, w * (2.0 / np.sum(w))
+
+
 @functools.cache
 def _window_rule() -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], built once per process."""
-    u, w = np.polynomial.legendre.leggauss(_WINDOW_NODES)
+    u, w = _gauss_legendre(_WINDOW_NODES)
     return 0.5 * (u + 1.0), 0.5 * w
 
 

@@ -17,11 +17,12 @@ is split by the points' offset from the lattice: every scan grid and the
 verifier's refine=2 grid lie on the lattice itself, and a refine=3 grid on
 3^d copies of it (3 offsets per axis when 3 does not divide k_a). A group
 whose padded window holds fewer lattice points than it has (point, node)
-pairs samples f once per lattice point of the window and sums the sampled
-values node by node; the other points (scattered ones) shift every point by
-every node instead. Both read the same nodes and coefficients and add the
-terms in node order, so a point's value is the same either way up to the
-rounding of f's arguments.
+pairs samples f once per lattice point of the window, and each point's sum
+is one product of the block of samples its window reads and the
+coefficients; the other points (scattered ones) shift every point by every
+node instead and add the terms in node order. Both read the same nodes and
+coefficients, so a point's value is the same either way up to the order of
+the sum and the rounding of f's arguments.
 """
 
 from __future__ import annotations
@@ -334,56 +335,56 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
 def _shifted_sum(f: SampledFunction, pts: np.ndarray, nodes: np.ndarray,
                  coeffs: np.ndarray) -> np.ndarray:
     """sum_q coeffs[:, q] f(x - z_q) at points that share no lattice window;
-    f sees the points shifted by a chunk of nodes in one call."""
+    f sees the points shifted by a chunk of nodes in one call, and the terms
+    are added one node at a time, in node order."""
     m = f.value_dim
     per_chunk = max(1, CHUNK_VALUES // max(len(pts) * m, 1))
-
-    def shifted():
-        for start in range(0, len(nodes), per_chunk):
-            z = nodes[start:start + per_chunk]
-            values = f.eval_extended((pts[None] - z[:, None]).reshape(-1, pts.shape[1]))
-            yield from values.reshape(len(z), len(pts), m)
-
     out = np.zeros((len(coeffs), len(pts), m))
-    _add_node_terms(out, coeffs, shifted())
+    term = np.empty(out.shape)
+    for start in range(0, len(nodes), per_chunk):
+        z = nodes[start:start + per_chunk]
+        values = f.eval_extended((pts[None] - z[:, None]).reshape(-1, pts.shape[1]))
+        for q, shifted in enumerate(values.reshape(len(z), len(pts), m), start):
+            np.multiply(coeffs[:, q, None, None], shifted, out=term)
+            out += term
     return out
-
-
-def _add_node_terms(acc: np.ndarray, coeffs: np.ndarray, shifted) -> None:
-    """acc += coeffs[:, q] * (the q-th shifted values), one node at a time in
-    node order: both paths of a convolution add their terms here."""
-    term = np.empty(acc.shape)
-    for q, values in enumerate(shifted):
-        np.multiply(coeffs[:, q, None, None], values, out=term)
-        acc += term
 
 
 def _lattice_sum(f: SampledFunction, lat: Lattice, J: np.ndarray, offsets: np.ndarray,
                  coeffs: np.ndarray) -> np.ndarray:
     """sum_q coeffs[:, q] u[J - q] at the lattice points x_0 + J delta, u = f
-    zero-extended, sampled once per window of consecutive points; the sum
-    adds one node at a time, in node order."""
-    m = f.value_dim
-    out = np.zeros((len(coeffs), len(J), m))
+    zero-extended, sampled once per window of consecutive points.
+
+    The coefficients fill a dense box over [-reach, reach]^d once, flipped
+    and flattened to (S, B), so the sum at a point is one product: the
+    (m, S) block of u that its sliding window reads times that box. Evenly
+    spaced 1D rows read their blocks as one strided view of u; other rows
+    gather them, at most WINDOW_VALUES values at a time.
+    """
+    d, m = J.shape[1], f.value_dim
     reach = np.max(np.abs(offsets), axis=0)
+    width = tuple(int(w) for w in 2 * reach + 1)
+    # node q at flipped position reach - q, so window position k reads u[J - reach + k]
+    box = np.zeros(width + (len(coeffs),))
+    box[tuple((reach - offsets).T)] = coeffs.T
+    C = box.reshape(-1, len(coeffs))                                    # (S, B)
+    per_gather = max(1, WINDOW_VALUES // (max(m, 1) * len(C)))
+    out = np.empty((len(J), m, len(coeffs)))
     for g in _windows(J, reach, m):
-        lo = np.min(J[g], axis=0) - reach
-        shape = tuple(int(s) for s in np.max(J[g], axis=0) + reach - lo + 1)
-        strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-        rows, steps = (J[g] - lo) @ strides, offsets @ strides
-        gap = int(rows[1] - rows[0]) if len(rows) > 1 else 1
-        if gap > 0 and np.all(np.diff(rows) == gap):
-            # evenly spaced rows (a 1D grid): u is stored by phase modulo the
-            # gap, so that every shifted read is one contiguous block
-            u = _sample_window(f, lat, lo, shape, gap)
-            first = rows[0] - steps
-            starts = (first % gap) * (len(u) // gap) + first // gap
-            reads = (u[s:s + len(rows)] for s in starts)
-        else:
-            u = _sample_window(f, lat, lo, shape)
-            reads = (u[rows - s] for s in steps)
-        _add_node_terms(out[:, g], coeffs, reads)
-    return out
+        first = np.min(J[g], axis=0)
+        shape = tuple(int(s) for s in np.max(J[g], axis=0) - first + 2 * reach + 1)
+        u = _sample_window(f, lat, first - reach, shape)
+        # W[T] is the (m, *width) block of u that the window of point first + T reads
+        W = np.lib.stride_tricks.sliding_window_view(u, width, axis=tuple(range(d)))
+        T, sums = J[g] - first, out[g]
+        gap = int(T[1, 0] - T[0, 0]) if len(T) > 1 else 1
+        if d == 1 and gap > 0 and np.all(np.diff(T[:, 0]) == gap):
+            np.matmul(W[T[0, 0]::gap][:len(T)], C, out=sums)
+            continue
+        for s in range(0, len(T), per_gather):
+            t = T[s:s + per_gather]
+            np.matmul(W[tuple(t.T)].reshape(len(t), m, -1), C, out=sums[s:s + len(t)])
+    return out.transpose(2, 0, 1)
 
 
 def _windows(J: np.ndarray, reach: np.ndarray, m: int):
@@ -399,20 +400,18 @@ def _windows(J: np.ndarray, reach: np.ndarray, m: int):
         start = stop
 
 
-def _sample_window(f: SampledFunction, lat: Lattice, lo: np.ndarray, shape: tuple,
-                   gap: int = 1) -> np.ndarray:
-    """u = f zero-extended at every lattice point of the window, one row per
-    point: the point at flat index j in row (j mod gap) ceil(size / gap) +
-    j div gap. f returns at most CHUNK_VALUES values per call."""
+def _sample_window(f: SampledFunction, lat: Lattice, lo: np.ndarray,
+                   shape: tuple) -> np.ndarray:
+    """u = f zero-extended at the lattice points lo + [0, shape), as a
+    (*shape, m) array; f returns at most CHUNK_VALUES values per call."""
     size, m = math.prod(shape), f.value_dim
-    per = -(-size // gap)
-    u = np.zeros((gap * per, m))
+    u = np.empty((size, m))
     per_call = max(1, CHUNK_VALUES // max(m, 1))
     for start in range(0, size, per_call):
         idx = np.arange(start, min(start + per_call, size))
         J = lo + np.stack(np.unravel_index(idx, shape), axis=1)
-        u[(idx % gap) * per + idx // gap] = f.eval_extended(lat.origin + J * lat.delta)
-    return u
+        u[idx] = f.eval_extended(lat.origin + J * lat.delta)
+    return u.reshape(shape + (m,))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from finiterank import cli
+from finiterank import cli, cutoff
 from finiterank.cli import main
 from finiterank.pipeline import approximate
 from finiterank.scenarios import load_scenario
@@ -342,6 +343,28 @@ def test_approximate_om_finite_pinned(tmp_path):
     for kind in ("ledger", "verify"):
         assert (tmp_path / f"{kind}_0p1.json").read_bytes() == (
             FIXTURES / f"{kind}_om_finite_j1_l1_eps0p1.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, eps, fixture", [("schwartz_1d", "0.2", "schwartz"),
+                                                ("om_finite_1d", "0.1", "om_finite")])
+def test_approximate_calls_no_lapack(tmp_path, monkeypatch, name, eps, fixture):
+    # LAPACK's first call starts OpenBLAS's thread pool, which slows every
+    # later numpy step of the process; approximate and verify_ledger(refine=2)
+    # must reach none, the window rule included
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for routine in ("eigvalsh", "eigh", "eig", "eigvals", "svd", "solve", "inv", "lstsq",
+                    "qr", "cholesky"):
+        monkeypatch.setattr(np.linalg, routine, refuse)
+    cutoff._window_rule.cache_clear()
+    code = run(["approximate", "--scenario", name, "--eps", eps, "--j", "1", "--l", "1",
+                "--out", str(tmp_path)])
+    assert code == 0
+    tag = eps.replace(".", "p")
+    for kind in ("ledger", "verify"):
+        assert (tmp_path / f"{kind}_{tag}.json").read_bytes() == (
+            FIXTURES / f"{kind}_{fixture}_j1_l1_eps{tag}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name, fixture", [("schwartz_1d", "schwartz"),

@@ -142,19 +142,31 @@ def test_profiles_keep_their_own_ramp_tables(rng):
 
 def test_window_rule_built_once_per_process(monkeypatch):
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
+    gauss_legendre = cutoff._gauss_legendre
 
     def counted(n):
         calls.append(n)
-        return leggauss(n)
+        return gauss_legendre(n)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    monkeypatch.setattr(cutoff, "_gauss_legendre", counted)
     cutoff._window_rule.cache_clear()
     profiles = [_profile(lo, 1.0) for lo in (-1.0, -0.5, 0.0)]
     K = fr.Region.from_bounds([[-1.0, -1.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], 41)
     build_cutoff(K, 0.5).eval(np.zeros((3, 2)))
     assert calls == [128]
     assert all(p._gl_u is profiles[0]._gl_u for p in profiles)
+
+
+def test_window_rule_is_gauss_legendre():
+    # the rule is built without LAPACK; it is numpy's leggauss(128) mapped to
+    # [0, 1], and it integrates polynomials of degree up to 60 to rounding
+    u, w = cutoff._window_rule()
+    ref_u, ref_w = np.polynomial.legendre.leggauss(128)
+    assert np.max(np.abs(u - 0.5 * (ref_u + 1.0))) <= 1e-15
+    assert np.max(np.abs(w / (0.5 * ref_w) - 1.0)) <= 1e-10
+    assert abs(np.sum(w) - 1.0) <= 1e-15
+    for k in range(61):
+        assert abs(np.dot(w, u**k) * (k + 1) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.25, 1.0 / 150])

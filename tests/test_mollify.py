@@ -132,24 +132,27 @@ def test_commutativity(pair, domain_1d):
         assert disc_at_zero < quad.tol
 
 
-@pytest.mark.parametrize("case", ["piecewise_1d", "rho_1d", "rho_2d"])
+@pytest.mark.parametrize("case", ["piecewise_1d", "rho_1d", "rho_2d", "rho_2d_small_windows"])
 @pytest.mark.parametrize("n_points", [7, 250, 1201, 2100])
 def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch):
     # n points of the refined grid lie on the lattice and n points of the
     # grid refined 3 times lie on shifted copies of it; where they are dense
-    # they take the lattice sum, which matches the per-node loop over the
-    # lattice nodes up to the rounding of f's arguments. n random points share
-    # no window and take the shifted-node sum, which adds the same products in
-    # the same order as the loop. piecewise_1d reads derivatives to order 3
-    # (the centre node's odd coefficients are exactly 0) through windows small
-    # enough that every lattice batch is cut into several
-    d = 2 if case == "rho_2d" else 1
+    # they take the lattice sum, one product per point of its window of u and
+    # the coefficients, which matches the per-node loop over the lattice nodes
+    # up to the order in which it sums and the rounding of f's arguments. n
+    # random points share no window and take the shifted-node sum, which adds
+    # the same products in the same order as the loop. piecewise_1d reads
+    # derivatives to order 3 (the centre node's odd coefficients are exactly
+    # 0) through windows small enough that every lattice batch is cut into
+    # several; rho_2d_small_windows gathers its points' blocks of u in chunks
+    d = 2 if case.startswith("rho_2d") else 1
     q = QuadratureSpec(points_per_axis=16, refinement_levels=1, tol=1e-5)
     if case == "piecewise_1d":
         moll, betas = build_mollifier(1, 4, q), [(0,), (1,), (2,), (3,)]
-        monkeypatch.setattr(mollify, "WINDOW_VALUES", 2**9)
     else:
         moll, betas = build_mollifier(d, 2, q), multiindices(d, 1)
+    if case in ("piecewise_1d", "rho_2d_small_windows"):
+        monkeypatch.setattr(mollify, "WINDOW_VALUES", 2**9)
     # two coordinates, zero-extended outside [-2, 2]^d
     f = SampledFunction(
         domain=Region.box([-3.0] * d, [3.0] * d, 61 if d == 1 else 31), order=0,
@@ -176,14 +179,14 @@ def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch
         for bi in range(len(betas)):
             assert np.max(np.abs(got[bi] - want[bi])) <= 1e-13 * np.max(np.abs(want[bi]))
     if n_points >= 250:
-        assert len(windows) > (1 if case == "piecewise_1d" else 0)
+        assert len(windows) > (0 if case in ("rho_1d", "rho_2d") else 1)
     windows.clear()
     assert np.array_equal(conv.deriv_multi(betas, off),
                           convolve_per_node(f, moll, q, betas, off))
     assert not windows
     nodes, coeffs = lattice_coefficients(f, moll, q, betas)
     live = np.count_nonzero(np.any(coeffs != 0.0, axis=0))
-    if case == "rho_2d":
+    if d == 2:
         assert live < len(nodes)                            # dead corner nodes
     if case == "piecewise_1d":
         assert np.any((coeffs == 0.0) & np.any(coeffs != 0.0, axis=0))
