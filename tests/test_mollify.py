@@ -144,7 +144,9 @@ def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch
     # the same products in the same order as the loop. piecewise_1d reads
     # derivatives to order 3 (the centre node's odd coefficients are exactly
     # 0) through windows small enough that every lattice batch is cut into
-    # several; rho_2d_small_windows gathers its points' blocks of u in chunks
+    # several. A 2D window gathers its points' blocks of u in chunks of at
+    # most WINDOW_VALUES values: several per window in rho_2d, and one per
+    # one-point window in rho_2d_small_windows
     d = 2 if case.startswith("rho_2d") else 1
     q = QuadratureSpec(points_per_axis=16, refinement_levels=1, tol=1e-5)
     if case == "piecewise_1d":
