@@ -1,4 +1,4 @@
-"""Batch front-end: weight audits, certified runs, convergence curves.
+"""Batch front-end: weight audits and certified runs.
 
 Exit codes: 0 pass/certified, 1 uncertified (a check of the verdict failed),
 2 usage or config error, 3 numeric failure (a quadrature that did not
@@ -18,10 +18,8 @@ from pathlib import Path
 from .errors import (ConfigError, ConvergenceError, CoverDefectError,
                      CriterionError, FiniteRankError, GeometryError,
                      QuadratureError, ResolutionError)
-from .mollify import RegularizationHistory, regularize
 from .pipeline import approximate, ledger_float, rounded, verify_ledger
 from .scenarios import load_scenario
-from .tensorapprox import finite_rank_c0_approx
 from .weights import (WeightIndex, check_directed, check_locally_bounded,
                       check_locally_bounded_away_from_zero, check_vanishing_ratio)
 
@@ -56,7 +54,7 @@ def _eps_list(text: str) -> list[float]:
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="finiterank")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("check-weights", "approximate", "convergence"):
+    for name in ("check-weights", "approximate"):
         c = sub.add_parser(name)
         c.add_argument("--scenario", required=True,
                        help="config path or registry name")
@@ -70,9 +68,8 @@ def _parser() -> argparse.ArgumentParser:
         c.add_argument("--j", type=int, default=1)
         c.add_argument("--l", type=int, default=0)
         c.add_argument("--alpha", default="sup")
-        if name == "approximate":
-            c.add_argument("--refine", type=_int_at_least(1), default=2,
-                           help="verification grid refinement factor (>= 1)")
+        c.add_argument("--refine", type=_int_at_least(1), default=2,
+                       help="verification grid refinement factor (>= 1)")
     return p
 
 
@@ -133,6 +130,7 @@ def cmd_approximate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     all_certified = True
+    rank_rows = ["eps,rank,N2,total_measured"]
     for eps in args.eps:
         result, ledger = approximate(f, scn, idx, args.alpha, eps)
         verification = verify_ledger(result, ledger, f, scn, idx, args.alpha,
@@ -142,6 +140,9 @@ def cmd_approximate(args) -> int:
         (out / f"ledger_{tag}.csv").write_text(ledger.to_csv())
         _write_json(out / f"verify_{tag}.json", verification.to_json_dict())
         _dump_factors(out / f"factors_{tag}.csv", result, scn)
+        rank_rows.append(f"{eps!r},{ledger.rank},{ledger.N2},"
+                         f"{ledger_float(ledger.total_measured)!r}")
+        (out / "rank_vs_eps.csv").write_text("\n".join(rank_rows) + "\n")
         failed = ",".join(verification.failed_checks)
         print(f"eps={eps:g} rank={ledger.rank} total={ledger.total_measured:.3e} "
               f"certified={verification.certified}" + (f" failed={failed}" if failed else ""))
@@ -162,36 +163,6 @@ def _dump_factors(path: Path, result, scn) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_convergence(args) -> int:
-    scn, f = load_scenario(args.scenario, args.grid)
-    idx = _weight_index(args, scn, f)
-    alpha = scn.seminorm(args.alpha)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    # regularization curve needs a compactly supported start: cut f off first
-    from .cutoff import apply_cutoff
-    delta = scn.delta_rule(idx)
-    f_c, _ = apply_cutoff(f, scn.family, idx, alpha, 1e-3, delta,
-                          omega=scn.omega_region())
-    history = RegularizationHistory(f_c, scn.family, idx, alpha)
-    rows = ["n,seminorm_error"]
-    n = 2
-    while n <= min(scn.n_max, 32):
-        err = history.measure(n, regularize(f_c, n, scn.quad))
-        rows.append(f"{n},{ledger_float(err)!r}")
-        n *= 2
-    (out / "convergence.csv").write_text("\n".join(rows) + "\n")
-
-    rank_rows = ["eps,rank"]
-    for eps in sorted(args.eps, reverse=True):
-        _, report = finite_rank_c0_approx(f, scn.family, args.j, alpha, eps)
-        rank_rows.append(f"{eps!r},{report.rank}")
-    (out / "rank_vs_eps.csv").write_text("\n".join(rank_rows) + "\n")
-    print("convergence data written")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -202,8 +173,6 @@ def main(argv=None) -> int:
             return cmd_check_weights(args)
         if args.command == "approximate":
             return cmd_approximate(args)
-        if args.command == "convergence":
-            return cmd_convergence(args)
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

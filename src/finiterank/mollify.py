@@ -147,7 +147,7 @@ def _normalization(d: int, quad: QuadratureSpec) -> float:
     level = 0
     while True:
         nodes, weights = box_nodes(box, points)
-        masses.append(float(np.dot(weights, bump_profile(nodes))))
+        masses.append(float(np.sum(weights * bump_profile(nodes))))
         converged = (level >= max(quad.refinement_levels, 1)
                      and abs(masses[-1] - masses[-2]) < quad.tol)
         if converged:
@@ -186,7 +186,7 @@ class Mollifier:
     def abs_deriv_integral(self, beta: MultiIndex) -> float:
         """integral of |d^beta rho_n| via quadrature over the support."""
         nodes, weights = box_nodes(self.support.boxes[0], self.quad.finest_points)
-        return float(np.dot(weights, np.abs(self.deriv(beta, nodes))))
+        return float(np.sum(weights * np.abs(self.deriv(beta, nodes))))
 
     @property
     def mass_check(self) -> float:

@@ -100,11 +100,11 @@ def test_usage_error_exit_code(tmp_path):
     assert run(["check-weights", "--scenario", "no_such_scenario",
                 "--out", str(tmp_path)]) == 2
     assert run(["bogus-command"]) == 2
+    assert run(["convergence", "--scenario", "schwartz_1d"]) == 2
 
 
 @pytest.mark.parametrize("args", [
-    ["check-weights", "--scenario", "schwartz_1d", "--eps", "0.1"],
-    ["convergence", "--scenario", "schwartz_1d", "--refine", "2"]])
+    ["check-weights", "--scenario", "schwartz_1d", "--eps", "0.1"]])
 def test_subcommand_refuses_flags_it_does_not_read(tmp_path, args):
     # a flag that is accepted and then ignored reads as if it took effect
     assert run(args + ["--out", str(tmp_path)]) == 2
@@ -170,7 +170,7 @@ def test_approximate_rejects_unknown_alpha(tmp_path, capsys):
     assert not list(tmp_path.glob("*.json"))
 
 
-@pytest.mark.parametrize("command", ["approximate", "convergence"])
+@pytest.mark.parametrize("command", ["approximate"])
 @pytest.mark.parametrize("flags", [["--l", "-1"], ["--j", "0"], ["--j", "99"], ["--l", "5"]],
                          ids=["l-1", "j0", "j99", "l5"])
 def test_rejects_weight_index_outside_the_scenario(tmp_path, capsys, command, flags):
@@ -440,32 +440,33 @@ def test_approximate_unreachable_budget(tmp_path):
     assert code in (1, 4)
 
 
-def test_convergence_outputs(tmp_path):
-    code = run(["convergence", "--scenario", "schwartz_1d", "--eps", "0.4,0.2",
+def test_rank_vs_eps_reads_the_ledgers(tmp_path):
+    # one row per eps in --eps order, each the rank, N2 and total of that
+    # eps's certified ledger
+    code = run(["approximate", "--scenario", "schwartz_1d", "--eps", "0.2,0.1,0.05",
                 "--j", "1", "--l", "1", "--out", str(tmp_path)])
     assert code == 0
-    rows = (tmp_path / "convergence.csv").read_text().splitlines()
-    assert rows[0] == "n,seminorm_error"
-    errs = [float(r.split(",")[1]) for r in rows[1:]]
-    assert all(a > b for a, b in zip(errs, errs[1:]))
-    assert (tmp_path / "convergence.csv").read_bytes() == (
-        FIXTURES / "convergence_schwartz_j1_l1_eps0p4_0p2.csv").read_bytes()
-    rank_rows = (tmp_path / "rank_vs_eps.csv").read_text().splitlines()
-    pairs = [(float(r.split(",")[0]), int(r.split(",")[1])) for r in rank_rows[1:]]
-    assert _at_ledger_digits(errs + [eps for eps, _ in pairs])
-    eps_sorted = sorted(pairs, key=lambda t: -t[0])
-    ranks = [rank for _, rank in eps_sorted]
-    assert all(a <= b for a, b in zip(ranks, ranks[1:]))
+    table = tmp_path / "rank_vs_eps.csv"
+    assert table.read_bytes() == (
+        FIXTURES / "rank_vs_eps_schwartz_j1_l1_eps0p2_0p1_0p05.csv").read_bytes()
+    rows = table.read_text().splitlines()
+    assert rows[0] == "eps,rank,N2,total_measured"
+    for row, tag in zip(rows[1:], ("0p2", "0p1", "0p05"), strict=True):
+        eps, rank, n2, total = row.split(",")
+        ledger = json.loads((tmp_path / f"ledger_{tag}.json").read_text())
+        assert (float(eps), int(rank), int(n2), float(total)) == (
+            ledger["eps"], ledger["rank"], ledger["N2"], ledger["total_measured"])
 
 
-def test_convergence_cuts_off_against_omega(tmp_path):
+def test_approximate_cuts_off_against_omega(tmp_path):
     # the domain ends 0.23 past the tail compact [-2.57, 2.57], less than
-    # delta = 1; omega is the boundary surrogate, as it is for approximate
+    # delta = 1; omega is the boundary surrogate, so f is cut off against it
+    # and the run certifies
     path = _scenario_cfg(tmp_path, domain={"boxes": [[[-2.8], [2.8]]],
                                             "points_per_axis": 561})
     out = tmp_path / "out"
-    code = run(["convergence", "--scenario", str(path), "--eps", "0.2",
+    code = run(["approximate", "--scenario", str(path), "--eps", "0.2",
                 "--j", "1", "--l", "1", "--out", str(out)])
     assert code == 0
-    assert (out / "convergence.csv").read_text().startswith("n,seminorm_error\n2,")
-    assert (out / "rank_vs_eps.csv").read_text().startswith("eps,rank\n0.2,")
+    assert json.loads((out / "ledger_0p2.json").read_text())["certified"] is True
+    assert (out / "rank_vs_eps.csv").read_text().startswith("eps,rank,N2,total_measured\n0.2,")

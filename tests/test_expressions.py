@@ -180,10 +180,11 @@ def test_module_namespace_compiles_the_same_bits(name):
         assert np.array_equal(a, b)
 
 
-def _run_script(script):
-    """stdout lines of a fresh interpreter that imports finiterank from src/."""
+def _run_script(script, **env_vars):
+    """stdout lines of a fresh interpreter that imports finiterank from src/,
+    with env_vars added to its environment."""
     src = str(Path(finiterank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **env_vars}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     return out.stdout.splitlines()

@@ -19,6 +19,7 @@ from finiterank import mollify
 from oracles import (adaptive_simpson, bump_function, commutativity_check,
                      convolve_midpoint, convolve_per_node, derivative_transfer_check,
                      lattice_coefficients, support_estimate, sympy_bump)
+from test_expressions import _run_script
 import expected
 
 
@@ -52,6 +53,19 @@ def test_mass_unit(d, n, quad):
                                            tol=1e-5)
     moll = build_mollifier(d, n, q)
     assert abs(moll.mass_check - 1.0) < q.tol
+
+
+def test_mollifier_sums_do_not_depend_on_blas_threads():
+    # a BLAS dot over the 2D midpoint nodes is split across threads, and
+    # each split adds the nodes in another order; the quadrature sums must
+    # give the same bits whatever the thread count
+    script = """
+from finiterank.mollify import QuadratureSpec, build_mollifier
+m = build_mollifier(2, 4, QuadratureSpec())
+print(repr(m.normC), repr(m.mass_check), repr(m.abs_deriv_integral((1, 0))))
+"""
+    one, two = (_run_script(script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert one == two
 
 
 def test_support_exact_and_positive(quad):
