@@ -6,6 +6,14 @@ the inflated neighbourhood W). Smooth bumps on the balls, normalized under a
 cut-off that is 1 on K, give the partition; the approximant interpolates f at
 the ball centers. So the cover fixes g: build_partition makes g from it, and
 the localization report keeps the cover itself (None when g = 0).
+
+A ball's radius lies half-way between the nearest violator (a point whose
+value is off the centre's by the target) and the farthest point nearer than
+it. It is read off the points within a reach of the centre, found by one sort
+on the first coordinate as in _bump_matrix. The reach starts at twice the last
+radius and doubles until it holds a violator or its strip holds every point.
+Every nearer point is then inside, and each distance and deviation is one
+point's row, so the radius equals the all-points scan's bit for bit.
 """
 
 from __future__ import annotations
@@ -62,11 +70,25 @@ def oscillation_cover(f: SampledFunction, K: Region, fam: WeightFamily, j: int,
         [kpts, np.atleast_2d(extra_points)])
     vals = f.eval(pts)
     center_ok = K.contains(pts)
+    ok_idx = np.where(center_ok)[0]
+    ok_pts = pts[ok_idx]
+    order = np.argsort(pts[:, 0], kind="stable")
+    sorted_pts, sorted_vals, first_coord = pts[order], vals[order], pts[order, 0]
 
-    def ball_radius(ci: int) -> float:
-        dev = alpha.apply(vals - vals[ci])
-        dist = np.linalg.norm(pts - pts[ci], axis=1)
-        violating = dev >= target
+    def ball_radius(ci: int, reach: float) -> float:
+        while True:
+            hair = reach * (1.0 + 1e-6)
+            lo = np.searchsorted(first_coord, pts[ci, 0] - hair, side="left")
+            hi = np.searchsorted(first_coord, pts[ci, 0] + hair, side="right")
+            whole = lo == 0 and hi == len(pts)
+            dist = np.linalg.norm(sorted_pts[lo:hi] - pts[ci], axis=1)
+            near = sorted_vals[lo:hi]
+            if not whole:
+                near, dist = near[dist <= reach], dist[dist <= reach]
+            violating = alpha.apply(near - vals[ci]) >= target
+            if whole or np.any(violating):
+                break
+            reach *= 2.0
         if not np.any(violating):
             r = float(np.max(dist)) + step
         else:
@@ -81,26 +103,24 @@ def oscillation_cover(f: SampledFunction, K: Region, fam: WeightFamily, j: int,
 
     first = int(np.argmax(center_ok))  # lexicographic-first K point
     center_idx = [first]
-    radii = [ball_radius(first)]
+    radii = [ball_radius(first, 2.0 * step)]
     dist_to_centers = np.linalg.norm(pts - pts[first], axis=1)
     covered = dist_to_centers + cover_margin < radii[0]
     taken = {first}
     while not np.all(covered):
-        cand = np.where(~covered)[0]
-        far = int(cand[int(np.argmax(dist_to_centers[cand]))])
+        far = int(np.argmax(np.where(covered, -1.0, dist_to_centers)))
         if center_ok[far]:
             pick = far
         else:
             # snap a fringe certification point to the nearest admissible center
-            d = np.linalg.norm(pts[center_ok] - pts[far], axis=1)
-            pick = int(np.where(center_ok)[0][int(np.argmin(d))])
+            pick = int(ok_idx[int(np.argmin(np.linalg.norm(ok_pts - pts[far], axis=1)))])
         if pick in taken:
             raise ResolutionError(
                 "cover cannot close: a certification point stays uncovered at "
                 f"{pts[far]}; refine the grid or relax the tolerance")
         taken.add(pick)
         center_idx.append(pick)
-        r = ball_radius(pick)
+        r = ball_radius(pick, 2.0 * max(radii[-1], step))
         radii.append(r)
         d_new = np.linalg.norm(pts - pts[pick], axis=1)
         covered |= d_new + cover_margin < r

@@ -4,8 +4,10 @@ These stay deliberately separate from the package's own numerics: adaptive
 Simpson instead of tensor midpoint, bisection on closed forms instead of box
 scans, and Richardson-checked central differences instead of the analytic
 providers. The dense partition formulas are the all-pairs reference for
-the package's sparse bump evaluation. The per-node convolution loop over
-the lattice nodes is the reference for both of the package's paths (the
+the package's sparse bump evaluation, and oscillation_cover_allpoints,
+which reads every ball's radius off every certification point, is the
+reference for the cover's windowed radius search. The per-node
+convolution loop over the lattice nodes is the reference for both of the package's paths (the
 lattice sum and the shifted-node sum), and convolve_midpoint, the midpoint
 rule the package convolved with before, is the reference for the lattice
 rule's accuracy. The package measures differences
@@ -34,11 +36,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import sympy as sp
 
-from finiterank.errors import DomainError, OrderError
+from finiterank.errors import DomainError, GeometryError, OrderError, ResolutionError
 from finiterank.funcmodel import FiniteRankFunction, SampledFunction, mi_order
 from finiterank.geometry import Box, Region
 from finiterank.mollify import SMOOTH_ORDER, box_nodes, convolve, scan_lattice
 from finiterank.seminorms import weighted_seminorm
+from finiterank.tensorapprox import Cover
+from finiterank.weights import WeightIndex
 
 
 def adaptive_simpson(f, a, b, tol=1e-9, max_depth=50):
@@ -132,6 +136,74 @@ def dense_partition(theta, bumps):
     phis = np.zeros_like(bumps)
     phis[:, live] = theta[live] * bumps[:, live] / total[live]
     return phis
+
+
+def oscillation_cover_allpoints(f, K, fam, j, alpha, eps, cover_margin=0.0,
+                                extra_points=None):
+    """The greedy cover with every ball's radius read off every point.
+
+    tensorapprox.oscillation_cover searches only the points within reach of
+    each centre; this is the scan it replaced, kept as its reference.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if K.is_empty:
+        raise GeometryError("cannot cover an empty compact")
+    step = np.max(K.spacing())
+    W = K.inflate(f.domain.spacing())
+    n_const = 1.0 + float(np.max(fam.eval_batch(WeightIndex(j, 0), W.grid_points())))
+    target = eps / n_const
+
+    kpts = K.grid_points()
+    pts = kpts if extra_points is None else np.concatenate(
+        [kpts, np.atleast_2d(extra_points)])
+    vals = f.eval(pts)
+    center_ok = K.contains(pts)
+
+    def ball_radius(ci):
+        dev = alpha.apply(vals - vals[ci])
+        dist = np.linalg.norm(pts - pts[ci], axis=1)
+        violating = dev >= target
+        if not np.any(violating):
+            r = float(np.max(dist)) + step
+        else:
+            d_viol = float(np.min(dist[violating]))
+            d_ok = float(np.max(dist[dist < d_viol]))
+            r = 0.5 * (d_ok + d_viol)
+        if r < 0.5 * step:
+            raise ResolutionError(
+                f"oscillation target {target:.3g} needs balls below the grid "
+                f"resolution {step:.3g}")
+        return r
+
+    first = int(np.argmax(center_ok))
+    center_idx = [first]
+    radii = [ball_radius(first)]
+    dist_to_centers = np.linalg.norm(pts - pts[first], axis=1)
+    covered = dist_to_centers + cover_margin < radii[0]
+    taken = {first}
+    while not np.all(covered):
+        cand = np.where(~covered)[0]
+        far = int(cand[int(np.argmax(dist_to_centers[cand]))])
+        if center_ok[far]:
+            pick = far
+        else:
+            d = np.linalg.norm(pts[center_ok] - pts[far], axis=1)
+            pick = int(np.where(center_ok)[0][int(np.argmin(d))])
+        if pick in taken:
+            raise ResolutionError(
+                "cover cannot close: a certification point stays uncovered at "
+                f"{pts[far]}; refine the grid or relax the tolerance")
+        taken.add(pick)
+        center_idx.append(pick)
+        r = ball_radius(pick)
+        radii.append(r)
+        d_new = np.linalg.norm(pts - pts[pick], axis=1)
+        covered |= d_new + cover_margin < r
+        dist_to_centers = np.minimum(dist_to_centers, d_new)
+
+    return Cover(centers=pts[center_idx], radii=np.asarray(radii),
+                 values=vals[center_idx], N_const=n_const, target_osc=target)
 
 
 def bump_function(moll):

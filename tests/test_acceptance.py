@@ -211,6 +211,17 @@ def test_criterion_7_end_to_end(name, jl):
            f"runtime {elapsed:.0f}s < 300s")
 
 
+def test_largest_cover_ledger_pinned():
+    # schwartz_1d eps 0.01 at grid 2401 certifies with 1,034 partition
+    # terms, the largest cover of any pinned run; searching the cover's
+    # target (ROADMAP item 1) changes this ledger on purpose
+    scn, f = load_scenario("schwartz_1d", 2401)
+    _, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.01)
+    assert (ledger.rank, ledger.N2, ledger.certified) == (1034, 2, True)
+    assert ledger.to_json() == (
+        FIXTURES / "ledger_schwartz_j1_l1_eps0p01_grid2401.json").read_text()
+
+
 @pytest.mark.parametrize("name", ["schwartz_1d", "exhaustion_1d",
                                   "om_finite_1d", "exp_strips_2d"])
 def test_criterion_8_weight_audits(name):

@@ -3,14 +3,16 @@ import pytest
 
 from finiterank import tensorapprox
 from finiterank.errors import CoverDefectError, GeometryError, OrderError, ResolutionError
-from finiterank.funcmodel import SampledFunction, sf_zero
+from finiterank.funcmodel import SampledFunction, SeminormIndex, sf_zero
 from finiterank.geometry import Region
+from finiterank.pipeline import approximate
+from finiterank.scenarios import load_scenario
 from finiterank.seminorms import weighted_seminorm
 from finiterank.tensorapprox import (Cover, _bump_matrix, build_partition,
                                      finite_rank_c0_approx, oscillation_cover)
-from finiterank.weights import WeightIndex, exp_strips_family
+from finiterank.weights import WeightIndex, exp_strips_family, schwartz_family
 import expected
-from oracles import dense_bump_matrix, dense_partition
+from oracles import dense_bump_matrix, dense_partition, oscillation_cover_allpoints
 
 
 def _linear(domain):
@@ -83,6 +85,133 @@ def test_cover_snaps_a_fringe_point_to_a_centre_in_K(schwartz_fam, sup_alpha):
     assert np.array_equal(cover.centers, [[0.0], [1.0]])
     assert np.all(K.contains(cover.centers))
     assert np.linalg.norm(fringe[0] - cover.centers[1]) < cover.radii[1]
+
+
+def _waves(domain):
+    """Three coordinates that oscillate at different rates along every axis."""
+    def evaluator(p):
+        s = np.sum(p, axis=1)
+        return np.stack([np.sin(3.0 * s), np.cos(2.0 * p[:, 0]), np.exp(-np.sum(p * p, axis=1))],
+                        axis=1)
+    return SampledFunction(domain=domain, order=0, value_dim=3, evaluator=evaluator)
+
+
+def _step(domain):
+    """0 left of 1.5/64 and 1 from there on: on K = [0, 1] at 65 points the first
+    violator, 2/64, sits exactly at the first search reach, twice the step 1/64."""
+    return SampledFunction(domain=domain, order=0, value_dim=1,
+                           evaluator=lambda p: (p[:, 0:1] > 1.5 / 64).astype(float))
+
+
+def _step_2d(domain):
+    """0 below y = 1.5/64 and 1 from there on: on K = [0, 1]^2 at 65 points per
+    axis the first violator, (0, 2/64), sits exactly at the first search reach,
+    and the extra point (2/64 (1 - 1e-7), 0) just inside it, on the first axis,
+    is the farthest point nearer than the violator."""
+    return SampledFunction(domain=domain, order=0, value_dim=1,
+                           evaluator=lambda p: (p[:, 1:2] > 1.5 / 64).astype(float))
+
+
+def _near(domain, K, r):
+    """Domain-grid points within r of K, as finite_rank_c0_approx certifies."""
+    pts = domain.grid_points()
+    return pts[K.inflate(r).contains(pts)]
+
+
+_FAM1, _FAM2 = schwartz_family(2, 3, 1), schwartz_family(2, 3, 2)
+_DOM1 = Region.box([-3.0], [3.0], 601)
+_DOM2 = Region.box([-2.0, -2.0], [2.0, 2.0], 81)
+_K2 = Region.from_bounds([[-1.5, -1.0], [0.5, -1.0]], [[-0.5, 1.0], [1.5, 1.0]], 31)
+_SUP = SeminormIndex("sup_all")
+# (f, K, fam, alpha, eps, cover_margin, extra_points)
+COVER_CASES = {
+    "1d": (_waves(_DOM1), Region.box([-1.5], [1.5], 301), _FAM1, _SUP, 0.3, 0.0, None),
+    "2d": (_waves(_DOM2), Region.box([-1.0, -1.0], [1.0, 1.0], 41), _FAM2, _SUP, 0.5, 0.0, None),
+    "two_box_1d": (_waves(_DOM1), Region.from_bounds([[-2.0], [0.5]], [[-0.5], [2.0]], 151),
+                   _FAM1, _SUP, 0.2, 0.0, None),
+    "two_box_2d": (_waves(_DOM2), _K2, _FAM2, _SUP, 0.5, 0.0, None),
+    "extra_points": (_waves(_DOM1), Region.box([-1.0], [1.0], 101), _FAM1, _SUP, 0.2, 0.0,
+                     np.concatenate([_near(_DOM1, Region.box([-1.0], [1.0], 101), 0.03),
+                                     [[1.025], [-1.015]]])),
+    "margin": (_waves(_DOM1), Region.box([-1.5], [1.5], 301), _FAM1, _SUP, 0.3, 0.02, None),
+    "margin_extra_2d": (_waves(_DOM2), _K2, _FAM2, _SUP, 1.0, 0.04, _near(_DOM2, _K2, 0.06)),
+    "sup_subset": (_waves(_DOM1), Region.box([-1.5], [1.5], 301), _FAM1,
+                   SeminormIndex("sup_subset", subset=(1,)), 0.3, 0.0, None),
+    "weighted_sup": (_waves(_DOM2), Region.box([-1.0, -1.0], [1.0, 1.0], 41), _FAM2,
+                     SeminormIndex("weighted_sup", coord_weights=(0.5, 2.0, 1.0)), 0.5, 0.0,
+                     None),
+    "no_violation": (sf_zero(_DOM2, 2), _K2, _FAM2, _SUP, 0.1, 0.0, None),
+    "violator_on_first_reach": (_step(Region.box([0.0], [1.0], 65)),
+                                Region.box([0.0], [1.0], 65), _FAM1, _SUP, 1.0, 0.0, None),
+    "violator_on_first_reach_2d": (_step_2d(Region.box([0.0, 0.0], [1.0, 1.0], 65)),
+                                   Region.box([0.0, 0.0], [1.0, 1.0], 65), _FAM2, _SUP, 1.0,
+                                   0.0, np.array([[2.0 / 64 * (1.0 - 1e-7), 0.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVER_CASES))
+def test_cover_matches_the_all_points_scan(case):
+    f, K, fam, alpha, eps, margin, extra = COVER_CASES[case]
+    got = oscillation_cover(f, K, fam, 1, alpha, eps, cover_margin=margin, extra_points=extra)
+    want = oscillation_cover_allpoints(f, K, fam, 1, alpha, eps, cover_margin=margin,
+                                       extra_points=extra)
+    assert np.array_equal(got.centers, want.centers)
+    assert np.array_equal(got.radii, want.radii)
+    assert np.array_equal(got.values, want.values)
+    assert got.N_const == want.N_const
+    assert got.target_osc == want.target_osc
+    if case == "no_violation":
+        # one ball, reaching one step past the farthest point
+        pts = K.grid_points()
+        far = np.max(np.linalg.norm(pts - got.centers[0], axis=1))
+        assert got.radii.tolist() == [far + np.max(K.spacing())]
+    elif case == "violator_on_first_reach":
+        assert got.radii[0] == 0.5 * (1.0 / 64 + 2.0 / 64)
+    elif case == "violator_on_first_reach_2d":
+        assert got.radii[0] == 0.5 * (2.0 / 64 * (1.0 - 1e-7) + 2.0 / 64)
+    else:
+        assert got.n_centers > 2
+
+
+@pytest.mark.parametrize("eps,extra", [(0.02, None),                # balls below the grid
+                                       (0.1, np.array([[1.3]]))])  # the fringe snaps twice
+def test_cover_refusals_match_the_all_points_scan(schwartz_fam, sup_alpha, eps, extra):
+    f = _linear(Region.box([0.0], [2.0], 41))
+    K = Region.box([0.0], [1.0], 21)
+    with pytest.raises(ResolutionError) as want:
+        oscillation_cover_allpoints(f, K, schwartz_fam, 1, sup_alpha, eps, extra_points=extra)
+    with pytest.raises(ResolutionError) as got:
+        oscillation_cover(f, K, schwartz_fam, 1, sup_alpha, eps, extra_points=extra)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_cover_radius_search_reads_only_nearby_rows(monkeypatch):
+    # the om_finite_1d eps 0.1 cover: 177 balls over 1,452 certification
+    # points, so a scan of every point per ball reads 177 x 1,452 value rows
+    calls = []
+    cover = tensorapprox.oscillation_cover
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return cover(*args, **kwargs)
+
+    monkeypatch.setattr(tensorapprox, "oscillation_cover", recorded)
+    scn, f = load_scenario("om_finite_1d")
+    approximate(f, scn, WeightIndex(1, 1), "sup", 0.1)
+    (args, kwargs), = calls
+    rows = []
+    apply = SeminormIndex.apply
+
+    def counted(self, values):
+        rows.append(len(np.atleast_2d(values)))
+        return apply(self, values)
+
+    monkeypatch.setattr(SeminormIndex, "apply", counted)
+    result = cover(*args, **kwargs)
+    n_points = len(args[1].grid_points()) + len(kwargs["extra_points"])
+    assert (result.n_centers, n_points) == (177, 1452)
+    assert sum(rows) < 177 * 1452 / 10
 
 
 def test_cover_defect_is_refused(monkeypatch, plane_waves_1d, schwartz_fam, sup_alpha):
