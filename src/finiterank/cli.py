@@ -139,7 +139,6 @@ def cmd_approximate(args) -> int:
         (out / f"ledger_{tag}.json").write_text(ledger.to_json())
         (out / f"ledger_{tag}.csv").write_text(ledger.to_csv())
         _write_json(out / f"verify_{tag}.json", verification.to_json_dict())
-        _dump_factors(out / f"factors_{tag}.csv", result, scn)
         rank_rows.append(f"{eps!r},{ledger.rank},{ledger.N2},"
                          f"{ledger_float(ledger.total_measured)!r}")
         (out / "rank_vs_eps.csv").write_text("\n".join(rank_rows) + "\n")
@@ -148,19 +147,6 @@ def cmd_approximate(args) -> int:
               f"certified={verification.certified}" + (f" failed={failed}" if failed else ""))
         all_certified = all_certified and verification.certified
     return EXIT_OK if all_certified else EXIT_UNCERTIFIED
-
-
-def _dump_factors(path: Path, result, scn) -> None:
-    lines = ["factor,point,value"]
-    pts = scn.domain.grid_points()
-    stride = max(1, len(pts) // 512)
-    sample = pts[::stride]
-    factors = result.factors.eval_extended(sample)
-    for i in range(result.rank):
-        for p, v in zip(sample, factors[:, i]):
-            coords = ";".join(repr(ledger_float(float(c))) for c in p)
-            lines.append(f"{i},{coords},{ledger_float(float(v))!r}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:

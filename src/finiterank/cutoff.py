@@ -17,7 +17,8 @@ build_cutoff measures nothing. measure_cbeta stores delta^|beta| * max
 Hoermander-style bound |d^beta psi| <= C_beta delta^-|beta| holds there by
 construction and re-measurement reproduces the table. Only apply_cutoff,
 whose tail bound reads C_{l,delta}, measures. It returns f~ = psi f, whose
-Leibniz-rule derivatives stop at the lower order of psi and f.
+Leibniz-rule derivatives stop at the lower order of psi and f, and f~'s jet
+on f's domain grid, built from f's jet there and psi's (cutoff_jet).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, leibniz, mi_
                         mi_sub, multiindex_binom, multiindices, submultiindices)
 from .geometry import Box, Region
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
-from .seminorms import (SeminormValue, difference_seminorm, find_tail_compact,  # noqa: F401
-                        tail_seminorm, weighted_seminorm)
+from .seminorms import (SeminormValue, find_tail_compact, grid_jet,  # noqa: F401
+                        jet_difference, tail_seminorm, weighted_seminorm)
 from .weights import WeightFamily, WeightIndex
 
 
@@ -242,6 +243,7 @@ class CutoffReport:
     C_l_delta: float
     tail: SeminormValue
     measured: SeminormValue
+    jet: np.ndarray              # f~'s jet on f's domain grid, for the later stages
 
 
 def multiply_cutoff(psi: SampledFunction, f: SampledFunction) -> SampledFunction:
@@ -264,22 +266,49 @@ def multiply_cutoff(psi: SampledFunction, f: SampledFunction) -> SampledFunction
     )
 
 
+def cutoff_jet(psi: SampledFunction, f_jet: np.ndarray, idx: WeightIndex,
+               pts: np.ndarray) -> np.ndarray:
+    """The jet of multiply_cutoff(psi, f) at pts, read from f's jet there.
+
+    psi is sampled once, inside its support; outside it the jet is zero.
+    Each derivative adds multiply_cutoff's Leibniz terms in its order, gamma
+    lexicographic, binom * f^(gamma) * psi^(beta-gamma), so the jet equals
+    sample_jet of the product bit for bit (f_jet, like any sampled jet, is
+    zero outside f's declared support).
+    """
+    betas = multiindices(pts.shape[1], idx.l)
+    row = {beta: i for i, beta in enumerate(betas)}
+    inside = psi.support.contains(pts)
+    psi_jet = psi.deriv_multi(betas, pts[inside])[:, :, 0:1]
+    f_in = f_jet[:, inside]
+    out = np.zeros(f_jet.shape)
+    for i, beta in enumerate(betas):
+        out[i, inside] = sum(multiindex_binom(beta, gamma) * f_in[row[gamma]]
+                             * psi_jet[row[mi_sub(beta, gamma)]]
+                             for gamma in submultiindices(beta))
+    return out
+
+
 def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                  alpha: SeminormIndex, eps: float, delta: float,
-                 omega: Optional[Region] = None) -> tuple[SampledFunction, CutoffReport]:
+                 omega: Optional[Region] = None,
+                 jet: Optional[np.ndarray] = None) -> tuple[SampledFunction, CutoffReport]:
     """Cut f off outside a tail compact with budget eps.
 
     The tail target eps / (1 + C_{l,delta}) needs C_{l,delta} first, so a
     provisional cut-off on the eps-compact fixes the constant (it depends on
     delta and the construction, not on the compact), then the definitive
-    compact is searched at the sharpened target.
+    compact is searched at the sharpened target. Every scan reads f's jet on
+    its domain grid, jet when the caller holds it (see grid_jet), and the
+    report carries f~'s jet there, built from it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     domain = f.domain
     if omega is None:
         omega = domain
-    K0 = find_tail_compact(f, fam, idx, alpha, eps, delta, omega=omega)
+    dom_pts, jet = grid_jet(f, idx, jet)
+    K0 = find_tail_compact(f, fam, idx, alpha, eps, delta, omega=omega, jet=jet)
     if K0.is_empty:
         # tail already below target everywhere; cut around one central cell
         step = domain.spacing()
@@ -290,18 +319,19 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     provisional = build_cutoff(K0, delta, omega=omega)
     C = cutoff_constant(measure_cbeta(provisional, delta, idx.l), delta, idx.l)
 
-    K = find_tail_compact(f, fam, idx, alpha, eps / (1.0 + C), delta, omega=omega)
+    K = find_tail_compact(f, fam, idx, alpha, eps / (1.0 + C), delta, omega=omega,
+                          jet=jet)
     if K.is_empty or K.volume() == 0.0:
         K = K0
     # pin the scan grid into the C_beta measurement so the lemma bound holds
     # at every point the seminorms will visit
-    dom_pts = domain.grid_points()
     near = K.inflate(delta).contains(dom_pts)
     psi = build_cutoff(K, delta, omega=omega)
     Cbeta_table = measure_cbeta(psi, delta, idx.l, extra_points=dom_pts[near])
     C_final = cutoff_constant(Cbeta_table, delta, idx.l)
 
     f_tilde = multiply_cutoff(psi, f)
-    tail = tail_seminorm(f, K, fam, idx, alpha)
-    measured = difference_seminorm(f, f_tilde, fam, idx, alpha)
-    return f_tilde, CutoffReport(K, Cbeta_table, C_final, tail, measured)
+    f_tilde_jet = cutoff_jet(psi, jet, idx, dom_pts)
+    tail = tail_seminorm(f, K, fam, idx, alpha, jet=jet)
+    measured = jet_difference(f, jet, f_tilde, f_tilde_jet, dom_pts, fam, idx, alpha)
+    return f_tilde, CutoffReport(K, Cbeta_table, C_final, tail, measured, f_tilde_jet)

@@ -40,7 +40,7 @@ from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, exp_poly, mi
                         multiindices, sf_zero)
 from .geometry import Box, Region
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
-from .seminorms import jet_seminorm, sample_jet, weighted_seminorm  # noqa: F401
+from .seminorms import grid_jet, jet_difference, sample_jet, weighted_seminorm  # noqa: F401
 from .weights import WeightFamily, WeightIndex
 
 _FLAT_CUTOFF = 1e-8
@@ -439,34 +439,35 @@ class Smoothing(NamedTuple):
 class RegularizationHistory:
     """|f - f * rho_n| on f's domain grid for every scale n measured, in order.
 
-    f's jet is sampled once; each scale keeps the jet of f * rho_n, so a
-    later stage reads the smoothed values instead of convolving f again.
+    f's jet there is the caller's; each scale keeps the jet of f * rho_n, so
+    a later stage reads the smoothed values instead of convolving f again.
     """
 
-    def __init__(self, f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
-                 alpha: SeminormIndex):
-        self.f, self.fam, self.idx, self.alpha = f, fam, idx, alpha
+    def __init__(self, f: SampledFunction, jet: np.ndarray, fam: WeightFamily,
+                 idx: WeightIndex, alpha: SeminormIndex):
+        self.f, self.f_jet, self.fam, self.idx, self.alpha = f, jet, fam, idx, alpha
         self.pts = f.domain.grid_points()
-        self.f_jet = sample_jet(f, idx, self.pts)
         self.scales: dict[int, Smoothing] = {}
 
     def measure(self, n: int, smoothed: SampledFunction) -> float:
         """Record smoothed = f * rho_n; returns |f - f * rho_n|."""
         jet = sample_jet(smoothed, self.idx, self.pts)
-        err = jet_seminorm(self.f_jet - jet, self.pts, [self.f.support, smoothed.support],
-                           self.fam, self.idx, self.alpha, f"({self.f.name})-({smoothed.name})")
+        err = jet_difference(self.f, self.f_jet, smoothed, jet, self.pts,
+                             self.fam, self.idx, self.alpha)
         self.scales[n] = Smoothing(jet, smoothed.support, err.value)
         return err.value
 
 
 def find_regularization_order(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                               alpha: SeminormIndex, eps: float, n_max: int,
-                              quad: QuadratureSpec) -> tuple[int, RegularizationHistory]:
+                              quad: QuadratureSpec, jet: Optional[np.ndarray] = None
+                              ) -> tuple[int, RegularizationHistory]:
     """Smallest n in {2, 4, ..., n_max} with |f - f*rho_n|_{j,l,alpha} < eps
-    on f's domain grid."""
+    on f's domain grid; jet is f's jet there when the caller holds it (see
+    grid_jet)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    history = RegularizationHistory(f, fam, idx, alpha)
+    history = RegularizationHistory(f, grid_jet(f, idx, jet)[1], fam, idx, alpha)
     n = 2
     while n <= n_max:
         if history.measure(n, regularize(f, n, quad)) < eps:

@@ -37,7 +37,8 @@ from .geometry import Region
 from .mollify import (QuadratureSpec, build_mollifier, convolve,
                       find_regularization_order, regularize)
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
-from .seminorms import difference_seminorm, jet_seminorm, sample_jet, weighted_seminorm  # noqa: F401
+from .seminorms import (difference_seminorm, jet_difference, jet_seminorm,  # noqa: F401
+                        sample_jet, weighted_seminorm)
 from .tensorapprox import finite_rank_c0_approx
 from .weights import (WeightFamily, WeightIndex,
                       check_locally_bounded_away_from_zero)
@@ -180,11 +181,15 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     fam = scn.family
     quad = scn.quad
     ledger = ErrorLedger(eps=eps, index=(idx.j, idx.l), alpha=alpha_name)
+    # f is sampled on its domain grid once; every stage's scan reads this jet
+    # or f_tilde's, which stage 1 builds from it
+    pts = f.domain.grid_points()
+    f_jet = sample_jet(f, idx, pts)
 
     # stage 1: cut off outside a tail compact with budget eps/3
     delta = scn.delta_rule(idx)
     f_tilde, cut_report = apply_cutoff(f, fam, idx, alpha, eps / 3.0, delta,
-                                       omega=scn.omega_region())
+                                       omega=scn.omega_region(), jet=f_jet)
     ledger.stage1_K = cut_report.K
     ledger.stage1_delta = delta
     ledger.stage1_C_l_delta = cut_report.C_l_delta
@@ -193,7 +198,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
 
     # stage 2: regularization scale with budget eps/3
     N0, history = find_regularization_order(
-        f_tilde, fam, idx, alpha, eps / 3.0, scn.n_max, quad)
+        f_tilde, fam, idx, alpha, eps / 3.0, scn.n_max, quad, jet=cut_report.jet)
     K1 = f_tilde.support
     V = K1.inflate(scn.domain.spacing())
     N1 = _domain_fit_scale(V, scn.omega_region(), scn.n_max)
@@ -227,7 +232,7 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     tensor_eps = eps / (12.0 * C1 * C2 * C3)
     ledger.tensor_eps = eps / (3.0 * C1 * C2 * C3)
     g, loc_report = finite_rank_c0_approx(f_tilde, fam, i_aux, alpha, tensor_eps,
-                                          support_constraint=V)
+                                          support_constraint=V, jet=cut_report.jet[:1])
     ledger.tensor_measured = loc_report.measured.value
     ledger.rank = g.rank
 
@@ -236,16 +241,13 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     # by linearity (f_tilde - g) * rho = f_tilde * rho - g * rho: stage 2
     # sampled the first term on f's domain grid (scn.domain in every scenario),
     # and the total needs the second anyway
-    pts = history.pts
     smoothed = history.scales[N2]
     result_jet = sample_jet(result.sampled, idx, pts)
     stage3 = jet_seminorm(smoothed.jet - result_jet, pts,
                           [smoothed.support, result.sampled.support], fam, idx, alpha,
                           f"({f_tilde.name})*(rho_{N2})-({result.sampled.name})")
     ledger.stage3_measured = stage3.value
-    total = jet_seminorm(sample_jet(f, idx, pts) - result_jet, pts,
-                         [f.support, result.sampled.support], fam, idx, alpha,
-                         f"({f.name})-({result.sampled.name})")
+    total = jet_difference(f, f_jet, result.sampled, result_jet, pts, fam, idx, alpha)
     ledger.total_measured = total.value
     ledger.total_bound = ledger.stage_sum()
     ledger.certified = bool(total.value < eps)

@@ -94,32 +94,50 @@ def weighted_seminorm(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     return jet_seminorm(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha, f.name)
 
 
+def grid_jet(f: SampledFunction, idx: WeightIndex,
+             jet: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """f's domain grid and f's jet there: the jet its caller already holds,
+    or else one sample_jet."""
+    pts = f.domain.grid_points()
+    return pts, (sample_jet(f, idx, pts) if jet is None else jet)
+
+
+def jet_difference(f: SampledFunction, f_jet: np.ndarray, g: SampledFunction,
+                   g_jet: np.ndarray, pts: np.ndarray, fam: WeightFamily,
+                   idx: WeightIndex, alpha: SeminormIndex) -> SeminormValue:
+    """|f - g| read from the two jets sampled at pts."""
+    return jet_seminorm(f_jet - g_jet, pts, [f.support, g.support], fam, idx, alpha,
+                        f"({f.name})-({g.name})")
+
+
 def difference_seminorm(f: SampledFunction, g: SampledFunction, fam: WeightFamily,
                         idx: WeightIndex, alpha: SeminormIndex,
                         grid: Optional[Region] = None) -> SeminormValue:
     """weighted_seminorm of f - g, read as one sampled jet minus the other."""
     region = grid if grid is not None else f.domain
     pts = region.grid_points()
-    diff = sample_jet(f, idx, pts) - sample_jet(g, idx, pts)
-    return jet_seminorm(diff, pts, [f.support, g.support], fam, idx, alpha,
-                        f"({f.name})-({g.name})")
+    return jet_difference(f, sample_jet(f, idx, pts), g, sample_jet(g, idx, pts), pts,
+                          fam, idx, alpha)
 
 
 def tail_seminorm(f: SampledFunction, K: Region, fam: WeightFamily, idx: WeightIndex,
-                  alpha: SeminormIndex) -> SeminormValue:
-    """Same sup restricted to f's domain grid points outside K."""
-    pts = f.domain.grid_points()
-    pts = pts[~K.contains(pts)]
-    return jet_seminorm(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha, f.name)
+                  alpha: SeminormIndex, jet: Optional[np.ndarray] = None) -> SeminormValue:
+    """Same sup restricted to f's domain grid points outside K; jet is f's
+    jet on that grid when the caller holds it (see grid_jet)."""
+    pts, jet = grid_jet(f, idx, jet)
+    outside = ~K.contains(pts)
+    return jet_seminorm(jet[:, outside], pts[outside], [f.support], fam, idx, alpha, f.name)
 
 
 def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                       alpha: SeminormIndex, eps: float, delta: float,
-                      omega: Optional[Region] = None) -> Region:
+                      omega: Optional[Region] = None,
+                      jet: Optional[np.ndarray] = None) -> Region:
     """Smallest centered grid-aligned box (clipped to the weight's structure
     region when the family has one) whose tail seminorm on f's domain grid
     is < eps and whose delta-inflation stays inside omega, the boundary
-    surrogate for the open domain (defaults to the gridded domain).
+    surrogate for the open domain (defaults to the gridded domain). jet is
+    f's jet on that grid when the caller holds it (see grid_jet).
 
     The minimal box is read off the violating set directly: per axis, the
     halfwidth is the largest |x_a| over grid points whose integrand reaches
@@ -132,9 +150,8 @@ def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     domain = f.domain
     if omega is None:
         omega = domain
-    pts = domain.grid_points()
-    kept, _, vals = _scan(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha,
-                          f.name)
+    pts, jet = grid_jet(f, idx, jet)
+    kept, _, vals = _scan(jet, pts, [f.support], fam, idx, alpha, f.name)
     integrand = np.zeros(len(pts))
     integrand[kept] = np.max(vals, axis=0)
 

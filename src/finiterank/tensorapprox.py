@@ -27,7 +27,9 @@ from .errors import CoverDefectError, GeometryError, ResolutionError
 from .funcmodel import FiniteRankFunction, SampledFunction, SeminormIndex, sf_zero
 from .geometry import Region
 from .cutoff import build_cutoff
-from .seminorms import SeminormValue, difference_seminorm, find_tail_compact, weighted_seminorm
+# weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
+from .seminorms import (SeminormValue, find_tail_compact, grid_jet,  # noqa: F401
+                        jet_difference, jet_seminorm, sample_jet, weighted_seminorm)
 from .weights import WeightFamily, WeightIndex
 
 
@@ -265,13 +267,19 @@ class LocalizationReport:
 def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
                           alpha: SeminormIndex, eps: float,
                           support_constraint: Optional[Region] = None,
+                          jet: Optional[np.ndarray] = None,
                           ) -> tuple[FiniteRankFunction, LocalizationReport]:
-    """Order-zero finite-rank approximation with the 4 eps proof-chain bound."""
+    """Order-zero finite-rank approximation with the 4 eps proof-chain bound.
+
+    Both scans read f's order-0 jet on its domain grid, jet when the caller
+    holds it (see grid_jet).
+    """
     idx = WeightIndex(j, 0)
+    pts, jet = grid_jet(f, idx, jet)
     step = float(np.min(f.domain.spacing()))
-    K = find_tail_compact(f, fam, idx, alpha, eps, delta=step)
+    K = find_tail_compact(f, fam, idx, alpha, eps, delta=step, jet=jet)
     if K.is_empty or K.volume() == 0.0:
-        full = weighted_seminorm(f, fam, idx, alpha)
+        full = jet_seminorm(jet, pts, [f.support], fam, idx, alpha, f.name)
         if K.is_empty or full.value == 0.0:
             # no tail above eps, or nothing at all: g = 0 leaves the whole seminorm
             zero = FiniteRankFunction(sf_zero(f.domain, 0, order=0),
@@ -295,10 +303,10 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     margin = 0.75 * s + halfdiag
 
     # the seminorm scans hit domain-grid points near K; certify those too
-    dom_pts = f.domain.grid_points()
-    near = K.inflate(0.75 * s).contains(dom_pts)
+    near = K.inflate(0.75 * s).contains(pts)
     cover = oscillation_cover(f, K, fam, j, alpha, eps,
-                              cover_margin=margin, extra_points=dom_pts[near])
+                              cover_margin=margin, extra_points=pts[near])
     g, _ = build_partition(cover, K, f.domain)
-    measured = difference_seminorm(f, g.sampled, fam, idx, alpha)
+    measured = jet_difference(f, jet, g.sampled, sample_jet(g.sampled, idx, pts), pts,
+                              fam, idx, alpha)
     return g, LocalizationReport(g.rank, measured, K, cover)

@@ -27,7 +27,11 @@ symbolic forms of the bump's derivatives and of the builtin functions, the
 reference for the package's closed forms. sympy_parse reads the config
 grammar with sympy: sympy_scalar compiles a weight string with it and
 sympy_strings differentiates a string function with it, the references for
-the package's syntax-tree walker.
+the package's syntax-tree walker. cutoff_resampling and
+localization_scans_resampling are the cut-off stage and the tensor stage's
+order-0 scans as they ran before the stages shared one jet of f: every scan
+samples its function on the domain grid itself. They are the reference for
+the shared jets, which must give the same bits.
 """
 
 import functools
@@ -36,11 +40,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 import sympy as sp
 
+from finiterank.cutoff import (CutoffReport, build_cutoff, cutoff_constant, measure_cbeta,
+                               multiply_cutoff)
 from finiterank.errors import DomainError, GeometryError, OrderError, ResolutionError
 from finiterank.funcmodel import FiniteRankFunction, SampledFunction, mi_order
 from finiterank.geometry import Box, Region
 from finiterank.mollify import SMOOTH_ORDER, box_nodes, convolve, scan_lattice
-from finiterank.seminorms import weighted_seminorm
+from finiterank.seminorms import (difference_seminorm, find_tail_compact, jet_seminorm,
+                                  sample_jet, weighted_seminorm)
 from finiterank.tensorapprox import Cover
 from finiterank.weights import WeightIndex
 
@@ -527,3 +534,46 @@ def sympy_strings(texts, d):
     """A string function parsed by sympy and differentiated by sympy.diff."""
     xs = sp.symbols(f"x1:{d + 1}")
     return SympyJet([sympy_parse(t, xs) for t in texts], xs)
+
+
+def cutoff_resampling(f, fam, idx, alpha, eps, delta, omega=None):
+    """cutoff.apply_cutoff with every scan sampling f or f~ itself; the
+    report's jet is sample_jet of f~ on f's domain grid."""
+    domain = f.domain
+    if omega is None:
+        omega = domain
+    K0 = find_tail_compact(f, fam, idx, alpha, eps, delta, omega=omega)
+    if K0.is_empty:
+        step = domain.spacing()
+        b0 = domain.boxes[0]
+        center = 0.5 * (np.asarray(b0.lo) + np.asarray(b0.hi))
+        K0 = Region((Box(tuple(center - 0.5 * step), tuple(center + 0.5 * step)),),
+                    domain.points_per_axis)
+    provisional = build_cutoff(K0, delta, omega=omega)
+    C = cutoff_constant(measure_cbeta(provisional, delta, idx.l), delta, idx.l)
+
+    K = find_tail_compact(f, fam, idx, alpha, eps / (1.0 + C), delta, omega=omega)
+    if K.is_empty or K.volume() == 0.0:
+        K = K0
+    dom_pts = domain.grid_points()
+    near = K.inflate(delta).contains(dom_pts)
+    psi = build_cutoff(K, delta, omega=omega)
+    Cbeta_table = measure_cbeta(psi, delta, idx.l, extra_points=dom_pts[near])
+    C_final = cutoff_constant(Cbeta_table, delta, idx.l)
+
+    f_tilde = multiply_cutoff(psi, f)
+    outside = dom_pts[~K.contains(dom_pts)]
+    tail = jet_seminorm(sample_jet(f, idx, outside), outside, [f.support], fam, idx, alpha,
+                        f.name)
+    measured = difference_seminorm(f, f_tilde, fam, idx, alpha)
+    return f_tilde, CutoffReport(K, Cbeta_table, C_final, tail, measured,
+                                 sample_jet(f_tilde, idx, dom_pts))
+
+
+def localization_scans_resampling(f, g, fam, j, alpha, eps):
+    """The tensor stage's order-0 scans of f, each sampling f itself: the
+    tail compact searched at eps and the measured |f - g|."""
+    idx = WeightIndex(j, 0)
+    step = float(np.min(f.domain.spacing()))
+    return (find_tail_compact(f, fam, idx, alpha, eps, delta=step),
+            difference_seminorm(f, g.sampled, fam, idx, alpha))

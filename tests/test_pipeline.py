@@ -89,6 +89,24 @@ def test_schwartz_pinned_run(schwartz_scn):
     assert report.refined_total <= 1.1 * max(report.ledger_total, 1e-15)
 
 
+@pytest.mark.parametrize("name, eps", [("schwartz_1d", 0.2), ("schwartz_1d", 0.1),
+                                       ("schwartz_1d", 0.05), ("om_finite_1d", 0.1),
+                                       ("exp_strips_2d", 0.1)])
+def test_factor_map_times_values_is_the_sum(name, eps):
+    # result.factors, the smoothed map x -> (phi_i * rho)(x), times the
+    # values e_i is result.sampled, the smoothed sum, at scan-grid points
+    # spread over the result's support
+    scn, f = load_scenario(name)
+    result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", eps)
+    assert result.rank == ledger.rank > 0
+    pts = scn.domain.grid_points()
+    pts = pts[result.sampled.support.contains(pts)]
+    pts = pts[::max(1, len(pts) // 24)]
+    summed = result.factors.eval(pts) @ result.values
+    direct = result.sampled.eval(pts)
+    assert np.max(np.abs(summed - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def _counted_run(f, scn, eps):
     """approximate with counts of its convolve and regularize calls and the
     stage-2 search history it was handed."""
