@@ -9,11 +9,17 @@ the localization report keeps the cover itself (None when g = 0).
 
 A ball's radius lies half-way between the nearest violator (a point whose
 value is off the centre's by the target) and the farthest point nearer than
-it. It is read off the points within a reach of the centre, found by one sort
-on the first coordinate as in _bump_matrix. The reach starts at twice the last
-radius and doubles until it holds a violator or its strip holds every point.
-Every nearer point is then inside, and each distance and deviation is one
-point's row, so the radius equals the all-points scan's bit for bit.
+it. Each centre reads one strip of the points, found by one sort on the first
+coordinate as in _bump_matrix. Its half-width, the reach, starts at twice the
+last radius or at D, the largest distance from an uncovered point to its
+nearest centre, whichever is larger (every point for the first ball). It
+doubles until a violator lies within it or the strip holds every point, so
+every nearer point is inside. The strip's distances then update one array,
+each point's distance to the nearest centre or -1 once covered, whose argmax
+picks the next centre: a point off the strip is farther than D and than the
+radius from the new centre, so neither its entry nor its cover can change.
+Each distance and deviation is one point's row, so the cover equals the
+all-points scan's bit for bit.
 """
 
 from __future__ import annotations
@@ -77,40 +83,41 @@ def oscillation_cover(f: SampledFunction, K: Region, fam: WeightFamily, j: int,
     order = np.argsort(pts[:, 0], kind="stable")
     sorted_pts, sorted_vals, first_coord = pts[order], vals[order], pts[order, 0]
 
-    def ball_radius(ci: int, reach: float) -> float:
+    def ball(ci: int, reach: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """(radius, the strip's point indices, their distances to point ci)."""
+        c = pts[ci]
         while True:
             hair = reach * (1.0 + 1e-6)
-            lo = np.searchsorted(first_coord, pts[ci, 0] - hair, side="left")
-            hi = np.searchsorted(first_coord, pts[ci, 0] + hair, side="right")
+            lo = first_coord.searchsorted(c[0] - hair, side="left")
+            hi = first_coord.searchsorted(c[0] + hair, side="right")
+            strip = np.linalg.norm(sorted_pts[lo:hi] - c, axis=1)
+            near, dist = sorted_vals[lo:hi], strip
             whole = lo == 0 and hi == len(pts)
-            dist = np.linalg.norm(sorted_pts[lo:hi] - pts[ci], axis=1)
-            near = sorted_vals[lo:hi]
             if not whole:
-                near, dist = near[dist <= reach], dist[dist <= reach]
+                inside = strip <= reach
+                near, dist = near[inside], strip[inside]
             violating = alpha.apply(near - vals[ci]) >= target
-            if whole or np.any(violating):
+            hit = violating.any()
+            if whole or hit:
                 break
             reach *= 2.0
-        if not np.any(violating):
-            r = float(np.max(dist)) + step
+        if not hit:
+            r = float(dist.max()) + step
         else:
-            d_viol = float(np.min(dist[violating]))
-            d_ok = float(np.max(dist[dist < d_viol]))
+            d_viol = float(dist[violating].min())
+            d_ok = float(dist[dist < d_viol].max())
             r = 0.5 * (d_ok + d_viol)
         if r < 0.5 * step:
             raise ResolutionError(
                 f"oscillation target {target:.3g} needs balls below the grid "
                 f"resolution {step:.3g}")
-        return r
+        return r, order[lo:hi], strip
 
-    first = int(np.argmax(center_ok))  # lexicographic-first K point
-    center_idx = [first]
-    radii = [ball_radius(first, 2.0 * step)]
-    dist_to_centers = np.linalg.norm(pts - pts[first], axis=1)
-    covered = dist_to_centers + cover_margin < radii[0]
-    taken = {first}
-    while not np.all(covered):
-        far = int(np.argmax(np.where(covered, -1.0, dist_to_centers)))
+    # each point's distance to the nearest centre, or -1 once a ball covers it
+    gap = np.full(len(pts), np.inf)
+    far = int(np.argmax(center_ok))  # lexicographic-first K point
+    center_idx, radii, taken = [], [], set()
+    while gap[far] >= 0.0:
         if center_ok[far]:
             pick = far
         else:
@@ -122,11 +129,13 @@ def oscillation_cover(f: SampledFunction, K: Region, fam: WeightFamily, j: int,
                 f"{pts[far]}; refine the grid or relax the tolerance")
         taken.add(pick)
         center_idx.append(pick)
-        r = ball_radius(pick, 2.0 * max(radii[-1], step))
+        last = radii[-1] if radii else step
+        r, rows, d_new = ball(pick, max(2.0 * max(last, step), gap[far]))
         radii.append(r)
-        d_new = np.linalg.norm(pts - pts[pick], axis=1)
-        covered |= d_new + cover_margin < r
-        dist_to_centers = np.minimum(dist_to_centers, d_new)
+        nearest = np.minimum(gap[rows], d_new)
+        nearest[d_new + cover_margin < r] = -1.0
+        gap[rows] = nearest
+        far = int(gap.argmax())
 
     return Cover(
         centers=pts[center_idx],

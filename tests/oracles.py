@@ -5,8 +5,8 @@ Simpson instead of tensor midpoint, bisection on closed forms instead of box
 scans, and Richardson-checked central differences instead of the analytic
 providers. The dense partition formulas are the all-pairs reference for
 the package's sparse bump evaluation, and oscillation_cover_allpoints,
-which reads every ball's radius off every certification point, is the
-reference for the cover's windowed radius search. The per-node
+which reads every ball's radius and update off every certification point,
+is the reference for the cover's windowed search. The per-node
 convolution loop over the lattice nodes is the reference for both of the package's paths (the
 lattice sum and the shifted-node sum), and convolve_midpoint, the midpoint
 rule the package convolved with before, is the reference for the lattice
@@ -147,10 +147,11 @@ def dense_partition(theta, bumps):
 
 def oscillation_cover_allpoints(f, K, fam, j, alpha, eps, cover_margin=0.0,
                                 extra_points=None):
-    """The greedy cover with every ball's radius read off every point.
+    """The greedy cover with every ball's radius, and every update of the
+    distances to the nearest centre, read off every point.
 
-    tensorapprox.oscillation_cover searches only the points within reach of
-    each centre; this is the scan it replaced, kept as its reference.
+    tensorapprox.oscillation_cover reads one strip of points per centre for
+    both; this is the scan it replaced, kept as its reference.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -246,19 +247,23 @@ def convolve_per_node(f, moll, quad, betas, points):
     """(len(betas), N, m) stack of d^beta (f * rho_n) over the lattice nodes
     in the mollifier's 1/n box.
 
-    One call of f per live node at the points shifted by it, each node's
-    term added in node order.
+    One call of f per chunk of live nodes, at the points shifted by each node
+    of the chunk (at most 2**16 shifted points, or one node's), and each
+    node's term added in node order. f reads each point on its own, so its
+    values are those of one call per node.
     """
     nodes, coeffs = lattice_coefficients(f, moll, quad, betas)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros((len(betas), len(pts), f.value_dim))
-    for q in range(len(nodes)):
-        if not np.any(coeffs[:, q] != 0.0):
-            continue
-        shifted = f.eval_extended(pts - nodes[q])
-        for bi in range(len(betas)):
-            if coeffs[bi, q] != 0.0:
-                out[bi] += coeffs[bi, q] * shifted
+    live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
+    per_call = max(1, 2**16 // len(pts))
+    for start in range(0, len(live), per_call):
+        chunk = live[start:start + per_call]
+        shifted = f.eval_extended((pts[None] - nodes[chunk, None]).reshape(-1, pts.shape[1]))
+        for q, values in zip(chunk, shifted.reshape(len(chunk), len(pts), -1)):
+            for bi in range(len(betas)):
+                if coeffs[bi, q] != 0.0:
+                    out[bi] += coeffs[bi, q] * values
     return out
 
 

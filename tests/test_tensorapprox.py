@@ -96,18 +96,19 @@ def _waves(domain):
     return SampledFunction(domain=domain, order=0, value_dim=3, evaluator=evaluator)
 
 
-def _step(domain):
-    """0 left of 1.5/64 and 1 from there on: on K = [0, 1] at 65 points the first
-    violator, 2/64, sits exactly at the first search reach, twice the step 1/64."""
+def _step(domain, at=1.5 / 64):
+    """0 left of `at` and 1 from there on: on K = [0, 1] at 65 points the first
+    violator of the ball at 0 is the first grid point past `at`; for the
+    default, 2/64, that is twice the step 1/64."""
     return SampledFunction(domain=domain, order=0, value_dim=1,
-                           evaluator=lambda p: (p[:, 0:1] > 1.5 / 64).astype(float))
+                           evaluator=lambda p: (p[:, 0:1] > at).astype(float))
 
 
 def _step_2d(domain):
     """0 below y = 1.5/64 and 1 from there on: on K = [0, 1]^2 at 65 points per
-    axis the first violator, (0, 2/64), sits exactly at the first search reach,
-    and the extra point (2/64 (1 - 1e-7), 0) just inside it, on the first axis,
-    is the farthest point nearer than the violator."""
+    axis the first violator, (0, 2/64), lies twice the step from the first
+    centre, and the extra point (2/64 (1 - 1e-7), 0) just nearer, on the first
+    axis, is the farthest point nearer than the violator."""
     return SampledFunction(domain=domain, order=0, value_dim=1,
                            evaluator=lambda p: (p[:, 1:2] > 1.5 / 64).astype(float))
 
@@ -146,15 +147,39 @@ COVER_CASES = {
     "violator_on_first_reach_2d": (_step_2d(Region.box([0.0, 0.0], [1.0, 1.0], 65)),
                                    Region.box([0.0, 0.0], [1.0, 1.0], 65), _FAM2, _SUP, 1.0,
                                    0.0, np.array([[2.0 / 64 * (1.0 - 1e-7), 0.0]])),
+    # the first ball reads every point, so its violator 6/64 needs no doubling
+    "violator_beyond_first_reach": (_step(Region.box([0.0], [1.0], 65), at=5.5 / 64),
+                                    Region.box([0.0], [1.0], 65), _FAM1, _SUP, 1.0, 0.0, None),
+    # after the ball at 0, the points 1 and -1 of the two boxes tie at distance
+    # 1: the pick is the lower index, 1, though -1 comes first along the axis
+    "tie": (_linear(_DOM1), Region.from_bounds([[0.0], [-1.0]], [[1.0], [0.0]], 151), _FAM1,
+            _SUP, 0.3, 0.0, None),
 }
 
 
-@pytest.mark.parametrize("case", sorted(COVER_CASES))
-def test_cover_matches_the_all_points_scan(case):
-    f, K, fam, alpha, eps, margin, extra = COVER_CASES[case]
-    got = oscillation_cover(f, K, fam, 1, alpha, eps, cover_margin=margin, extra_points=extra)
-    want = oscillation_cover_allpoints(f, K, fam, 1, alpha, eps, cover_margin=margin,
-                                       extra_points=extra)
+@pytest.fixture(scope="module")
+def om_finite_cover_args():
+    """The (args, kwargs) of the one cover in om_finite_1d's eps 0.1 run."""
+    calls = []
+    cover = tensorapprox.oscillation_cover
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensorapprox, "oscillation_cover",
+                   lambda *a, **k: calls.append((a, k)) or cover(*a, **k))
+        scn, f = load_scenario("om_finite_1d")
+        approximate(f, scn, WeightIndex(1, 1), "sup", 0.1)
+    (args, kwargs), = calls
+    return args, kwargs
+
+
+@pytest.mark.parametrize("case", sorted(COVER_CASES) + ["om_finite_1d"])
+def test_cover_matches_the_all_points_scan(case, request):
+    if case == "om_finite_1d":
+        args, kwargs = request.getfixturevalue("om_finite_cover_args")
+    else:
+        f, K, fam, alpha, eps, margin, extra = COVER_CASES[case]
+        args, kwargs = (f, K, fam, 1, alpha, eps), dict(cover_margin=margin, extra_points=extra)
+    got = oscillation_cover(*args, **kwargs)
+    want = oscillation_cover_allpoints(*args, **kwargs)
     assert np.array_equal(got.centers, want.centers)
     assert np.array_equal(got.radii, want.radii)
     assert np.array_equal(got.values, want.values)
@@ -162,6 +187,7 @@ def test_cover_matches_the_all_points_scan(case):
     assert got.target_osc == want.target_osc
     if case == "no_violation":
         # one ball, reaching one step past the farthest point
+        K = args[1]
         pts = K.grid_points()
         far = np.max(np.linalg.norm(pts - got.centers[0], axis=1))
         assert got.radii.tolist() == [far + np.max(K.spacing())]
@@ -169,6 +195,12 @@ def test_cover_matches_the_all_points_scan(case):
         assert got.radii[0] == 0.5 * (1.0 / 64 + 2.0 / 64)
     elif case == "violator_on_first_reach_2d":
         assert got.radii[0] == 0.5 * (2.0 / 64 * (1.0 - 1e-7) + 2.0 / 64)
+    elif case == "violator_beyond_first_reach":
+        assert got.radii[0] == 0.5 * (5.0 / 64 + 6.0 / 64)
+    elif case == "tie":
+        assert got.centers[:2].tolist() == [[0.0], [1.0]]
+    elif case == "om_finite_1d":
+        assert got.n_centers == 177
     else:
         assert got.n_centers > 2
 
@@ -186,20 +218,10 @@ def test_cover_refusals_match_the_all_points_scan(schwartz_fam, sup_alpha, eps, 
     assert str(got.value) == str(want.value)
 
 
-def test_cover_radius_search_reads_only_nearby_rows(monkeypatch):
+def test_cover_radius_search_reads_only_nearby_rows(monkeypatch, om_finite_cover_args):
     # the om_finite_1d eps 0.1 cover: 177 balls over 1,452 certification
     # points, so a scan of every point per ball reads 177 x 1,452 value rows
-    calls = []
-    cover = tensorapprox.oscillation_cover
-
-    def recorded(*args, **kwargs):
-        calls.append((args, kwargs))
-        return cover(*args, **kwargs)
-
-    monkeypatch.setattr(tensorapprox, "oscillation_cover", recorded)
-    scn, f = load_scenario("om_finite_1d")
-    approximate(f, scn, WeightIndex(1, 1), "sup", 0.1)
-    (args, kwargs), = calls
+    args, kwargs = om_finite_cover_args
     rows = []
     apply = SeminormIndex.apply
 
@@ -208,9 +230,27 @@ def test_cover_radius_search_reads_only_nearby_rows(monkeypatch):
         return apply(self, values)
 
     monkeypatch.setattr(SeminormIndex, "apply", counted)
-    result = cover(*args, **kwargs)
+    result = oscillation_cover(*args, **kwargs)
     n_points = len(args[1].grid_points()) + len(kwargs["extra_points"])
     assert (result.n_centers, n_points) == (177, 1452)
+    assert sum(rows) < 177 * 1452 / 10
+
+
+def test_cover_update_reads_only_nearby_rows(monkeypatch, om_finite_cover_args):
+    # each centre's distances, for its radius and for the update of every
+    # point's distance to the nearest centre, come from one strip of points;
+    # updating every point per centre computes 177 x 1,452 distance rows
+    args, kwargs = om_finite_cover_args
+    rows = []
+    norm = np.linalg.norm
+
+    def counted(x, *a, **k):
+        rows.append(len(np.atleast_2d(x)))
+        return norm(x, *a, **k)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    result = oscillation_cover(*args, **kwargs)
+    assert result.n_centers == 177
     assert sum(rows) < 177 * 1452 / 10
 
 
