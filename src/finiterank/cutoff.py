@@ -116,7 +116,8 @@ class _AxisProfile:
     def kernel(self, k: int, u: np.ndarray) -> np.ndarray:
         """rho^(k)(u) = n^k bump^(k)(n u), unnormalized."""
         # looked up at call time, so a rebinding of mollify.bump_profile sees it
-        return float(self.n ** k) * mollify.bump_profile(self.n * u[:, None], (k,))
+        vals = mollify.bump_profile(self.n * u[:, None], (k,))
+        return float(self.n ** k) * vals if k else vals
 
     def deriv(self, k: int, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -8,6 +8,7 @@ in the package (the tests keep nested central differences as their oracle).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -146,12 +147,15 @@ class SampledFunction:
         return f_multi_ext(self, [tuple(beta)], points)[0]
 
 
-def exp_poly(k: int, a, b) -> np.ndarray:
+@functools.cache
+def exp_poly(k: int, a: tuple, b: tuple) -> np.ndarray:
     """Descending coefficients of p_k in d^k/dx^k exp(h) = p_k(v) exp(h), where
-    dv/dx = a(v) and dh/dx = b(v) are polynomials: p_0 = 1, p_{k+1} = a p_k' + b p_k."""
+    dv/dx = a(v) and dh/dx = b(v) are polynomials: p_0 = 1, p_{k+1} = a p_k' + b p_k.
+    Built once per (k, a, b) and returned as one shared read-only array."""
     p = np.ones(1)
     for _ in range(k):
         p = np.polyadd(np.polymul(a, np.polyder(p)), np.polymul(b, p))
+    p.flags.writeable = False
     return p
 
 

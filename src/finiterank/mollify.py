@@ -4,8 +4,8 @@ The base bump exp(-1/(1-|x|^2)) has every derivative vanishing at |x|=1, so
 composite midpoint and lattice rules converge superalgebraically on it; the
 refinement ladder in QuadratureSpec makes that checkable for the mollifier's
 mass. Derivatives of the bump come from a closed-form recurrence
-(bump_profile) and are evaluated with a flatness cutoff at
-|x|^2 >= 1 - 1e-8 to keep the rational prefactors finite.
+(bump_profile), evaluated over a whole batch in place; the flat rim
+|x|^2 >= 1 - 1e-8 keeps the rational prefactors finite and is zeroed last.
 
 convolve takes the Mollifier itself and integrates over its 1/n box only:
 every derivative of f * rho_n falls on rho_n. Its nodes z_q = q delta lie on
@@ -112,24 +112,28 @@ def bump_profile(points: np.ndarray, beta: Optional[MultiIndex] = None) -> np.nd
     integer polynomials q_0 = 1, q_{k+1} = s^2 (q_k' - q_k); d^beta phi(|u|^2)
     is the sum over 2 gamma <= beta of phi^(|beta| - |gamma|)(|u|^2) times
     prod_i beta_i! / (gamma_i! (beta_i - 2 gamma_i)!) (2 u_i)^(beta_i - 2 gamma_i).
+    The whole batch is evaluated in place, with s = 1 on the flat rim (so no
+    division warns) and the rim zeroed last; the terms are added to 0 in
+    gamma's order. A value takes the same steps whatever else is in the batch.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     beta = (0,) * pts.shape[1] if beta is None else tuple(beta)
-    t = np.sum(pts * pts, axis=1)
-    mask = t < 1.0 - _FLAT_CUTOFF
-    s = 1.0 / (1.0 - t[mask])
-    phi = np.exp(-s)
-    terms = []
+    t = pts[:, 0] * pts[:, 0] if pts.shape[1] == 1 else np.sum(pts * pts, axis=1)
+    flat = ~(t < 1.0 - _FLAT_CUTOFF)  # a NaN point is flat too
+    t[flat] = 0.0
+    s = np.divide(1.0, np.subtract(1.0, t, out=t), out=t)
+    phi = np.negative(s)
+    np.exp(phi, out=phi)
+    out = 0.0
     for gamma in itertools.product(*(range(b // 2 + 1) for b in beta)):
         q = exp_poly(sum(beta) - sum(gamma), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
         term = phi * np.polyval(q, s) if len(q) > 1 else phi
         for i, (b, g) in enumerate(zip(beta, gamma)):
             if b:
                 coeff = math.factorial(b) // (math.factorial(g) * math.factorial(b - 2 * g))
-                term = term * (coeff * (2.0 * pts[mask, i]) ** (b - 2 * g))
-        terms.append(term)
-    out = np.zeros(len(pts))
-    out[mask] = sum(terms)
+                term *= coeff * (2.0 * pts[:, i]) ** (b - 2 * g)
+        out += term  # 0 + term is a new array, so a -0.0 term sums to +0.0
+    out[flat] = 0.0
     return out
 
 

@@ -22,7 +22,10 @@ commutativity_check sets the package's convolution over supp rho_n against
 a per-node sum over supp f, and derivative_transfer_check sets nested central
 differences of f * rho_n against both routes of the derivative transfer.
 evaluate and eval_weight are checked single-point evaluations of a function
-and a weight. sympy_bump and sympy_builtin are the
+and a weight. bump_profile_masked is the bump's closed form as the package
+evaluated it before it worked on the whole batch in place: it gathers the
+points inside the rim and evaluates only those, so it is the bit-for-bit
+reference for the in-place kernel. sympy_bump and sympy_builtin are the
 symbolic forms of the bump's derivatives and of the builtin functions, the
 reference for the package's closed forms. sympy_parse reads the config
 grammar with sympy: sympy_scalar compiles a weight string with it and
@@ -35,6 +38,8 @@ the shared jets, which must give the same bits.
 """
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,9 +48,9 @@ import sympy as sp
 from finiterank.cutoff import (CutoffReport, build_cutoff, cutoff_constant, measure_cbeta,
                                multiply_cutoff)
 from finiterank.errors import DomainError, GeometryError, OrderError, ResolutionError
-from finiterank.funcmodel import FiniteRankFunction, SampledFunction, mi_order
+from finiterank.funcmodel import FiniteRankFunction, SampledFunction, exp_poly, mi_order
 from finiterank.geometry import Box, Region
-from finiterank.mollify import SMOOTH_ORDER, box_nodes, convolve, scan_lattice
+from finiterank.mollify import _FLAT_CUTOFF, SMOOTH_ORDER, box_nodes, convolve, scan_lattice
 from finiterank.seminorms import (difference_seminorm, find_tail_compact, jet_seminorm,
                                   sample_jet, weighted_seminorm)
 from finiterank.tensorapprox import Cover
@@ -466,6 +471,30 @@ class SympyJet:
 
     def eval(self, points):
         return self.deriv((0,) * len(self.xs), points)
+
+
+def bump_profile_masked(points, beta=None):
+    """d^beta exp(-1/(1-|u|^2)) by the recurrence of mollify.bump_profile,
+    evaluated on the gathered points with |u|^2 < 1 - cutoff only; the terms
+    go through sum() and every other point is 0."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    beta = (0,) * pts.shape[1] if beta is None else tuple(beta)
+    t = np.sum(pts * pts, axis=1)
+    mask = t < 1.0 - _FLAT_CUTOFF
+    s = 1.0 / (1.0 - t[mask])
+    phi = np.exp(-s)
+    terms = []
+    for gamma in itertools.product(*(range(b // 2 + 1) for b in beta)):
+        q = exp_poly(sum(beta) - sum(gamma), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+        term = phi * np.polyval(q, s) if len(q) > 1 else phi
+        for i, (b, g) in enumerate(zip(beta, gamma)):
+            if b:
+                coeff = math.factorial(b) // (math.factorial(g) * math.factorial(b - 2 * g))
+                term = term * (coeff * (2.0 * pts[mask, i]) ** (b - 2 * g))
+        terms.append(term)
+    out = np.zeros(len(pts))
+    out[mask] = sum(terms)
+    return out
 
 
 @functools.cache

@@ -6,7 +6,7 @@ from finiterank.cutoff import multiply_cutoff
 from finiterank.errors import DomainError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
-                                  mi_order, multiindex_binom, multiindices,
+                                  exp_poly, mi_order, multiindex_binom, multiindices,
                                   sf_from_expr_function, submultiindices)
 from finiterank.geometry import Region
 from oracles import (bump_function, evaluate, fd_derivative_oracle, fd_step_sweep,
@@ -19,6 +19,15 @@ def test_binom_examples():
     assert multiindex_binom((3, 0), (1, 0)) == 3
     with pytest.raises(OrderError):
         multiindex_binom((1, 0), (2, 0))
+
+
+def test_exp_poly_is_one_read_only_table():
+    # q_2 of the bump's recurrence, built once and shared by every caller
+    q = exp_poly(2, (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+    np.testing.assert_array_equal(q, [1.0, -2.0, 0.0, 0.0, 0.0])
+    assert exp_poly(2, (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)) is q
+    with pytest.raises(ValueError):
+        q[0] = 0.0
 
 
 def test_multiindices_order():

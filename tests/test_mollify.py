@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
 from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from finiterank import mollify
-from oracles import (adaptive_simpson, bump_function, commutativity_check,
+from oracles import (adaptive_simpson, bump_function, bump_profile_masked, commutativity_check,
                      convolve_midpoint, convolve_per_node, derivative_transfer_check,
                      lattice_coefficients, support_estimate, sympy_bump)
 from test_expressions import _run_script
@@ -44,6 +45,36 @@ def test_bump_matches_sympy_oracle(d):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         if sum(beta) == 0:
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bump_profile_matches_the_masked_formula(d, rng):
+    # the in-place batch against the gathered points, bit for bit and sign of
+    # zero for sign of zero, at random points, at signed zeros, one ulp of |u|
+    # either side of the rim |u|^2 = 1 - 1e-8, at 1 and beyond. No
+    # division, overflow or invalid operation may fire; exp(-s) underflows to
+    # 0 just inside the rim, in the masked formula too
+    rim = np.sqrt(1.0 - mollify._FLAT_CUTOFF)
+    radii = np.array([np.nextafter(rim, 0.0), rim, np.nextafter(rim, 2.0)])
+    axes = np.zeros((3 * d, d))
+    axes[np.arange(3 * d), np.repeat(np.arange(d), 3)] = np.tile(radii, d)
+    direction = rng.normal(size=(50, d))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    signed = np.array(list(itertools.product([0.0, -0.0, 0.5, -0.5], repeat=d)))
+    pts = np.concatenate([
+        rng.uniform(-1.2, 1.2, (500, d)), signed, axes, -axes,
+        direction * rng.choice(radii, (50, 1)),
+        direction * np.array([[1.0], [1.5], [7.0], [1.0 + 1e-12], [1.0 - 1e-12]] * 10)])
+    t = np.sum(pts * pts, axis=1)
+    near = np.abs(t - (1.0 - mollify._FLAT_CUTOFF)) <= np.spacing(1.0)
+    assert np.any(near & (t < 1.0 - mollify._FLAT_CUTOFF))
+    assert np.any(near & (t >= 1.0 - mollify._FLAT_CUTOFF))
+    for beta in multiindices(d, 4):
+        want = bump_profile_masked(pts, beta)
+        with np.errstate(all="raise", under="ignore"):
+            got = mollify.bump_profile(pts, beta)
+        assert np.array_equal(got, want), beta
+        assert np.array_equal(np.signbit(got), np.signbit(want)), beta
 
 
 @pytest.mark.parametrize("d", [1, 2])
