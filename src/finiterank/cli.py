@@ -78,7 +78,18 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(rounded(payload), sort_keys=True, indent=2) + "\n")
 
 
+def _out_dir(text: str) -> Path:
+    """--out as a directory, refused before anything runs when it, or the
+    nearest of its ancestors that exists, is not a directory."""
+    out = Path(text)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {text!r}: {str(existing)!r} is not a directory")
+    return out
+
+
 def cmd_check_weights(args) -> int:
+    out = _out_dir(args.out)
     scn, _ = load_scenario(args.scenario, args.grid)
     fam = scn.family
 
@@ -101,7 +112,6 @@ def cmd_check_weights(args) -> int:
                  [[list(b.lo), list(b.hi)] for b in K.boxes]}
         report["ratio"].append(entry)
         ok = ok and K is not None
-    out = Path(args.out)
     _write_json(out / "weights_report.json", report)
     for line in ("directed", "locally_bounded", "bounded_away_from_zero"):
         print(f"{line}: {'pass' if report[line]['passed'] else 'FAIL'}")
@@ -125,9 +135,9 @@ def _weight_index(args, scn, f) -> WeightIndex:
 
 
 def cmd_approximate(args) -> int:
+    out = _out_dir(args.out)
     scn, f = load_scenario(args.scenario, args.grid)
     idx = _weight_index(args, scn, f)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     all_certified = True
     rank_rows = ["eps,rank,N2,total_measured"]

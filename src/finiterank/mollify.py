@@ -15,14 +15,11 @@ finest_points steps per radius), and its coefficients are normalized by the
 lattice mass, which must be 1 up to the quadrature's tol. A batch of points
 is split by the points' offset from the lattice: every scan grid and the
 verifier's refine=2 grid lie on the lattice itself, and a refine=3 grid on
-3^d copies of it (3 offsets per axis when 3 does not divide k_a). A group
-whose padded window holds fewer lattice points than it has (point, node)
-pairs samples f once per lattice point of the window, and each point's sum
+3^d copies of it (3 offsets per axis when 3 does not divide k_a). Each group
+samples f once per lattice point of its padded window, and each point's sum
 is one product of the block of samples its window reads and the
-coefficients; the other points (scattered ones) shift every point by every
-node instead and add the terms in node order. Both read the same nodes and
-coefficients, so a point's value is the same either way up to the order of
-the sum and the rounding of f's arguments.
+coefficients. A scattered point, whose offset no other point shares, is a
+group of its own and reads a window of its own.
 """
 
 from __future__ import annotations
@@ -307,20 +304,17 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         coeffs = np.stack([coeff(tuple(b)) for b in betas])          # (B, Q)
         live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
-        offsets, coeffs = lat.offsets[live], coeffs[:, live]
+        offsets = lat.offsets[live]
         reach = np.max(np.abs(offsets), axis=0)
+        # the live coefficients fill a dense box over [-reach, reach]^d,
+        # node q at flipped position reach - q, so window position k reads
+        # u[J - reach + k]; flattened to (S, B)
+        box = np.zeros(tuple(int(w) for w in 2 * reach + 1) + (len(betas),))
+        box[tuple((reach - offsets).T)] = coeffs[:, live].T
+        C = box.reshape(-1, len(betas))
         out = np.zeros((len(betas), len(pts), m))
-        scattered = []
         for rows, shifted, J in lat.split(pts):
-            # both paths add the same node terms; the lattice sum reads f on
-            # the group's padded window, the shifted sum at every point and node
-            if np.prod(np.ptp(J, axis=0) + 2 * reach + 1) < len(rows) * len(live):
-                out[:, rows] = _lattice_sum(f, shifted, J, offsets, coeffs)
-            else:
-                scattered.append(rows)
-        if scattered:
-            rows = np.sort(np.concatenate(scattered))
-            out[:, rows] = _shifted_sum(f, pts[rows], offsets * lat.delta, coeffs)
+            out[:, rows] = _lattice_sum(f, shifted, J, C, reach)
         return out
 
     conv = SampledFunction(
@@ -336,44 +330,21 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
     return conv
 
 
-def _shifted_sum(f: SampledFunction, pts: np.ndarray, nodes: np.ndarray,
-                 coeffs: np.ndarray) -> np.ndarray:
-    """sum_q coeffs[:, q] f(x - z_q) at points that share no lattice window;
-    f sees the points shifted by a chunk of nodes in one call, and the terms
-    are added one node at a time, in node order."""
-    m = f.value_dim
-    per_chunk = max(1, CHUNK_VALUES // max(len(pts) * m, 1))
-    out = np.zeros((len(coeffs), len(pts), m))
-    term = np.empty(out.shape)
-    for start in range(0, len(nodes), per_chunk):
-        z = nodes[start:start + per_chunk]
-        values = f.eval_extended((pts[None] - z[:, None]).reshape(-1, pts.shape[1]))
-        for q, shifted in enumerate(values.reshape(len(z), len(pts), m), start):
-            np.multiply(coeffs[:, q, None, None], shifted, out=term)
-            out += term
-    return out
-
-
-def _lattice_sum(f: SampledFunction, lat: Lattice, J: np.ndarray, offsets: np.ndarray,
-                 coeffs: np.ndarray) -> np.ndarray:
-    """sum_q coeffs[:, q] u[J - q] at the lattice points x_0 + J delta, u = f
+def _lattice_sum(f: SampledFunction, lat: Lattice, J: np.ndarray, C: np.ndarray,
+                 reach: np.ndarray) -> np.ndarray:
+    """sum_q c_q u[J - q] at the lattice points x_0 + J delta, u = f
     zero-extended, sampled once per window of consecutive points.
 
-    The coefficients fill a dense box over [-reach, reach]^d once, flipped
-    and flattened to (S, B), so the sum at a point is one product: the
-    (m, S) block of u that its sliding window reads times that box. Evenly
-    spaced 1D rows read their blocks as one strided view of u; other rows
-    gather them, at most WINDOW_VALUES values at a time.
+    C is the coefficient box over [-reach, reach]^d, flipped and flattened to
+    (S, B), so the sum at a point is one product: the (m, S) block of u that
+    its sliding window reads times C. Evenly spaced 1D rows read their blocks
+    as one strided view of u; other rows gather them, at most WINDOW_VALUES
+    values at a time.
     """
     d, m = J.shape[1], f.value_dim
-    reach = np.max(np.abs(offsets), axis=0)
     width = tuple(int(w) for w in 2 * reach + 1)
-    # node q at flipped position reach - q, so window position k reads u[J - reach + k]
-    box = np.zeros(width + (len(coeffs),))
-    box[tuple((reach - offsets).T)] = coeffs.T
-    C = box.reshape(-1, len(coeffs))                                    # (S, B)
     per_gather = max(1, WINDOW_VALUES // (max(m, 1) * len(C)))
-    out = np.empty((len(J), m, len(coeffs)))
+    out = np.empty((len(J), m, C.shape[1]))
     for g in _windows(J, reach, m):
         first = np.min(J[g], axis=0)
         shape = tuple(int(s) for s in np.max(J[g], axis=0) - first + 2 * reach + 1)

@@ -190,10 +190,15 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
 
 def load_scenario(source: str | Path, grid_override: Optional[int] = None
                   ) -> tuple[Scenario, SampledFunction]:
-    """Load from a file path or a registry name."""
+    """Load from a config file path or a registry name; anything else at
+    that path (a directory, say) is not a config file."""
     path = Path(source)
-    if path.exists():
-        cfg = json.loads(path.read_text())
+    if path.is_file():
+        try:
+            cfg = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            # unreadable, not UTF-8, or not JSON
+            raise ConfigError(f"cannot read scenario file {str(source)!r}: {exc}") from exc
     elif str(source) in REGISTRY:
         text = resources.files("finiterank").joinpath(f"configs/{source}.json").read_text()
         cfg = json.loads(text)

@@ -7,8 +7,9 @@ providers. The dense partition formulas are the all-pairs reference for
 the package's sparse bump evaluation, and oscillation_cover_allpoints,
 which reads every ball's radius and update off every certification point,
 is the reference for the cover's windowed search. The per-node
-convolution loop over the lattice nodes is the reference for both of the package's paths (the
-lattice sum and the shifted-node sum), and convolve_midpoint, the midpoint
+convolution loop over the lattice nodes is the reference for the package's
+lattice sum, on the lattice, on its shifted copies and at scattered points
+(each of which reads a window of its own), and convolve_midpoint, the midpoint
 rule the package convolved with before, is the reference for the lattice
 rule's accuracy. The package measures differences
 as one sampled jet minus another; difference_function builds f - g as one

@@ -95,6 +95,53 @@ def test_usage_error_exit_code(tmp_path):
     assert run(["convergence", "--scenario", "schwartz_1d"]) == 2
 
 
+def test_registry_name_shadowed_by_a_directory(tmp_path, monkeypatch):
+    # a first --out schwartz_1d makes a directory of that name; the second
+    # run used to read it as the config file and crash with exit 1
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert run(["check-weights", "--scenario", "schwartz_1d", "--out", "schwartz_1d"]) == 0
+    assert (tmp_path / "schwartz_1d" / "weights_report.json").read_bytes() == (
+        FIXTURES / "weights_report_schwartz.json").read_bytes()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "Expecting value"),
+    (b'{"name": "x",', "Expecting property name"),
+    (b"\xff\xfe{}", "can't decode"),
+    (None, "neither a file nor a registry name"),
+], ids=["empty", "truncated", "not_utf8", "directory"])
+def test_unreadable_scenario_is_a_config_error(tmp_path, capsys, content, message):
+    # each used to crash with a traceback and exit 1, read as "uncertified"
+    path = tmp_path / "scenario.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    for command in ("check-weights", "approximate"):
+        assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check-weights", "approximate"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command, out):
+    # --out naming a file used to crash with FileExistsError and exit 1; it is
+    # refused before the scenario loads, and nothing is written
+    def refuse(*args, **kwargs):
+        raise AssertionError("scenario loaded")
+
+    monkeypatch.setattr(cli, "load_scenario", refuse)
+    (tmp_path / "taken").write_text("kept\n")
+    assert run([command, "--scenario", "schwartz_1d", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("args", [
     ["check-weights", "--scenario", "schwartz_1d", "--eps", "0.1"]])
 def test_subcommand_refuses_flags_it_does_not_read(tmp_path, args):
@@ -319,6 +366,18 @@ def test_approximate_certified_and_deterministic(tmp_path):
                             / "verify_schwartz_j1_l1_eps0p2.json").read_bytes()
     verify = json.loads(verify_bytes)
     assert verify["domination_ok"] and verify["budget_ok"]
+
+
+def test_approximate_refine3_pinned(tmp_path):
+    # the refine=3 verification grid lies off the scan lattice, on shifted
+    # copies of it; the ledger is refine's to leave alone
+    code = run(["approximate", "--scenario", "schwartz_1d", "--eps", "0.2", "--j", "1",
+                "--l", "1", "--refine", "3", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "ledger_0p2.json").read_bytes() == (
+        FIXTURES / "ledger_schwartz_j1_l1_eps0p2.json").read_bytes()
+    assert (tmp_path / "verify_0p2.json").read_bytes() == (
+        FIXTURES / "verify_schwartz_j1_l1_eps0p2_refine3.json").read_bytes()
 
 
 def test_approximate_om_finite_pinned(tmp_path):

@@ -181,17 +181,17 @@ def test_commutativity(pair, domain_1d):
 @pytest.mark.parametrize("n_points", [7, 250, 1201, 2100])
 def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch):
     # n points of the refined grid lie on the lattice and n points of the
-    # grid refined 3 times lie on shifted copies of it; where they are dense
-    # they take the lattice sum, one product per point of its window of u and
-    # the coefficients, which matches the per-node loop over the lattice nodes
+    # grid refined 3 times lie on shifted copies of it; each group takes the
+    # lattice sum, one product per point of its window of u and the
+    # coefficients, which matches the per-node loop over the lattice nodes
     # up to the order in which it sums and the rounding of f's arguments. n
-    # random points share no window and take the shifted-node sum, which adds
-    # the same products in the same order as the loop. piecewise_1d reads
-    # derivatives to order 3 (the centre node's odd coefficients are exactly
-    # 0) through windows small enough that every lattice batch is cut into
-    # several. A 2D window gathers its points' blocks of u in chunks of at
-    # most WINDOW_VALUES values: several per window in rho_2d, and one per
-    # one-point window in rho_2d_small_windows
+    # random points share no offset, so each is a group of its own and reads
+    # a window of its own. piecewise_1d reads derivatives to order 3 (the
+    # centre node's odd coefficients are exactly 0) through windows small
+    # enough that every lattice batch is cut into several. A 2D window
+    # gathers its points' blocks of u in chunks of at most WINDOW_VALUES
+    # values: several per window in rho_2d, and one per one-point window in
+    # rho_2d_small_windows
     d = 2 if case.startswith("rho_2d") else 1
     q = QuadratureSpec(points_per_axis=16, refinement_levels=1, tol=1e-5)
     if case == "piecewise_1d":
@@ -220,17 +220,20 @@ def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch
     monkeypatch.setattr(mollify, "_sample_window",
                         lambda *a: windows.append(a[3]) or sample(*a))
     conv = convolve(f, moll, q)
-    for pts in (on, shifted):
+
+    def assert_matches_loop(pts):
         got = conv.deriv_multi(betas, pts)
         want = convolve_per_node(f, moll, q, betas, pts)
         for bi in range(len(betas)):
             assert np.max(np.abs(got[bi] - want[bi])) <= 1e-13 * np.max(np.abs(want[bi]))
+
+    for pts in (on, shifted):
+        assert_matches_loop(pts)
     if n_points >= 250:
         assert len(windows) > (0 if case in ("rho_1d", "rho_2d") else 1)
     windows.clear()
-    assert np.array_equal(conv.deriv_multi(betas, off),
-                          convolve_per_node(f, moll, q, betas, off))
-    assert not windows
+    assert_matches_loop(off)
+    assert len(windows) == n_points
     nodes, coeffs = lattice_coefficients(f, moll, q, betas)
     live = np.count_nonzero(np.any(coeffs != 0.0, axis=0))
     if d == 2:
@@ -241,7 +244,7 @@ def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch
 
 def test_lattice_scan_samples_f_once_per_lattice_point():
     # one scan of schwartz_1d's grid reads f on the padded lattice, (N - 1) k + Q
-    # points, where the shifted-node sum reads N Q
+    # points, not one per (point, node) pair, N Q
     scn, f = load_scenario("schwartz_1d")
     moll = build_mollifier(1, 2, scn.quad)
     calls = []

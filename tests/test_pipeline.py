@@ -489,6 +489,29 @@ def test_verify_off_the_lattice_certifies(counted_runs, schwartz_scn):
     assert report.certified, report.failed_checks
 
 
+@pytest.mark.parametrize("name, eps", [("schwartz_1d", 0.2), ("om_finite_1d", 0.1)])
+def test_every_convolved_batch_is_one_lattice_group(name, eps, monkeypatch):
+    # every scan grid and the refine=2 verification grid lie on the scan
+    # lattice itself, so each batch a convolution sums is one group with the
+    # lattice's own origin; scattered points, a group each, are no workload
+    scn, f = load_scenario(name)
+    split = mollify.Lattice.split
+    calls = []
+
+    def recorded(self, pts):
+        groups = list(split(self, pts))
+        calls.append((self.origin, [lattice.origin for _, lattice, _ in groups]))
+        yield from groups
+
+    monkeypatch.setattr(mollify.Lattice, "split", recorded)
+    result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", eps)
+    verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup", refine=2)
+    assert calls
+    for origin, (group_origin, *others) in calls:
+        assert not others
+        assert np.array_equal(group_origin, origin)
+
+
 def _smoothing_values(name, eps, quad_points=None):
     """(stage3_measured, total_measured) of the reference operation, with the
     midpoint oracle in place of convolve at quad_points nodes when given."""
