@@ -48,6 +48,8 @@ def _eps_list(text: str) -> list[float]:
     bad = [eps for eps in eps_list if not (0 < eps < math.inf)]
     if bad:
         raise argparse.ArgumentTypeError(f"every tolerance must be finite and > 0, got {bad}")
+    if len({f"{eps:g}" for eps in eps_list}) < len(eps_list):
+        raise argparse.ArgumentTypeError(f"two tolerances share an output tag (eps:g): {text}")
     return eps_list
 
 

@@ -289,20 +289,13 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
     nodes = lat.nodes
     m = f.value_dim
     cell = float(np.prod(lat.delta))
-    raw = cell * moll.deriv((0,) * f.d, nodes)
-    mass = float(np.sum(raw))
+    mass = float(np.sum(cell * moll.deriv((0,) * f.d, nodes)))
     if abs(mass - 1.0) >= quad.tol:
         raise QuadratureError(f"lattice mass check failed: {mass}")
-    by_beta = {(0,) * f.d: raw / mass}
-
-    def coeff(beta):
-        if beta not in by_beta:
-            by_beta[beta] = cell * moll.deriv(beta, nodes) / mass
-        return by_beta[beta]
 
     def deriv_multi(betas, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        coeffs = np.stack([coeff(tuple(b)) for b in betas])          # (B, Q)
+        coeffs = np.stack([cell * moll.deriv(b, nodes) / mass for b in betas])  # (B, Q)
         live = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
         offsets = lat.offsets[live]
         reach = np.max(np.abs(offsets), axis=0)
@@ -419,18 +412,21 @@ class RegularizationHistory:
     """
 
     def __init__(self, f: SampledFunction, jet: np.ndarray, fam: WeightFamily,
-                 idx: WeightIndex, alpha: SeminormIndex):
+                 idx: WeightIndex, alpha: SeminormIndex, quad: QuadratureSpec):
         self.f, self.f_jet, self.fam, self.idx, self.alpha = f, jet, fam, idx, alpha
+        self.quad = quad
         self.pts = f.domain.grid_points()
         self.scales: dict[int, Smoothing] = {}
 
-    def measure(self, n: int, smoothed: SampledFunction) -> float:
-        """Record smoothed = f * rho_n; returns |f - f * rho_n|."""
-        jet = sample_jet(smoothed, self.idx, self.pts)
-        err = jet_difference(self.f, self.f_jet, smoothed, jet, self.pts,
-                             self.fam, self.idx, self.alpha)
-        self.scales[n] = Smoothing(jet, smoothed.support, err.value)
-        return err.value
+    def error(self, n: int) -> float:
+        """|f - f * rho_n|, regularizing and measuring on the first ask for n."""
+        if n not in self.scales:
+            smoothed = regularize(self.f, n, self.quad)
+            jet = sample_jet(smoothed, self.idx, self.pts)
+            err = jet_difference(self.f, self.f_jet, smoothed, jet, self.pts,
+                                 self.fam, self.idx, self.alpha)
+            self.scales[n] = Smoothing(jet, smoothed.support, err.value)
+        return self.scales[n].error
 
 
 def find_regularization_order(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
@@ -442,10 +438,10 @@ def find_regularization_order(f: SampledFunction, fam: WeightFamily, idx: Weight
     grid_jet)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    history = RegularizationHistory(f, grid_jet(f, idx, jet)[1], fam, idx, alpha)
+    history = RegularizationHistory(f, grid_jet(f, idx, jet)[1], fam, idx, alpha, quad)
     n = 2
     while n <= n_max:
-        if history.measure(n, regularize(f, n, quad)) < eps:
+        if history.error(n) < eps:
             return n, history
         n *= 2
     raise ConvergenceError(

@@ -34,9 +34,10 @@ from .cutoff import apply_cutoff
 from .errors import ConfigError, FiniteRankError, GeometryError
 from .funcmodel import FiniteRankFunction, SampledFunction, SeminormIndex, multiindices
 from .geometry import Region
-from .mollify import (QuadratureSpec, build_mollifier, convolve,
+# regularize and weighted_seminorm stay bound for perfbench/trace_layers.py,
+# which rebinds them
+from .mollify import (QuadratureSpec, build_mollifier, convolve,  # noqa: F401
                       find_regularization_order, regularize)
-# weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
 from .seminorms import (difference_seminorm, jet_difference, jet_seminorm,  # noqa: F401
                         sample_jet, weighted_seminorm)
 from .tensorapprox import finite_rank_c0_approx
@@ -203,17 +204,12 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     V = K1.inflate(scn.domain.spacing())
     N1 = _domain_fit_scale(V, scn.omega_region(), scn.n_max)
     # |f_tilde - f_tilde * rho_n| is already measured for every n the search
-    # tried; scan only the scales it did not reach
-    def stage2_error(n: int) -> float:
-        if n not in history.scales:
-            history.measure(n, regularize(f_tilde, n, quad))
-        return history.scales[n].error
-
+    # tried; the history scans only the scales it did not reach
     N2 = max(N0, N1)
-    while stage2_error(N2) >= eps / 3.0 and N2 * 2 <= scn.n_max:
+    while history.error(N2) >= eps / 3.0 and N2 * 2 <= scn.n_max:
         N2 *= 2
     ledger.N0, ledger.N1, ledger.N2 = N0, N1, N2
-    ledger.stage2_measured = stage2_error(N2)
+    ledger.stage2_measured = history.error(N2)
     K2 = V.inflate(1.0 / N2)
 
     # stage 3 constants

@@ -191,10 +191,12 @@ def test_rejects_non_string_expression(tmp_path, capsys, changes):
     assert "must be a string" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["-0.1", "abc", ",", "inf", "nan", "0"])
+@pytest.mark.parametrize("eps", ["-0.1", "abc", ",", "inf", "nan", "0",
+                                 "0.1,0.1000001", "0.2,0.2"])
 def test_approximate_rejects_bad_eps(tmp_path, eps):
     # each used to crash with exit 1 ("uncertified"), exit 4, or exit 0
-    # with nothing written or an infinite tolerance "certified"
+    # with nothing written or an infinite tolerance "certified"; the last
+    # two wrote one ledger file twice, the second run over the first
     code = run(["approximate", "--scenario", "schwartz_1d", f"--eps={eps}",
                 "--j", "1", "--l", "1", "--out", str(tmp_path)])
     assert code == 2

@@ -79,8 +79,8 @@ def test_profile_plateau_skips_quadrature(rng, monkeypatch):
 
 
 def test_profile_value_depends_on_the_point_only(rng):
-    # every batch goes to a fresh profile, so no value comes from the ramp
-    # table a larger batch filled
+    # every batch goes to a fresh profile, so the check holds whatever a
+    # profile might keep between calls
     t = rng.uniform(-1.8, 1.8, 2000)
     whole = _AxisProfile(-1.0, 1.0, 1.0, 4).deriv(0, t)
     for idx in (rng.choice(len(t), 333, replace=False), np.arange(1, len(t), 7),
@@ -108,18 +108,10 @@ def _count_kernel_points(monkeypatch):
     return seen
 
 
-def test_profile_repeats_read_the_ramp_table(rng, monkeypatch):
-    prof = _profile()
-    t = rng.uniform(-1.8, 1.8, 500)
-    first = prof.deriv(0, t)
-    seen = _count_kernel_points(monkeypatch)
-    again = prof.deriv(0, t[::-1])
-    assert seen == []
-    assert np.array_equal(again, first[::-1])
-    assert np.array_equal(first, _full_window_profile(prof, t))
-
-
 def test_profile_quadrature_once_per_new_distinct_point(rng, monkeypatch):
+    # a profile keeps nothing between calls: after a call on old, a call on
+    # old and new runs the quadrature once per distinct point of its own, in
+    # blocks of 128 rows
     prof = _profile()
     old = rng.uniform(1.25, 1.75, 150)           # right ramp
     new = rng.uniform(-1.75, -1.25, 150)         # left ramp
@@ -127,11 +119,32 @@ def test_profile_quadrature_once_per_new_distinct_point(rng, monkeypatch):
     seen = _count_kernel_points(monkeypatch)
     t = rng.permutation(np.concatenate([old, new, new[:40], old[:30], new[:5]]))
     vals = prof.deriv(0, t)
-    assert sum(seen) == 128 * 150
+    assert seen == [128 * 128, 128 * 128, 128 * 44]
     assert np.array_equal(vals, _full_window_profile(prof, t))
 
 
-def test_profiles_keep_their_own_ramp_tables(rng):
+def test_union_quadrature_once_per_distinct_coordinate_per_call(monkeypatch):
+    # on a tensor grid each coordinate repeats along the other axis; every
+    # axis profile of both boxes runs the quadrature once per distinct ramp
+    # coordinate of a call, and the next call runs the same count again
+    delta = 0.5
+    K = fr.Region.from_bounds([[-1.0, -1.0], [0.5, 0.25]], [[0.0, 0.0], [1.0, 1.0]], 41)
+    psi = build_cutoff(K, delta)
+    r = 1.0 / np.ceil(4.0 / delta)
+    xs = np.linspace(-2.0, 2.0, 81)
+    pts = np.stack([a.ravel() for a in np.meshgrid(xs, xs, indexing="ij")], axis=1)
+    ramps = sum(np.count_nonzero((np.abs(xs - (lo - 0.5 * delta)) < r)
+                                 | (np.abs(xs - (hi + 0.5 * delta)) < r))
+                for box in K.boxes for lo, hi in zip(box.lo, box.hi))
+    seen = _count_kernel_points(monkeypatch)
+    first = psi.eval(pts)
+    assert ramps > 0 and sum(seen) == 128 * ramps
+    seen.clear()
+    assert np.array_equal(psi.eval(pts), first)
+    assert sum(seen) == 128 * ramps
+
+
+def test_profiles_read_their_own_windows(rng):
     t = rng.uniform(1.25, 1.65, 200)             # on the right ramp of both
     shifted = _profile(hi=1.1)
     values = _profile().deriv(0, t)

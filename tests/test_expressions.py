@@ -193,7 +193,7 @@ def _run_script(script, **env_vars):
 def test_compiling_loads_no_numpy_test_tools():
     # the package uses the numpy module object, which needs none of
     # numpy.f2py, numpy.testing or numpy.ma; np.unique imports numpy.ma,
-    # which the cut-off's ramp table avoids
+    # which the cut-off's ramp dedupe avoids
     script = """
 import sys
 from finiterank.pipeline import approximate, verify_ledger

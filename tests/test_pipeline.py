@@ -108,8 +108,9 @@ def test_factor_map_times_values_is_the_sum(name, eps):
 
 
 def _counted_run(f, scn, eps):
-    """approximate with counts of its convolve and regularize calls and the
-    stage-2 search history it was handed."""
+    """approximate with counts of its convolve and regularize calls, the
+    scales and errors the stage-2 search measured, and the scales its history
+    holds at the end."""
     calls = {"convolve": 0, "regularize": 0}
     searches = []
     search = pipeline.find_regularization_order
@@ -123,16 +124,16 @@ def _counted_run(f, scn, eps):
     def recorded_search(*args, **kwargs):
         # the scales the search itself measured, before approximate adds any
         n, history = search(*args, **kwargs)
-        searches.append((n, [(k, s.error) for k, s in history.scales.items()]))
+        searches.append(([(k, s.error) for k, s in history.scales.items()], history))
         return n, history
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "convolve", counted("convolve", convolve))
-        mp.setattr(pipeline, "regularize", counted("regularize", regularize))
+        mp.setattr(mollify, "regularize", counted("regularize", regularize))
         mp.setattr(pipeline, "find_regularization_order", recorded_search)
         result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", eps)
-    (_, history), = searches
-    return result, ledger, calls, history
+    (searched, history), = searches
+    return result, ledger, calls, (searched, list(history.scales))
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +151,11 @@ def test_smoothing_convolutions_independent_of_rank(counted_runs):
 
 
 def test_stage2_reuses_search_history(counted_runs):
-    _, ledger, calls, history = counted_runs[0.1]
-    assert ledger.N0 == ledger.N2 == history[-1][0]
-    assert calls["regularize"] == 0
-    assert ledger.stage2_measured == history[-1][1]
+    _, ledger, calls, (searched, held) = counted_runs[0.1]
+    assert ledger.N0 == ledger.N2 == searched[-1][0]
+    assert held == [n for n, _ in searched]
+    assert calls["regularize"] == len(held)
+    assert ledger.stage2_measured == searched[-1][1]
 
 
 def test_each_mollifier_built_once_per_operation(schwartz_scn, monkeypatch):
@@ -183,12 +185,13 @@ def test_stage2_scans_scales_beyond_history(schwartz_scn):
     idx, eps = WeightIndex(1, 1), 0.1
     V = _cut_off(f, scn, idx, eps).support.inflate(scn.domain.spacing())
     tight = replace(scn, omega=V.inflate(0.3))
-    _, ledger, calls, history = _counted_run(f, tight, eps)
+    _, ledger, calls, (searched, held) = _counted_run(f, tight, eps)
     assert ledger.N1 == 4 > ledger.N0
     assert ledger.N2 in (max(ledger.N0, ledger.N1) * 2 ** k for k in range(6))
-    tried = dict(history)
+    tried = dict(searched)
     fresh = [n for n in (4, 8, 16, 32, 64) if n <= ledger.N2 and n not in tried]
-    assert calls["regularize"] == len(fresh) > 0
+    assert held == [*tried, *fresh] and fresh
+    assert calls["regularize"] == len(held)
     f_tilde = _cut_off(f, tight, idx, eps)
     smoothed = regularize(f_tilde, ledger.N2, scn.quad)
     direct = difference_seminorm(f_tilde, smoothed, scn.family, idx, scn.seminorm("sup"))
