@@ -13,13 +13,17 @@ the lattice x_0 + delta Z^d that refines the grid of f's domain k_a times per
 axis (lattice_steps: even, at least 2^(refinement_levels+1) and at least
 finest_points steps per radius), and its coefficients are normalized by the
 lattice mass, which must be 1 up to the quadrature's tol. A batch of points
-is split by the points' offset from the lattice: every scan grid and the
-verifier's refine=2 grid lie on the lattice itself, and a refine=3 grid on
-3^d copies of it (3 offsets per axis when 3 does not divide k_a). Each group
-samples f once per lattice point of its padded window, and each point's sum
-is one product of the block of samples its window reads and the
-coefficients. A scattered point, whose offset no other point shares, is a
-group of its own and reads a window of its own.
+is split by the points' offset from the lattice, grouped by one stable
+lexsort of the offset keys: every scan grid and the verifier's refine=2 grid
+lie on the lattice itself, and a refine=3 grid on 3^d copies of it (3
+offsets per axis when 3 does not divide k_a). Each group samples f once per
+lattice point of its padded window, and each point's sum is one product of
+the block of samples its window reads and the coefficients. A scattered
+point, whose offset no other point shares, is a group of its own and reads a
+window of its own. A convolution keeps the samples of the last window it
+read, read-only, keyed by the group's lattice origin, the window's corner and
+its shape; a miss replaces them. So the verifier's refine=2 scan of
+g * rho_N reads the window of g that the ledger's scan sampled.
 """
 
 from __future__ import annotations
@@ -256,9 +260,11 @@ class Lattice:
         t = (pts - self.origin) / self.delta
         frac = t - np.rint(t)
         key = np.rint(frac / _OFFSET_QUANTUM).astype(np.int64)
-        _, group = np.unique(key, axis=0, return_inverse=True)
-        order = np.argsort(group.ravel(), kind="stable")
-        for rows in np.split(order, np.flatnonzero(np.diff(group.ravel()[order])) + 1):
+        # one stable sort of the keys, first coordinate first; a group is a
+        # run of equal keys, its rows in batch order
+        order = np.lexsort(key.T[::-1])
+        cuts = np.flatnonzero(np.any(np.diff(key[order], axis=0) != 0, axis=1)) + 1
+        for rows in np.split(order, cuts):
             shift = np.where(key[rows[0]] == 0, 0.0, np.mean(frac[rows], axis=0))
             J = np.rint(t[rows] - shift).astype(np.int64)
             yield rows, replace(self, origin=self.origin + shift * self.delta), J
@@ -293,6 +299,18 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
     if abs(mass - 1.0) >= quad.tol:
         raise QuadratureError(f"lattice mass check failed: {mass}")
 
+    # the last window read, read-only, keyed by its lattice, corner and shape:
+    # the verifier's refine=2 scan reads the window the ledger's scan read
+    held = {}
+
+    def window(shifted: Lattice, lo: np.ndarray, shape: tuple) -> np.ndarray:
+        key = (shifted.origin.tobytes(), lo.tobytes(), shape)
+        if key not in held:
+            held.clear()
+            held[key] = _sample_window(f, shifted, lo, shape)
+            held[key].flags.writeable = False
+        return held[key]
+
     def deriv_multi(betas, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         coeffs = np.stack([cell * moll.deriv(b, nodes) / mass for b in betas])  # (B, Q)
@@ -307,7 +325,7 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
         C = box.reshape(-1, len(betas))
         out = np.zeros((len(betas), len(pts), m))
         for rows, shifted, J in lat.split(pts):
-            out[:, rows] = _lattice_sum(f, shifted, J, C, reach)
+            out[:, rows] = _lattice_sum(window, m, shifted, J, C, reach)
         return out
 
     conv = SampledFunction(
@@ -323,10 +341,11 @@ def convolve(f: SampledFunction, moll: Mollifier, quad: QuadratureSpec) -> Sampl
     return conv
 
 
-def _lattice_sum(f: SampledFunction, lat: Lattice, J: np.ndarray, C: np.ndarray,
+def _lattice_sum(window, m: int, lat: Lattice, J: np.ndarray, C: np.ndarray,
                  reach: np.ndarray) -> np.ndarray:
     """sum_q c_q u[J - q] at the lattice points x_0 + J delta, u = f
-    zero-extended, sampled once per window of consecutive points.
+    zero-extended with m coordinates, read once per window of consecutive
+    points: window(lat, lo, shape) is u at the lattice points lo + [0, shape).
 
     C is the coefficient box over [-reach, reach]^d, flipped and flattened to
     (S, B), so the sum at a point is one product: the (m, S) block of u that
@@ -334,14 +353,14 @@ def _lattice_sum(f: SampledFunction, lat: Lattice, J: np.ndarray, C: np.ndarray,
     as one strided view of u; other rows gather them, at most WINDOW_VALUES
     values at a time.
     """
-    d, m = J.shape[1], f.value_dim
+    d = J.shape[1]
     width = tuple(int(w) for w in 2 * reach + 1)
     per_gather = max(1, WINDOW_VALUES // (max(m, 1) * len(C)))
     out = np.empty((len(J), m, C.shape[1]))
     for g in _windows(J, reach, m):
         first = np.min(J[g], axis=0)
         shape = tuple(int(s) for s in np.max(J[g], axis=0) - first + 2 * reach + 1)
-        u = _sample_window(f, lat, first - reach, shape)
+        u = window(lat, first - reach, shape)
         # W[T] is the (m, *width) block of u that the window of point first + T reads
         W = np.lib.stride_tricks.sliding_window_view(u, width, axis=tuple(range(d)))
         T, sums = J[g] - first, out[g]
@@ -371,14 +390,20 @@ def _windows(J: np.ndarray, reach: np.ndarray, m: int):
 def _sample_window(f: SampledFunction, lat: Lattice, lo: np.ndarray,
                    shape: tuple) -> np.ndarray:
     """u = f zero-extended at the lattice points lo + [0, shape), as a
-    (*shape, m) array; f returns at most CHUNK_VALUES values per call."""
+    (*shape, m) array; f returns at most CHUNK_VALUES values per call. A
+    call's coordinates come one axis at a time from a divmod of its row-major
+    positions, column-major, so each axis that f and its support read is
+    contiguous."""
     size, m = math.prod(shape), f.value_dim
     u = np.empty((size, m))
     per_call = max(1, CHUNK_VALUES // max(m, 1))
     for start in range(0, size, per_call):
-        idx = np.arange(start, min(start + per_call, size))
-        J = lo + np.stack(np.unravel_index(idx, shape), axis=1)
-        u[idx] = f.eval_extended(lat.origin + J * lat.delta)
+        flat = np.arange(start, min(start + per_call, size))
+        x = np.empty((len(shape), len(flat))).T
+        for a in reversed(range(len(shape))):
+            flat, q = np.divmod(flat, shape[a])
+            x[:, a] = lat.origin[a] + (lo[a] + q) * lat.delta[a]
+        u[start:start + len(x)] = f.eval_extended(x)
     return u.reshape(shape + (m,))
 
 

@@ -38,6 +38,11 @@ from .seminorms import (SeminormValue, find_tail_compact, grid_jet,  # noqa: F40
                         jet_difference, jet_seminorm, sample_jet, weighted_seminorm)
 from .weights import WeightFamily, WeightIndex
 
+# The most points the cover-defect audit checks at once. The audit's grid
+# refines K's 3 times per axis, and its candidate bump pairs for one block,
+# not for the whole grid, set the memory of a 2D partition.
+AUDIT_POINTS = 8192
+
 
 @dataclass
 class Cover:
@@ -228,18 +233,21 @@ def build_partition(cover: Cover, K: Region,
     theta = build_cutoff(K, (2.0 / 3.0) * float(np.min(K.spacing())))
     basis = PartitionBasis(cover, theta)
 
-    # cover-defect audit: sum of bumps must be positive on all of supp theta
+    # cover-defect audit: sum of bumps must be positive on all of supp theta,
+    # AUDIT_POINTS points at a time; the witness is the first bad point
     check = theta.support.with_resolution(
         tuple(3 * (n - 1) + 1 for n in K.points_per_axis))
     pts = check.grid_points()
-    theta_vals = theta.eval_extended(pts)[:, 0]
-    _, cols, bumps = _bump_matrix(pts, cover.centers, cover.radii)
-    total = _point_sums(cols, bumps, len(pts))
-    bad = (theta_vals > 1e-300) & (total <= 0.0)
-    if np.any(bad):
-        witness = pts[int(np.argmax(bad))]
-        raise CoverDefectError(
-            f"bump sum vanishes inside the cut-off support at {witness}")
+    for start in range(0, len(pts), AUDIT_POINTS):
+        block = pts[start:start + AUDIT_POINTS]
+        theta_vals = theta.eval_extended(block)[:, 0]
+        _, cols, bumps = _bump_matrix(block, cover.centers, cover.radii)
+        total = _point_sums(cols, bumps, len(block))
+        bad = (theta_vals > 1e-300) & (total <= 0.0)
+        if np.any(bad):
+            witness = block[int(np.argmax(bad))]
+            raise CoverDefectError(
+                f"bump sum vanishes inside the cut-off support at {witness}")
 
     # no derivative is implemented, so the map declares order 0; its
     # mollified copy takes the mollifier's order
@@ -289,8 +297,8 @@ def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
     K = find_tail_compact(f, fam, idx, alpha, eps, delta=step, jet=jet)
     if K.is_empty or K.volume() == 0.0:
         full = jet_seminorm(jet, pts, [f.support], fam, idx, alpha, f.name)
-        if K.is_empty or full.value == 0.0:
-            # no tail above eps, or nothing at all: g = 0 leaves the whole seminorm
+        if K.is_empty or full.value < eps:
+            # no point reaches eps: g = 0 leaves the whole seminorm, below eps
             zero = FiniteRankFunction(sf_zero(f.domain, 0, order=0),
                                       np.zeros((0, f.value_dim)),
                                       sf_zero(f.domain, f.value_dim, order=0))

@@ -11,9 +11,12 @@ convolution loop over the lattice nodes is the reference for the package's
 lattice sum, on the lattice, on its shifted copies and at scattered points
 (each of which reads a window of its own), and convolve_midpoint, the midpoint
 rule the package convolved with before, is the reference for the lattice
-rule's accuracy. The package measures differences
-as one sampled jet minus another; difference_function builds f - g as one
-function instead, for the tests that need to convolve it; bump_function
+rule's accuracy. split_by_unique groups a batch by its offset from the
+lattice with np.unique, as the package did before it grouped by one lexsort:
+the reference for Lattice.split's groups, rows, shifted origins and J. The
+package measures differences as one sampled jet minus another;
+difference_function builds f - g as one function instead, for the tests
+that need to convolve it; bump_function
 is rho_n as a function, for the tests that use it as the f of a
 convolution or a cut-off. scaled_result
 swaps a result's sum for k f, a wrong answer for the verdict tests.
@@ -51,7 +54,8 @@ from finiterank.cutoff import (CutoffReport, build_cutoff, cutoff_constant, meas
 from finiterank.errors import DomainError, GeometryError, OrderError, ResolutionError
 from finiterank.funcmodel import FiniteRankFunction, SampledFunction, exp_poly, mi_order
 from finiterank.geometry import Box, Region
-from finiterank.mollify import _FLAT_CUTOFF, SMOOTH_ORDER, box_nodes, convolve, scan_lattice
+from finiterank.mollify import (_FLAT_CUTOFF, _OFFSET_QUANTUM, SMOOTH_ORDER, box_nodes,
+                                convolve, scan_lattice)
 from finiterank.seminorms import (difference_seminorm, find_tail_compact, jet_seminorm,
                                   sample_jet, weighted_seminorm)
 from finiterank.tensorapprox import Cover
@@ -271,6 +275,21 @@ def convolve_per_node(f, moll, quad, betas, points):
                 if coeffs[bi, q] != 0.0:
                     out[bi] += coeffs[bi, q] * values
     return out
+
+
+def split_by_unique(lattice, pts):
+    """Lattice.split as np.unique over the offset keys and a stable argsort of
+    the group labels: (rows, shifted lattice, J) per group, groups in key
+    order, rows in batch order."""
+    t = (pts - lattice.origin) / lattice.delta
+    frac = t - np.rint(t)
+    key = np.rint(frac / _OFFSET_QUANTUM).astype(np.int64)
+    _, group = np.unique(key, axis=0, return_inverse=True)
+    order = np.argsort(group.ravel(), kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(group.ravel()[order])) + 1):
+        shift = np.where(key[rows[0]] == 0, 0.0, np.mean(frac[rows], axis=0))
+        J = np.rint(t[rows] - shift).astype(np.int64)
+        yield rows, replace(lattice, origin=lattice.origin + shift * lattice.delta), J
 
 
 def convolve_midpoint(f, moll, quad):

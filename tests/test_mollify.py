@@ -19,7 +19,7 @@ from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from finiterank import mollify
 from oracles import (adaptive_simpson, bump_function, bump_profile_masked, commutativity_check,
                      convolve_midpoint, convolve_per_node, derivative_transfer_check,
-                     lattice_coefficients, support_estimate, sympy_bump)
+                     lattice_coefficients, split_by_unique, support_estimate, sympy_bump)
 from test_expressions import _run_script
 import expected
 
@@ -240,6 +240,58 @@ def test_batched_convolve_matches_per_node_loop(case, n_points, rng, monkeypatch
         assert live < len(nodes)                            # dead corner nodes
     if case == "piecewise_1d":
         assert np.any((coeffs == 0.0) & np.any(coeffs != 0.0, axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_split_matches_the_unique_grouping(d, rng):
+    # one lexsort of the offset keys gives np.unique's groups, in its order,
+    # with the same rows, bitwise the same shifted origins and the same J: on
+    # the lattice, on its refine-3 copies, at scattered points, for a shuffled
+    # mix of the three and for one point
+    q = QuadratureSpec(points_per_axis=16, refinement_levels=1, tol=1e-5)
+    domain = Region.box([-3.0] * d, [3.0] * d, 61 if d == 1 else 31)
+    lattice = mollify.scan_lattice(domain, build_mollifier(d, 2, q), q)
+    on, thirds = (domain.refine(r).grid_points() for r in (2, 3))
+    off = rng.uniform(-3.0, 3.0, (300, d))
+    mixed = np.concatenate([on[::7], thirds[::5], off[:40], on[:3]])
+    batches = {"on": on, "thirds": thirds, "off": off,
+               "mixed": mixed[rng.permutation(len(mixed))], "one": off[:1]}
+    counts = {}
+    for name, pts in batches.items():
+        got, want = list(lattice.split(pts)), list(split_by_unique(lattice, pts))
+        assert len(got) == len(want), name
+        for (rows, shifted, J), (rows0, shifted0, J0) in zip(got, want):
+            assert np.array_equal(rows, rows0), name
+            assert shifted.origin.tobytes() == shifted0.origin.tobytes(), name
+            assert J.dtype == J0.dtype and np.array_equal(J, J0), name
+        counts[name] = len(got)
+    assert counts["on"] == counts["one"] == 1
+    assert counts["thirds"] == 3**d
+    assert counts["off"] == len(off)
+
+
+def test_convolution_holds_its_last_window_read_only(monkeypatch):
+    # a convolution keeps the samples of f on the last window it read: a
+    # second read of that window samples nothing, another window replaces it,
+    # and the held samples cannot be written
+    scn, f = load_scenario("schwartz_1d")
+    windows = []
+    sample = mollify._sample_window
+    monkeypatch.setattr(mollify, "_sample_window",
+                        lambda *a: windows.append(sample(*a)) or windows[-1])
+    conv = convolve(f, build_mollifier(1, 2, scn.quad), scn.quad)
+    pts, betas = scn.domain.grid_points(), [(0,), (1,)]
+    first = conv.deriv_multi(betas, pts)
+    assert len(windows) == 1
+    assert np.array_equal(conv.deriv_multi(betas, pts), first)
+    assert len(windows) == 1
+    conv.deriv_multi(betas, pts[:10])
+    conv.deriv_multi(betas, pts)
+    assert len(windows) == 3
+    assert np.array_equal(windows[0], windows[2])
+    for u in windows:
+        with pytest.raises(ValueError, match="read-only"):
+            u[0] = 0.0
 
 
 def test_lattice_scan_samples_f_once_per_lattice_point():

@@ -515,6 +515,55 @@ def test_every_convolved_batch_is_one_lattice_group(name, eps, monkeypatch):
         assert np.array_equal(group_origin, origin)
 
 
+def test_verify_samples_g_on_the_ledger_window_once(monkeypatch):
+    # approximate's scan of g * rho_N2 on the domain grid and the verifier's
+    # refine=2 scan read one lattice window of g, 3,599 points of step
+    # 0.00125 from lattice index 3001, which the convolution samples once
+    scn, f = load_scenario("om_finite_1d")
+    sample = mollify._sample_window
+    windows = []
+
+    def recorded(g, lattice, lo, shape):
+        if g.name == "finite_rank":
+            windows.append((lo.tolist(), shape))
+        return sample(g, lattice, lo, shape)
+
+    monkeypatch.setattr(mollify, "_sample_window", recorded)
+    result, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.1)
+    assert windows == [([3001], (3599,))]
+    verify_ledger(result, ledger, f, scn, WeightIndex(1, 1), "sup", refine=2)
+    assert len(windows) == 1
+
+
+def test_held_window_gives_the_fresh_refined_total(monkeypatch):
+    # the refined total and its witness read from the result's sum, whose
+    # convolution holds the window approximate read, are bit for bit those of
+    # a fresh convolution of g, which holds nothing
+    scn, f = load_scenario("om_finite_1d")
+    idx, alpha = WeightIndex(1, 1), scn.seminorm("sup")
+    convolved = {}
+
+    def recorded(g, moll, quad):
+        convolved[g.name] = (g, moll, quad)
+        return convolve(g, moll, quad)
+
+    monkeypatch.setattr(pipeline, "convolve", recorded)
+    result, _ = approximate(f, scn, idx, "sup", 0.1)
+    fresh = convolve(*convolved["finite_rank"])
+    sample = mollify._sample_window
+    windows = []
+    monkeypatch.setattr(mollify, "_sample_window",
+                        lambda *a: windows.append(a[3]) or sample(*a))
+    fine = scn.domain.refine(2)
+    held = difference_seminorm(f, result.sampled, scn.family, idx, alpha, grid=fine)
+    assert not windows
+    new = difference_seminorm(f, fresh, scn.family, idx, alpha, grid=fine)
+    assert len(windows) == 1
+    assert held.value == new.value
+    assert held.witness_x.tobytes() == new.witness_x.tobytes()
+    assert held.witness_beta == new.witness_beta
+
+
 def _smoothing_values(name, eps, quad_points=None):
     """(stage3_measured, total_measured) of the reference operation, with the
     midpoint oracle in place of convolve at quad_points nodes when given."""

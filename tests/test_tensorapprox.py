@@ -263,6 +263,27 @@ def test_cover_defect_is_refused(monkeypatch, plane_waves_1d, schwartz_fam, sup_
         finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2)
 
 
+def test_cover_defect_witness_does_not_depend_on_the_audit_blocks(
+        monkeypatch, plane_waves_1d, schwartz_fam, sup_alpha):
+    # the audit checks its grid in blocks and names the first bad point, the
+    # one the whole grid in one block names; one ball over the left half of
+    # the cut-off's support leaves the bump sum 0 from x = 0.4995 on, many
+    # 7-point blocks into the grid
+    left = Cover(centers=np.array([[-1.0]]), radii=np.array([1.5]),
+                 values=np.zeros((1, plane_waves_1d.value_dim)), N_const=1.0, target_osc=0.1)
+    monkeypatch.setattr(tensorapprox, "oscillation_cover", lambda *a, **k: left)
+    bump_matrix, blocks, messages = tensorapprox._bump_matrix, [], []
+    monkeypatch.setattr(tensorapprox, "_bump_matrix",
+                        lambda pts, *a: blocks.append(len(pts)) or bump_matrix(pts, *a))
+    for size in (7, 10**9):
+        monkeypatch.setattr(tensorapprox, "AUDIT_POINTS", size)
+        with pytest.raises(CoverDefectError, match=r"at \[0\.4995") as err:
+            finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert len(blocks) > 10 and max(blocks[:-1]) == 7
+
+
 def test_partition_identities(domain_1d, schwartz_fam, sup_alpha, gauss_1d):
     K = Region.box([-1.5], [1.5], 301)
     cover = oscillation_cover(gauss_1d, K, schwartz_fam, 1, sup_alpha, 0.3)
@@ -396,6 +417,19 @@ def test_finite_rank_zero_on_an_empty_tail_compact(sup_alpha):
     assert g.values.shape == (0, 2)
     assert report.measured.value == 0.0
     assert np.all(g.sampled.eval(dom.grid_points()) == 0.0)
+
+
+def test_finite_rank_zero_below_the_tolerance(gauss_1d, schwartz_fam, sup_alpha):
+    # no grid point reaches a tolerance above |f|_{1,0}: the tail search
+    # returns the degenerate box {0}, and g = 0 is the answer, not a cover
+    # of one widened grid cell
+    full = weighted_seminorm(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha)
+    assert full.value > 0.0
+    g, report = finite_rank_c0_approx(gauss_1d, schwartz_fam, 1, sup_alpha,
+                                      2.0 * full.value)
+    assert g.rank == report.rank == 0
+    assert report.cover is None
+    assert report.measured.value == full.value
 
 
 def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, gauss_1d):
