@@ -77,6 +77,11 @@ class SeminormIndex:
     kind 'sup_subset': max |v_q| over the declared coordinate subset.
     kind 'weighted_sup': max w_q |v_q| with declared positive weights.
     A zero or negative weight would make every difference measure 0.
+
+    apply reduces across the m coordinate columns, elementwise along the
+    long point axis of a C-ordered transpose, not along each short row; the
+    result is the row-wise max bit for bit, since max is exact in any
+    order, abs returns +0.0 for -0.0, and a NaN propagates either way.
     """
 
     kind: str = "sup_all"
@@ -95,11 +100,12 @@ class SeminormIndex:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         vals = np.atleast_2d(values)
-        if self.kind == "sup_all":
-            return np.max(np.abs(vals), axis=1)
         if self.kind == "sup_subset":
-            return np.max(np.abs(vals[:, list(self.subset)]), axis=1)
-        return np.max(np.abs(vals) * np.asarray(self.coord_weights), axis=1)
+            vals = vals[:, list(self.subset)]
+        cols = np.abs(vals.T, order="C")  # (m, N): one row per coordinate
+        if self.kind == "weighted_sup":
+            cols = cols * np.asarray(self.coord_weights)[:, None]
+        return cols.max(axis=0)
 
     def __call__(self, value: np.ndarray) -> float:
         return float(self.apply(np.atleast_2d(value))[0])
@@ -201,11 +207,14 @@ def sf_zero(domain: Region, value_dim: int, order: int = 6) -> SampledFunction:
 
 
 def f_multi_ext(f: SampledFunction, betas, points) -> np.ndarray:
-    """Support-aware multi-beta stack, sharing work via deriv_multi."""
+    """Support-aware multi-beta stack, sharing work via deriv_multi; a batch
+    wholly inside the support goes to deriv_multi as it is."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if f.support is None:
         return f.deriv_multi(betas, pts)
     inside = f.support.contains(pts)
+    if len(pts) and inside.all():
+        return f.deriv_multi(betas, pts)
     out = np.zeros((len(betas), len(pts), f.value_dim))
     if np.any(inside):
         out[:, inside, :] = f.deriv_multi(betas, pts[inside])

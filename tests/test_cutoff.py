@@ -5,6 +5,7 @@ import pytest
 import finiterank as fr
 from finiterank import cutoff, mollify
 from finiterank.cutoff import (_AxisProfile, _UnionCutoff, apply_cutoff, build_cutoff,
+                               cutoff_jet,
                                cutoff_constant, measure_cbeta, multiply_cutoff)
 from finiterank.errors import GeometryError, OrderError
 from finiterank.expressions import expr_function_from_strings
@@ -344,3 +345,63 @@ def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha,
     deep = measure_cbeta(psi, 1.0, 4, extra_points=dom_pts[near])
     assert list(deep) == multiindices(1, 4)
     assert cutoff_constant(deep, 1.0, l) == rep.C_l_delta
+
+
+def _two_box_cutoff():
+    K = fr.Region.from_bounds([[-1.0, -1.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], 41)
+    return K, build_cutoff(K, 0.5)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_measure_cbeta_reads_a_held_jet_as_its_points(d, rng):
+    if d == 1:
+        K, delta = fr.Region.box([-1.0], [1.0], 41), 1.0
+        psi = build_cutoff(K, delta)
+    else:
+        (K, psi), delta = _two_box_cutoff(), 0.5
+    pts = rng.uniform(-2.0, 2.0, size=(300, d))
+    held = psi.deriv_multi(multiindices(d, 2), pts)
+    from_points = measure_cbeta(psi, delta, 2, extra_points=pts)
+    assert measure_cbeta(psi, delta, 2, extra_jet=held) == from_points
+    # the held jet counts: it alone can raise the table above the dense grid's
+    spiked = held.copy()
+    spiked[1, 7] = 1e6
+    assert measure_cbeta(psi, delta, 2, extra_jet=spiked)[multiindices(d, 2)[1]] \
+        == 1e6 * delta
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cutoff_jet_reads_a_held_psi_jet_as_its_own_sample(d, rng):
+    if d == 1:
+        psi = build_cutoff(fr.Region.box([-1.0], [1.0], 41), 1.0)
+    else:
+        psi = _two_box_cutoff()[1]
+    pts = fr.Region.box([-2.5] * d, [2.5] * d, 61 if d == 1 else 31).grid_points()
+    idx = WeightIndex(1, 2)
+    betas = multiindices(d, 2)
+    f_jet = rng.normal(size=(len(betas), len(pts), 3))
+    inside = psi.support.contains(pts)
+    assert 0 < inside.sum() < len(pts)
+    held = psi.deriv_multi(betas, pts[inside])
+    got = cutoff_jet(psi, f_jet, idx, pts, psi_jet=held)
+    want = cutoff_jet(psi, f_jet, idx, pts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_apply_cutoff_reads_psi_once_near_k(domain_1d, schwartz_fam, sup_alpha, gauss_1d,
+                                            monkeypatch):
+    # psi's jet at the scan-grid points within delta of K serves both the
+    # C_beta bound and f~'s jet; the rest is the two dense measurement grids
+    seen = []
+    deriv = _UnionCutoff.deriv
+
+    def counted(union, beta, pts):
+        seen.append(len(pts))
+        return deriv(union, beta, pts)
+
+    monkeypatch.setattr(_UnionCutoff, "deriv", counted)
+    idx = WeightIndex(1, 1)
+    _, rep = apply_cutoff(gauss_1d, schwartz_fam, idx, sup_alpha, 0.05, 1.0)
+    near = rep.K.inflate(1.0).contains(domain_1d.grid_points())
+    betas = len(multiindices(1, idx.l))
+    assert sum(seen) == betas * (801 + 801 + int(near.sum()))

@@ -6,8 +6,8 @@ from finiterank.cutoff import multiply_cutoff
 from finiterank.errors import DomainError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
-                                  exp_poly, mi_order, multiindex_binom, multiindices,
-                                  sf_from_expr_function, submultiindices)
+                                  exp_poly, f_multi_ext, mi_order, multiindex_binom,
+                                  multiindices, sf_from_expr_function, submultiindices)
 from finiterank.geometry import Region
 from oracles import (bump_function, evaluate, fd_derivative_oracle, fd_step_sweep,
                      support_estimate)
@@ -188,6 +188,93 @@ def test_seminorm_index_rejects_degenerate_declarations(kind, kwargs):
     # a zero or negative weight would measure every difference as 0 or less
     with pytest.raises(ValueError):
         SeminormIndex(kind, **kwargs)
+
+
+def _alpha(kind, m):
+    if kind == "sup_subset":
+        return SeminormIndex(kind, subset=tuple(range(0, m, 2)))
+    if kind == "weighted_sup":
+        return SeminormIndex(kind, coord_weights=tuple(0.5 + 0.75 * q for q in range(m)))
+    return SeminormIndex(kind)
+
+
+def _row_max(alpha, values):
+    """p_alpha one point at a time: the row-wise max over the coordinates."""
+    vals = np.atleast_2d(values)
+    if alpha.kind == "sup_subset":
+        return np.max(np.abs(vals[:, list(alpha.subset)]), axis=1)
+    if alpha.kind == "weighted_sup":
+        return np.max(np.abs(vals) * np.asarray(alpha.coord_weights), axis=1)
+    return np.max(np.abs(vals), axis=1)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+KINDS = ["sup_all", "sup_subset", "weighted_sup"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, m", [(1201, 8), (150, 4), (7, 1), (1, 5), (0, 4), (0, 1)])
+def test_seminorm_apply_is_the_row_max_bit_for_bit(kind, n, m, rng):
+    alpha = _alpha(kind, m)
+    vals = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-300, 300, size=(n, m))
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e300]
+    picks = rng.random((n, m)) < 0.1
+    vals[picks] = rng.choice(specials, size=int(picks.sum()))
+    if n:
+        vals[0] = -0.0  # a row of negative zeros gives +0.0
+    got = alpha.apply(vals)
+    assert _same_bits(got, _row_max(alpha, vals))
+    for row in vals[:3]:  # 1-D input is one point
+        assert _same_bits(alpha.apply(row), _row_max(alpha, row))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_seminorm_apply_leaves_its_input_alone(kind, rng):
+    vals = rng.normal(size=(9, 4))
+    for batch in (vals, vals[:1], vals[0], np.asfortranarray(vals), vals[:, :1]):
+        kept = batch.copy()
+        _alpha(kind, batch.shape[-1]).apply(batch)
+        assert _same_bits(batch, kept)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_seminorm_apply_refuses_no_coordinates_as_the_row_max_does(kind):
+    alpha = _alpha(kind, 3)
+    for n in (3, 0):
+        vals = np.zeros((n, 0))
+        with pytest.raises(Exception) as want:
+            _row_max(alpha, vals)
+        with pytest.raises(want.type):
+            alpha.apply(vals)
+    with pytest.raises(ValueError):
+        SeminormIndex("sup_all").apply(np.zeros((3, 0)))
+
+
+def _bump_on_support(d):
+    """exp(-|x|^2) on [-2, 2]^d with the support [-1, 1]^d declared."""
+    fn = expr_function_from_strings(["exp(-normsq)", "x1 * exp(-normsq)"], d)
+    return sf_from_expr_function(fn, Region.box([-2.0] * d, [2.0] * d, 41), order=4,
+                                 support=Region.box([-1.0] * d, [1.0] * d, 41))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_f_multi_ext_inside_the_support_matches_the_scatter_path(d, rng):
+    f = _bump_on_support(d)
+    betas = multiindices(d, 2)
+    pts = rng.uniform(-1.0, 1.0, size=(200, d))
+    assert np.all(f.support.contains(pts))
+    inside = f_multi_ext(f, betas, pts)
+    # one point outside the support sends the same batch through the scatter
+    scattered = f_multi_ext(f, betas, np.concatenate([pts, np.full((1, d), 1.5)]))
+    assert _same_bits(inside, scattered[:, :-1])
+    assert np.all(scattered[:, -1] == 0.0)
+    assert inside.flags.writeable
+    inside[:] = 1.0  # the caller owns the array
+    assert _same_bits(f_multi_ext(f, betas, pts), scattered[:, :-1])
+    assert f_multi_ext(f, betas, np.zeros((0, d))).shape == (len(betas), 0, 2)
 
 
 def test_support_estimate_bump(quad):

@@ -3,9 +3,10 @@ import pytest
 
 import finiterank as fr
 from finiterank.errors import CriterionError, FiniteRankError, OrderError
-from finiterank.funcmodel import SampledFunction, sf_from_expr_function, sf_zero
+from finiterank.funcmodel import (SampledFunction, SeminormIndex, multiindices,
+                                  sf_from_expr_function, sf_zero)
 from finiterank.geometry import Region
-from finiterank.seminorms import (find_tail_compact, tail_seminorm,
+from finiterank.seminorms import (find_tail_compact, jet_seminorm, tail_seminorm,
                                   weighted_seminorm)
 from finiterank.weights import WeightIndex, exp_strips_family
 from oracles import bisect_root, dense_rescan
@@ -201,3 +202,28 @@ def test_non_finite_integrand_is_refused(schwartz_fam, sup_alpha):
         tail_seminorm(f, Region.box([-1.0], [1.0], 21), schwartz_fam, idx, sup_alpha)
     with pytest.raises(FiniteRankError, match=msg):
         find_tail_compact(f, schwartz_fam, idx, sup_alpha, 1e-3, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [
+    SeminormIndex("sup_subset", subset=(1, 3)),
+    SeminormIndex("weighted_sup", coord_weights=(0.5, 2.0, 1.0, 3.0)),
+], ids=["sup_subset", "weighted_sup"])
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_jet_seminorm_matches_a_per_point_loop(alpha, l, domain_1d, schwartz_fam, rng):
+    # p_alpha of each (beta, point) on its own, scanned in the documented
+    # order, in which the first beta, then the first point, keeps a tie
+    pts = domain_1d.grid_points()
+    idx = WeightIndex(1, l)
+    betas = multiindices(1, l)
+    jet = rng.normal(size=(len(betas), len(pts), 4)) * np.exp(-pts[:, 0] ** 2 / 8)[:, None]
+    w = schwartz_fam.eval_batch(idx, pts)
+    best, witness = -1.0, None
+    for bi, beta in enumerate(betas):
+        for k in range(len(pts)):
+            v = alpha(jet[bi, k]) * w[k]
+            if v > best:
+                best, witness = v, (beta, k)
+    sv = jet_seminorm(jet, pts, [None], schwartz_fam, idx, alpha)
+    assert sv.value == best
+    assert sv.witness_beta == witness[0]
+    assert sv.witness_x.tolist() == pts[witness[1]].tolist()
