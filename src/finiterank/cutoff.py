@@ -203,17 +203,13 @@ def build_cutoff(K: Region, delta: float,
 
 
 def measure_cbeta(psi: SampledFunction, delta: float, l: int,
-                  extra_points: Optional[np.ndarray] = None,
                   extra_jet: Optional[np.ndarray] = None) -> dict[MultiIndex, float]:
     """{beta: delta^|beta| max |d^beta psi|} for |beta| <= l, on the dense grid
-    of supp psi (801 points in 1D, 101 per axis otherwise) plus extra_points,
-    e.g. the scan grid the bound will be checked on. extra_jet is psi's jet
-    over the same betas at further points, when the caller holds it (as
-    psi.deriv_multi returns it); a value does not depend on its batch, so
-    it counts as if those points were among extra_points."""
+    of supp psi (801 points in 1D, 101 per axis otherwise) plus the points
+    of extra_jet, psi's jet over multiindices(d, l) at further points (as
+    psi.deriv_multi returns it), e.g. the scan grid the bound will be
+    checked on."""
     pts = psi.support.with_resolution(801 if psi.d == 1 else 101).grid_points()
-    if extra_points is not None and len(extra_points):
-        pts = np.concatenate([pts, extra_points])
     betas = multiindices(psi.d, l)
     jet = psi.deriv_multi(betas, pts)
     if extra_jet is not None:
@@ -268,24 +264,21 @@ def multiply_cutoff(psi: SampledFunction, f: SampledFunction) -> SampledFunction
     )
 
 
-def cutoff_jet(psi: SampledFunction, f_jet: np.ndarray, idx: WeightIndex,
-               pts: np.ndarray, psi_jet: Optional[np.ndarray] = None) -> np.ndarray:
-    """The jet of multiply_cutoff(psi, f) at pts, read from f's jet there.
-
-    psi is read once, inside its support: psi_jet, its jet at the points of
-    pts inside supp psi when the caller holds it, or else one sample there;
-    outside the support the jet is zero. Each derivative is
-    multiply_cutoff's leibniz over two factors that read the jets, so the
-    jet equals sample_jet of the product bit for bit (f_jet, like any
-    sampled jet, is zero outside f's declared support).
+def cutoff_jet(betas: list[MultiIndex], f_jet: np.ndarray, inside: np.ndarray,
+               psi_jet: np.ndarray) -> np.ndarray:
+    """The jet of multiply_cutoff(psi, f) over betas at some points, read
+    from f's jet there (f_jet) and psi's jet (psi_jet) at the points that
+    lie inside supp psi (the mask inside), in their order; outside the
+    support the jet is zero. betas is multiindices(d, l), the rows of both
+    jets. Each derivative is multiply_cutoff's leibniz over two factors that
+    read the jets, so the jet equals sample_jet of the product value for
+    value (f_jet, like any sampled jet, is zero outside f's declared
+    support); only a zero where psi vanishes may carry the other sign,
+    which no seminorm reads.
     """
-    betas = multiindices(pts.shape[1], idx.l)
     row = {beta: i for i, beta in enumerate(betas)}
-    inside = psi.support.contains(pts)
-    if psi_jet is None:
-        psi_jet = psi.deriv_multi(betas, pts[inside])
-    psi_jet = psi_jet[:, :, 0:1]
     f_in = f_jet[:, inside]
+    psi_jet = psi_jet[:, :, 0:1]
     factors = [lambda gamma, _: f_in[row[gamma]],
                lambda gamma, _: psi_jet[row[gamma]]]
     out = np.zeros(f_jet.shape)
@@ -330,17 +323,21 @@ def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
         K = K0
     # pin the scan grid into the C_beta measurement so the lemma bound holds
     # at every point the seminorms will visit; psi's jet there is read once,
-    # for the bound and for f~'s jet (supp psi = K + 3 delta/4 lies inside
-    # K + delta, so its grid points are among these)
+    # for the bound and for f~'s jet (each box of supp psi = K + 3 delta/4
+    # lies inside its box of K + delta, so supp psi's grid points are among
+    # these)
     near = K.inflate(delta).contains(dom_pts)
     psi = build_cutoff(K, delta, omega=omega)
-    psi_near = psi.deriv_multi(multiindices(f.d, idx.l), dom_pts[near])
+    betas = multiindices(f.d, idx.l)
+    psi_near = psi.deriv_multi(betas, dom_pts[near])
     Cbeta_table = measure_cbeta(psi, delta, idx.l, extra_jet=psi_near)
     C_final = cutoff_constant(Cbeta_table, delta, idx.l)
 
     f_tilde = multiply_cutoff(psi, f)
-    inside = psi.support.contains(dom_pts[near])
-    f_tilde_jet = cutoff_jet(psi, jet, idx, dom_pts, psi_jet=psi_near[:, inside])
+    in_supp = psi.support.contains(dom_pts[near])
+    inside = near.copy()
+    inside[near] = in_supp
+    f_tilde_jet = cutoff_jet(betas, jet, inside, psi_near[:, in_supp])
     tail = tail_seminorm(f, K, fam, idx, alpha, jet=jet)
     measured = jet_difference(f, jet, f_tilde, f_tilde_jet, dom_pts, fam, idx, alpha)
     return f_tilde, CutoffReport(K, Cbeta_table, C_final, tail, measured, f_tilde_jet)

@@ -207,14 +207,11 @@ def sf_zero(domain: Region, value_dim: int, order: int = 6) -> SampledFunction:
 
 
 def f_multi_ext(f: SampledFunction, betas, points) -> np.ndarray:
-    """Support-aware multi-beta stack, sharing work via deriv_multi; a batch
-    wholly inside the support goes to deriv_multi as it is."""
+    """Support-aware multi-beta stack, sharing work via deriv_multi."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if f.support is None:
         return f.deriv_multi(betas, pts)
     inside = f.support.contains(pts)
-    if len(pts) and inside.all():
-        return f.deriv_multi(betas, pts)
     out = np.zeros((len(betas), len(pts), f.value_dim))
     if np.any(inside):
         out[:, inside, :] = f.deriv_multi(betas, pts[inside])

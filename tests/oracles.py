@@ -52,7 +52,8 @@ import sympy as sp
 from finiterank.cutoff import (CutoffReport, build_cutoff, cutoff_constant, measure_cbeta,
                                multiply_cutoff)
 from finiterank.errors import DomainError, GeometryError, OrderError, ResolutionError
-from finiterank.funcmodel import FiniteRankFunction, SampledFunction, exp_poly, mi_order
+from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, exp_poly, mi_order,
+                                  multiindices)
 from finiterank.geometry import Box, Region
 from finiterank.mollify import (_FLAT_CUTOFF, _OFFSET_QUANTUM, SMOOTH_ORDER, box_nodes,
                                 convolve, scan_lattice)
@@ -612,7 +613,8 @@ def cutoff_resampling(f, fam, idx, alpha, eps, delta, omega=None):
     dom_pts = domain.grid_points()
     near = K.inflate(delta).contains(dom_pts)
     psi = build_cutoff(K, delta, omega=omega)
-    Cbeta_table = measure_cbeta(psi, delta, idx.l, extra_points=dom_pts[near])
+    Cbeta_table = measure_cbeta(psi, delta, idx.l, extra_jet=psi.deriv_multi(
+        multiindices(psi.d, idx.l), dom_pts[near]))
     C_final = cutoff_constant(Cbeta_table, delta, idx.l)
 
     f_tilde = multiply_cutoff(psi, f)

@@ -5,14 +5,13 @@ import pytest
 import finiterank as fr
 from finiterank import cutoff, mollify
 from finiterank.cutoff import (_AxisProfile, _UnionCutoff, apply_cutoff, build_cutoff,
-                               cutoff_jet,
-                               cutoff_constant, measure_cbeta, multiply_cutoff)
+                               cutoff_constant, cutoff_jet, measure_cbeta, multiply_cutoff)
 from finiterank.errors import GeometryError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import SampledFunction, multiindices, sf_from_expr_function, sf_zero
 from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier
-from finiterank.seminorms import difference_seminorm
+from finiterank.seminorms import difference_seminorm, sample_jet
 from finiterank.weights import WeightIndex
 from oracles import bump_function, fd_derivative_oracle
 import expected
@@ -217,7 +216,8 @@ def test_range_and_derivative_c0(unit_cut, unit_table):
 def test_c1_pinned_from_dense_oracle(unit_cut, unit_table):
     assert unit_table[(1,)] == pytest.approx(expected.CUTOFF_C1_DELTA1, rel=1e-5)
     dense_grid = unit_cut.support.with_resolution(8001).grid_points()
-    dense = measure_cbeta(unit_cut, 1.0, 2, extra_points=dense_grid)
+    dense = measure_cbeta(unit_cut, 1.0, 2,
+                          extra_jet=unit_cut.deriv_multi(multiindices(1, 2), dense_grid))
     assert dense[(1,)] == pytest.approx(expected.CUTOFF_C1_DELTA1, rel=1e-12)
     assert dense[(2,)] == pytest.approx(expected.CUTOFF_C2_DELTA1, rel=1e-12)
 
@@ -342,7 +342,7 @@ def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha,
     dom_pts = domain_1d.grid_points()
     near = rep.K.inflate(1.0).contains(dom_pts)
     psi = build_cutoff(rep.K, 1.0, omega=domain_1d)
-    deep = measure_cbeta(psi, 1.0, 4, extra_points=dom_pts[near])
+    deep = measure_cbeta(psi, 1.0, 4, extra_jet=psi.deriv_multi(multiindices(1, 4), dom_pts[near]))
     assert list(deep) == multiindices(1, 4)
     assert cutoff_constant(deep, 1.0, l) == rep.C_l_delta
 
@@ -353,39 +353,47 @@ def _two_box_cutoff():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_measure_cbeta_reads_a_held_jet_as_its_points(d, rng):
+def test_measure_cbeta_counts_a_held_jet_with_its_grid(d, rng):
     if d == 1:
         K, delta = fr.Region.box([-1.0], [1.0], 41), 1.0
         psi = build_cutoff(K, delta)
     else:
         (K, psi), delta = _two_box_cutoff(), 0.5
+    betas = multiindices(d, 2)
     pts = rng.uniform(-2.0, 2.0, size=(300, d))
-    held = psi.deriv_multi(multiindices(d, 2), pts)
-    from_points = measure_cbeta(psi, delta, 2, extra_points=pts)
-    assert measure_cbeta(psi, delta, 2, extra_jet=held) == from_points
+    held = psi.deriv_multi(betas, pts)
+    # the peak of each derivative over supp psi's dense grid and the points
+    grid = psi.support.with_resolution(801 if d == 1 else 101).grid_points()
+    both = np.concatenate([grid, pts])
+    want = {beta: float(np.max(np.abs(psi.deriv(beta, both)))) * delta ** sum(beta)
+            for beta in betas}
+    assert measure_cbeta(psi, delta, 2, extra_jet=held) == want
     # the held jet counts: it alone can raise the table above the dense grid's
     spiked = held.copy()
     spiked[1, 7] = 1e6
-    assert measure_cbeta(psi, delta, 2, extra_jet=spiked)[multiindices(d, 2)[1]] \
-        == 1e6 * delta
+    assert measure_cbeta(psi, delta, 2, extra_jet=spiked)[betas[1]] == 1e6 * delta
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_cutoff_jet_reads_a_held_psi_jet_as_its_own_sample(d, rng):
+def test_cutoff_jet_is_sampling_the_product(d):
     if d == 1:
         psi = build_cutoff(fr.Region.box([-1.0], [1.0], 41), 1.0)
     else:
         psi = _two_box_cutoff()[1]
-    pts = fr.Region.box([-2.5] * d, [2.5] * d, 61 if d == 1 else 31).grid_points()
+    dom = fr.Region.box([-2.5] * d, [2.5] * d, 61 if d == 1 else 31)
+    fn = expr_function_from_strings(["exp(-normsq)", "x1 * exp(-normsq)", "x1**2 - 1"], d)
+    f = sf_from_expr_function(fn, dom, order=4)
     idx = WeightIndex(1, 2)
-    betas = multiindices(d, 2)
-    f_jet = rng.normal(size=(len(betas), len(pts), 3))
+    betas = multiindices(d, idx.l)
+    pts = dom.grid_points()
     inside = psi.support.contains(pts)
     assert 0 < inside.sum() < len(pts)
-    held = psi.deriv_multi(betas, pts[inside])
-    got = cutoff_jet(psi, f_jet, idx, pts, psi_jet=held)
-    want = cutoff_jet(psi, f_jet, idx, pts)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got = cutoff_jet(betas, sample_jet(f, idx, pts), inside,
+                     psi.deriv_multi(betas, pts[inside]))
+    want = sample_jet(multiply_cutoff(psi, f), idx, pts)
+    # equal value for value; where psi is 0 a zero may differ in sign
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert not np.any(got[:, ~inside])
 
 
 def test_apply_cutoff_reads_psi_once_near_k(domain_1d, schwartz_fam, sup_alpha, gauss_1d,

@@ -6,8 +6,8 @@ from finiterank.cutoff import multiply_cutoff
 from finiterank.errors import DomainError, OrderError
 from finiterank.expressions import expr_function_from_strings
 from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, SeminormIndex,
-                                  exp_poly, f_multi_ext, mi_order, multiindex_binom,
-                                  multiindices, sf_from_expr_function, submultiindices)
+                                  exp_poly, mi_order, multiindex_binom, multiindices,
+                                  sf_from_expr_function, submultiindices)
 from finiterank.geometry import Region
 from oracles import (bump_function, evaluate, fd_derivative_oracle, fd_step_sweep,
                      support_estimate)
@@ -251,30 +251,6 @@ def test_seminorm_apply_refuses_no_coordinates_as_the_row_max_does(kind):
             alpha.apply(vals)
     with pytest.raises(ValueError):
         SeminormIndex("sup_all").apply(np.zeros((3, 0)))
-
-
-def _bump_on_support(d):
-    """exp(-|x|^2) on [-2, 2]^d with the support [-1, 1]^d declared."""
-    fn = expr_function_from_strings(["exp(-normsq)", "x1 * exp(-normsq)"], d)
-    return sf_from_expr_function(fn, Region.box([-2.0] * d, [2.0] * d, 41), order=4,
-                                 support=Region.box([-1.0] * d, [1.0] * d, 41))
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_f_multi_ext_inside_the_support_matches_the_scatter_path(d, rng):
-    f = _bump_on_support(d)
-    betas = multiindices(d, 2)
-    pts = rng.uniform(-1.0, 1.0, size=(200, d))
-    assert np.all(f.support.contains(pts))
-    inside = f_multi_ext(f, betas, pts)
-    # one point outside the support sends the same batch through the scatter
-    scattered = f_multi_ext(f, betas, np.concatenate([pts, np.full((1, d), 1.5)]))
-    assert _same_bits(inside, scattered[:, :-1])
-    assert np.all(scattered[:, -1] == 0.0)
-    assert inside.flags.writeable
-    inside[:] = 1.0  # the caller owns the array
-    assert _same_bits(f_multi_ext(f, betas, pts), scattered[:, :-1])
-    assert f_multi_ext(f, betas, np.zeros((0, d))).shape == (len(betas), 0, 2)
 
 
 def test_support_estimate_bump(quad):
