@@ -140,6 +140,7 @@ def cmd_approximate(args) -> int:
     out = _out_dir(args.out)
     scn, f = load_scenario(args.scenario, args.grid)
     idx = _weight_index(args, scn, f)
+    scn.seminorm(args.alpha)  # an unknown --alpha is refused before anything is written
     out.mkdir(parents=True, exist_ok=True)
     all_certified = True
     rank_rows = ["eps,rank,N2,total_measured"]

@@ -10,8 +10,9 @@ convolution quadrature enters. This gives, exactly on the continuum:
 per axis. The plateau value is exactly 1 by that normalization and is set
 without any quadrature. An axis profile keeps nothing between calls; a call
 runs the window quadrature once per distinct ramp point (exp_strips_2d eps
-0.1 asks 137,438, 1,665 distinct in their calls). The window rule is built
-once per process, without LAPACK.
+0.1 asks 137,438, 1,665 distinct in their calls). The window rule is stored
+as data, the bits of its upper half in hex, and decoded and mirrored once
+per process on first use; no process rebuilds it, and none calls LAPACK.
 
 build_cutoff measures nothing. measure_cbeta stores delta^|beta| * max
 |d^beta psi| over a fixed dense grid plus any pinned points, so the
@@ -43,50 +44,48 @@ from .weights import WeightFamily, WeightIndex
 
 # ramp points per block of the window quadrature
 _RAMP_ROWS = 128
-# Gauss-Legendre nodes on the (flat-ended) overlap window: the ramp values
-# are within ~3e-15 absolute of the exact integral (relatively worse only
-# where psi itself is tiny); the plateau is exactly 1 and skips the
-# quadrature, and derivatives are closed-form
-_WINDOW_NODES = 128
-
-
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    p0, p1 = np.ones_like(x), x
-    for j in range(1, n):
-        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's iteration on the recurrence from the first guesses
-    cos(pi (k - 1/4) / (n + 1/2)), weights 2 / ((1 - x^2) P_n'(x)^2), both
-    made symmetric and the weights scaled to sum to 2 (Hale & Townsend,
-    SIAM J. Sci. Comput. 35, 2013). numpy's leggauss takes the nodes from a
-    LAPACK eigensolver instead, whose first call starts OpenBLAS's thread
-    pool, and that pool then slows every later numpy step of the process.
-    """
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p, dp = _legendre(n, x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    x = 0.5 * (x - x[::-1])
-    dp = _legendre(n, x)[1]
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    w = 0.5 * (w + w[::-1])
-    return x, w * (2.0 / np.sum(w))
+# 128 Gauss-Legendre nodes on the (flat-ended) overlap window: the ramp
+# values are within ~3e-15 absolute of the exact integral (relatively worse
+# only where psi itself is tiny); the plateau is exactly 1 and skips the
+# quadrature, and derivatives are closed-form. Stored as the rule's 64 nodes
+# in (0, 1) on [-1, 1], ascending, then their weights, as little-endian
+# float64 bytes in hex; tests/oracles.py::gauss_legendre rebuilds the rule by
+# Newton's iteration, and every bit must match
+_RULE_HALF = (
+    "240b2d1abd08893f3df150ae98c5a23f5d6ca6cb2246af3f60c8f6f4f1e0b53fe891fb87791bbc3f83f5b412da28c13f"
+    "42491f3e5741c43f34ac9204bb56c73ffd27ca9d8c68ca3fe7ed60cd5376cd3ffdfa9b7acc3fd03f4fb3e193f2c1d13f"
+    "df7b1e1d6141d33f6d445c6bddbdd43fd1120c472d37d63f005deef416add73fdd5de83e611fd93fcd0ac57cd38dda3f"
+    "3d53e09c35f8db3f7756bb2c505edd3fd13f7861ecbfde3f693e1e106a0ee03f82023c0369bae03f873708b9d863e13f"
+    "a849b7449f0ae23f2bc0b621a3aee23f54c59437cb4fe33feb22d7ddfeede33f0f1dc1df2589e43f8b9707802821e53f"
+    "91f4727cefb5e53fa71e6e116447e63f4d3282fd6fd5e63f0b3fbe84fd5fe73f6c9a0a74f7e6e73fbe426724496ae83f"
+    "81d2147edee9e83fd388a7fba365e93f67ee03ad86dde93f26a2443a7451ea3f0bdc88e65ac1ea3f5e38ab92292deb3f"
+    "3261e0bfcf94eb3fb82f3d923df8eb3ff1e223d36357ec3f200d98f333b2ec3f91dd780ea008ed3fb370a1ea9a5aed3f"
+    "fed4eefc17a8ed3f7a782b6a0bf1ed3fc0b8df086a35ee3f235707632975ee3fb39dabb73fb0ee3f961362fca3e6ee3f"
+    "60bfafde4d18ef3f703751c53545ef3f385468d1546def3f9eca91dfa490ef3fb204e98820afef3f1ba00d24c3c8ef3f"
+    "370b70c688ddef3f374f1f476eedef3f28c1184b71f8ef3fa6b66ec390feef3ff5fdd1616b08993f7c980fd99604993f"
+    "d12b925deefc983ff37f511b73f1983f96e007d426e2983f324eedde0bcf983fa0cd5b2825b8983f3ce85c31769d983f"
+    "936a200f037f983f92785c6ad05c983ff40f977ee336983f44125919420d983f9bf94a99f2df973fc4573bedfbae973f"
+    "35470f93657a973fcaf79c963742973f398370907a06973fda397ba437c7963fe49bad807884963f09357c5b473e963f"
+    "53944ff2aef4953f1f9fdf87baa7953f167d7ae27557953fe762374aed03953f768015872dad943f975e07df4353943f"
+    "51f5ea133ef6933fe4cd6e612a96933ff480e47a1733933f97e6008914cd923f56508a273164923fac28f5627df8913f"
+    "f554efb5098a913fc3b9da06e718913fe34537a526a5903fcce7fc46da2e903f3eadcb0b286c8f3f1f3153b9cc758e3f"
+    "11685248c87a8d3fadf41921417b8c3f8abca85c5e778b3fbd94b0be476f8a3ff1dc80af2563893febfad7352153883f"
+    "6eb39cf0633f873fe86080101828863f5b188b51680d853f02d892f47fef833fd9fb9eb88ace823fb25739d4b4aa813f"
+    "5facaeee2a84803f586f813234b67e3fd1909a905f5f7c3f7a37e09833047a3ff71255970ca5773f891151754742753f"
+    "7b1bb5ac41dc723f6abeeb3c5973703f975e274ad90f6c3f65f7aeddb534673fdc1d85f30756623f76c2eb2f28e95a3f"
+    "52415ad07422513fa37824875c733d3f"
+)
 
 
 @functools.cache
 def _window_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], built once per process."""
-    u, w = _gauss_legendre(_WINDOW_NODES)
-    return 0.5 * (u + 1.0), 0.5 * w
+    """Gauss-Legendre nodes and weights on [0, 1], decoded once per process."""
+    half = np.frombuffer(bytes.fromhex(_RULE_HALF), dtype="<f8").reshape(2, -1)
+    u = np.concatenate((-half[0, ::-1], half[0]))
+    w = np.concatenate((half[1, ::-1], half[1]))
+    u, w = 0.5 * (u + 1.0), 0.5 * w
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 class _AxisProfile:

@@ -157,12 +157,26 @@ class SampledFunction:
 def exp_poly(k: int, a: tuple, b: tuple) -> np.ndarray:
     """Descending coefficients of p_k in d^k/dx^k exp(h) = p_k(v) exp(h), where
     dv/dx = a(v) and dh/dx = b(v) are polynomials: p_0 = 1, p_{k+1} = a p_k' + b p_k.
-    Built once per (k, a, b) and returned as one shared read-only array."""
-    p = np.ones(1)
+    Built once per (k, a, b) on plain coefficient lists, as the full products
+    and the front-padded sum of np.polymul and np.polyadd; the shipped a and b
+    have integer coefficients, so every step is exact and the table has the
+    bits and length of numpy's recurrence. Returned as one shared read-only array."""
+    def mul(x, y):
+        out = [0.0] * (len(x) + len(y) - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                out[i + j] += xi * yj
+        return out
+
+    p = [1.0]
     for _ in range(k):
-        p = np.polyadd(np.polymul(a, np.polyder(p)), np.polymul(b, p))
-    p.flags.writeable = False
-    return p
+        dp = mul(a, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])])
+        bp = mul(b, p)
+        pad = len(bp) - len(dp)
+        p = [x + y for x, y in zip([0.0] * pad + dp, [0.0] * -pad + bp)]
+    out = np.array(p)
+    out.flags.writeable = False
+    return out
 
 
 def leibniz(factors, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:

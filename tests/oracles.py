@@ -29,7 +29,10 @@ evaluate and eval_weight are checked single-point evaluations of a function
 and a weight. bump_profile_masked is the bump's closed form as the package
 evaluated it before it worked on the whole batch in place: it gathers the
 points inside the rim and evaluates only those, so it is the bit-for-bit
-reference for the in-place kernel. sympy_bump and sympy_builtin are the
+reference for the in-place kernel. gauss_legendre builds the cut-off's
+window rule by Newton's iteration on the Legendre recurrence, as the package
+did in every process before it stored the rule's bits: the provenance of
+those bits. sympy_bump and sympy_builtin are the
 symbolic forms of the bump's derivatives and of the builtin functions, the
 reference for the package's closed forms. sympy_parse reads the config
 grammar with sympy: sympy_scalar compiles a weight string with it and
@@ -516,6 +519,36 @@ def bump_profile_masked(points, beta=None):
     out = np.zeros(len(pts))
     out[mask] = sum(terms)
     return out
+
+
+def legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def gauss_legendre(n):
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's iteration on the recurrence from the first guesses
+    cos(pi (k - 1/4) / (n + 1/2)), weights 2 / ((1 - x^2) P_n'(x)^2), both
+    made symmetric and the weights scaled to sum to 2 (Hale & Townsend,
+    SIAM J. Sci. Comput. 35, 2013), without LAPACK.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    x = 0.5 * (x - x[::-1])
+    dp = legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    w = 0.5 * (w + w[::-1])
+    return x, w * (2.0 / np.sum(w))
 
 
 @functools.cache

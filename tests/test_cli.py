@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finiterank import cli, cutoff
+from finiterank import cli, cutoff, mollify
 from finiterank.cli import main
+from finiterank.funcmodel import exp_poly
 from finiterank.pipeline import approximate
 from finiterank.scenarios import load_scenario
 from oracles import scaled_result
@@ -204,11 +205,13 @@ def test_approximate_rejects_bad_eps(tmp_path, eps):
 
 
 def test_approximate_rejects_unknown_alpha(tmp_path, capsys):
+    # refused before the output directory is made, as an unknown --j is
+    out = tmp_path / "out"
     code = run(["approximate", "--scenario", "schwartz_1d", "--eps", "0.2",
-                "--j", "1", "--l", "1", "--alpha", "nope", "--out", str(tmp_path)])
+                "--j", "1", "--l", "1", "--alpha", "nope", "--out", str(out)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.json"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["approximate"])
@@ -418,6 +421,28 @@ def test_approximate_calls_no_lapack(tmp_path, monkeypatch, name, eps, fixture):
                     "qr", "cholesky"):
         monkeypatch.setattr(np.linalg, routine, refuse)
     cutoff._window_rule.cache_clear()
+    code = run(["approximate", "--scenario", name, "--eps", eps, "--j", "1", "--l", "1",
+                "--out", str(tmp_path)])
+    assert code == 0
+    tag = eps.replace(".", "p")
+    for kind in ("ledger", "verify"):
+        assert (tmp_path / f"{kind}_{tag}.json").read_bytes() == (
+            FIXTURES / f"{kind}_{fixture}_j1_l1_eps{tag}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, eps, fixture", [("schwartz_1d", "0.2", "schwartz"),
+                                                ("om_finite_1d", "0.1", "om_finite")])
+def test_approximate_builds_no_polynomial(tmp_path, monkeypatch, name, eps, fixture):
+    # the window rule is stored and the bump's q_k are built on coefficient
+    # lists, so a fresh process runs none of numpy's polynomial helpers
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial built with numpy")
+
+    for helper in ("polyadd", "polymul", "polyder"):
+        monkeypatch.setattr(np, helper, refuse)
+    for cached in (cutoff._window_rule, exp_poly, mollify._normalization,
+                   mollify.build_mollifier):
+        cached.cache_clear()
     code = run(["approximate", "--scenario", name, "--eps", eps, "--j", "1", "--l", "1",
                 "--out", str(tmp_path)])
     assert code == 0

@@ -13,7 +13,7 @@ from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier
 from finiterank.seminorms import difference_seminorm, sample_jet
 from finiterank.weights import WeightIndex
-from oracles import bump_function, fd_derivative_oracle
+from oracles import bump_function, fd_derivative_oracle, gauss_legendre
 import expected
 
 
@@ -153,21 +153,28 @@ def test_profiles_read_their_own_windows(rng):
     assert np.array_equal(shifted.deriv(0, t), _full_window_profile(shifted, t))
 
 
-def test_window_rule_built_once_per_process(monkeypatch):
-    calls = []
-    gauss_legendre = cutoff._gauss_legendre
-
-    def counted(n):
-        calls.append(n)
-        return gauss_legendre(n)
-
-    monkeypatch.setattr(cutoff, "_gauss_legendre", counted)
+def test_window_rule_built_once_per_process():
+    # the stored rule is decoded on the first ask of the process; every later
+    # profile, in every cut-off, reads the same two arrays
     cutoff._window_rule.cache_clear()
     profiles = [_profile(lo, 1.0) for lo in (-1.0, -0.5, 0.0)]
     K = fr.Region.from_bounds([[-1.0, -1.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], 41)
+    union = _UnionCutoff(K, 0.5, 8)
     build_cutoff(K, 0.5).eval(np.zeros((3, 2)))
-    assert calls == [128]
-    assert all(p._gl_u is profiles[0]._gl_u for p in profiles)
+    assert cutoff._window_rule.cache_info().misses == 1
+    for p in profiles + [prof for box in union.boxes for prof in box]:
+        assert p._gl_u is profiles[0]._gl_u and p._gl_w is profiles[0]._gl_w
+
+
+def test_window_rule_is_the_newton_rule():
+    # the stored bits are the Newton-iteration rule mapped to [0, 1], mirrored
+    # from its upper half, and nothing can write them
+    u, w = cutoff._window_rule()
+    x, v = gauss_legendre(128)
+    assert np.array_equal(u, 0.5 * (x + 1.0)) and np.array_equal(w, 0.5 * v)
+    assert not u.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        u[0] = 0.0
 
 
 def test_window_rule_is_gauss_legendre():

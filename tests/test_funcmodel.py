@@ -30,6 +30,24 @@ def test_exp_poly_is_one_read_only_table():
         q[0] = 0.0
 
 
+def _exp_poly_numpy(k, a, b):
+    """The recurrence of exp_poly on numpy's polynomial helpers, as the
+    package built it before it worked on coefficient lists."""
+    p = np.ones(1)
+    for _ in range(k):
+        p = np.polyadd(np.polymul(a, np.polyder(p)), np.polymul(b, p))
+    return p
+
+
+@pytest.mark.parametrize("k", range(9))
+@pytest.mark.parametrize("a, b", [((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)), ((1.0,), (-2.0, 0.0))],
+                         ids=["bump", "hermite"])
+def test_exp_poly_matches_numpy_recurrence(k, a, b):
+    q, ref = exp_poly(k, a, b), _exp_poly_numpy(k, a, b)
+    assert len(q) == len(ref) and np.array_equal(q, ref)
+    assert q.dtype == ref.dtype and q.tobytes() == ref.tobytes()  # signs of zero too
+
+
 def test_multiindices_order():
     out = multiindices(2, 2)
     assert out[0] == (0, 0)
