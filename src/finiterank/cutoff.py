@@ -37,8 +37,8 @@ from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, leibniz, mi_
                         mi_sub, multiindex_binom, multiindices, submultiindices)
 from .geometry import Box, Region
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
-from .seminorms import (SeminormValue, find_tail_compact, grid_jet,  # noqa: F401
-                        jet_difference, tail_seminorm, weighted_seminorm)
+from .seminorms import (SeminormValue, find_tail_compact, jet_difference,  # noqa: F401
+                        tail_seminorm, weighted_seminorm)
 from .weights import WeightFamily, WeightIndex
 
 
@@ -288,23 +288,23 @@ def cutoff_jet(betas: list[MultiIndex], f_jet: np.ndarray, inside: np.ndarray,
 
 def apply_cutoff(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                  alpha: SeminormIndex, eps: float, delta: float,
-                 omega: Optional[Region] = None,
-                 jet: Optional[np.ndarray] = None) -> tuple[SampledFunction, CutoffReport]:
+                 omega: Optional[Region] = None, *,
+                 jet: np.ndarray) -> tuple[SampledFunction, CutoffReport]:
     """Cut f off outside a tail compact with budget eps.
 
     The tail target eps / (1 + C_{l,delta}) needs C_{l,delta} first, so a
     provisional cut-off on the eps-compact fixes the constant (it depends on
     delta and the construction, not on the compact), then the definitive
-    compact is searched at the sharpened target. Every scan reads f's jet on
-    its domain grid, jet when the caller holds it (see grid_jet), and the
-    report carries f~'s jet there, built from it.
+    compact is searched at the sharpened target. Every scan reads jet, f's
+    jet on its domain grid (sample_jet), and the report carries f~'s jet
+    there, built from it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     domain = f.domain
     if omega is None:
         omega = domain
-    dom_pts, jet = grid_jet(f, idx, jet)
+    dom_pts = domain.grid_points()
     K0 = find_tail_compact(f, fam, idx, alpha, eps, delta, omega=omega, jet=jet)
     if K0.is_empty:
         # tail already below target everywhere; cut around one central cell

@@ -41,7 +41,7 @@ from .funcmodel import (MultiIndex, SampledFunction, SeminormIndex, exp_poly, mi
                         multiindices, sf_zero)
 from .geometry import Box, Region
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
-from .seminorms import grid_jet, jet_difference, sample_jet, weighted_seminorm  # noqa: F401
+from .seminorms import jet_difference, sample_jet, weighted_seminorm  # noqa: F401
 from .weights import WeightFamily, WeightIndex
 
 _FLAT_CUTOFF = 1e-8
@@ -456,14 +456,13 @@ class RegularizationHistory:
 
 def find_regularization_order(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                               alpha: SeminormIndex, eps: float, n_max: int,
-                              quad: QuadratureSpec, jet: Optional[np.ndarray] = None
+                              quad: QuadratureSpec, *, jet: np.ndarray
                               ) -> tuple[int, RegularizationHistory]:
     """Smallest n in {2, 4, ..., n_max} with |f - f*rho_n|_{j,l,alpha} < eps
-    on f's domain grid; jet is f's jet there when the caller holds it (see
-    grid_jet)."""
+    on f's domain grid; jet is f's jet there (sample_jet)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    history = RegularizationHistory(f, grid_jet(f, idx, jet)[1], fam, idx, alpha, quad)
+    history = RegularizationHistory(f, jet, fam, idx, alpha, quad)
     n = 2
     while n <= n_max:
         if history.error(n) < eps:

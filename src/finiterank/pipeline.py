@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cutoff import apply_cutoff
-from .errors import ConfigError, FiniteRankError, GeometryError
+from .errors import ConfigError, GeometryError
 from .funcmodel import FiniteRankFunction, SampledFunction, SeminormIndex, multiindices
 from .geometry import Region
 # regularize and weighted_seminorm stay bound for perfbench/trace_layers.py,
@@ -176,8 +176,6 @@ def approximate(f: SampledFunction, scn: Scenario, idx: WeightIndex,
     """Run the three-stage pipeline; returns the finite-rank result and ledger."""
     if not (0 < eps < np.inf):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    if idx.l > f.order:
-        raise FiniteRankError("weight order exceeds the function's order")
     alpha = scn.seminorm(alpha_name)
     fam = scn.family
     quad = scn.quad

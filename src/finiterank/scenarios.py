@@ -70,6 +70,12 @@ def _family_from_cfg(cfg: dict, domain: Region) -> WeightFamily:
         for key, text in cfg["entries"].items():
             j, l = (int(part) for part in key.split(","))
             exprs[(j, l)] = text
+        # the audits and the pipeline read nu_{j,l} for every l <= k_max
+        missing = [(j, l) for j in sorted({j for j, _ in exprs}) for l in range(k_max + 1)
+                   if (j, l) not in exprs]
+        if missing:
+            raise ConfigError(f"custom family with k_max={k_max} has no entry for "
+                              f"(j, l) = {', '.join(map(str, missing))}")
         return custom_family(k_max, exprs, domain.d)
     raise ConfigError(f"unknown weight family kind {kind!r}")
 
@@ -119,7 +125,7 @@ def _delta_value(value) -> float:
     return value
 
 
-def _delta_rule_from_cfg(cfg: dict):
+def _delta_rule_from_cfg(cfg: dict, js: list[int]):
     kind = cfg.get("kind", "fixed")
     if kind == "fixed":
         value = _delta_value(cfg["value"])
@@ -129,6 +135,10 @@ def _delta_rule_from_cfg(cfg: dict):
         return lambda idx: 1.0 / (2 * idx.j + 2)
     if kind == "exhaustion_gap":
         gaps = {int(k): _delta_value(v) for k, v in cfg["values"].items()}
+        missing = [j for j in js if j not in gaps]
+        if missing:
+            raise ConfigError(f"exhaustion_gap delta has no value for j = "
+                              f"{', '.join(map(str, missing))} of the family")
         return lambda idx: gaps[idx.j]
     raise ConfigError(f"unknown delta rule {kind!r}")
 
@@ -169,7 +179,8 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
             family=fam,
             domain=domain,
             seminorms=seminorms,
-            delta_rule=_delta_rule_from_cfg(cfg.get("delta", {"kind": "fixed", "value": 1.0})),
+            delta_rule=_delta_rule_from_cfg(cfg.get("delta", {"kind": "fixed", "value": 1.0}),
+                                            fam.js),
             n_max=n_max,
             quad=quad,
             omega=omega,

@@ -94,14 +94,6 @@ def weighted_seminorm(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     return jet_seminorm(sample_jet(f, idx, pts), pts, [f.support], fam, idx, alpha, f.name)
 
 
-def grid_jet(f: SampledFunction, idx: WeightIndex,
-             jet: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """f's domain grid and f's jet there: the jet its caller already holds,
-    or else one sample_jet."""
-    pts = f.domain.grid_points()
-    return pts, (sample_jet(f, idx, pts) if jet is None else jet)
-
-
 def jet_difference(f: SampledFunction, f_jet: np.ndarray, g: SampledFunction,
                    g_jet: np.ndarray, pts: np.ndarray, fam: WeightFamily,
                    idx: WeightIndex, alpha: SeminormIndex) -> SeminormValue:
@@ -121,23 +113,22 @@ def difference_seminorm(f: SampledFunction, g: SampledFunction, fam: WeightFamil
 
 
 def tail_seminorm(f: SampledFunction, K: Region, fam: WeightFamily, idx: WeightIndex,
-                  alpha: SeminormIndex, jet: Optional[np.ndarray] = None) -> SeminormValue:
+                  alpha: SeminormIndex, *, jet: np.ndarray) -> SeminormValue:
     """Same sup restricted to f's domain grid points outside K; jet is f's
-    jet on that grid when the caller holds it (see grid_jet)."""
-    pts, jet = grid_jet(f, idx, jet)
+    jet on that grid (sample_jet)."""
+    pts = f.domain.grid_points()
     outside = ~K.contains(pts)
     return jet_seminorm(jet[:, outside], pts[outside], [f.support], fam, idx, alpha, f.name)
 
 
 def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
                       alpha: SeminormIndex, eps: float, delta: float,
-                      omega: Optional[Region] = None,
-                      jet: Optional[np.ndarray] = None) -> Region:
+                      omega: Optional[Region] = None, *, jet: np.ndarray) -> Region:
     """Smallest centered grid-aligned box (clipped to the weight's structure
     region when the family has one) whose tail seminorm on f's domain grid
     is < eps and whose delta-inflation stays inside omega, the boundary
     surrogate for the open domain (defaults to the gridded domain). jet is
-    f's jet on that grid when the caller holds it (see grid_jet).
+    f's jet on that grid (sample_jet).
 
     The minimal box is read off the violating set directly: per axis, the
     halfwidth is the largest |x_a| over grid points whose integrand reaches
@@ -150,7 +141,7 @@ def find_tail_compact(f: SampledFunction, fam: WeightFamily, idx: WeightIndex,
     domain = f.domain
     if omega is None:
         omega = domain
-    pts, jet = grid_jet(f, idx, jet)
+    pts = domain.grid_points()
     kept, _, vals = _scan(jet, pts, [f.support], fam, idx, alpha, f.name)
     integrand = np.zeros(len(pts))
     integrand[kept] = np.max(vals, axis=0)

@@ -34,8 +34,8 @@ from .funcmodel import FiniteRankFunction, SampledFunction, SeminormIndex, sf_ze
 from .geometry import Region
 from .cutoff import build_cutoff
 # weighted_seminorm stays bound for perfbench/trace_layers.py, which rebinds it
-from .seminorms import (SeminormValue, find_tail_compact, grid_jet,  # noqa: F401
-                        jet_difference, jet_seminorm, sample_jet, weighted_seminorm)
+from .seminorms import (SeminormValue, find_tail_compact, jet_difference,  # noqa: F401
+                        jet_seminorm, sample_jet, weighted_seminorm)
 from .weights import WeightFamily, WeightIndex
 
 # The most points the cover-defect audit checks at once. The audit's grid
@@ -283,16 +283,15 @@ class LocalizationReport:
 
 def finite_rank_c0_approx(f: SampledFunction, fam: WeightFamily, j: int,
                           alpha: SeminormIndex, eps: float,
-                          support_constraint: Optional[Region] = None,
-                          jet: Optional[np.ndarray] = None,
+                          support_constraint: Optional[Region] = None, *,
+                          jet: np.ndarray,
                           ) -> tuple[FiniteRankFunction, LocalizationReport]:
     """Order-zero finite-rank approximation with the 4 eps proof-chain bound.
 
-    Both scans read f's order-0 jet on its domain grid, jet when the caller
-    holds it (see grid_jet).
+    Both scans read jet, f's order-0 jet on its domain grid (sample_jet).
     """
     idx = WeightIndex(j, 0)
-    pts, jet = grid_jet(f, idx, jet)
+    pts = f.domain.grid_points()
     step = float(np.min(f.domain.spacing()))
     K = find_tail_compact(f, fam, idx, alpha, eps, delta=step, jet=jet)
     if K.is_empty or K.volume() == 0.0:

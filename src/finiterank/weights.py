@@ -264,7 +264,7 @@ def check_locally_bounded_away_from_zero(fam: WeightFamily, K: Region) -> AwayFr
 
 def check_vanishing_ratio(fam: WeightFamily, jl: WeightIndex, im: WeightIndex,
                           eps: float, search: Region) -> Optional[Region]:
-    """Smallest centered box K (clipped to the domain boxes) outside of which
+    """Smallest centered box K (clipped to search's boxes) outside of which
     nu_{j,l} <= eps * nu_{i,m} holds at every scanned grid point.
 
     Returns None when a violating point lies on the search boundary, i.e.

@@ -41,7 +41,9 @@ the package's syntax-tree walker. cutoff_resampling and
 localization_scans_resampling are the cut-off stage and the tensor stage's
 order-0 scans as they ran before the stages shared one jet of f: every scan
 samples its function on the domain grid itself. They are the reference for
-the shared jets, which must give the same bits.
+the shared jets, which must give the same bits. domain_jet is f's jet on its
+domain grid, the jet every stage takes: the tests that call a stage on its
+own sample through it, as approximate samples f once per operation.
 """
 
 import functools
@@ -624,13 +626,19 @@ def sympy_strings(texts, d):
     return SympyJet([sympy_parse(t, xs) for t in texts], xs)
 
 
+def domain_jet(f, idx):
+    """f's jet over |beta| <= idx.l on f's domain grid, as approximate samples it."""
+    return sample_jet(f, idx, f.domain.grid_points())
+
+
 def cutoff_resampling(f, fam, idx, alpha, eps, delta, omega=None):
     """cutoff.apply_cutoff with every scan sampling f or f~ itself; the
     report's jet is sample_jet of f~ on f's domain grid."""
     domain = f.domain
     if omega is None:
         omega = domain
-    K0 = find_tail_compact(f, fam, idx, alpha, eps, delta, omega=omega)
+    K0 = find_tail_compact(f, fam, idx, alpha, eps, delta, omega=omega,
+                           jet=domain_jet(f, idx))
     if K0.is_empty:
         step = domain.spacing()
         b0 = domain.boxes[0]
@@ -640,7 +648,8 @@ def cutoff_resampling(f, fam, idx, alpha, eps, delta, omega=None):
     provisional = build_cutoff(K0, delta, omega=omega)
     C = cutoff_constant(measure_cbeta(provisional, delta, idx.l), delta, idx.l)
 
-    K = find_tail_compact(f, fam, idx, alpha, eps / (1.0 + C), delta, omega=omega)
+    K = find_tail_compact(f, fam, idx, alpha, eps / (1.0 + C), delta, omega=omega,
+                          jet=domain_jet(f, idx))
     if K.is_empty or K.volume() == 0.0:
         K = K0
     dom_pts = domain.grid_points()
@@ -664,5 +673,5 @@ def localization_scans_resampling(f, g, fam, j, alpha, eps):
     tail compact searched at eps and the measured |f - g|."""
     idx = WeightIndex(j, 0)
     step = float(np.min(f.domain.spacing()))
-    return (find_tail_compact(f, fam, idx, alpha, eps, delta=step),
+    return (find_tail_compact(f, fam, idx, alpha, eps, delta=step, jet=domain_jet(f, idx)),
             difference_seminorm(f, g.sampled, fam, idx, alpha))

@@ -26,7 +26,7 @@ from finiterank.weights import (WeightIndex, check_directed, check_locally_bound
                                 check_locally_bounded_away_from_zero,
                                 check_vanishing_ratio)
 from oracles import (adaptive_simpson, bisect_root, bump_function, commutativity_check,
-                     dense_rescan, derivative_transfer_check, fd_step_sweep,
+                     dense_rescan, derivative_transfer_check, domain_jet, fd_step_sweep,
                      support_estimate)
 import expected
 
@@ -93,7 +93,8 @@ def test_criterion_2_convolution_suite():
 
 def test_criterion_3_regularization_convergence(schwartz_fam, sup_alpha, gauss_1d, quad):
     start = time.monotonic()
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 1), sup_alpha, 1e-3, 1.0)
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 1), sup_alpha, 1e-3, 1.0,
+                         jet=domain_jet(gauss_1d, WeightIndex(1, 1)))
     ok = True
     final = {}
     for l in (0, 1):
@@ -126,7 +127,8 @@ def test_criterion_4_cutoff_bound(domain_1d, schwartz_fam, sup_alpha):
         f = sf_from_expr_function(fn, domain_1d, order=6)
         l = trial % 3
         idx = WeightIndex(1, l)
-        ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0)
+        ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
+                               jet=domain_jet(f, idx))
         measured = difference_seminorm(f, ft, schwartz_fam, idx, sup_alpha)
         slack = (1 + rep.C_l_delta) * rep.tail.value + 1e-10 - measured.value
         worst_slack = max(worst_slack, -slack)
@@ -167,13 +169,15 @@ def test_criterion_5_partition_identities(domain_1d, schwartz_fam, sup_alpha,
 def test_criterion_6_localization_bound(plane_waves_1d, schwartz_fam, sup_alpha, domain_1d):
     ok = True
     details = []
+    jet = domain_jet(plane_waves_1d, WeightIndex(1, 0))
     for eps in (0.2, 0.05):
-        g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps)
+        g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps,
+                                       jet=jet)
         ok &= rep.measured.value < 4 * eps
         details.append(f"eps={eps}: |f-g| = {rep.measured.value:.3f} < {4*eps}")
     V = Region.box([-3.5], [3.5], 701)
     g, rep = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha,
-                                   0.2, support_constraint=V)
+                                   0.2, support_constraint=V, jet=jet)
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)
     # column i of the factor map is phi_i

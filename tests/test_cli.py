@@ -347,6 +347,38 @@ def test_quadrature_rule_must_be_midpoint(tmp_path, capsys):
     assert "unknown quadrature rule 'gauss'" in capsys.readouterr().err
 
 
+def test_exhaustion_gap_must_cover_every_j(tmp_path, capsys):
+    # a gap table without j = 2 used to end in a KeyError traceback once the
+    # run had made --out, with exit 1, the code of an uncertified result
+    scn, _ = load_scenario("exhaustion_1d")
+    delta = scn.config["delta"]
+    values = {j: gap for j, gap in delta["values"].items() if j != "2"}
+    path = _scenario_cfg(tmp_path, "exhaustion_1d", delta=dict(delta, values=values))
+    out = tmp_path / "out"
+    code = run(["approximate", "--scenario", str(path), "--eps", "0.1",
+                "--j", "2", "--l", "1", "--out", str(out)])
+    assert code == 2
+    assert "exhaustion_gap delta has no value for j = 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [("check-weights", []),
+                                            ("approximate", ["--l", "1"])],
+                         ids=["check-weights", "approximate"])
+def test_custom_family_must_declare_every_order(tmp_path, capsys, command, flags):
+    # entries up to l = 1 under k_max = 2 used to pass as a config and fail
+    # inside the run, "no weight with index j=1, l=2", as a numeric failure
+    # (exit 3); approximate had made --out by then
+    family = {"kind": "custom", "k_max": 2,
+              "entries": {"1,0": "1", "1,1": "(1 + x^2)^0.5"}}
+    path = _scenario_cfg(tmp_path, family=family, audit={})
+    out = tmp_path / "out"
+    code = run([command, "--scenario", str(path), *flags, "--out", str(out)])
+    assert code == 2
+    assert "no entry for (j, l) = (1, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_approximate_certified_and_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

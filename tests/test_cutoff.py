@@ -13,7 +13,7 @@ from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier
 from finiterank.seminorms import difference_seminorm, sample_jet
 from finiterank.weights import WeightIndex
-from oracles import bump_function, fd_derivative_oracle, gauss_legendre
+from oracles import bump_function, domain_jet, fd_derivative_oracle, gauss_legendre
 import expected
 
 
@@ -308,7 +308,8 @@ def test_apply_cutoff_bound_randomized(domain_1d, schwartz_fam, sup_alpha, rng):
         f = sf_from_expr_function(fn, domain_1d, order=6)
         l = int(rng.integers(0, 3))
         idx = WeightIndex(1, l)
-        ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0)
+        ft, rep = apply_cutoff(f, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
+                               jet=domain_jet(f, idx))
         measured = difference_seminorm(f, ft, schwartz_fam, idx, sup_alpha)
         bound = (1 + cutoff_constant_from_report(rep)) * rep.tail.value
         assert measured.value <= bound + 1e-10
@@ -326,7 +327,8 @@ def test_apply_cutoff_identity_on_compact(domain_1d, schwartz_fam, sup_alpha, qu
     f = SampledFunction(domain=domain_1d, order=4, value_dim=1,
                         evaluator=f.evaluator, derivative=f.derivative,
                         support=Region.box([-1.0], [1.0], 1201), name="bump")
-    ft, rep = apply_cutoff(f, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
+    ft, rep = apply_cutoff(f, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0,
+                           jet=domain_jet(f, WeightIndex(1, 0)))
     pts = domain_1d.grid_points()
     diff = np.max(np.abs(f.eval_extended(pts) - ft.eval_extended(pts)))
     assert diff <= 1e-12
@@ -335,7 +337,8 @@ def test_apply_cutoff_identity_on_compact(domain_1d, schwartz_fam, sup_alpha, qu
 
 def test_apply_cutoff_zero(domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 2)
-    ft, rep = apply_cutoff(z, schwartz_fam, WeightIndex(1, 1), sup_alpha, 1e-2, 1.0)
+    ft, rep = apply_cutoff(z, schwartz_fam, WeightIndex(1, 1), sup_alpha, 1e-2, 1.0,
+                           jet=domain_jet(z, WeightIndex(1, 1)))
     pts = domain_1d.grid_points()
     assert np.all(ft.eval_extended(pts) == 0.0)
     assert rep.measured.value == 0.0
@@ -343,7 +346,8 @@ def test_apply_cutoff_zero(domain_1d, schwartz_fam, sup_alpha):
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_apply_cutoff_measures_table_to_l(l, domain_1d, schwartz_fam, sup_alpha, gauss_1d):
-    _, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, l), sup_alpha, 0.05, 1.0)
+    _, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, l), sup_alpha, 0.05, 1.0,
+                          jet=domain_jet(gauss_1d, WeightIndex(1, l)))
     assert list(rep.Cbeta_table) == multiindices(1, l)
     # the same cut-off measured to order 4 gives the same constant, bit for bit
     dom_pts = domain_1d.grid_points()
@@ -416,7 +420,8 @@ def test_apply_cutoff_reads_psi_once_near_k(domain_1d, schwartz_fam, sup_alpha, 
 
     monkeypatch.setattr(_UnionCutoff, "deriv", counted)
     idx = WeightIndex(1, 1)
-    _, rep = apply_cutoff(gauss_1d, schwartz_fam, idx, sup_alpha, 0.05, 1.0)
+    _, rep = apply_cutoff(gauss_1d, schwartz_fam, idx, sup_alpha, 0.05, 1.0,
+                          jet=domain_jet(gauss_1d, idx))
     near = rep.K.inflate(1.0).contains(domain_1d.grid_points())
     betas = len(multiindices(1, idx.l))
     assert sum(seen) == betas * (801 + 801 + int(near.sum()))

@@ -9,8 +9,8 @@ from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, SeminormI
                                   exp_poly, mi_order, multiindex_binom, multiindices,
                                   sf_from_expr_function, submultiindices)
 from finiterank.geometry import Region
-from oracles import (bump_function, evaluate, fd_derivative_oracle, fd_step_sweep,
-                     support_estimate)
+from oracles import (bump_function, domain_jet, evaluate, fd_derivative_oracle,
+                     fd_step_sweep, support_estimate)
 
 
 def test_binom_examples():
@@ -298,7 +298,8 @@ def test_support_estimate_zero_and_mollifier_radius(domain_1d, quad):
 def test_finite_rank_sum_identity(plane_waves_1d, schwartz_fam, sup_alpha,
                                   domain_1d):
     # g = sum_i phi_i (x) e_i: the factor map times the value matrix is the sum
-    g, _ = fr.finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2)
+    g, _ = fr.finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2,
+                                    jet=domain_jet(plane_waves_1d, fr.WeightIndex(1, 0)))
     assert isinstance(g, FiniteRankFunction)
     assert g.rank > 1
     assert g.factors.value_dim == g.rank

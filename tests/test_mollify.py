@@ -19,7 +19,8 @@ from finiterank.cutoff import apply_cutoff, build_cutoff, multiply_cutoff
 from finiterank import mollify
 from oracles import (adaptive_simpson, bump_function, bump_profile_masked, commutativity_check,
                      convolve_midpoint, convolve_per_node, derivative_transfer_check,
-                     lattice_coefficients, split_by_unique, support_estimate, sympy_bump)
+                     domain_jet, lattice_coefficients, split_by_unique, support_estimate,
+                     sympy_bump)
 from test_expressions import _run_script
 import expected
 
@@ -391,7 +392,8 @@ def test_convolution_linearity(quad, domain_1d, gauss_1d):
 
 
 def test_regularize_sup_error_monotone(quad, schwartz_fam, sup_alpha, gauss_1d):
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0,
+                         jet=domain_jet(gauss_1d, WeightIndex(1, 0)))
     errors = []
     for n in (2, 4, 8, 16):
         sm = regularize(ft, n, quad)
@@ -401,7 +403,8 @@ def test_regularize_sup_error_monotone(quad, schwartz_fam, sup_alpha, gauss_1d):
 
 
 def test_regularize_support_inflation(quad, domain_1d, gauss_1d, schwartz_fam, sup_alpha):
-    ft, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
+    ft, rep = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0,
+                           jet=domain_jet(gauss_1d, WeightIndex(1, 0)))
     sm = regularize(ft, 4, quad)
     assert sm.support is not None
     est = support_estimate(sm)
@@ -427,29 +430,34 @@ def test_regularize_needs_a_declared_support(quad, gauss_1d):
 def test_find_regularization_order_zero(quad, domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 1)
     n, _ = find_regularization_order(z, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                                     1e-3, 64, quad)
+                                     1e-3, 64, quad, jet=domain_jet(z, WeightIndex(1, 0)))
     assert n == 2
 
 
 def test_find_regularization_order_pinned(quad, schwartz_fam, sup_alpha, gauss_1d):
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0,
+                         jet=domain_jet(gauss_1d, WeightIndex(1, 0)))
     n, history = find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0),
-                                           sup_alpha, 1e-2, 64, quad)
+                                           sup_alpha, 1e-2, 64, quad,
+                                           jet=domain_jet(ft, WeightIndex(1, 0)))
     assert n == expected.REG_ORDER_GAUSS_L0
     assert n <= 64
 
 
 def test_find_regularization_order_loose_eps(quad, schwartz_fam, sup_alpha, gauss_1d):
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0,
+                         jet=domain_jet(gauss_1d, WeightIndex(1, 0)))
     big = weighted_seminorm(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha).value
     n, _ = find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                                     10.0 * big, 64, quad)
+                                     10.0 * big, 64, quad,
+                                     jet=domain_jet(ft, WeightIndex(1, 0)))
     assert n == 2
 
 
 def test_find_regularization_order_exhausted(quad, schwartz_fam, sup_alpha, gauss_1d):
-    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0)
+    ft, _ = apply_cutoff(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 1.0,
+                         jet=domain_jet(gauss_1d, WeightIndex(1, 0)))
     with pytest.raises(ConvergenceError) as err:
         find_regularization_order(ft, schwartz_fam, WeightIndex(1, 0), sup_alpha,
-                                  1e-12, 4, quad)
+                                  1e-12, 4, quad, jet=domain_jet(ft, WeightIndex(1, 0)))
     assert err.value.best is not None and err.value.best > 1e-12

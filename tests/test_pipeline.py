@@ -7,7 +7,7 @@ import pytest
 
 from finiterank import mollify, pipeline
 from finiterank.cutoff import apply_cutoff
-from finiterank.errors import ResolutionError
+from finiterank.errors import OrderError, ResolutionError
 from finiterank.funcmodel import FiniteRankFunction, SampledFunction, sf_zero
 from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier, convolve, regularize
@@ -16,7 +16,7 @@ from finiterank.pipeline import (ErrorLedger, VerificationReport, approximate,
 from finiterank.scenarios import load_scenario
 from finiterank.seminorms import difference_seminorm, weighted_seminorm
 from finiterank.weights import WeightIndex
-from oracles import convolve_midpoint, difference_function, scaled_result
+from oracles import convolve_midpoint, difference_function, domain_jet, scaled_result
 import expected
 
 
@@ -35,6 +35,14 @@ def test_zero_function_certified(schwartz_scn):
     assert ledger.stage2_measured == 0.0
     assert ledger.stage3_measured == 0.0
     assert ledger.total_measured == 0.0
+
+
+def test_weight_order_above_the_function_order_is_an_order_error(schwartz_scn):
+    # sampling f's jet refuses it and names both orders; approximate used to
+    # raise a plain FiniteRankError of its own first
+    scn, f = schwartz_scn
+    with pytest.raises(OrderError, match=rf"l={f.order + 1} exceeds function order {f.order}"):
+        approximate(f, scn, WeightIndex(1, f.order + 1), "sup", 0.1)
 
 
 def test_structured_input_small_stage1(schwartz_scn, quad):
@@ -56,7 +64,8 @@ def test_structured_input_small_stage1(schwartz_scn, quad):
 def _cut_off(f, scn, idx, eps):
     """f_tilde as stage 1 of approximate(f, scn, idx, "sup", eps) builds it."""
     f_tilde, _ = apply_cutoff(f, scn.family, idx, scn.seminorm("sup"), eps / 3.0,
-                              scn.delta_rule(idx), omega=scn.omega_region())
+                              scn.delta_rule(idx), omega=scn.omega_region(),
+                              jet=domain_jet(f, idx))
     return f_tilde
 
 

@@ -9,7 +9,7 @@ from finiterank.geometry import Region
 from finiterank.seminorms import (find_tail_compact, jet_seminorm, tail_seminorm,
                                   weighted_seminorm)
 from finiterank.weights import WeightIndex, exp_strips_family
-from oracles import bisect_root, dense_rescan
+from oracles import bisect_root, dense_rescan, domain_jet
 import expected
 
 
@@ -56,20 +56,23 @@ def test_witness_reproduces_value(plane_waves_1d, schwartz_fam, sup_alpha):
 
 def test_tail_covering_support_is_zero(gauss_1d, schwartz_fam, sup_alpha, domain_1d):
     K = Region.box([-6.0], [6.0], 1201)
-    sv = tail_seminorm(gauss_1d, K, schwartz_fam, WeightIndex(1, 0), sup_alpha)
+    sv = tail_seminorm(gauss_1d, K, schwartz_fam, WeightIndex(1, 0), sup_alpha,
+                       jet=domain_jet(gauss_1d, WeightIndex(1, 0)))
     assert sv.value == 0.0 and sv.empty
 
 
 def test_tail_empty_K_equals_full(gauss_1d, schwartz_fam, sup_alpha):
     K = Region.empty(1)
-    tail = tail_seminorm(gauss_1d, K, schwartz_fam, WeightIndex(1, 0), sup_alpha)
+    tail = tail_seminorm(gauss_1d, K, schwartz_fam, WeightIndex(1, 0), sup_alpha,
+                         jet=domain_jet(gauss_1d, WeightIndex(1, 0)))
     full = weighted_seminorm(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha)
     assert tail.value == full.value
 
 
 def test_tail_gauss_outside_two(gauss_1d, schwartz_fam, sup_alpha, domain_1d):
     K = Region.box([-2.0], [2.0], 401)
-    sv = tail_seminorm(gauss_1d, K, schwartz_fam, WeightIndex(1, 0), sup_alpha)
+    sv = tail_seminorm(gauss_1d, K, schwartz_fam, WeightIndex(1, 0), sup_alpha,
+                       jet=domain_jet(gauss_1d, WeightIndex(1, 0)))
     pts = domain_1d.grid_points()[:, 0]
     outside = pts[~K.contains(domain_1d.grid_points())]
     first = np.min(np.abs(outside))
@@ -79,8 +82,11 @@ def test_tail_gauss_outside_two(gauss_1d, schwartz_fam, sup_alpha, domain_1d):
 
 def test_tail_monotone_in_K(gauss_1d, schwartz_fam, sup_alpha):
     idx = WeightIndex(1, 1)
-    t1 = tail_seminorm(gauss_1d, Region.box([-1.0], [1.0], 3), schwartz_fam, idx, sup_alpha)
-    t2 = tail_seminorm(gauss_1d, Region.box([-2.0], [2.0], 3), schwartz_fam, idx, sup_alpha)
+    jet = domain_jet(gauss_1d, idx)
+    t1 = tail_seminorm(gauss_1d, Region.box([-1.0], [1.0], 3), schwartz_fam, idx, sup_alpha,
+                       jet=jet)
+    t2 = tail_seminorm(gauss_1d, Region.box([-2.0], [2.0], 3), schwartz_fam, idx, sup_alpha,
+                       jet=jet)
     full = weighted_seminorm(gauss_1d, schwartz_fam, idx, sup_alpha)
     assert t1.value >= t2.value
     assert t2.value <= t1.value <= full.value
@@ -107,12 +113,14 @@ def test_triangle_inequality_random_pairs(domain_1d, schwartz_fam, sup_alpha, rn
 
 def test_find_tail_compact_zero(domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 1)
-    K = find_tail_compact(z, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 0.0)
+    K = find_tail_compact(z, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 0.0,
+                          jet=domain_jet(z, WeightIndex(1, 0)))
     assert K.volume() == 0.0
 
 
 def test_find_tail_compact_gauss_radius(gauss_1d, schwartz_fam, sup_alpha, domain_1d):
-    K = find_tail_compact(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 0.5)
+    K = find_tail_compact(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha, 1e-3, 0.5,
+                          jet=domain_jet(gauss_1d, WeightIndex(1, 0)))
     oracle = bisect_root(lambda r: np.exp(-r * r) - 1e-3, 0.0, 10.0)
     assert oracle == pytest.approx(expected.GAUSS_TAIL_RADIUS_1E3, abs=1e-10)
     assert abs(K.boxes[0].hi[0] - oracle) <= domain_1d.spacing()[0] + 1e-12
@@ -131,7 +139,8 @@ def test_find_tail_compact_strip_formula(sup_alpha):
     grow = expr_function_from_strings([f"exp(abs(x1) / {2 * j + 2})"], 2)
     f = SampledFunction(domain=domain, order=0, value_dim=1, evaluator=grow.eval)
     delta = 1.0 / (2 * j + 2)
-    K = find_tail_compact(f, fam, WeightIndex(j, 0), sup_alpha, eps, delta, omega=omega)
+    K = find_tail_compact(f, fam, WeightIndex(j, 0), sup_alpha, eps, delta, omega=omega,
+                          jet=domain_jet(f, WeightIndex(j, 0)))
     predicted = -np.log(eps) * (2 * j + 2)
     halfwidth = K.boxes[0].hi[0]
     assert abs(halfwidth - predicted) <= domain.spacing()[0] + 1e-12
@@ -145,7 +154,8 @@ def test_find_tail_compact_failure_signal(domain_1d, schwartz_fam, sup_alpha):
                         evaluator=lambda p: np.ones((len(p), 1)))
     with pytest.raises(CriterionError) as err:
         # constant 1 with the (1+x^2)^(l/2) weight never decays
-        find_tail_compact(c, schwartz_fam, WeightIndex(1, 0), sup_alpha, 0.5, 0.0)
+        find_tail_compact(c, schwartz_fam, WeightIndex(1, 0), sup_alpha, 0.5, 0.0,
+                          jet=domain_jet(c, WeightIndex(1, 0)))
     assert err.value.best is not None
 
 
@@ -160,7 +170,7 @@ def test_find_tail_compact_refuses_violations_at_either_edge(hi, schwartz_fam, s
     omega = Region.box([-1e6], [1e6], 901)
     with pytest.raises(CriterionError, match="search boundary"):
         find_tail_compact(f, schwartz_fam, WeightIndex(1, 0), sup_alpha, 0.1, 0.5,
-                          omega=omega)
+                          omega=omega, jet=domain_jet(f, WeightIndex(1, 0)))
 
 
 def test_serialized_record_fields(gauss_1d, schwartz_fam, sup_alpha):
@@ -198,10 +208,11 @@ def test_non_finite_integrand_is_refused(schwartz_fam, sup_alpha):
     msg = r"non-finite integrand nan .* at x=\[-2\.0\], beta=\(0,\)"
     with pytest.raises(FiniteRankError, match=msg):
         weighted_seminorm(f, schwartz_fam, idx, sup_alpha)
+    jet = domain_jet(f, idx)
     with pytest.raises(FiniteRankError, match=msg):
-        tail_seminorm(f, Region.box([-1.0], [1.0], 21), schwartz_fam, idx, sup_alpha)
+        tail_seminorm(f, Region.box([-1.0], [1.0], 21), schwartz_fam, idx, sup_alpha, jet=jet)
     with pytest.raises(FiniteRankError, match=msg):
-        find_tail_compact(f, schwartz_fam, idx, sup_alpha, 1e-3, 0.0)
+        find_tail_compact(f, schwartz_fam, idx, sup_alpha, 1e-3, 0.0, jet=jet)
 
 
 @pytest.mark.parametrize("alpha", [

@@ -1,19 +1,23 @@
 """One operation samples f once on its domain grid.
 
 approximate samples f's jet there once; stage 1 builds f~'s jet from it and
-psi's, and every later scan reads one of the two. The references in
+psi's, and every later scan reads one of the two. Each stage takes the jet
+it reads as a required argument and samples nothing itself. The references in
 oracles.py sample each scan's function themselves, as the stages did before
 they shared the jets; the shared jets must give the same bits.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
 from finiterank import pipeline
 from finiterank.cutoff import apply_cutoff
+from finiterank.mollify import find_regularization_order
 from finiterank.pipeline import approximate
 from finiterank.scenarios import load_scenario
-from finiterank.seminorms import find_tail_compact, sample_jet
+from finiterank.seminorms import find_tail_compact, sample_jet, tail_seminorm
 from finiterank.tensorapprox import finite_rank_c0_approx
 from finiterank.weights import WeightIndex
 from oracles import cutoff_resampling, localization_scans_resampling
@@ -43,6 +47,22 @@ def test_f_sampled_once_on_the_scan_grid():
     _, ledger = approximate(f, scn, WeightIndex(1, 1), "sup", 0.1)
     assert ledger.certified
     assert calls == ["deriv_multi"]
+
+
+@pytest.mark.parametrize("stage", [find_tail_compact, tail_seminorm, apply_cutoff,
+                                   find_regularization_order, finite_rank_c0_approx],
+                         ids=lambda fn: fn.__name__)
+def test_stages_take_the_jet_they_read(stage):
+    # no stage samples f itself: the jet is a keyword argument without a
+    # default, so a call that leaves it out fails before any work
+    params = inspect.signature(stage).parameters
+    assert params["jet"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert params["jet"].default is inspect.Parameter.empty
+    required = [p for p in params.values()
+                if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+                and p.default is inspect.Parameter.empty]
+    with pytest.raises(TypeError, match="'jet'"):
+        stage(*[None] * len(required))
 
 
 def _same_value(a, b):

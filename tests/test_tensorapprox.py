@@ -12,7 +12,13 @@ from finiterank.tensorapprox import (Cover, _bump_matrix, build_partition,
                                      finite_rank_c0_approx, oscillation_cover)
 from finiterank.weights import WeightIndex, exp_strips_family, schwartz_family
 import expected
-from oracles import dense_bump_matrix, dense_partition, oscillation_cover_allpoints
+from oracles import (dense_bump_matrix, dense_partition, domain_jet,
+                     oscillation_cover_allpoints)
+
+
+def _jet0(f):
+    """f's order-0 jet on its domain grid, the jet finite_rank_c0_approx takes."""
+    return domain_jet(f, WeightIndex(1, 0))
 
 
 def _linear(domain):
@@ -260,7 +266,8 @@ def test_cover_defect_is_refused(monkeypatch, plane_waves_1d, schwartz_fam, sup_
                 values=np.zeros((1, plane_waves_1d.value_dim)), N_const=1.0, target_osc=0.1)
     monkeypatch.setattr(tensorapprox, "oscillation_cover", lambda *a, **k: far)
     with pytest.raises(CoverDefectError, match="bump sum vanishes"):
-        finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2)
+        finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2,
+                              jet=_jet0(plane_waves_1d))
 
 
 def test_cover_defect_witness_does_not_depend_on_the_audit_blocks(
@@ -278,7 +285,8 @@ def test_cover_defect_witness_does_not_depend_on_the_audit_blocks(
     for size in (7, 10**9):
         monkeypatch.setattr(tensorapprox, "AUDIT_POINTS", size)
         with pytest.raises(CoverDefectError, match=r"at \[0\.4995") as err:
-            finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2)
+            finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2,
+                                  jet=_jet0(plane_waves_1d))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert len(blocks) > 10 and max(blocks[:-1]) == 7
@@ -380,7 +388,8 @@ def test_unsmoothed_factors_declare_order_zero(plane_waves_1d, schwartz_fam,
                                                sup_alpha):
     # the factor map has no derivative; a derivative seminorm must refuse it
     # instead of reading finite differences
-    g, _ = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2)
+    g, _ = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, 0.2,
+                                 jet=_jet0(plane_waves_1d))
     assert g.factors.order == 0
     with pytest.raises(OrderError):
         weighted_seminorm(g.factors, schwartz_fam, WeightIndex(1, 1), sup_alpha)
@@ -400,7 +409,7 @@ def test_partition_single_center_equals_cutoff(domain_1d, schwartz_fam, sup_alph
 
 def test_finite_rank_zero(domain_1d, schwartz_fam, sup_alpha):
     z = sf_zero(domain_1d, 2)
-    g, report = finite_rank_c0_approx(z, schwartz_fam, 1, sup_alpha, 0.1)
+    g, report = finite_rank_c0_approx(z, schwartz_fam, 1, sup_alpha, 0.1, jet=_jet0(z))
     assert g.rank == 0
     assert report.measured.value == 0.0
     assert report.measured.value < 4 * 0.1
@@ -411,7 +420,8 @@ def test_finite_rank_zero_on_an_empty_tail_compact(sup_alpha):
     # keeps no point at all: K is empty and g = 0
     fam = exp_strips_family(2, 3, (-4, 4), (41, 36))
     dom = fam.structure_region(3)
-    g, report = finite_rank_c0_approx(sf_zero(dom, 2), fam, 1, sup_alpha, 0.1)
+    z = sf_zero(dom, 2)
+    g, report = finite_rank_c0_approx(z, fam, 1, sup_alpha, 0.1, jet=_jet0(z))
     assert report.K.is_empty
     assert g.rank == report.rank == 0
     assert g.values.shape == (0, 2)
@@ -426,7 +436,7 @@ def test_finite_rank_zero_below_the_tolerance(gauss_1d, schwartz_fam, sup_alpha)
     full = weighted_seminorm(gauss_1d, schwartz_fam, WeightIndex(1, 0), sup_alpha)
     assert full.value > 0.0
     g, report = finite_rank_c0_approx(gauss_1d, schwartz_fam, 1, sup_alpha,
-                                      2.0 * full.value)
+                                      2.0 * full.value, jet=_jet0(gauss_1d))
     assert g.rank == report.rank == 0
     assert report.cover is None
     assert report.measured.value == full.value
@@ -440,7 +450,7 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, gauss_1d
                         evaluator=lambda p: gauss_1d.eval(p) * e[None, :],
                         derivative=lambda b, p: gauss_1d.deriv(b, p) * e[None, :])
     eps = 0.05
-    g, report = finite_rank_c0_approx(f, schwartz_fam, 1, sup_alpha, eps)
+    g, report = finite_rank_c0_approx(f, schwartz_fam, 1, sup_alpha, eps, jet=_jet0(f))
     assert report.measured.value < 4 * eps
     assert g.values.shape == (g.rank, 3)
     for value in g.values:
@@ -451,7 +461,8 @@ def test_finite_rank_rank_one_truth(domain_1d, schwartz_fam, sup_alpha, gauss_1d
 @pytest.mark.parametrize("eps,rank_key", [(0.2, "LOC_RANK_EPS_02"),
                                           (0.05, "LOC_RANK_EPS_005")])
 def test_finite_rank_plane_waves(eps, rank_key, plane_waves_1d, schwartz_fam, sup_alpha):
-    g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps)
+    g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps,
+                                      jet=_jet0(plane_waves_1d))
     assert report.measured.value < 4 * eps
     assert report.rank == getattr(expected, rank_key)
     assert report.rank == report.cover.n_centers
@@ -460,7 +471,8 @@ def test_finite_rank_plane_waves(eps, rank_key, plane_waves_1d, schwartz_fam, su
 def test_rank_monotone_in_eps(plane_waves_1d, schwartz_fam, sup_alpha):
     ranks = []
     for eps in (0.4, 0.2, 0.1):
-        _, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps)
+        _, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps,
+                                          jet=_jet0(plane_waves_1d))
         ranks.append(report.rank)
     assert ranks[0] <= ranks[1] <= ranks[2]
 
@@ -470,7 +482,8 @@ def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_a
     # instead of one box per term
     ranks, box_counts = [], []
     for eps in (0.4, 0.1):
-        g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps)
+        g, report = finite_rank_c0_approx(plane_waves_1d, schwartz_fam, 1, sup_alpha, eps,
+                                          jet=_jet0(plane_waves_1d))
         ranks.append(g.rank)
         box_counts.append(len(g.sampled.support.boxes))
         assert box_counts[-1] == len(report.K.boxes)
@@ -481,7 +494,7 @@ def test_sampled_support_independent_of_rank(plane_waves_1d, schwartz_fam, sup_a
 def test_support_constraint_honored(gauss_1d, schwartz_fam, sup_alpha, domain_1d):
     V = Region.box([-3.5], [3.5], 701)
     g, report = finite_rank_c0_approx(gauss_1d, schwartz_fam, 1, sup_alpha, 0.1,
-                                      support_constraint=V)
+                                      support_constraint=V, jet=_jet0(gauss_1d))
     assert report.measured.value < 4 * 0.1
     pts = domain_1d.grid_points()
     outside = ~V.contains(pts)

@@ -9,6 +9,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from finiterank import approximate, load_scenario, verify_ledger
 from finiterank.weights import WeightIndex
 
@@ -22,23 +24,25 @@ def _trace_layers():
     return module
 
 
-def _operation(f, scn):
+def _operation(f, scn, eps):
     idx = WeightIndex(1, 1)
-    result, ledger = approximate(f, scn, idx, "sup", 0.2)
+    result, ledger = approximate(f, scn, idx, "sup", eps)
     report = verify_ledger(result, ledger, f, scn, idx, "sup", refine=2)
     return ledger.to_json(), json.dumps(report.to_json_dict(), sort_keys=True)
 
 
-def test_traced_operation_matches_untraced():
+# an operation of each benchmark workload
+@pytest.mark.parametrize("name, eps", [("schwartz_1d", 0.2), ("om_finite_1d", 0.1)])
+def test_traced_operation_matches_untraced(name, eps):
     tl = _trace_layers()
-    scn, f = load_scenario("schwartz_1d")
-    untraced = _operation(f, scn)
+    scn, f = load_scenario(name)
+    untraced = _operation(f, scn, eps)
 
     tracer = tl.Tracer()
     patches = tl.instrument(tracer)
     try:
         tl.instrument_function(tracer, f, patches)
-        traced = _operation(f, scn)
+        traced = _operation(f, scn, eps)
     finally:
         tl.restore(patches)
 
