@@ -166,14 +166,9 @@ class _UnionCutoff:
     def deriv(self, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
         if len(self.boxes) == 1:
             return self._box_deriv(self.boxes[0], beta, pts)
-
-        def one_minus(profiles):
-            def fn(b, x):
-                v = self._box_deriv(profiles, b, x)
-                return (1.0 - v) if mi_order(b) == 0 else -v
-            return fn
-
-        prod = leibniz([one_minus(p) for p in self.boxes], beta, pts)
+        jets = [{g: self._box_deriv(p, g, pts) for g in submultiindices(beta)} for p in self.boxes]
+        prod = leibniz([{g: -v if mi_order(g) else 1.0 - v for g, v in jet.items()}
+                        for jet in jets], beta)
         return 1.0 - prod if mi_order(beta) == 0 else -prod
 
 
@@ -250,7 +245,9 @@ def multiply_cutoff(psi: SampledFunction, f: SampledFunction) -> SampledFunction
     def derivative(beta, pts):
         if mi_order(beta) > order:
             raise OrderError("product-rule order exceeds a factor's order")
-        return leibniz([f.deriv, lambda gamma, x: psi.deriv(gamma, x)[:, 0:1]], beta, pts)
+        betas = submultiindices(beta)
+        return leibniz([dict(zip(betas, f.deriv_multi(betas, pts))),
+                        dict(zip(betas, psi.deriv_multi(betas, pts)[:, :, 0:1]))], beta)
 
     return SampledFunction(
         domain=f.domain,
@@ -269,20 +266,16 @@ def cutoff_jet(betas: list[MultiIndex], f_jet: np.ndarray, inside: np.ndarray,
     from f's jet there (f_jet) and psi's jet (psi_jet) at the points that
     lie inside supp psi (the mask inside), in their order; outside the
     support the jet is zero. betas is multiindices(d, l), the rows of both
-    jets. Each derivative is multiply_cutoff's leibniz over two factors that
-    read the jets, so the jet equals sample_jet of the product value for
-    value (f_jet, like any sampled jet, is zero outside f's declared
-    support); only a zero where psi vanishes may carry the other sign,
-    which no seminorm reads.
+    jets, a lower set. Each derivative is funcmodel.leibniz over the two
+    jets, with the terms of multiply_cutoff's, so the jet equals sample_jet
+    of the product value for value (f_jet, like any sampled jet, is zero
+    outside f's declared support); only a zero where psi vanishes may carry
+    the other sign, which no seminorm reads.
     """
-    row = {beta: i for i, beta in enumerate(betas)}
-    f_in = f_jet[:, inside]
-    psi_jet = psi_jet[:, :, 0:1]
-    factors = [lambda gamma, _: f_in[row[gamma]],
-               lambda gamma, _: psi_jet[row[gamma]]]
+    jets = [dict(zip(betas, f_jet[:, inside])), dict(zip(betas, psi_jet[:, :, 0:1]))]
     out = np.zeros(f_jet.shape)
     for i, beta in enumerate(betas):
-        out[i, inside] = leibniz(factors, beta, None)
+        out[i, inside] = leibniz(jets, beta)
     return out
 
 

@@ -7,10 +7,11 @@ once, into a closure (xs, betas) -> {beta: d^beta value}, xs the coordinate
 columns and betas a lower set of multi-indices, each after those below it.
 Derivatives are forward-mode Taylor arithmetic on the tree (Griewank and
 Walther, Evaluating Derivatives, 2nd ed., ch. 13); the beta = 0 value is
-the string evaluated as written. A weight (compile_scalar) reads beta = 0
-only; a string function (ExprFunction) reads d^beta over the multi-indices
-below beta. abs and indicator have values only. The builtin functions are
-numpy closed forms. Callables operate on (N, d) point batches.
+the string evaluated as written, and products, quotients and the chain
+rule are funcmodel.leibniz over jets. A weight (compile_scalar) reads
+beta = 0 only, a string function every d^gamma below the beta asked for.
+abs and indicator have values only. The builtin functions are products
+of numpy closed forms. Callables operate on (N, d) point batches.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import operator
 import numpy as np
 
 from .errors import ConfigError, OrderError
-from .funcmodel import exp_poly, leibniz, mi_sub, multiindex_binom, submultiindices
+from .funcmodel import exp_poly, leibniz, submultiindices
 
 
 def _number(node) -> bool:
@@ -37,19 +38,13 @@ def _jet(value, betas, term) -> dict:
     return out
 
 
-def _binomial_sum(a, b, beta, upto):
-    """sum over gamma <= upto of C(upto, gamma) d^gamma a d^(beta - gamma) b:
-    d^beta (a b) by the Leibniz rule for upto = beta, and for upto = beta - e_k,
-    d^beta of a node whose d_k is a d_k b."""
-    return sum(multiindex_binom(upto, g) * a[g] * b[mi_sub(beta, g)]
-               for g in submultiindices(upto))
-
-
 def _chain(outer, inner, beta):
     """d^beta of a node whose d_k is outer * d_k inner, k the last axis that
-    beta differentiates; outer is read below beta only."""
+    beta differentiates: d^(beta - e_k) of that product, read below beta."""
     k = max(i for i, b in enumerate(beta) if b)
-    return _binomial_sum(outer, inner, beta, tuple(b - (i == k) for i, b in enumerate(beta)))
+    lower = tuple(b - (i == k) for i, b in enumerate(beta))
+    d_inner = {g: inner[g[:k] + (g[k] + 1,) + g[k + 1:]] for g in submultiindices(lower)}
+    return leibniz([outer, d_inner], lower)
 
 
 def _linear(op):
@@ -57,14 +52,13 @@ def _linear(op):
 
 
 def _times(u, v, betas) -> dict:
-    return _jet(u[betas[0]] * v[betas[0]], betas, lambda _, beta: _binomial_sum(u, v, beta, beta))
+    return _jet(u[betas[0]] * v[betas[0]], betas, lambda _, beta: leibniz([u, v], beta))
 
 
 def _quotient(u, v, betas) -> dict:
     """u / v as written; its derivatives are those of u v^-1."""
     inverse = _power(v, -1, betas) if len(betas) > 1 else None
-    return _jet(u[betas[0]] / v[betas[0]], betas,
-                lambda _, beta: _binomial_sum(u, inverse, beta, beta))
+    return _jet(u[betas[0]] / v[betas[0]], betas, lambda _, beta: leibniz([u, inverse], beta))
 
 
 def _power(u, p, betas) -> dict:
@@ -140,7 +134,7 @@ def _walk(node, d: int, text: str):
             if not all(_number(a.operand if isinstance(a, ast.UnaryOp) else a) for a in args):
                 raise ConfigError(f"indicator bounds must be numbers in {text!r}")
             bounds = [float(_walk(a, d, text)((), [()])[()]) for a in args]
-            # values only: ExprFunction refuses indicator, so betas is [0]
+            # values only: a string function refuses indicator, so betas is [0]
             return lambda xs, betas: {betas[0]: np.all(
                 [(x >= lo) & (x <= hi) for x, lo, hi in zip(xs, bounds[::2], bounds[1::2])],
                 axis=0).astype(float)}
@@ -173,8 +167,8 @@ def compile_scalar(text: str, d: int):
 
 
 def _gaussians(centers, width: float, scale: float = 1.0):
-    """(beta, pts) -> d^beta scale sum_c exp(-|x - c|^2 / width^2) as an (N, 1)
-    column: per axis width^-k p_k(y_i), with y = (x - c) / width and
+    """(betas, pts) -> {beta: d^beta scale sum_c exp(-|x - c|^2 / width^2)} as
+    (N, 1) columns: per axis width^-k p_k(y_i), with y = (x - c) / width and
     p_k = (-1)^k H_k, H_k the Hermite polynomial."""
     def one(beta, y):
         out = scale * np.exp(-np.sum(y * y, axis=1))
@@ -182,14 +176,15 @@ def _gaussians(centers, width: float, scale: float = 1.0):
             if k:
                 out = out * (np.polyval(exp_poly(k, (1.0,), (-2.0, 0.0)), y[:, i]) / width**k)
         return out
-    return lambda beta, pts: sum(one(beta, (pts - c) / width) for c in centers)[:, None]
+    return lambda betas, pts: {beta: sum(one(beta, (pts - c) / width) for c in centers)[:, None]
+                               for beta in betas}
 
 
 def _along_x1(deriv, width: int):
-    """(beta, pts) -> d^beta of a factor of x1 alone, (N, width); deriv maps
-    (k, x1 as an (N, 1) column) to the k-th derivative."""
-    return lambda beta, pts: (np.zeros((len(pts), width)) if any(beta[1:])
-                              else deriv(beta[0], pts[:, :1]))
+    """(betas, pts) -> {beta: d^beta} of a factor of x1 alone, (N, width)
+    each; deriv maps (k, x1 as an (N, 1) column) to the k-th derivative."""
+    return lambda betas, pts: {beta: (np.zeros((len(pts), width)) if any(beta[1:])
+                                      else deriv(beta[0], pts[:, :1])) for beta in betas}
 
 
 def _waves(freqs):
@@ -201,8 +196,8 @@ def _waves(freqs):
 
 
 class BuiltinFunction:
-    """x -> coeffs * prod(factors)(x), each factor a closed form
-    (beta, pts) -> (N, 1) or (N, m); derivatives by the Leibniz rule."""
+    """x -> coeffs * prod(factors)(x), each factor a closed-form jet
+    (betas, pts) -> {beta: (N, 1) or (N, m)}; derivatives by the Leibniz rule."""
 
     def __init__(self, factors: list, coeffs: np.ndarray, d: int):
         self.factors, self.coeffs, self.d, self.value_dim = factors, coeffs, d, len(coeffs)
@@ -213,27 +208,8 @@ class BuiltinFunction:
     def deriv(self, beta: tuple[int, ...], points: np.ndarray) -> np.ndarray:
         if len(beta) != self.d:
             raise OrderError(f"multi-index {beta} has wrong dimension for d={self.d}")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return leibniz(self.factors, tuple(beta), pts) * self.coeffs
-
-
-class ExprFunction(BuiltinFunction):
-    """Vector of grammar strings, each walked once into a jet closure: one
-    factor, whose d^beta reads every closure over the multi-indices below beta."""
-
-    def __init__(self, texts: list[str], d: int):
-        parsed = [_parse(t, d) for t in texts]
-        if any(isinstance(n, ast.Name) and n.id == "indicator"
-               for tree, _ in parsed for n in ast.walk(tree)):
-            raise ConfigError("indicator() is not differentiable; not allowed in functions")
-        jets = [jet for _, jet in parsed]
-
-        def factor(beta, pts):
-            xs, betas = [pts[:, i] for i in range(d)], submultiindices(beta)
-            return np.stack([np.broadcast_to(np.asarray(jet(xs, betas)[beta], dtype=float),
-                                             (len(pts),)) for jet in jets], axis=1)
-
-        super().__init__([factor], np.ones(len(jets)), d)
+        pts, betas = np.atleast_2d(np.asarray(points, dtype=float)), submultiindices(beta)
+        return leibniz([factor(betas, pts) for factor in self.factors], tuple(beta)) * self.coeffs
 
 
 def builtin_function(cfg: dict, d: int) -> BuiltinFunction:
@@ -268,5 +244,17 @@ def builtin_function(cfg: dict, d: int) -> BuiltinFunction:
     raise ConfigError(f"unknown builtin function {kind!r}")
 
 
-def expr_function_from_strings(texts: list[str], d: int) -> ExprFunction:
-    return ExprFunction(texts, d)
+def expr_function_from_strings(texts: list[str], d: int) -> BuiltinFunction:
+    """Grammar strings as one factor, whose jet stacks each walked closure's."""
+    parsed = [_parse(t, d) for t in texts]
+    if any(isinstance(n, ast.Name) and n.id == "indicator"
+           for tree, _ in parsed for n in ast.walk(tree)):
+        raise ConfigError("indicator() is not differentiable; not allowed in functions")
+
+    def factor(betas, pts):
+        xs = [pts[:, i] for i in range(d)]
+        walked = [jet(xs, betas) for _, jet in parsed]
+        return {beta: np.stack([np.broadcast_to(np.asarray(w[beta], dtype=float), (len(pts),))
+                                for w in walked], axis=1) for beta in betas}
+
+    return BuiltinFunction([factor], np.ones(len(texts)), d)

@@ -25,10 +25,6 @@ def mi_order(beta: MultiIndex) -> int:
     return int(sum(beta))
 
 
-def mi_leq(gamma: MultiIndex, beta: MultiIndex) -> bool:
-    return all(g <= b for g, b in zip(gamma, beta))
-
-
 def mi_sub(beta: MultiIndex, gamma: MultiIndex) -> MultiIndex:
     return tuple(b - g for b, g in zip(beta, gamma))
 
@@ -61,7 +57,7 @@ def submultiindices(beta: MultiIndex) -> list[MultiIndex]:
 
 
 def multiindex_binom(beta: MultiIndex, gamma: MultiIndex) -> int:
-    if not mi_leq(gamma, beta):
+    if not all(g <= b for g, b in zip(gamma, beta)):
         raise OrderError(f"binomial needs gamma <= beta, got {gamma} vs {beta}")
     prod = 1
     for b, g in zip(beta, gamma):
@@ -179,14 +175,13 @@ def exp_poly(k: int, a: tuple, b: tuple) -> np.ndarray:
     return out
 
 
-def leibniz(factors, beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
-    """d^beta of the product of factors, each a callable (gamma, pts) -> array,
-    by the Leibniz rule; the first factor's gamma runs in lexicographic order."""
-    if len(factors) == 1:
-        return factors[0](beta, pts)
-    head, rest = factors[0], factors[1:]
-    return sum(multiindex_binom(beta, gamma) * head(gamma, pts)
-               * leibniz(rest, mi_sub(beta, gamma), pts)
+def leibniz(jets, beta: MultiIndex):
+    """d^beta of a product by the Leibniz rule, each factor its jet {gamma:
+    d^gamma} below beta; the first factor's gamma runs in lexicographic order."""
+    if len(jets) == 1:
+        return jets[0][beta]
+    head, rest = jets[0], jets[1:]
+    return sum(multiindex_binom(beta, gamma) * head[gamma] * leibniz(rest, mi_sub(beta, gamma))
                for gamma in submultiindices(beta))
 
 
@@ -232,15 +227,13 @@ def f_multi_ext(f: SampledFunction, betas, points) -> np.ndarray:
     return out
 
 
-def sf_from_expr_function(fn, domain: Region, order: int, name: str = "",
-                          support: Optional[Region] = None) -> SampledFunction:
-    """Wrap an expressions.ExprFunction with analytic derivatives."""
+def sf_from_expr_function(fn, domain: Region, order: int, name: str = "") -> SampledFunction:
+    """Wrap an expressions.BuiltinFunction with its analytic derivatives."""
     return SampledFunction(
         domain=domain,
         order=order,
         value_dim=fn.value_dim,
         evaluator=fn.eval,
         derivative=lambda beta, pts: fn.deriv(beta, pts),
-        support=support,
         name=name,
     )

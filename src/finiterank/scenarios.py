@@ -27,6 +27,13 @@ from .weights import (WeightFamily, WeightIndex, custom_family, exhaustion_famil
 REGISTRY = ("schwartz_1d", "exhaustion_1d", "om_finite_1d", "exp_strips_2d")
 
 
+def _integer(value, field: str) -> int:
+    """A config integer; a bool, a string or a non-integral number is refused, not truncated."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _region_from_cfg(cfg: dict, grid_override: Optional[int] = None) -> Region:
     try:
         boxes = tuple(Box(tuple(map(float, lo)), tuple(map(float, hi)))
@@ -37,6 +44,8 @@ def _region_from_cfg(cfg: dict, grid_override: Optional[int] = None) -> Region:
     if not boxes:
         raise ConfigError("a region needs at least one box")
     ppa = cfg.get("points_per_axis", 101)
+    ppa = ([_integer(n, "points_per_axis") for n in ppa] if isinstance(ppa, (list, tuple))
+           else _integer(ppa, "points_per_axis"))
     for n in (ppa, grid_override):
         # one point per axis collapses the grid, so every scan on it is vacuous
         if n is not None and np.min(n) < 2:
@@ -49,9 +58,9 @@ def _region_from_cfg(cfg: dict, grid_override: Optional[int] = None) -> Region:
 
 def _family_from_cfg(cfg: dict, domain: Region) -> WeightFamily:
     kind = cfg.get("kind")
-    k_max = int(cfg.get("k_max", 2))
+    k_max = _integer(cfg.get("k_max", 2), "family.k_max")
     if kind == "schwartz":
-        return schwartz_family(k_max, int(cfg.get("j_max", 3)), domain.d)
+        return schwartz_family(k_max, _integer(cfg.get("j_max", 3), "family.j_max"), domain.d)
     if kind == "exhaustion":
         omegas = {}
         for key, boxes in cfg["omega_j"].items():
@@ -61,7 +70,7 @@ def _family_from_cfg(cfg: dict, domain: Region) -> WeightFamily:
     if kind == "exp_strips":
         if domain.d != 2:
             raise ConfigError("exp_strips weights need a 2d domain")
-        return exp_strips_family(k_max, int(cfg.get("j_max", 6)),
+        return exp_strips_family(k_max, _integer(cfg.get("j_max", 6), "family.j_max"),
                                  points_per_axis=domain.points_per_axis)
     if kind == "om_finite":
         return om_finite_family(k_max, cfg["gauge_sets"], domain.d)
@@ -99,7 +108,8 @@ def _audit_from_cfg(cfg: dict, domain: Region, fam: WeightFamily) -> tuple[Regio
 def _seminorms_from_cfg(cfg: dict) -> dict[str, SeminormIndex]:
     # SeminormIndex rejects an unknown kind and a degenerate subset or weight
     return {name: SeminormIndex(spec.get("kind", "sup_all"),
-                                subset=tuple(map(int, spec.get("subset", ()))),
+                                subset=tuple(_integer(i, f"seminorms.{name}.subset")
+                                             for i in spec.get("subset", ())),
                                 coord_weights=tuple(map(float, spec.get("coord_weights", ()))))
             for name, spec in cfg.items()}
 
@@ -147,6 +157,8 @@ def _function_from_cfg(cfg: dict, domain: Region, order: int) -> SampledFunction
     if "builtin" in cfg:
         fn = builtin_function(cfg, domain.d)
     elif "expressions" in cfg:
+        if not isinstance(cfg["expressions"], list):  # a bare string is no list of strings
+            raise ConfigError(f"function.expressions must be a list, got {cfg['expressions']!r}")
         fn = expr_function_from_strings(cfg["expressions"], domain.d)
     else:
         raise ConfigError("function config needs 'builtin' or 'expressions'")
@@ -163,14 +175,15 @@ def scenario_from_dict(cfg: dict, grid_override: Optional[int] = None
         if quad_cfg.get("rule", "midpoint") != "midpoint":
             raise ConfigError(f"unknown quadrature rule {quad_cfg['rule']!r}")
         quad = QuadratureSpec(
-            points_per_axis=int(quad_cfg.get("points_per_axis", 64)),
-            refinement_levels=int(quad_cfg.get("refinement_levels", 2)),
+            points_per_axis=_integer(quad_cfg.get("points_per_axis", 64), "quad.points_per_axis"),
+            refinement_levels=_integer(quad_cfg.get("refinement_levels", 2),
+                                       "quad.refinement_levels"),
             tol=float(quad_cfg.get("tol", 1e-6)),
         )
-        order = int(cfg.get("order", 2))
+        order = _integer(cfg.get("order", 2), "order")
         omega = _region_from_cfg(cfg["omega"]) if "omega" in cfg else None
         audit_compact, audit_ratios = _audit_from_cfg(cfg.get("audit", {}), domain, fam)
-        n_max = int(cfg.get("n_max", 64))
+        n_max = _integer(cfg.get("n_max", 64), "n_max")
         if n_max < 2:
             # the regularization search starts at n = 2
             raise ConfigError(f"n_max must be at least 2, got {n_max}")

@@ -44,6 +44,12 @@ samples its function on the domain grid itself. They are the reference for
 the shared jets, which must give the same bits. domain_jet is f's jet on its
 domain grid, the jet every stage takes: the tests that call a stage on its
 own sample through it, as approximate samples f once per operation.
+leibniz_callables is the Leibniz rule over factors given as callables
+(gamma, pts) -> array, each called afresh at every term, with
+funcmodel.leibniz's terms in its order: builtin_leibniz, union_leibniz and
+product_leibniz apply it to a builtin's factors, the cut-off's smooth union
+of boxes and psi f, the bit-for-bit references for the package's product
+rule over jets.
 """
 
 import functools
@@ -58,7 +64,7 @@ from finiterank.cutoff import (CutoffReport, build_cutoff, cutoff_constant, meas
                                multiply_cutoff)
 from finiterank.errors import DomainError, GeometryError, OrderError, ResolutionError
 from finiterank.funcmodel import (FiniteRankFunction, SampledFunction, exp_poly, mi_order,
-                                  multiindices)
+                                  mi_sub, multiindex_binom, multiindices, submultiindices)
 from finiterank.geometry import Box, Region
 from finiterank.mollify import (_FLAT_CUTOFF, _OFFSET_QUANTUM, SMOOTH_ORDER, box_nodes,
                                 convolve, scan_lattice)
@@ -675,3 +681,40 @@ def localization_scans_resampling(f, g, fam, j, alpha, eps):
     step = float(np.min(f.domain.spacing()))
     return (find_tail_compact(f, fam, idx, alpha, eps, delta=step, jet=domain_jet(f, idx)),
             difference_seminorm(f, g.sampled, fam, idx, alpha))
+
+
+def leibniz_callables(factors, beta, pts):
+    """d^beta of the product of factors, each a callable (gamma, pts) -> array,
+    by the Leibniz rule; the first factor's gamma runs in lexicographic order."""
+    if len(factors) == 1:
+        return factors[0](beta, pts)
+    head, rest = factors[0], factors[1:]
+    return sum(multiindex_binom(beta, gamma) * head(gamma, pts)
+               * leibniz_callables(rest, mi_sub(beta, gamma), pts)
+               for gamma in submultiindices(beta))
+
+
+def builtin_leibniz(fn, beta, pts):
+    """d^beta of an expressions.BuiltinFunction, each factor called for one
+    gamma at a time over the multi-indices below it."""
+    factors = [lambda gamma, x, factor=factor: factor(submultiindices(gamma), x)[gamma]
+               for factor in fn.factors]
+    return leibniz_callables(factors, tuple(beta), pts) * fn.coeffs
+
+
+def union_leibniz(union, beta, pts):
+    """d^beta of the cut-off's union 1 - prod_b (1 - psi_b) of boxes, each
+    1 - psi_b a callable over the box's _box_deriv."""
+    def one_minus(profiles):
+        def fn(gamma, x):
+            v = union._box_deriv(profiles, gamma, x)
+            return (1.0 - v) if mi_order(gamma) == 0 else -v
+        return fn
+
+    prod = leibniz_callables([one_minus(p) for p in union.boxes], beta, pts)
+    return 1.0 - prod if mi_order(beta) == 0 else -prod
+
+
+def product_leibniz(psi, f, beta, pts):
+    """d^beta of psi f, the two factors' deriv called for each gamma."""
+    return leibniz_callables([f.deriv, lambda gamma, x: psi.deriv(gamma, x)[:, 0:1]], beta, pts)

@@ -10,7 +10,7 @@ from finiterank import cli, cutoff, mollify
 from finiterank.cli import main
 from finiterank.funcmodel import exp_poly
 from finiterank.pipeline import approximate
-from finiterank.scenarios import load_scenario
+from finiterank.scenarios import load_scenario, scenario_from_dict
 from oracles import scaled_result
 from test_expressions import STRING_FUNCTION
 
@@ -335,6 +335,57 @@ def test_approximate_rejects_degenerate_config(tmp_path, capsys, changes):
                 "--j", "1", "--l", "1", "--out", str(out)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("domain", "points_per_axis", 1200.9, "points_per_axis"),
+    ("omega", "points_per_axis", [2.5], "points_per_axis"),
+    (None, "order", 2.9, "order"),
+    (None, "order", True, "order"),
+    (None, "n_max", 63.9, "n_max"),
+    ("family", "j_max", 2.5, "family.j_max"),
+    ("family", "k_max", "2", "family.k_max"),
+    ("quad", "points_per_axis", 8.7, "quad.points_per_axis"),
+    ("quad", "refinement_levels", 1.5, "quad.refinement_levels"),
+    ("seminorms", "first", {"kind": "sup_subset", "subset": [0.9]}, "seminorms.first.subset"),
+], ids=["domain_grid", "omega_grid", "order_float", "order_bool", "n_max", "j_max",
+        "k_max_text", "quad_points", "quad_levels", "subset_index"])
+def test_approximate_refuses_a_non_integer_count(tmp_path, capsys, section, key, value, field):
+    # int() used to truncate each: 1,200 grid points, order 2 (or 1 for
+    # true), n_max 63, js = [1, 2], the subset (0,); quad points 8 failed
+    # the mollifier mass check (exit 3)
+    scn, _ = load_scenario("schwartz_1d")
+    changes = {key: value} if section is None else {section: dict(scn.config[section],
+                                                                  **{key: value})}
+    path = _scenario_cfg(tmp_path, **changes)
+    out = tmp_path / "out"
+    code = run(["approximate", "--scenario", str(path), "--eps", "0.2",
+                "--j", "1", "--l", "1", "--out", str(out)])
+    assert code == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_counts_are_read_as_integers():
+    scn, f = load_scenario("schwartz_1d")
+    cfg = dict(scn.config, order=2.0, n_max=64.0,
+               domain=dict(scn.config["domain"], points_per_axis=1201.0))
+    got, g = scenario_from_dict(cfg)
+    assert (got.n_max, got.domain, g.order) == (scn.n_max, scn.domain, f.order)
+    assert type(got.n_max) is type(g.order) is int
+
+
+@pytest.mark.parametrize("texts", ["xx", "exp(-x^2)"])
+def test_approximate_refuses_a_bare_expression_string(tmp_path, capsys, texts):
+    # a string was walked one character at a time: "xx" ran as the function
+    # (x, x), and "exp(-x^2)" failed on "unknown symbols {e}"
+    path = _scenario_cfg(tmp_path, function={"expressions": texts})
+    out = tmp_path / "out"
+    code = run(["approximate", "--scenario", str(path), "--eps", "0.2",
+                "--j", "1", "--l", "1", "--out", str(out)])
+    assert code == 2
+    assert "function.expressions must be a list" in capsys.readouterr().err
     assert not out.exists()
 
 

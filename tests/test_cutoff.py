@@ -13,7 +13,8 @@ from finiterank.geometry import Region
 from finiterank.mollify import build_mollifier
 from finiterank.seminorms import difference_seminorm, sample_jet
 from finiterank.weights import WeightIndex
-from oracles import bump_function, domain_jet, fd_derivative_oracle, gauss_legendre
+from oracles import (bump_function, domain_jet, fd_derivative_oracle, gauss_legendre,
+                     product_leibniz, union_leibniz)
 import expected
 
 
@@ -284,6 +285,65 @@ def test_product_derivatives_match_fd(unit_cut, domain_1d, gauss_1d, rng):
         analytic = ft.deriv(beta, np.array([[x]]))[0, 0]
         fd = fd_derivative_oracle(ft, beta, [x], 1e-4)[0]
         assert analytic == pytest.approx(fd, abs=max(1e-4 * max(abs(fd), 1e-3), 1e-8))
+
+
+_UNIONS = {
+    "two_1d": fr.Region.from_bounds([[-2.0], [0.5]], [[-0.5], [2.0]], 51),
+    "three_1d": fr.Region.from_bounds([[-3.0], [-0.6], [1.0]], [[-1.0], [0.7], [2.5]], 51),
+    "two_2d": fr.Region.from_bounds([[-1.0, -1.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], 41),
+    "three_2d": fr.Region.from_bounds([[-2.0, -1.0], [0.3, -0.2], [-1.0, -2.5]],
+                                      [[-0.5, 1.0], [2.0, 1.5], [1.0, -1.5]], 21),
+}
+
+
+def _union_points(d):
+    axis = np.linspace(-3.5, 3.5, 1401 if d == 1 else 71)
+    return np.stack([a.ravel() for a in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+
+
+@pytest.mark.parametrize("name", _UNIONS)
+def test_union_leibniz_over_jets_keeps_every_bit(name):
+    # each box's jet of 1 - psi_b is read once per derivative, with the
+    # terms, their order and so the bits of the rule that calls each box
+    # afresh per term; the points cross every ramp, plateau and gap
+    K, delta = _UNIONS[name], 0.5
+    psi, union = build_cutoff(K, delta), _UnionCutoff(K, delta, int(np.ceil(4.0 / delta)))
+    pts = _union_points(K.d)
+    for beta in multiindices(K.d, 2):
+        want = union_leibniz(union, beta, pts)
+        assert np.array_equal(psi.deriv(beta, pts)[:, 0], want), beta
+        assert np.array_equal(union.deriv(beta, pts), want), beta
+
+
+@pytest.mark.parametrize("name", ["three_1d", "two_2d"])
+def test_product_leibniz_over_jets_keeps_every_bit(name):
+    K = _UNIONS[name]
+    psi = build_cutoff(K, 0.5)
+    dom = fr.Region.box([-3.5] * K.d, [3.5] * K.d, 101 if K.d == 1 else 21)
+    fn = expr_function_from_strings(["exp(-normsq) * x1", "x1**2 - 1", "exp(-x1^2) / (1 + x1^2)"],
+                                    K.d)
+    f = sf_from_expr_function(fn, dom, order=4)
+    ft, pts = multiply_cutoff(psi, f), _union_points(K.d)
+    for beta in multiindices(K.d, 2):
+        assert np.array_equal(ft.deriv(beta, pts), product_leibniz(psi, f, beta, pts)), beta
+
+
+@pytest.mark.parametrize("beta, calls", [((0,), 3), ((1,), 6), ((2,), 9)])
+def test_union_reads_each_box_once_per_multiindex(monkeypatch, beta, calls):
+    # three boxes, |lower(beta)| multi-indices each: calling every factor
+    # afresh per Leibniz term took 8 calls at beta = (1,) and 15 at (2,)
+    union = _UnionCutoff(_UNIONS["three_1d"], 0.5, 8)
+    pts = _union_points(1)
+    want = union.deriv(beta, pts)
+    seen, real = [], _UnionCutoff._box_deriv
+
+    def counted(profiles, gamma, x):
+        seen.append(gamma)
+        return real(profiles, gamma, x)
+
+    monkeypatch.setattr(_UnionCutoff, "_box_deriv", staticmethod(counted))
+    assert np.array_equal(union.deriv(beta, pts), want)
+    assert len(seen) == calls == 3 * len(set(seen))
 
 
 def test_product_refuses_an_order_above_a_factor(unit_cut, domain_1d):

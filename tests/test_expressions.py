@@ -14,7 +14,7 @@ from finiterank.funcmodel import multiindices
 from finiterank.geometry import Region
 from finiterank.mollify import SMOOTH_ORDER
 from finiterank.scenarios import REGISTRY, load_scenario, scenario_from_dict
-from oracles import sympy_builtin, sympy_scalar, sympy_strings
+from oracles import builtin_leibniz, sympy_builtin, sympy_scalar, sympy_strings
 
 
 def test_compile_scalar_grammar():
@@ -122,6 +122,23 @@ def test_builtin_strip_waves_flat_in_x2():
     a = fn.eval(np.array([[0.5, 1.0]]))[0, 0]
     b = fn.eval(np.array([[0.5, -2.0]]))[0, 0]
     assert a == b == pytest.approx(np.cos(0.2))
+
+
+@pytest.mark.parametrize("cfg, d", [
+    ({"builtin": "plane_waves", "amplitude": 2.0, "sigma": 0.8, "nodes": [0.0, 0.6, 1.7]}, 1),
+    ({"builtin": "twin_gaussian_waves", "amplitude": 1.5, "sigma": 0.5, "center": 1.2,
+      "nodes": [0.0, 0.9, 2.3]}, 2),
+    ({"builtin": "poly_gaussian", "coeffs": [1.0, -2.0, 0.5], "e": [1.0, -3.0]}, 1),
+    ({"builtin": "poly_gaussian", "coeffs": [0.5, 1.0, -1.5], "e": [2.0]}, 2),
+], ids=["plane_waves_1d", "twin_gaussian_waves_2d", "poly_gaussian_1d", "poly_gaussian_2d"])
+def test_builtin_leibniz_over_jets_keeps_every_bit(cfg, d):
+    # each factor's jet is read once per derivative; the terms, their order
+    # and so every bit are those of the rule that calls each factor per term
+    fn = builtin_function(cfg, d)
+    axis = np.linspace(-3.0, 3.0, 61 if d == 2 else 601)
+    pts = np.stack([a.ravel() for a in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+    for beta in multiindices(d, 2):
+        assert np.array_equal(fn.deriv(beta, pts), builtin_leibniz(fn, beta, pts)), beta
 
 
 def _count_calls(monkeypatch, name):
